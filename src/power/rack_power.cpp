@@ -56,11 +56,13 @@ RackPowerResult RackPowerModel::from_group_outputs(std::span<const double> group
       result.any_overload = result.any_overload || c.overloaded;
     }
   } else {
-    // Fast path: adjacent groups almost always carry the same exact load
-    // (idle spans and contiguous job allocations), so runs of equal values
-    // resolve one conversion and accumulate by multiplication. Rounding can
-    // differ from the reference path in the last ulp, but is deterministic
-    // for a given group vector.
+    // Fast path: runs of adjacent groups with the same exact load (idle
+    // spans, groups one job fully covers) resolve one conversion and
+    // accumulate by multiplication. Measured on the 7-day ooc_replay
+    // benchmark, a dirty 8-group rack takes 4.7 memo lookups on average
+    // (7.6 while group loads were running sums of float deltas). Rounding
+    // can differ from the reference path in the last ulp, but is
+    // deterministic for a given group vector.
     std::size_t i = 0;
     const std::size_t n = group_outputs_w.size();
     ConversionResult local;

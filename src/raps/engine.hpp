@@ -163,10 +163,10 @@ class RapsEngine {
   double max_power_w_ = 0.0;
   double completed_nodes_sum_ = 0.0;
   double completed_runtime_sum_s_ = 0.0;
-  /// Queue-wait accounting for scheduler-placed (non-replay) jobs.
   /// System wall power with zero jobs running, captured at construction
   /// (fed to power-aware policies as the admission-budget base).
   double idle_system_power_w_ = 0.0;
+  /// Queue-wait accounting for scheduler-placed (non-replay) jobs.
   double wait_sum_s_ = 0.0;
   int queue_started_ = 0;
   double last_completion_s_ = 0.0;

@@ -13,25 +13,33 @@
 /// cooling efficiency (0.945) becomes the heat fed to the cooling model.
 ///
 /// The model is *incremental*: per-node idle power and per-job node
-/// configurations are resolved once (at construction / job start), group
-/// outputs are maintained by deltas on job start/stop and utilization
-/// changes, and only racks whose groups changed are re-evaluated — with a
-/// value-keyed memo collapsing the repeated group operating points a fleet
-/// walk touches. RapsEngine drives the incremental interface
-/// (on_job_start / on_job_stop / advance); the stateless recompute()
-/// rebuilds everything from the given running set and remains available
-/// for one-shot evaluations.
+/// configurations are resolved once (at construction / job start). Each
+/// rectifier group keeps a short list of its occupants (job slot, node
+/// count, idle-power sum); job start/stop and utilization changes only mark
+/// the touched groups dirty, and advance() recomputes each dirty group from
+/// its current occupants as (idle baseline - occupied idle) + sum of
+/// count x node power. A group's load is therefore a function of its
+/// occupancy, not of the run's history: a group one job fully covers carries
+/// exactly nodes_per_group x p, and an emptied group returns to its idle
+/// baseline bit for bit. Only racks holding a dirty group are
+/// re-evaluated, with value-keyed memos collapsing the repeated group and
+/// whole-rack operating points that equal occupancy produces. RapsEngine
+/// drives the incremental interface (on_job_start / on_job_stop /
+/// advance); the stateless recompute() rebuilds everything from the given
+/// running set and remains available for one-shot evaluations.
 ///
 /// Deterministic parallelism (set_thread_pool): advance() computes the
 /// per-job node powers into a scratch array (a pure function of the job
 /// trace and `now`), and refresh_dirty_racks() evaluates the sorted dirty
 /// racks into a scratch array — both optionally sharded across a
-/// ThreadPool with per-lane memos — then folds deltas serially in slot /
-/// rack order on the calling thread. The memos are exact-key caches of
-/// deterministic functions, so a hit returns the same bits a recompute
-/// would; with sharded evaluation and ordered serial reduction the sample
-/// is bit-identical for any pool width (tests/raps/power_parallel_test.cpp
-/// asserts threads∈{1,2,8} against serial).
+/// ThreadPool with per-lane memos — then marks groups in slot order and
+/// folds rack deltas in rack order, serially on the calling thread. Group
+/// loads depend only on occupancy, so they are the same for any width. The
+/// memos are exact-key caches of deterministic functions, so a hit returns
+/// the same bits a recompute would; with sharded evaluation and ordered
+/// serial reduction the sample is bit-identical for any pool width
+/// (tests/raps/power_parallel_test.cpp asserts threads∈{1,2,8} against
+/// serial).
 
 #include <span>
 #include <vector>
@@ -112,24 +120,23 @@ class RapsPowerModel {
   [[nodiscard]] ThreadPool* thread_pool() const { return pool_; }
 
  private:
-  /// A job's footprint on one rectifier group: `count` of its nodes whose
-  /// idle powers sum to `idle_sum_w`. Resolved once at job start so delta
-  /// application is one multiply-add per touched group, not one divide-and-
-  /// add per node.
-  struct GroupSpan {
-    int group = 0;
+  /// One running job's share of a rectifier group: `count` of the job's
+  /// nodes (active_ slot `slot`) whose idle powers sum to `idle_sum_w`.
+  /// Resolved once at job start, so recomputing a group is one multiply-add
+  /// per occupant, not one divide-and-add per node.
+  struct GroupOccupant {
+    int slot = 0;
     int count = 0;
     double idle_sum_w = 0.0;
   };
 
-  /// A registered running job (incremental interface). Record and group
-  /// footprint are copied so the engine's running vector may reallocate
-  /// freely.
+  /// A registered running job (incremental interface). The record is copied
+  /// so the engine's running vector may reallocate freely.
   struct ActiveJob {
     JobRecord job;
-    std::vector<GroupSpan> spans;
+    std::vector<int> groups;  ///< groups listing this job as an occupant
     double start_time_s = 0.0;
-    /// Uniform per-node 48 V power currently folded into group outputs.
+    /// Uniform per-node 48 V power the job's groups are computed with.
     double applied_node_w = 0.0;
     const NodeConfig* node_cfg = nullptr;  ///< resolved once at start
     bool live = false;
@@ -149,6 +156,10 @@ class RapsPowerModel {
   // Incremental state.
   std::vector<ActiveJob> active_;
   std::vector<int> free_slots_;
+  /// Per group, its occupants in start order (the summation order).
+  std::vector<std::vector<GroupOccupant>> group_occupants_;
+  std::vector<char> group_dirty_;
+  std::vector<int> dirty_groups_;
   std::vector<RackPowerResult> rack_results_;
   std::vector<char> rack_dirty_;
   std::vector<int> dirty_racks_;
@@ -182,9 +193,9 @@ class RapsPowerModel {
   /// stays as the seed-faithful arithmetic (and cost profile) recompute()
   /// is benchmarked against. Values are bit-identical to idle_node_w_.
   [[nodiscard]] double idle_node_power_w(int node_index) const;
-  /// Adds `delta_w` per node to every group in `spans`, marking their racks.
-  void apply_span_delta(const std::vector<GroupSpan>& spans, double delta_w);
-  void mark_rack_of_group(int group);
+  /// Recomputes every dirty group's load from its occupants and marks its
+  /// rack dirty.
+  void refresh_dirty_groups();
   /// Evaluates one rack's conversion chain through the given memo pair
   /// (uniform-load racks hit `rack_memo`). Pure modulo the caches, so the
   /// result is the same through any lane's memos.

@@ -20,6 +20,15 @@ class PowerModelTest : public ::testing::Test {
     std::iota(nodes.begin(), nodes.end(), first);
     return nodes;
   }
+
+  /// Exact element-wise equality (EXPECT_EQ on doubles compares bits).
+  static void expect_bit_equal(const std::vector<double>& got, const std::vector<double>& want,
+                               const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << what << " " << i;
+    }
+  }
 };
 
 TEST_F(PowerModelTest, IdleSystemMatchesCalibration) {
@@ -173,6 +182,116 @@ TEST_F(PowerModelTest, IncrementalInvalidStopHandleThrows) {
   const int h = model_.on_job_start(j, nodes, 0.0);
   model_.on_job_stop(h);
   EXPECT_THROW(model_.on_job_stop(h), ConfigError);  // double stop
+}
+
+/// Group loads follow occupancy, not history: after two jobs with distinct
+/// varying traces share partial groups for several trace quanta and stop,
+/// every group and rack is back at its construction value, bit for bit.
+TEST_F(PowerModelTest, IncrementalChurnRestoresConstructionLoadsExactly) {
+  const std::vector<double> groups0 = model_.group_output_w();
+  const std::vector<double> racks0 = model_.rack_wall_power_w();
+  JobRecord a = make_constant_job(0.0, 1000.0, 40, 0.0, 0.0);
+  a.cpu_util_trace = {0.31, 0.77, 0.12, 0.95, 0.4};
+  a.gpu_util_trace = {0.13, 0.87, 0.41, 0.66, 0.2};
+  JobRecord b = make_constant_job(0.0, 1000.0, 30, 0.0, 0.0);
+  b.cpu_util_trace = {0.9, 0.05, 0.63, 0.28, 0.5};
+  b.gpu_util_trace = {0.91, 0.27, 0.58, 0.35, 0.7};
+  const int ha = model_.on_job_start(a, node_range(3, 40), 0.0);   // nodes 3-42
+  const int hb = model_.on_job_start(b, node_range(43, 30), 0.0);  // nodes 43-72
+  const double q = config_.simulation.trace_quantum_s;
+  for (int k = 0; k < 4; ++k) (void)model_.advance(k * q);
+  model_.on_job_stop(ha);
+  model_.on_job_stop(hb);
+  const PowerSample& s = model_.advance(4 * q);
+  EXPECT_EQ(s.active_nodes, 0);
+  expect_bit_equal(model_.group_output_w(), groups0, "group");
+  expect_bit_equal(model_.rack_wall_power_w(), racks0, "rack");
+}
+
+/// A job covering whole groups gives each of them the same exact load, also
+/// the groups an earlier job churned through a varying trace, and the same
+/// loads a model without that history computes.
+TEST_F(PowerModelTest, IncrementalFullGroupsCarryEqualLoads) {
+  JobRecord early = make_constant_job(0.0, 1000.0, 40, 0.0, 0.0);
+  early.cpu_util_trace = {0.31, 0.77, 0.12, 0.95, 0.4};
+  early.gpu_util_trace = {0.13, 0.87, 0.41, 0.66, 0.2};
+  const double q = config_.simulation.trace_quantum_s;
+  const int h = model_.on_job_start(early, node_range(3, 40), 0.0);  // groups 0-2
+  for (int k = 0; k < 4; ++k) (void)model_.advance(k * q);
+  model_.on_job_stop(h);
+
+  JobRecord wide = make_constant_job(0.0, 1000.0, 64, 0.0, 0.0);
+  wide.cpu_util_trace = {0.1, 0.2};
+  wide.gpu_util_trace = {0.05, 0.15};
+  const auto wide_nodes = node_range(0, 64);  // groups 0-3
+  (void)model_.on_job_start(wide, wide_nodes, 4 * q);
+  (void)model_.advance(5 * q);
+
+  RapsPowerModel fresh(config_);
+  (void)fresh.on_job_start(wide, wide_nodes, 4 * q);
+  (void)fresh.advance(5 * q);
+  const auto& groups = model_.group_output_w();
+  for (std::size_t g = 0; g < 4; ++g) {
+    EXPECT_EQ(groups[g], groups[0]) << "group " << g;
+    EXPECT_EQ(groups[g], fresh.group_output_w()[g]) << "group " << g;
+  }
+  expect_bit_equal(model_.rack_wall_power_w(), fresh.rack_wall_power_w(), "rack");
+}
+
+/// Multi-partition machine: groups of the two partitions idle at different
+/// powers. The incremental path tracks recompute() with one job in each
+/// partition, and stopping both restores every idle group load exactly.
+TEST_F(PowerModelTest, IncrementalMultiPartitionTracksRecompute) {
+  const SystemConfig setonix = setonix_like_config();
+  RapsPowerModel incremental(setonix);
+  RapsPowerModel reference(setonix);
+  const std::vector<double> groups0 = incremental.group_output_w();
+  ASSERT_NE(groups0.front(), groups0.back());  // work vs gpu idle groups
+
+  JobRecord cpu_job = make_constant_job(0.0, 1000.0, 90, 0.0, 0.0);
+  cpu_job.partition = "work";
+  cpu_job.cpu_util_trace = {0.25, 0.95, 0.6};
+  JobRecord gpu_job = make_constant_job(0.0, 1000.0, 70, 0.0, 0.0);
+  gpu_job.partition = "gpu";
+  gpu_job.gpu_util_trace = {0.8, 0.15, 0.55};
+  const auto cpu_nodes = node_range(5, 90);     // work partition, partial groups
+  const auto gpu_nodes = node_range(1030, 70);  // gpu partition, partial groups
+  const int hc = incremental.on_job_start(cpu_job, cpu_nodes, 0.0);
+  const int hg = incremental.on_job_start(gpu_job, gpu_nodes, 0.0);
+  const std::vector<RunningJobView> views{{&cpu_job, &cpu_nodes, 0.0},
+                                          {&gpu_job, &gpu_nodes, 0.0}};
+  const double q = setonix.simulation.trace_quantum_s;
+  for (int k = 0; k < 4; ++k) {
+    const PowerSample si = incremental.advance(k * q);
+    const PowerSample& sr = reference.recompute(k * q, views);
+    EXPECT_NEAR(si.system_power_w, sr.system_power_w, sr.system_power_w * 1e-9) << "k=" << k;
+    EXPECT_NEAR(si.node_output_w, sr.node_output_w, sr.node_output_w * 1e-9) << "k=" << k;
+    EXPECT_EQ(si.active_nodes, sr.active_nodes);
+  }
+  incremental.on_job_stop(hc);
+  incremental.on_job_stop(hg);
+  EXPECT_EQ(incremental.advance(4 * q).active_nodes, 0);
+  expect_bit_equal(incremental.group_output_w(), groups0, "group");
+}
+
+/// recompute() drops incrementally registered jobs together with their
+/// group occupancy, so a later advance() reads no stale job slot and the
+/// instance keeps working incrementally.
+TEST_F(PowerModelTest, RecomputeClearsIncrementalState) {
+  JobRecord j = make_constant_job(0.0, 1000.0, 40, 0.7, 0.7);
+  const auto nodes = node_range(3, 40);
+  (void)model_.on_job_start(j, nodes, 0.0);
+  const double idle_w = model_.recompute(0.0, {}).system_power_w;
+  const PowerSample& s = model_.advance(15.0);
+  EXPECT_EQ(s.system_power_w, idle_w);
+  EXPECT_EQ(s.active_nodes, 0);
+
+  (void)model_.on_job_start(j, nodes, 15.0);
+  const double p_inc = model_.advance(30.0).system_power_w;
+  RapsPowerModel reference(config_);
+  const RunningJobView view{&j, &nodes, 15.0};
+  const double p_ref = reference.recompute(30.0, std::span(&view, 1)).system_power_w;
+  EXPECT_NEAR(p_inc, p_ref, p_ref * 1e-9);
 }
 
 /// Property: system power is monotone in the number of active nodes.
