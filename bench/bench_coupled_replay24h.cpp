@@ -18,18 +18,10 @@
 /// studies and setpoint optimization at exascale); this bench records the
 /// trajectory of that hot path.
 ///
-/// The fast configuration is additionally timed with the worker pool
-/// enabled (SimulationConfig::threads = EXADIGIT_BENCH_THREADS, default 0 =
-/// one lane per hardware thread) and cross-checked *bit-identical* to the
-/// threads=1 run, so one artifact carries the serial and threaded numbers
-/// side by side.
-///
 /// `--json <path>` emits BENCH_coupled24h.json: wall_ms (fast path),
 /// wall_ms_always_solve, wall_ms_legacy, speedup_vs_always_solve,
 /// speedup_vs_legacy, sim_rate, plant_steps, solves_performed,
-/// solves_reused, energy_mwh, pue, plus the threaded columns (threads,
-/// wall_ms_threads, sim_rate_threads, solves_reused_threads,
-/// threads_identical).
+/// solves_reused, energy_mwh, pue.
 ///
 /// EXADIGIT_BENCH_HOURS shrinks the replayed window for smoke runs;
 /// EXADIGIT_BENCH_REPS sets the repetitions per configuration (min wall
@@ -41,7 +33,6 @@
 #include <cstdlib>
 
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "config/config_json.hpp"
 #include "core/digital_twin.hpp"
@@ -65,11 +56,10 @@ struct CoupledRun {
 /// Coupled replay (RAPS + cooling FMU) under one full configuration.
 CoupledRun time_coupled_replay_once(const SystemConfig& base, const TelemetryDataset& dataset,
                                     HydraulicsEval eval, EngineMode engine,
-                                    RapsEngine::PowerEval power_eval, int threads) {
+                                    RapsEngine::PowerEval power_eval) {
   SystemConfig config = base;
   config.cooling.hydraulics = eval;
   config.simulation.engine = engine;
-  config.simulation.threads = threads;
   DigitalTwinOptions options;
   options.enable_cooling = true;
   options.start_time_s = dataset.start_time_s;
@@ -94,14 +84,13 @@ CoupledRun time_coupled_replay_once(const SystemConfig& base, const TelemetryDat
 /// same inputs): a mismatch means nondeterminism and aborts the bench.
 CoupledRun time_coupled_replay(const SystemConfig& base, const TelemetryDataset& dataset,
                                HydraulicsEval eval, EngineMode engine,
-                               RapsEngine::PowerEval power_eval, int threads, int reps) {
-  CoupledRun best = time_coupled_replay_once(base, dataset, eval, engine, power_eval, threads);
+                               RapsEngine::PowerEval power_eval, int reps) {
+  CoupledRun best = time_coupled_replay_once(base, dataset, eval, engine, power_eval);
   for (int rep = 1; rep < reps; ++rep) {
-    const CoupledRun r =
-        time_coupled_replay_once(base, dataset, eval, engine, power_eval, threads);
+    const CoupledRun r = time_coupled_replay_once(base, dataset, eval, engine, power_eval);
     if (r.report.total_energy_mwh != best.report.total_energy_mwh ||
         r.pue_mean != best.pue_mean || r.plant_steps != best.plant_steps) {
-      std::fprintf(stderr, "FAIL: repeat run diverged (rep %d, threads=%d)\n", rep, threads);
+      std::fprintf(stderr, "FAIL: repeat run diverged (rep %d)\n", rep);
       std::exit(1);
     }
     if (r.wall_ms < best.wall_ms) best.wall_ms = r.wall_ms;
@@ -153,74 +142,42 @@ int main(int argc, char** argv) {
               dataset.jobs.size());
 
   const int reps = bench::bench_reps();
-  const int bench_threads = resolve_thread_count(bench::env_int("EXADIGIT_BENCH_THREADS", 0));
 
   const CoupledRun fast =
       time_coupled_replay(spec, dataset, HydraulicsEval::kDedup, EngineMode::kEventDriven,
-                          RapsEngine::PowerEval::kIncremental, /*threads=*/1, reps);
-  const CoupledRun fastN =
-      time_coupled_replay(spec, dataset, HydraulicsEval::kDedup, EngineMode::kEventDriven,
-                          RapsEngine::PowerEval::kIncremental, bench_threads, reps);
+                          RapsEngine::PowerEval::kIncremental, reps);
   const CoupledRun ref =
       time_coupled_replay(spec, dataset, HydraulicsEval::kAlwaysSolve,
-                          EngineMode::kEventDriven, RapsEngine::PowerEval::kIncremental,
-                          /*threads=*/1, reps);
+                          EngineMode::kEventDriven, RapsEngine::PowerEval::kIncremental, reps);
   const CoupledRun legacy =
       time_coupled_replay(spec, dataset, HydraulicsEval::kAlwaysSolve, EngineMode::kTickLoop,
-                          RapsEngine::PowerEval::kFullRecompute, /*threads=*/1, reps);
+                          RapsEngine::PowerEval::kFullRecompute, reps);
 
   const double sim_rate = fast.wall_ms > 0.0 ? duration / (fast.wall_ms / 1000.0) : 0.0;
-  const double sim_rate_threads =
-      fastN.wall_ms > 0.0 ? duration / (fastN.wall_ms / 1000.0) : 0.0;
   const double speedup_ref = fast.wall_ms > 0.0 ? ref.wall_ms / fast.wall_ms : 0.0;
   const double speedup_legacy = fast.wall_ms > 0.0 ? legacy.wall_ms / fast.wall_ms : 0.0;
   const long long total = fast.stats.solves_performed + fast.stats.solves_reused();
 
-  char threads_col[32];
-  std::snprintf(threads_col, sizeof threads_col, "threads=%d", bench_threads);
-  AsciiTable t({"Coupled replay", "dedup (fast)", threads_col, "always_solve (ref)",
-                "legacy"});
-  t.add_row({"wall (ms)", AsciiTable::num(fast.wall_ms, 0), AsciiTable::num(fastN.wall_ms, 0),
-             AsciiTable::num(ref.wall_ms, 0), AsciiTable::num(legacy.wall_ms, 0)});
+  AsciiTable t({"Coupled replay", "dedup (fast)", "always_solve (ref)", "legacy"});
+  t.add_row({"wall (ms)", AsciiTable::num(fast.wall_ms, 0), AsciiTable::num(ref.wall_ms, 0),
+             AsciiTable::num(legacy.wall_ms, 0)});
   t.add_row({"plant steps", AsciiTable::num(static_cast<double>(fast.plant_steps), 0),
-             AsciiTable::num(static_cast<double>(fastN.plant_steps), 0),
              AsciiTable::num(static_cast<double>(ref.plant_steps), 0),
              AsciiTable::num(static_cast<double>(legacy.plant_steps), 0)});
   t.add_row({"solves performed",
              AsciiTable::num(static_cast<double>(fast.stats.solves_performed), 0),
-             AsciiTable::num(static_cast<double>(fastN.stats.solves_performed), 0),
              AsciiTable::num(static_cast<double>(ref.stats.solves_performed), 0),
              AsciiTable::num(static_cast<double>(legacy.stats.solves_performed), 0)});
   t.add_row({"solves reused",
              AsciiTable::num(static_cast<double>(fast.stats.solves_reused()), 0),
-             AsciiTable::num(static_cast<double>(fastN.stats.solves_reused()), 0),
              AsciiTable::num(static_cast<double>(ref.stats.solves_reused()), 0),
              AsciiTable::num(static_cast<double>(legacy.stats.solves_reused()), 0)});
   t.add_row({"energy (MWh)", AsciiTable::num(fast.report.total_energy_mwh, 3),
-             AsciiTable::num(fastN.report.total_energy_mwh, 3),
              AsciiTable::num(ref.report.total_energy_mwh, 3),
              AsciiTable::num(legacy.report.total_energy_mwh, 3)});
-  t.add_row({"mean PUE", AsciiTable::num(fast.pue_mean, 5),
-             AsciiTable::num(fastN.pue_mean, 5), AsciiTable::num(ref.pue_mean, 5),
+  t.add_row({"mean PUE", AsciiTable::num(fast.pue_mean, 5), AsciiTable::num(ref.pue_mean, 5),
              AsciiTable::num(legacy.pue_mean, 5)});
   std::printf("%s\n", t.render().c_str());
-
-  // The threaded fast path must match the serial fast path *bit for bit* —
-  // not within a tolerance. Fixed shard->lane mapping + serial-order
-  // reduction is the whole determinism contract (common/thread_pool.hpp).
-  const bool threads_identical =
-      fastN.report.total_energy_mwh == fast.report.total_energy_mwh &&
-      fastN.pue_mean == fast.pue_mean && fastN.plant_steps == fast.plant_steps &&
-      fastN.stats.solves_performed == fast.stats.solves_performed &&
-      fastN.stats.solves_reused() == fast.stats.solves_reused();
-  std::printf("threads=%d vs threads=1: %s (wall %.0f ms vs %.0f ms, reps=%d, min)\n",
-              bench_threads, threads_identical ? "bit-identical" : "DIVERGED",
-              fastN.wall_ms, fast.wall_ms, reps);
-  if (!threads_identical) {
-    std::fprintf(stderr, "FAIL: threads=%d coupled replay diverged from threads=1\n",
-                 bench_threads);
-    return 1;
-  }
 
   const double energy_rel = rel_diff(fast.report.total_energy_mwh,
                                      ref.report.total_energy_mwh);
@@ -259,11 +216,6 @@ int main(int argc, char** argv) {
     out["energy_mwh"] = Json(fast.report.total_energy_mwh);
     out["pue"] = Json(fast.pue_mean);
     out["hydraulics"] = Json(std::string(hydraulics_eval_name(HydraulicsEval::kDedup)));
-    out["threads"] = Json(static_cast<std::int64_t>(bench_threads));
-    out["wall_ms_threads"] = Json(fastN.wall_ms);
-    out["sim_rate_threads"] = Json(sim_rate_threads);
-    out["solves_reused_threads"] = Json(static_cast<std::int64_t>(fastN.stats.solves_reused()));
-    out["threads_identical"] = Json(threads_identical);
     if (!bench::write_perf_json(json_path, out)) return 1;
     std::printf("JSON -> %s\n", json_path.c_str());
   }

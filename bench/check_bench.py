@@ -24,12 +24,11 @@ Gates (a failure in any one fails the run):
     full-day baseline checks only the machine-independent gates below.
   * speedup floors: every "speedup_vs_*" field must be >= 1.0 — the fast
     paths must never lose to the reference/legacy paths they replace.
-  * invariants: "sim_rate" > 0, "solves_reused" > 0,
-    "solves_reused_threads" > 0, "peak_rss_mb" > 0,
-    "chunk_peak_resident_mb" > 0, every "policy_jobs_per_s_*" > 0,
-    "threads_identical" is true, and "chunked_identical" is true (the
-    streamed chunk replay must stay bit-identical to the monolithic
-    path), for whichever of those fields the measured file carries.
+  * invariants: "sim_rate" > 0, "solves_reused" > 0, "peak_rss_mb" > 0,
+    "chunk_peak_resident_mb" > 0, every "policy_jobs_per_s_*" > 0, and
+    "chunked_identical" is true (the streamed chunk replay must stay
+    bit-identical to the monolithic path), for whichever of those fields
+    the measured file carries.
 
 Updating baselines (intentional bumps only):
   1. Build Release and run the bench on the CI reference configuration
@@ -89,8 +88,7 @@ def check_pair(measured_path: str, baseline_path: str, tolerance: float,
             if value < 1.0:
                 failures.append(f"{name}: {key} = {value:.3f} < 1.0 "
                                 "(fast path lost to its reference)")
-    for key in ("sim_rate", "solves_reused", "solves_reused_threads",
-                "peak_rss_mb", "chunk_peak_resident_mb"):
+    for key in ("sim_rate", "solves_reused", "peak_rss_mb", "chunk_peak_resident_mb"):
         if key in measured and not measured[key] > 0:
             failures.append(f"{name}: {key} = {measured[key]!r} (must be > 0)")
     for key, value in sorted(measured.items()):
@@ -99,10 +97,6 @@ def check_pair(measured_path: str, baseline_path: str, tolerance: float,
         # policy layer stalled the queue outright.
         if key.startswith("policy_jobs_per_s_") and not value > 0:
             failures.append(f"{name}: {key} = {value!r} (must be > 0)")
-    if "threads_identical" in measured and measured["threads_identical"] is not True:
-        failures.append(f"{name}: threads_identical = "
-                        f"{measured['threads_identical']!r} (threaded replay "
-                        "diverged from serial)")
     if "chunked_identical" in measured and measured["chunked_identical"] is not True:
         failures.append(f"{name}: chunked_identical = "
                         f"{measured['chunked_identical']!r} (streamed chunk "

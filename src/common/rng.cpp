@@ -55,8 +55,12 @@ double Rng::exponential(double mean) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // std::normal_distribution requires stddev > 0, but callers pass 0 (a UQ
+  // sigma of 0, fractional noise on a zero sample). Scale a standard draw
+  // instead: libstdc++ computes z * stddev + mean itself, so every stream
+  // keeps its bits, and stddev 0 consumes the same draw and returns mean.
+  std::normal_distribution<double> standard;
+  return standard(engine_) * stddev + mean;
 }
 
 double Rng::truncated_normal(double mean, double stddev, double lo, double hi) {

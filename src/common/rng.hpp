@@ -37,7 +37,8 @@ class Rng {
   /// paper's Eq. (5): tau = -ln(1 - U)/lambda.
   double exponential(double mean);
 
-  /// Normal draw.
+  /// Normal draw. stddev 0 returns `mean` after consuming the same engine
+  /// output as any other stddev.
   double normal(double mean, double stddev);
 
   /// Normal draw clamped (by re-sampling, capped attempts) into [lo, hi].

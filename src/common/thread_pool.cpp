@@ -6,15 +6,8 @@
 
 namespace exadigit {
 
-int resolve_thread_count(int threads) {
-  require(threads >= 0, "thread count must be >= 0 (0 = hardware concurrency)");
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-ThreadPool::ThreadPool(int threads) {
-  const int width = resolve_thread_count(threads);
+ThreadPool::ThreadPool(int width) {
+  require(width >= 1, "thread pool width must be >= 1");
   lane_errors_.resize(static_cast<std::size_t>(width));
   workers_.reserve(static_cast<std::size_t>(width - 1));
   for (int lane = 1; lane < width; ++lane) {
@@ -32,19 +25,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_lane(int lane) {
-  const int w = width();
   try {
-    if (job_.mode == Mode::kStatic) {
-      for (std::size_t i = static_cast<std::size_t>(lane); i < job_.n;
-           i += static_cast<std::size_t>(w)) {
-        (*job_.fn)(i);
-      }
-    } else {
-      for (;;) {
-        const std::size_t i = dynamic_cursor_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= job_.n) break;
-        (*job_.fn)(i);
-      }
+    for (;;) {
+      const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= job_.n) break;
+      (*job_.fn)(i);
     }
   } catch (...) {
     lane_errors_[static_cast<std::size_t>(lane)] = std::current_exception();
@@ -69,8 +54,8 @@ void ThreadPool::worker_loop(int lane) {
   }
 }
 
-void ThreadPool::run_job(std::size_t n, const std::function<void(std::size_t)>& fn,
-                         Mode mode) {
+void ThreadPool::parallel_for_dynamic(std::size_t n,
+                                      const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   const int w = width();
   if (w == 1 || n == 1) {
@@ -81,8 +66,8 @@ void ThreadPool::run_job(std::size_t n, const std::function<void(std::size_t)>& 
   std::fill(lane_errors_.begin(), lane_errors_.end(), nullptr);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    job_ = Job{&fn, n, mode};
-    dynamic_cursor_.store(0, std::memory_order_relaxed);
+    job_ = Job{&fn, n};
+    cursor_.store(0, std::memory_order_relaxed);
     lanes_remaining_ = w - 1;
     ++epoch_;
   }
@@ -93,20 +78,10 @@ void ThreadPool::run_job(std::size_t n, const std::function<void(std::size_t)>& 
     done_cv_.wait(lock, [&] { return lanes_remaining_ == 0; });
     job_ = Job{};
   }
-  // Rethrow the lowest lane's failure so the surfaced error does not depend
-  // on scheduling.
+  // Rethrow the lowest lane's failure; lane 0 is the caller.
   for (const std::exception_ptr& err : lane_errors_) {
     if (err != nullptr) std::rethrow_exception(err);
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  run_job(n, fn, Mode::kStatic);
-}
-
-void ThreadPool::parallel_for_dynamic(std::size_t n,
-                                      const std::function<void(std::size_t)>& fn) {
-  run_job(n, fn, Mode::kDynamic);
 }
 
 }  // namespace exadigit

@@ -1,40 +1,28 @@
 #pragma once
 
 /// @file thread_pool.hpp
-/// A persistent worker pool for deterministic intra-run parallelism.
+/// A persistent worker pool for running independent jobs side by side.
 ///
-/// The house rule of this codebase is that every fast path is bit-identical
-/// to its serial reference (see cooling/plant.hpp and raps/engine.hpp for
-/// the existing single-threaded examples). The pool is designed so that
-/// multi-threaded execution can keep that guarantee:
+/// A single twin runs serially; the parallelism that pays is across runs
+/// (ScenarioRunner batches). `parallel_for_dynamic(n, fn)` runs fn(0..n-1)
+/// with shards handed out through an atomic cursor, so which lane runs a
+/// shard depends on timing. Shards must therefore be fully independent and
+/// slot-addressed: each writes only its own output slot, and the results
+/// are then deterministic however the shards were scheduled.
 ///
-///   - `parallel_for(n, fn)` runs fn(0..n-1) with a *fixed* shard->lane
-///     mapping: shard i always executes on lane (i % width()), where lane 0
-///     is the calling thread and lanes 1..width-1 are the persistent
-///     workers. Which lane runs a shard never depends on timing.
-///   - Shards must be independent: each writes only its own output slot(s).
-///     The caller then reduces the slots *in shard order* on its own
-///     thread. Because every shard computes exactly the arithmetic the
-///     serial loop would have computed, and the reduction order is the
-///     serial order, the result is bit-identical to the serial path for
-///     any thread count (see CoolingPlantModel::solve_hydraulics and
-///     RapsPowerModel::advance for the production patterns).
-///   - `parallel_for_dynamic(n, fn)` hands shards out through an atomic
-///     cursor instead; execution order is timing-dependent, so it is only
-///     suitable when shards are fully independent and slot-addressed
-///     (ScenarioRunner batches). Results are still deterministic; wall
-///     clock is better balanced for heavy, uneven shards.
+/// Exceptions thrown inside fn are captured per lane; after the barrier the
+/// one from the lowest lane is rethrown on the calling thread (lane 0 is
+/// the caller). A lane stops taking shards after its first failure. Because
+/// shards are handed out dynamically, which failing shard gets reported
+/// depends on timing.
 ///
-/// Exceptions thrown inside fn are captured per lane and the one from the
-/// lowest lane is rethrown on the calling thread after the barrier, so a
-/// failing shard is reported identically regardless of scheduling.
-///
-/// A pool of width 1 (or a null pool pointer in the components that accept
-/// one) degenerates to plain serial execution with zero synchronization.
+/// A pool of width 1 runs fn as a plain serial loop on the caller, with
+/// zero synchronization.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -43,17 +31,12 @@
 
 namespace exadigit {
 
-/// Resolves a `threads` configuration knob: values >= 1 pass through, 0
-/// means "one lane per hardware thread" (at least 1).
-[[nodiscard]] int resolve_thread_count(int threads);
-
-/// Persistent worker pool; see the file header for the determinism contract.
+/// Persistent worker pool; see the file header for the contract.
 class ThreadPool {
  public:
-  /// Creates a pool of total width `threads` (the calling thread counts as
-  /// lane 0, so `threads - 1` workers are spawned). `threads` <= 1 spawns
-  /// nothing. `threads` == 0 resolves to the hardware concurrency.
-  explicit ThreadPool(int threads);
+  /// Creates a pool of total width `width` >= 1 (the calling thread counts
+  /// as lane 0, so `width - 1` workers are spawned).
+  explicit ThreadPool(int width);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -62,26 +45,19 @@ class ThreadPool {
   /// Total number of lanes, including the calling thread.
   [[nodiscard]] int width() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Runs fn(i) for i in [0, n) with the static shard->lane mapping
-  /// (shard i on lane i % width). Blocks until every shard finished; must
-  /// not be called re-entrantly from inside fn.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
   /// Runs fn(i) for i in [0, n), shards handed out by an atomic cursor.
+  /// Blocks until every lane finished; must not be called re-entrantly
+  /// from inside fn.
   void parallel_for_dynamic(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  enum class Mode { kStatic, kDynamic };
-
   struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t n = 0;
-    Mode mode = Mode::kStatic;
   };
 
   void worker_loop(int lane);
-  void run_job(std::size_t n, const std::function<void(std::size_t)>& fn, Mode mode);
-  /// Lane body: the shards of `lane` under the current job.
+  /// Lane body: takes shards of the current job until none are left.
   void run_lane(int lane);
 
   std::vector<std::thread> workers_;
@@ -93,7 +69,7 @@ class ThreadPool {
   std::uint64_t epoch_ = 0;           ///< bumped per job; workers run once per epoch
   int lanes_remaining_ = 0;
   bool stopping_ = false;
-  std::atomic<std::size_t> dynamic_cursor_{0};  ///< kDynamic shard hand-out
+  std::atomic<std::size_t> cursor_{0};  ///< next shard to hand out
   std::vector<std::exception_ptr> lane_errors_;
 };
 

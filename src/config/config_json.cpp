@@ -379,7 +379,6 @@ Json system_config_to_json(const SystemConfig& c) {
   sim["cooling_quantum_s"] = Json(c.simulation.cooling_quantum_s);
   sim["trace_quantum_s"] = Json(c.simulation.trace_quantum_s);
   sim["engine"] = Json(std::string(engine_mode_name(c.simulation.engine)));
-  sim["threads"] = Json(c.simulation.threads);
   j["simulation"] = sim;
   if (!c.partitions.empty()) {
     Json::Array parts;
@@ -449,7 +448,6 @@ SystemConfig system_config_from_json(const Json& j) {
     if (s.contains("engine")) {
       c.simulation.engine = engine_mode_from_name(s.at("engine").as_string());
     }
-    c.simulation.threads = static_cast<int>(s.int_or("threads", c.simulation.threads));
   }
   if (j.contains("partitions")) {
     for (const auto& jp : j.at("partitions").as_array()) {

@@ -228,7 +228,7 @@ enum class ThermalEval {
   /// Gather the per-CDU HX inputs into contiguous arrays and evaluate the
   /// NTU/exp math through the batched kernel. Default; bit-identical to
   /// kScalar because the batch kernel runs the exact scalar element math
-  /// in the same order (tests/cooling/plant_parallel_test.cpp asserts it).
+  /// in the same order (tests/cooling/plant_dedup_test.cpp asserts it).
   kBatched,
   /// Reference path: one evaluate_counterflow_hx call per CDU inside the
   /// substep loop, the original PR 4 structure.
@@ -273,11 +273,6 @@ struct SimulationConfig {
   double cooling_quantum_s = 15.0;  ///< FMU call cadence
   double trace_quantum_s = 15.0;    ///< CPU/GPU utilization trace resolution
   EngineMode engine = EngineMode::kEventDriven;
-  /// Worker-pool width for intra-run parallelism (dirty-rack power
-  /// re-evaluation, CDU hydraulic solves). 1 = serial (default); 0 = one
-  /// lane per hardware thread. Any width is bit-identical to serial — see
-  /// common/thread_pool.hpp for the determinism contract.
-  int threads = 1;
 };
 
 /// Complete machine + plant descriptor.

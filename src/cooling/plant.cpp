@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "cooling/fluid.hpp"
 #include "cooling/heat_exchanger.hpp"
 
@@ -334,14 +333,13 @@ void CoolingPlantModel::solve_hydraulics() {
   const double sec_scale = config_.cooling.cdu.secondary_design_flow_m3s;
   const std::size_t n = cdu_loops_.size();
 
-  // Phase A (serial decide). Copying loop j's result to loop i is only
-  // exact when both would have started Newton from the same point — and
-  // because classification happens before ANY of this step's solves run,
-  // every network still holds its pre-step warm state, so the donor scan
-  // can compare live warm vectors directly (no snapshot copies needed).
+  // Classify every loop before solving any. Copying loop j's result to
+  // loop i is only exact when both would have started Newton from the same
+  // point — and because no solve of this step has run yet, every network
+  // still holds its pre-step warm state, so the donor scan can compare
+  // live warm vectors directly (no snapshot copies needed).
   solve_actions_.assign(n, SolveAction::kSolve);
   solve_donor_.assign(n, 0);
-  solve_list_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     auto& loop = cdu_loops_[i];
     const bool changed = loop.net.refresh_parameter_key(loop.key);
@@ -357,7 +355,7 @@ void CoolingPlantModel::solve_hydraulics() {
       // pre-step warm start converges to the bit-identical solution:
       // Newton here is a deterministic function of (parameters, warm
       // start). Every loop ends the step holding a solution, so any j < i
-      // is an eligible donor — exactly the set the serial scan saw.
+      // is an eligible donor.
       for (std::size_t j = 0; j < i; ++j) {
         const CduLoopState& other = cdu_loops_[j];
         if (other.key == loop.key &&
@@ -368,31 +366,10 @@ void CoolingPlantModel::solve_hydraulics() {
         }
       }
     }
-    if (solve_actions_[i] == SolveAction::kSolve) solve_list_.push_back(i);
   }
 
-  // Phase B: the Newton solves. Each loop owns its network, warm state,
-  // and workspace, so shards are disjoint and every solve computes exactly
-  // the arithmetic the serial loop would — sharding across the pool cannot
-  // change a single bit of any solution.
-  const auto solve_one = [&](std::size_t k) {
-    auto& loop = cdu_loops_[solve_list_[k]];
-    if (dedup) {
-      loop.net.solve_into(loop.last_solution, sec_scale);
-    } else {
-      // Reference path: the original allocate-per-solve call, preserved so
-      // benchmarks can measure the cost the fast path removed.
-      loop.last_solution = loop.net.solve(sec_scale);
-    }
-  };
-  if (pool_ != nullptr && pool_->width() > 1 && solve_list_.size() > 1) {
-    pool_->parallel_for(solve_list_.size(), solve_one);
-  } else {
-    for (std::size_t k = 0; k < solve_list_.size(); ++k) solve_one(k);
-  }
-
-  // Phase C (serial apply, ascending loop order): donor copies, warm-state
-  // adoption, stats — identical order and counts to the serial pass.
+  // Apply in ascending loop order: a donor j < i has its solution by the
+  // time loop i copies it.
   for (std::size_t i = 0; i < n; ++i) {
     auto& loop = cdu_loops_[i];
     switch (solve_actions_[i]) {
@@ -406,6 +383,13 @@ void CoolingPlantModel::solve_hydraulics() {
         loop.has_solution = true;
         break;
       case SolveAction::kSolve:
+        if (dedup) {
+          loop.net.solve_into(loop.last_solution, sec_scale);
+        } else {
+          // Reference path: the original allocate-per-solve call, preserved
+          // so benchmarks can measure the cost the fast path removed.
+          loop.last_solution = loop.net.solve(sec_scale);
+        }
         ++hydraulics_stats_.solves_performed;
         loop.has_solution = true;
         break;

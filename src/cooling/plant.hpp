@@ -35,16 +35,11 @@
 /// tests/cooling/plant_dedup_test.cpp asserts this across staging,
 /// blockage, and forced-pump churn.
 ///
-/// Deterministic parallel solves: solve_hydraulics is split into three
-/// phases — (A) serial decide: snapshot warm starts, refresh parameter
-/// keys, classify every CDU loop as skip / copy-from-donor / solve;
-/// (B) run the Newton solves, optionally sharded across a ThreadPool
-/// (each loop owns its network and workspace, so shards are disjoint and
-/// each solve computes exactly what the serial loop would); (C) serial
-/// ascending apply: donor copies, warm-state adoption, stats. Phases A/C
-/// run on the caller's thread in loop order, so results and counters are
-/// bit-identical for any pool width — tests/cooling/plant_parallel_test.cpp
-/// asserts threads∈{1,2,8} against serial.
+/// solve_hydraulics classifies every CDU loop (skip / copy-from-donor /
+/// solve) before it solves any of them. The donor scan can then compare
+/// the networks' live warm-start vectors, which still hold the pre-step
+/// state, with no snapshot copies. The solves and donor copies then run in
+/// ascending loop order, so a donor always finishes before its copies.
 
 #include <cstddef>
 #include <limits>
@@ -59,8 +54,6 @@
 #include "cooling/pump.hpp"
 
 namespace exadigit {
-
-class ThreadPool;
 
 /// Per-step boundary conditions supplied by RAPS / telemetry.
 struct CoolingInputs {
@@ -173,11 +166,6 @@ class CoolingPlantModel {
   void set_thermal_eval(ThermalEval eval) { thermal_eval_ = eval; }
   [[nodiscard]] ThermalEval thermal_eval() const { return thermal_eval_; }
 
-  /// Installs a worker pool for phase-B hydraulic solves (see the file
-  /// header); nullptr (the default) or a width-1 pool runs serially.
-  /// The pool is borrowed, not owned, and must outlive the plant's steps.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  [[nodiscard]] ThreadPool* thread_pool() const { return pool_; }
   /// Solve/reuse counters since the last reset().
   [[nodiscard]] const HydraulicsStats& hydraulics_stats() const {
     return hydraulics_stats_;
@@ -206,8 +194,8 @@ class CoolingPlantModel {
     // Dedup bookkeeping (solve_hydraulics): the parameter key, refreshed
     // in place each step (FlowNetwork::refresh_parameter_key reports
     // whether it differs from the previous step's). Donor comparisons use
-    // the networks' live warm-start vectors — phase A runs before any of
-    // the step's solves, so they still hold the pre-step state.
+    // the networks' live warm-start vectors — classification runs before
+    // any of the step's solves, so they still hold the pre-step state.
     std::vector<double> key;
     bool has_solution = false;
     CduLoopState(FlowNetwork n, const PidConfig& pump_cfg, const PidConfig& valve_cfg)
@@ -261,11 +249,10 @@ class CoolingPlantModel {
   std::vector<double> ct_key_;
   bool ct_has_solution_ = false;
 
-  // Phase-A classification scratch for solve_hydraulics, reused per step.
+  // Classification scratch for solve_hydraulics, reused per step.
   enum class SolveAction : unsigned char { kSolve, kSkipUnchanged, kCopyDonor };
   std::vector<SolveAction> solve_actions_;
   std::vector<std::size_t> solve_donor_;
-  std::vector<std::size_t> solve_list_;  ///< loop indices needing Newton
 
   // Thermal kernel evaluation mode + gather scratch (ThermalEval::kBatched).
   ThermalEval thermal_eval_ = ThermalEval::kBatched;
@@ -277,8 +264,6 @@ class CoolingPlantModel {
   std::vector<double> th_c_sec_;
   std::vector<double> th_c_pri_;
   std::vector<HxResult> th_hx_;
-
-  ThreadPool* pool_ = nullptr;  ///< borrowed; nullptr = serial
 
   PlantOutputs outputs_;
   double time_s_ = 0.0;

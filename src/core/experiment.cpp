@@ -4,10 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/error.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
@@ -39,8 +35,8 @@ WorkloadConfig draw_day_workload(const WorkloadConfig& base, Rng& rng) {
 DaySweepResult run_day_sweep(const SystemConfig& config, const DaySweepConfig& sweep) {
   require(sweep.days > 0, "sweep requires at least one day");
 
-  // Pre-draw all per-day seeds/parameters so the parallel loop is
-  // deterministic under any thread schedule.
+  // Pre-draw all per-day seeds/parameters, so each day's simulation
+  // depends only on its own plan, not on the days run before it.
   Rng root(sweep.seed);
   struct DayPlan {
     WorkloadConfig workload;
@@ -59,9 +55,6 @@ DaySweepResult run_day_sweep(const SystemConfig& config, const DaySweepConfig& s
 
   DaySweepResult result;
   result.daily.resize(static_cast<std::size_t>(sweep.days));
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
   for (int d = 0; d < sweep.days; ++d) {
     const DayPlan& plan = plans[static_cast<std::size_t>(d)];
     SystemConfig day_config = config;

@@ -5,10 +5,11 @@
 ///
 /// The paper replays 183 days of telemetry, "running the different days in
 /// parallel on a single Frontier node" — each day an independent
-/// simulation. This driver reproduces that: per-day workload parameters
-/// are drawn from meta-distributions (light weekend days, heavy benchmark
-/// days, occasional full-system HPL runs), days run OpenMP-parallel, and
-/// the daily reports aggregate into Table IV's min/avg/max/std rows.
+/// simulation. run_day_sweep keeps the days independent: per-day workload
+/// parameters and seeds are drawn up front from meta-distributions (light
+/// weekend days, heavy benchmark days, occasional full-system HPL runs),
+/// the days then run one after another, and the daily reports aggregate
+/// into Table IV's min/avg/max/std rows.
 ///
 /// run_day_sweep is the domain kernel behind the "day_sweep" scenario type
 /// in the ScenarioRegistry.
@@ -51,7 +52,7 @@ struct DaySweepResult {
   [[nodiscard]] std::string table() const;
 };
 
-/// Runs the sweep (OpenMP-parallel over days).
+/// Runs the sweep, one day after another.
 [[nodiscard]] DaySweepResult run_day_sweep(const SystemConfig& config,
                                            const DaySweepConfig& sweep);
 

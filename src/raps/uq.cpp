@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/error.hpp"
 #include "raps/engine.hpp"
 
@@ -41,15 +37,12 @@ UqResult run_power_uq(const SystemConfig& config, const std::vector<JobRecord>& 
   require(uq.samples > 0, "UQ requires at least one sample");
   require(duration_s > 0.0, "UQ duration must be positive");
 
-  // Pre-draw per-replica seeds so the parallel loop is deterministic
-  // regardless of the thread schedule.
+  // Pre-draw per-replica seeds, so each replica depends only on its own
+  // seed, not on the replicas run before it.
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(uq.samples));
   for (auto& s : seeds) s = static_cast<std::uint64_t>(rng.uniform_int(1, 1LL << 62));
 
   std::vector<Report> reports(static_cast<std::size_t>(uq.samples));
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
   for (int i = 0; i < uq.samples; ++i) {
     Rng replica_rng(seeds[static_cast<std::size_t>(i)]);
     SystemConfig replica_config = perturb_config(config, uq, replica_rng);

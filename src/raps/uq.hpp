@@ -8,8 +8,8 @@
 /// curves (vendor data, +/- a fraction of a percent) and the
 /// power<->utilization interpolation (Section III-B footnote 1). The UQ
 /// driver replays one job list under N perturbed configurations drawn from
-/// those uncertainty bands (OpenMP-parallel) and reports the spread of the
-/// headline outputs.
+/// those uncertainty bands, one replica after another, and reports the
+/// spread of the headline outputs.
 
 #include <vector>
 

@@ -84,6 +84,17 @@ TEST(RngTest, TruncatedNormalDegenerateSigma) {
   EXPECT_DOUBLE_EQ(rng.truncated_normal(5.0, 0.0, 0.0, 1.0), 1.0);
 }
 
+TEST(RngTest, NormalZeroSigmaReturnsMeanAndKeepsTheStream) {
+  // std::normal_distribution rejects stddev 0 (a libstdc++ assertion);
+  // normal() must return the mean and still consume the draw a stddev 1
+  // call would, so every later draw in the stream is unchanged.
+  Rng zero(14);
+  Rng unit(14);
+  EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
+  (void)unit.normal(2.5, 1.0);
+  EXPECT_EQ(zero.uniform(), unit.uniform());
+}
+
 TEST(RngTest, LognormalTargetsMeanAndStd) {
   Rng rng(12);
   SummaryStats s;

@@ -1,6 +1,5 @@
-/// Unit tests for the deterministic worker pool (common/thread_pool.hpp):
-/// full shard coverage, the static shard->lane mapping the bit-identity
-/// contract rests on, exception propagation, dynamic hand-out, degenerate
+/// Unit tests for the worker pool (common/thread_pool.hpp): full shard
+/// coverage under dynamic hand-out, exception propagation, degenerate
 /// widths, and reuse across many epochs.
 
 #include <gtest/gtest.h>
@@ -10,73 +9,49 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
 namespace exadigit {
 namespace {
-
-TEST(ThreadPoolTest, ResolveThreadCount) {
-  EXPECT_EQ(resolve_thread_count(1), 1);
-  EXPECT_EQ(resolve_thread_count(5), 5);
-  EXPECT_GE(resolve_thread_count(0), 1);  // 0 = hardware concurrency
-}
 
 TEST(ThreadPoolTest, Width1RunsEverythingOnTheCaller) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.width(), 1);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> lane(16);
-  pool.parallel_for(lane.size(), [&](std::size_t i) { lane[i] = std::this_thread::get_id(); });
+  pool.parallel_for_dynamic(lane.size(),
+                            [&](std::size_t i) { lane[i] = std::this_thread::get_id(); });
   for (const std::thread::id& id : lane) EXPECT_EQ(id, caller);
-}
-
-TEST(ThreadPoolTest, StaticCoversEveryShardExactlyOnce) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.width(), 3);
-  std::vector<int> hits(17, 0);
-  // Each shard touches only its own slot, so no synchronization is needed —
-  // exactly the usage pattern the production call sites follow.
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], 1) << "shard " << i;
-  }
-}
-
-TEST(ThreadPoolTest, StaticShardToLaneMappingIsFixed) {
-  ThreadPool pool(3);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> first(12), second(12);
-  pool.parallel_for(first.size(),
-                    [&](std::size_t i) { first[i] = std::this_thread::get_id(); });
-  pool.parallel_for(second.size(),
-                    [&](std::size_t i) { second[i] = std::this_thread::get_id(); });
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    // Shard i always runs on lane i % width: lane 0 is the caller, and the
-    // assignment never changes between invocations.
-    EXPECT_EQ(first[i], second[i]) << "shard " << i << " migrated between runs";
-    if (i % 3 == 0) EXPECT_EQ(first[i], caller) << "shard " << i;
-    EXPECT_EQ(first[i], first[i % 3]) << "shard " << i;
-  }
 }
 
 TEST(ThreadPoolTest, RethrowsTheLowestLaneError) {
   ThreadPool pool(4);
-  // Shard 2 runs on lane 2, shard 5 on lane 1: the lane-1 error must win
-  // regardless of which worker finishes first.
-  auto fn = [](std::size_t i) {
-    if (i == 2) throw std::runtime_error("shard 2");
-    if (i == 5) throw std::runtime_error("shard 5");
+  // Every shard throws, naming whether it ran on the caller (lane 0) or a
+  // worker. A lane stops at its first failure, so the three workers take at
+  // most three of the eight shards and the caller always throws too: its
+  // error must win however the shards were handed out.
+  const std::thread::id caller = std::this_thread::get_id();
+  auto fn = [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) throw std::runtime_error("lane 0");
+    throw std::runtime_error("worker lane");
   };
   try {
-    pool.parallel_for(8, fn);
+    pool.parallel_for_dynamic(8, fn);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard 5");
+    EXPECT_STREQ(e.what(), "lane 0");
   }
   // The pool must stay usable after a failed job.
-  std::vector<int> hits(8, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (int h : hits) EXPECT_EQ(h, 1);
+  std::vector<std::atomic<int>> hits(8);
+  for (auto& h : hits) h.store(0);
+  pool.parallel_for_dynamic(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, RejectsWidthBelowOne) {
+  EXPECT_THROW(ThreadPool(0), Error);
+  EXPECT_THROW(ThreadPool(-2), Error);
 }
 
 TEST(ThreadPoolTest, DynamicCoversEveryShardExactlyOnce) {
@@ -92,7 +67,6 @@ TEST(ThreadPoolTest, DynamicCoversEveryShardExactlyOnce) {
 TEST(ThreadPoolTest, EmptyJobIsANoOp) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
   pool.parallel_for_dynamic(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
@@ -101,7 +75,7 @@ TEST(ThreadPoolTest, ManyEpochsReuseTheSameWorkers) {
   ThreadPool pool(3);
   std::vector<long long> slots(9, 0);
   for (int epoch = 0; epoch < 200; ++epoch) {
-    pool.parallel_for(slots.size(), [&](std::size_t i) { slots[i] += 1; });
+    pool.parallel_for_dynamic(slots.size(), [&](std::size_t i) { slots[i] += 1; });
   }
   for (long long s : slots) EXPECT_EQ(s, 200);
 }

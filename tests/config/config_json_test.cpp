@@ -94,21 +94,6 @@ TEST(ConfigJsonTest, ThermalEvalRoundTripAndValidation) {
   EXPECT_THROW(system_config_from_json(bad), ConfigError);
 }
 
-TEST(ConfigJsonTest, ThreadsRoundTrip) {
-  SystemConfig original = frontier_system_config();
-  original.simulation.threads = 8;
-  const SystemConfig back = system_config_from_json(system_config_to_json(original));
-  EXPECT_EQ(back.simulation.threads, 8);
-
-  // 0 = hardware concurrency is a valid persisted value (resolved at twin
-  // construction, not at parse time).
-  const Json hw = Json::parse(R"({"simulation": {"threads": 0}})");
-  EXPECT_EQ(system_config_from_json(hw).simulation.threads, 0);
-  // Absent field keeps the serial default.
-  const Json empty = Json::parse(R"({})");
-  EXPECT_EQ(system_config_from_json(empty).simulation.threads, 1);
-}
-
 TEST(ConfigJsonTest, MultiPartitionRoundTrip) {
   const SystemConfig original = setonix_like_config();
   const SystemConfig back = system_config_from_json(system_config_to_json(original));

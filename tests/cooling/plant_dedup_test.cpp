@@ -4,7 +4,8 @@
 /// produce every PlantOutputs field within 1e-12 relative (bit-identical in
 /// practice — reuse is keyed on exact parameter/warm-start equality), plus
 /// energy-consistency guards that would catch stale outputs on the fast
-/// path.
+/// path. The same churn script pins the batched thermal kernel to its
+/// scalar reference bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -25,42 +26,57 @@ void expect_rel_eq(double a, double b, const std::string& what, int step) {
                                               << ": " << a << " vs " << b;
 }
 
-void expect_outputs_match(const PlantOutputs& a, const PlantOutputs& b, int step) {
+/// Applies check(x, y, name) to every floating-point PlantOutputs field of
+/// `a` and `b`; the integer staging counts are always compared exactly.
+template <typename Check>
+void compare_outputs(const PlantOutputs& a, const PlantOutputs& b, int step, Check check) {
   ASSERT_EQ(a.cdus.size(), b.cdus.size());
   for (std::size_t i = 0; i < a.cdus.size(); ++i) {
     const CduOutputs& x = a.cdus[i];
     const CduOutputs& y = b.cdus[i];
     const std::string tag = "cdu[" + std::to_string(i) + "].";
-    expect_rel_eq(x.pump_power_w, y.pump_power_w, tag + "pump_power_w", step);
-    expect_rel_eq(x.pump_speed, y.pump_speed, tag + "pump_speed", step);
-    expect_rel_eq(x.sec_flow_m3s, y.sec_flow_m3s, tag + "sec_flow_m3s", step);
-    expect_rel_eq(x.pri_flow_m3s, y.pri_flow_m3s, tag + "pri_flow_m3s", step);
-    expect_rel_eq(x.sec_supply_t_c, y.sec_supply_t_c, tag + "sec_supply_t_c", step);
-    expect_rel_eq(x.sec_return_t_c, y.sec_return_t_c, tag + "sec_return_t_c", step);
-    expect_rel_eq(x.sec_supply_p_pa, y.sec_supply_p_pa, tag + "sec_supply_p_pa", step);
-    expect_rel_eq(x.sec_return_p_pa, y.sec_return_p_pa, tag + "sec_return_p_pa", step);
-    expect_rel_eq(x.valve_position, y.valve_position, tag + "valve_position", step);
-    expect_rel_eq(x.hex_duty_w, y.hex_duty_w, tag + "hex_duty_w", step);
-    expect_rel_eq(x.pri_return_t_c, y.pri_return_t_c, tag + "pri_return_t_c", step);
-    expect_rel_eq(x.loop_dp_pa, y.loop_dp_pa, tag + "loop_dp_pa", step);
+    check(x.pump_power_w, y.pump_power_w, tag + "pump_power_w");
+    check(x.pump_speed, y.pump_speed, tag + "pump_speed");
+    check(x.sec_flow_m3s, y.sec_flow_m3s, tag + "sec_flow_m3s");
+    check(x.pri_flow_m3s, y.pri_flow_m3s, tag + "pri_flow_m3s");
+    check(x.sec_supply_t_c, y.sec_supply_t_c, tag + "sec_supply_t_c");
+    check(x.sec_return_t_c, y.sec_return_t_c, tag + "sec_return_t_c");
+    check(x.sec_supply_p_pa, y.sec_supply_p_pa, tag + "sec_supply_p_pa");
+    check(x.sec_return_p_pa, y.sec_return_p_pa, tag + "sec_return_p_pa");
+    check(x.valve_position, y.valve_position, tag + "valve_position");
+    check(x.hex_duty_w, y.hex_duty_w, tag + "hex_duty_w");
+    check(x.pri_return_t_c, y.pri_return_t_c, tag + "pri_return_t_c");
+    check(x.loop_dp_pa, y.loop_dp_pa, tag + "loop_dp_pa");
   }
   EXPECT_EQ(a.htwp_staged, b.htwp_staged) << "step " << step;
-  expect_rel_eq(a.htwp_speed, b.htwp_speed, "htwp_speed", step);
-  expect_rel_eq(a.htwp_power_w, b.htwp_power_w, "htwp_power_w", step);
+  check(a.htwp_speed, b.htwp_speed, "htwp_speed");
+  check(a.htwp_power_w, b.htwp_power_w, "htwp_power_w");
   EXPECT_EQ(a.ehx_staged, b.ehx_staged) << "step " << step;
-  expect_rel_eq(a.pri_supply_t_c, b.pri_supply_t_c, "pri_supply_t_c", step);
-  expect_rel_eq(a.pri_return_t_c, b.pri_return_t_c, "pri_return_t_c", step);
-  expect_rel_eq(a.pri_flow_m3s, b.pri_flow_m3s, "pri_flow_m3s", step);
-  expect_rel_eq(a.pri_dp_pa, b.pri_dp_pa, "pri_dp_pa", step);
+  check(a.pri_supply_t_c, b.pri_supply_t_c, "pri_supply_t_c");
+  check(a.pri_return_t_c, b.pri_return_t_c, "pri_return_t_c");
+  check(a.pri_flow_m3s, b.pri_flow_m3s, "pri_flow_m3s");
+  check(a.pri_dp_pa, b.pri_dp_pa, "pri_dp_pa");
   EXPECT_EQ(a.ct_cells_staged, b.ct_cells_staged) << "step " << step;
   EXPECT_EQ(a.ctwp_staged, b.ctwp_staged) << "step " << step;
-  expect_rel_eq(a.ctwp_speed, b.ctwp_speed, "ctwp_speed", step);
-  expect_rel_eq(a.ctwp_power_w, b.ctwp_power_w, "ctwp_power_w", step);
-  expect_rel_eq(a.fan_speed, b.fan_speed, "fan_speed", step);
-  expect_rel_eq(a.fan_power_w, b.fan_power_w, "fan_power_w", step);
-  expect_rel_eq(a.ct_supply_t_c, b.ct_supply_t_c, "ct_supply_t_c", step);
-  expect_rel_eq(a.ct_return_t_c, b.ct_return_t_c, "ct_return_t_c", step);
-  expect_rel_eq(a.pue, b.pue, "pue", step);
+  check(a.ctwp_speed, b.ctwp_speed, "ctwp_speed");
+  check(a.ctwp_power_w, b.ctwp_power_w, "ctwp_power_w");
+  check(a.fan_speed, b.fan_speed, "fan_speed");
+  check(a.fan_power_w, b.fan_power_w, "fan_power_w");
+  check(a.ct_supply_t_c, b.ct_supply_t_c, "ct_supply_t_c");
+  check(a.ct_return_t_c, b.ct_return_t_c, "ct_return_t_c");
+  check(a.pue, b.pue, "pue");
+}
+
+void expect_outputs_match(const PlantOutputs& a, const PlantOutputs& b, int step) {
+  compare_outputs(a, b, step, [step](double x, double y, const std::string& what) {
+    expect_rel_eq(x, y, what, step);
+  });
+}
+
+void expect_outputs_bit_identical(const PlantOutputs& a, const PlantOutputs& b, int step) {
+  compare_outputs(a, b, step, [step](double x, double y, const std::string& what) {
+    EXPECT_EQ(x, y) << what << " differs at step " << step;
+  });
 }
 
 /// Drives both plants through an identical churn script: per-CDU load
@@ -230,6 +246,27 @@ TEST(PlantDedupTest, SwitchingModesMidRunStaysExact) {
     expect_outputs_match(a.outputs(), b.outputs(), step);
     if (HasFatalFailure()) return;
   }
+}
+
+TEST(PlantThermalEvalTest, BatchedKernelBitIdenticalToScalarReference) {
+  // ThermalEval::kScalar is the per-CDU reference path for the gathered/
+  // batched HX kernel; a churning run must match it to the last bit (the
+  // batch performs the same operations in the same order per element).
+  const SystemConfig config = frontier_system_config();
+  CoolingPlantModel batched(config);  // kBatched is the default
+  CoolingPlantModel scalar(config);
+  scalar.set_thermal_eval(ThermalEval::kScalar);
+  for (int step = 0; step < 800; ++step) {
+    churn_step(batched, step, config);
+    churn_step(scalar, step, config);
+    if (step % 50 == 0) {
+      expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), step);
+    }
+  }
+  expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), 800);
+  // Only the batched path counts kernel evaluations; the reference leaves 0.
+  EXPECT_GT(batched.thermal_stats().hx_evaluated, 0);
+  EXPECT_EQ(scalar.thermal_stats().hx_evaluated, 0);
 }
 
 }  // namespace

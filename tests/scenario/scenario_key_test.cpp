@@ -65,9 +65,9 @@ TEST(ScenarioKeyTest, EquivalentMergePatchDeltasShareTheConfigHash) {
   const ScenarioSpec plain = spec_from(R"({"type": "simulate", "seed": 3})");
   const ScenarioSpec redundant = spec_from(R"({
     "type": "simulate", "seed": 3,
-    "config": {"simulation": {"threads": 1}}
+    "config": {"name": "frontier"}
   })");
-  // threads = 1 is the Frontier default, so the merged descriptor is
+  // "frontier" is the default name, so the merged descriptor is
   // unchanged: identical config hash, identical spec hash.
   const Json& frontier = frontier_descriptor_json();
   ASSERT_EQ(resolved_config_json(redundant).dump(), frontier.dump());
@@ -75,10 +75,10 @@ TEST(ScenarioKeyTest, EquivalentMergePatchDeltasShareTheConfigHash) {
 
   const ScenarioSpec changed = spec_from(R"({
     "type": "simulate", "seed": 3,
-    "config": {"simulation": {"threads": 2}}
+    "config": {"name": "frontier-b"}
   })");
   const ScenarioSpec changed_reordered = spec_from(R"({
-    "seed": 3, "config": {"simulation": {"threads": 2}}, "type": "simulate"
+    "seed": 3, "config": {"name": "frontier-b"}, "type": "simulate"
   })");
   EXPECT_EQ(scenario_cache_key(changed), scenario_cache_key(changed_reordered));
   EXPECT_NE(scenario_cache_key(changed).config_hash,
