@@ -37,26 +37,6 @@ SeriesScore score_series(const TimeSeries& predicted, const TimeSeries& measured
 
 namespace {
 
-/// Shared tail of every replay flavor: series extraction, scoring, report.
-PowerReplayResult assemble_replay_result(const SystemConfig& config, DigitalTwin& twin,
-                                         TimeSeries measured_mw, bool with_cooling,
-                                         double wall_ms) {
-  PowerReplayResult r;
-  r.wall_ms = wall_ms;
-  r.predicted_power_mw = twin.engine().power_series_mw();
-  r.measured_power_mw = std::move(measured_mw);
-  r.eta_system = twin.engine().eta_series();
-  r.utilization = twin.engine().utilization_series();
-  if (with_cooling) {
-    r.cooling_eff = twin.cooling_efficiency_series();
-    r.pue = twin.pue_series();
-  }
-  r.power_score = score_series(r.predicted_power_mw, r.measured_power_mw,
-                               config.simulation.cooling_quantum_s);
-  r.report = twin.report();
-  return r;
-}
-
 /// The latest time <= `horizon` where the engine fires a cooling-quantum
 /// boundary, or `start` when no boundary fires by then. Quantum boundary m
 /// fires at the first tick k with k*tick >= m*quantum - 1e-9 (the
@@ -84,26 +64,18 @@ double quantum_fire_time(double start, double tick, double quantum, double horiz
 
 PowerReplayResult replay_power(const SystemConfig& config, const TelemetryDataset& dataset,
                                bool with_cooling) {
-  dataset.validate();
-  DigitalTwinOptions options;
-  options.enable_cooling = with_cooling;
-  options.start_time_s = dataset.start_time_s;
-  DigitalTwin twin(config, options);
-  if (!dataset.wetbulb_c.empty()) twin.set_wetbulb_series(dataset.wetbulb_c);
-  const auto sim_begin = std::chrono::steady_clock::now();
-  twin.submit_all(dataset.jobs);
-  twin.run_until(dataset.start_time_s + dataset.duration_s);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                sim_begin)
-          .count();
-
-  TimeSeries measured_mw;
-  for (std::size_t i = 0; i < dataset.measured_system_power_w.size(); ++i) {
-    measured_mw.push_back(dataset.measured_system_power_w.time(i),
-                          units::mw_from_watts(dataset.measured_system_power_w.value(i)));
+  // Replay reads only the system channels (measured power and wet bulb), so
+  // the one chunk carries copies of just those.
+  TelemetryFrame system;
+  for (const SystemChannelDef& def : system_channel_defs()) {
+    const TimeSeries& series = dataset.*(def.member);
+    if (!series.empty()) {
+      system.adopt_channel(kSystemTag, def.name, series.times(), series.values());
+    }
   }
-  return assemble_replay_result(config, twin, std::move(measured_mw), with_cooling, wall_ms);
+  InMemoryChunkSource source(DatasetFrame{DatasetHeader::copy_from(dataset), std::move(system)},
+                             0.0);
+  return replay_power(config, source, with_cooling);
 }
 
 PowerReplayResult replay_power(const SystemConfig& config, ChunkedTelemetrySource& source,
@@ -122,7 +94,7 @@ PowerReplayResult replay_power(const SystemConfig& config, ChunkedTelemetrySourc
   // Replay's only mid-run telemetry dependency is the wet bulb (measured
   // power is scored after the run); the safe simulation horizon while the
   // stream is live is therefore the last ingested wet-bulb sample — past
-  // it the series would clamp where the monolithic path interpolates.
+  // it the series would clamp where an uninterrupted run interpolates.
   double wetbulb_horizon = header.start_time_s;
   // exadigit-hot-begin(chunked-replay)
   while (source.next(chunk)) {
@@ -144,13 +116,24 @@ PowerReplayResult replay_power(const SystemConfig& config, ChunkedTelemetrySourc
   }
   // exadigit-hot-end
   // End-of-stream: the wet-bulb series is complete, so running to the end
-  // now clamps exactly where the monolithic path does.
+  // now clamps exactly where one uninterrupted run would.
   twin.run_until(t_end);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                sim_begin)
-          .count();
-  return assemble_replay_result(config, twin, std::move(measured_mw), with_cooling, wall_ms);
+  PowerReplayResult r;
+  r.wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                        sim_begin)
+                  .count();
+  r.predicted_power_mw = twin.engine().power_series_mw();
+  r.measured_power_mw = std::move(measured_mw);
+  r.eta_system = twin.engine().eta_series();
+  r.utilization = twin.engine().utilization_series();
+  if (with_cooling) {
+    r.cooling_eff = twin.cooling_efficiency_series();
+    r.pue = twin.pue_series();
+  }
+  r.power_score = score_series(r.predicted_power_mw, r.measured_power_mw,
+                               config.simulation.cooling_quantum_s);
+  r.report = twin.report();
+  return r;
 }
 
 PowerReplayResult replay_power(const SystemConfig& config, DatasetFrame&& data,

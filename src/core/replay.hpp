@@ -52,19 +52,23 @@ struct PowerReplayResult {
 
 /// Replays a telemetry dataset's jobs through the twin and scores the
 /// predicted system power. `with_cooling` enables the coupled plant (the
-/// paper's 9-minute path) or skips it (3-minute path).
+/// paper's 9-minute path) or skips it (3-minute path). An adapter: the
+/// header and copies of the system channels (measured power and wet bulb,
+/// the only channels replay reads) go through the chunked overload below
+/// as a single InMemoryChunkSource chunk.
 [[nodiscard]] PowerReplayResult replay_power(const SystemConfig& config,
                                              const TelemetryDataset& dataset,
                                              bool with_cooling);
 
-/// Streaming overload: pulls telemetry chunk by chunk off `source` and
-/// advances the twin incrementally, so peak telemetry residency is one chunk
-/// rather than the whole dataset. Bit-identical to the whole-dataset
-/// overload on the report and on every recorded series sample: between
+/// The replay loop every overload runs: pulls telemetry chunk by chunk off
+/// `source` and advances the twin incrementally, so peak telemetry
+/// residency is one chunk rather than the whole dataset. Bit-identical to
+/// one uninterrupted run of the twin over the whole span, on the report
+/// and on every recorded series sample, for any chunk geometry: between
 /// chunks the twin only ever runs to a cooling-quantum fire tick at or
 /// before the last ingested wet-bulb sample (replay's only mid-run
 /// telemetry dependency), where an intermediate run_until is a pure prefix
-/// of the monolithic one.
+/// of the uninterrupted one.
 [[nodiscard]] PowerReplayResult replay_power(const SystemConfig& config,
                                              ChunkedTelemetrySource& source,
                                              bool with_cooling);

@@ -54,6 +54,11 @@ std::int64_t Json::as_int() const {
   const double n = as_number();
   const double r = std::nearbyint(n);
   if (r != n) throw JsonTypeError("number is not integral: " + std::to_string(n));
+  // [-2^63, 2^63) is exactly the range a double converts to int64 within;
+  // converting anything outside it is undefined behaviour.
+  if (r < -0x1p63 || r >= 0x1p63) {
+    throw JsonTypeError("number out of int64 range: " + std::to_string(n));
+  }
   return static_cast<std::int64_t>(r);
 }
 

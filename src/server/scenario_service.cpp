@@ -542,8 +542,7 @@ std::unique_ptr<ChunkedTelemetrySource> ScenarioService::open_resident_chunk_sou
     // Auto-detect: binary datasets stream off disk, bypassing the resident
     // LRU on purpose — a chunked request asked for bounded memory, and the
     // stream's working set is one chunk, not one dataset.
-    const Json manifest = Json::load_file(source.path + "/manifest.json");
-    if (manifest.string_or("format", "") == kExadigitBinFormat) {
+    if (read_manifest(source.path).format == kExadigitBinFormat) {
       return std::make_unique<BinChunkSource>(source.path, bin_options);
     }
   }

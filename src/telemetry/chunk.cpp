@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "json/json.hpp"
 #include "telemetry/bin_format.hpp"
 #include "telemetry/schema.hpp"
 
@@ -16,54 +15,16 @@ namespace {
 
 constexpr double kMiB = 1024.0 * 1024.0;
 
-Json chunk_index_to_json(const std::vector<ChunkIndexEntry>& index) {
-  Json arr{Json::Array{}};
-  for (const ChunkIndexEntry& e : index) {
-    Json entry;
-    entry["start_time_s"] = Json(e.start_time_s);
-    entry["end_time_s"] = Json(e.end_time_s);
-    entry["offset"] = Json(static_cast<double>(e.offset));
-    entry["bytes"] = Json(static_cast<double>(e.bytes));
-    arr.push_back(std::move(entry));
-  }
-  return arr;
-}
-
-std::vector<ChunkIndexEntry> chunk_index_from_json(const Json& arr) {
-  std::vector<ChunkIndexEntry> index;
-  for (const Json& entry : arr.as_array()) {
-    ChunkIndexEntry e;
-    e.start_time_s = entry.number_or("start_time_s", 0.0);
-    e.end_time_s = entry.number_or("end_time_s", 0.0);
-    e.offset = static_cast<std::uint64_t>(entry.number_or("offset", 0.0));
-    e.bytes = static_cast<std::uint64_t>(entry.number_or("bytes", 0.0));
-    index.push_back(e);
-  }
-  return index;
-}
-
-/// Reads manifest.json + jobs.json of an exadigit-bin dataset into a
-/// DatasetHeader, extracting the v2 chunk index when present.
-DatasetHeader load_bin_header(const std::string& directory,
-                              std::vector<ChunkIndexEntry>& index_out) {
-  const Json manifest = Json::load_file(directory + "/manifest.json");
-  const std::string format = manifest.string_or("format", "");
-  if (format != kExadigitBinFormat) {
+/// The header (jobs included) and chunk index of an exadigit-bin dataset.
+/// The format is checked before jobs.json is read.
+DatasetManifest read_bin_manifest(const std::string& directory) {
+  DatasetManifest manifest = read_manifest(directory);
+  if (manifest.format != kExadigitBinFormat) {
     throw TelemetryError("chunked read needs an exadigit-bin dataset, manifest says '" +
-                         format + "'");
+                         manifest.format + "'");
   }
-  DatasetHeader header;
-  header.system_name = manifest.string_or("system_name", "");
-  header.start_time_s = manifest.number_or("start_time_s", 0.0);
-  header.duration_s = manifest.number_or("duration_s", 0.0);
-  header.trace_quantum_s = manifest.number_or("trace_quantum_s", 15.0);
-  header.cdu_count = static_cast<std::size_t>(manifest.int_or("cdu_count", 0));
-  if (manifest.contains("chunks")) {
-    index_out = chunk_index_from_json(manifest.at("chunks"));
-  }
-  const Json jobs = Json::load_file(directory + "/jobs.json");
-  for (const Json& j : jobs.as_array()) header.jobs.push_back(telemetry_job_from_json(j));
-  return header;
+  manifest.header.jobs = read_jobs(directory);
+  return manifest;
 }
 
 /// Writes one v2 chunk block (u64 channel_count + non-empty channel blocks).
@@ -96,53 +57,6 @@ TelemetryFrame read_chunk_block(std::istream& is, std::uintmax_t file_size,
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ DatasetHeader
-
-void DatasetHeader::validate() const {
-  if (duration_s <= 0.0) throw TelemetryError("dataset duration must be positive");
-  if (trace_quantum_s <= 0.0) throw TelemetryError("trace quantum must be positive");
-  for (const JobRecord& job : jobs) {
-    if (job.node_count <= 0) {
-      throw TelemetryError("job " + job.name + " has non-positive node count");
-    }
-    if (job.wall_time_s <= 0.0) {
-      throw TelemetryError("job " + job.name + " has non-positive wall time");
-    }
-    for (double u : job.cpu_util_trace) {
-      if (u < 0.0 || u > 1.0 || std::isnan(u)) {
-        throw TelemetryError("job " + job.name + " cpu trace out of [0,1]");
-      }
-    }
-    for (double u : job.gpu_util_trace) {
-      if (u < 0.0 || u > 1.0 || std::isnan(u)) {
-        throw TelemetryError("job " + job.name + " gpu trace out of [0,1]");
-      }
-    }
-  }
-}
-
-DatasetHeader DatasetHeader::take_from(DatasetFrame& frame) {
-  DatasetHeader header;
-  header.system_name = std::move(frame.system_name);
-  header.start_time_s = frame.start_time_s;
-  header.duration_s = frame.duration_s;
-  header.trace_quantum_s = frame.trace_quantum_s;
-  header.cdu_count = frame.cdu_count;
-  header.jobs = std::move(frame.jobs);
-  return header;
-}
-
-DatasetHeader DatasetHeader::copy_from(const TelemetryDataset& dataset) {
-  DatasetHeader header;
-  header.system_name = dataset.system_name;
-  header.start_time_s = dataset.start_time_s;
-  header.duration_s = dataset.duration_s;
-  header.trace_quantum_s = dataset.trace_quantum_s;
-  header.cdu_count = dataset.cdus.size();
-  header.jobs = dataset.jobs;
-  return header;
-}
 
 // ----------------------------------------------------------- TelemetryChunk
 
@@ -193,7 +107,7 @@ void TelemetryChunk::release() {
 // ------------------------------------------------------- InMemoryChunkSource
 
 InMemoryChunkSource::InMemoryChunkSource(DatasetFrame frame, double chunk_seconds)
-    : ChunkedTelemetrySource(DatasetHeader::take_from(frame)),
+    : ChunkedTelemetrySource(std::move(frame.header)),
       frame_(std::move(frame.frame)),
       chunk_seconds_(chunk_seconds) {
   if (chunk_seconds_ > 0.0 && chunk_seconds_ < header_.duration_s) {
@@ -244,9 +158,14 @@ bool InMemoryChunkSource::next(TelemetryChunk& out) {
 // ---------------------------------------------------------- BinChunkSource
 
 BinChunkSource::BinChunkSource(const std::string& directory, Options options)
-    : path_(directory + "/channels.bin"), options_(options) {
-  header_ = load_bin_header(directory, index_);
-  header_.validate();
+    : BinChunkSource(directory, options, read_bin_manifest(directory)) {}
+
+BinChunkSource::BinChunkSource(const std::string& directory, Options options,
+                               DatasetManifest manifest)
+    : ChunkedTelemetrySource(std::move(manifest.header)),
+      path_(directory + "/channels.bin"),
+      options_(options),
+      index_(std::move(manifest.chunks)) {
   binfmt::require_little_endian();
   std::error_code size_ec;
   file_size_ = std::filesystem::file_size(path_, size_ec);
@@ -346,8 +265,8 @@ bool LiveAppendSource::next(TelemetryChunk& out) {
 // --------------------------------------------------------- ChunkedBinWriter
 
 ChunkedBinWriter::ChunkedBinWriter(std::string directory, DatasetHeader header)
-    : directory_(std::move(directory)), header_(std::move(header)) {
-  header_.validate();
+    : directory_(std::move(directory)), manifest_{kExadigitBinFormat, std::move(header), {}} {
+  manifest_.header.validate();
   binfmt::require_little_endian();
   std::filesystem::create_directories(directory_);
   const std::string path = directory_ + "/channels.bin";
@@ -369,7 +288,7 @@ void ChunkedBinWriter::append(double start_time_s, double end_time_s,
   require(file_.good(), "failed writing channels.bin in " + directory_);
   offset_ = static_cast<std::uint64_t>(file_.tellp());
   entry.bytes = offset_ - entry.offset;
-  index_.push_back(entry);
+  manifest_.chunks.push_back(entry);
 }
 
 void ChunkedBinWriter::finish() {
@@ -377,35 +296,15 @@ void ChunkedBinWriter::finish() {
   file_.close();
   require(!file_.fail(), "failed closing channels.bin in " + directory_);
 
-  Json jobs{Json::Array{}};
-  for (const JobRecord& j : header_.jobs) jobs.push_back(telemetry_job_to_json(j));
-  jobs.save_file(directory_ + "/jobs.json");
-
   // Manifest last: the chunk index needs the real channels.bin offsets.
-  Json manifest;
-  manifest["format"] = Json(std::string(kExadigitBinFormat));
-  manifest["system_name"] = Json(header_.system_name);
-  manifest["start_time_s"] = Json(header_.start_time_s);
-  manifest["duration_s"] = Json(header_.duration_s);
-  manifest["trace_quantum_s"] = Json(header_.trace_quantum_s);
-  manifest["cdu_count"] = Json(header_.cdu_count);
-  manifest["chunks"] = chunk_index_to_json(index_);
-  manifest.save_file(directory_ + "/manifest.json");
+  write_manifest(directory_, manifest_);
   finished_ = true;
 }
 
 // ------------------------------------------------------------- free helpers
 
 DatasetFrame dataset_to_frame(const TelemetryDataset& dataset) {
-  DatasetFrame frame;
-  frame.system_name = dataset.system_name;
-  frame.start_time_s = dataset.start_time_s;
-  frame.duration_s = dataset.duration_s;
-  frame.trace_quantum_s = dataset.trace_quantum_s;
-  frame.cdu_count = dataset.cdus.size();
-  frame.jobs = dataset.jobs;
-  frame.frame = TelemetryFrame::from_dataset(dataset);
-  return frame;
+  return DatasetFrame{DatasetHeader::copy_from(dataset), TelemetryFrame::from_dataset(dataset)};
 }
 
 void save_dataset_binary_chunked(const TelemetryDataset& dataset, const std::string& directory,
@@ -425,8 +324,7 @@ void save_dataset_binary_chunked(const TelemetryDataset& dataset, const std::str
 std::unique_ptr<ChunkedTelemetrySource> open_chunk_source(const std::string& directory,
                                                           double chunk_seconds,
                                                           BinChunkSource::Options options) {
-  const Json manifest = Json::load_file(directory + "/manifest.json");
-  if (manifest.string_or("format", "") == kExadigitBinFormat) {
+  if (read_manifest(directory).format == kExadigitBinFormat) {
     return std::make_unique<BinChunkSource>(directory, options);
   }
   return std::make_unique<InMemoryChunkSource>(load_dataset_frame(directory), chunk_seconds);
@@ -434,15 +332,9 @@ std::unique_ptr<ChunkedTelemetrySource> open_chunk_source(const std::string& dir
 
 std::size_t dataset_payload_bytes(const TelemetryDataset& dataset) {
   std::size_t samples = 0;
-  for (const SystemChannelDef& def : system_channel_defs()) {
-    samples += (dataset.*(def.member)).size();
-  }
-  for (const CduTelemetry& cdu : dataset.cdus) {
-    for (const CduChannelDef& def : cdu_channel_defs()) samples += (cdu.*(def.member)).size();
-  }
-  for (const FacilityChannelDef& def : facility_channel_defs()) {
-    samples += (dataset.facility.*(def.member)).size();
-  }
+  for_each_channel(dataset, [&samples](const std::string&, const char*, const TimeSeries& s) {
+    samples += s.size();
+  });
   return samples * 2 * sizeof(double);
 }
 

@@ -14,13 +14,17 @@
 ///
 /// Three sources cover the spectrum:
 ///  - InMemoryChunkSource: slices an already-loaded DatasetFrame into
-///    windows (or hands it over whole, zero-copy). The bit-identity
-///    reference for the streaming paths.
+///    windows, or hands it over whole with no copy. As one chunk it is how
+///    every in-memory replay_power overload reaches the chunked loop.
 ///  - BinChunkSource: streams exadigit-bin chunks straight off disk using
 ///    the manifest's chunk index (format v2); legacy single-block v1 files
 ///    read as one chunk. Enforces an optional resident-bytes budget.
 ///  - LiveAppendSource: a thread-safe bounded ring with producer-side
 ///    backpressure and a clean end-of-stream, for future network ingest.
+///
+/// Every source passes its DatasetHeader (schema.hpp) to the one
+/// ChunkedTelemetrySource constructor, which validates it, so no source
+/// exists with an unchecked header.
 ///
 /// Every chunk registers its payload bytes with the source's ResidencyGauge
 /// on construction and deregisters on release/destruction, so tests and
@@ -39,29 +43,6 @@
 #include "telemetry/store.hpp"
 
 namespace exadigit {
-
-/// Dataset-wide metadata shared by every chunk of a stream: the manifest
-/// header plus the job list (jobs are submitted up front by replay, so they
-/// ride with the header rather than with any chunk).
-struct DatasetHeader {
-  std::string system_name;
-  double start_time_s = 0.0;
-  double duration_s = 0.0;
-  double trace_quantum_s = 15.0;
-  std::size_t cdu_count = 0;
-  std::vector<JobRecord> jobs;
-
-  [[nodiscard]] double end_time_s() const { return start_time_s + duration_s; }
-
-  /// Mirrors the header half of TelemetryDataset::validate(); throws
-  /// TelemetryError on violation.
-  void validate() const;
-
-  /// Moves the header fields out of a loaded DatasetFrame (the frame's
-  /// channel data is untouched and stays with the caller).
-  [[nodiscard]] static DatasetHeader take_from(DatasetFrame& frame);
-  [[nodiscard]] static DatasetHeader copy_from(const TelemetryDataset& dataset);
-};
 
 /// Resident-bytes accounting shared by every chunk of a source: current
 /// registers live chunk payloads, peak is the high-water mark. Thread-safe
@@ -136,12 +117,10 @@ class ChunkedTelemetrySource {
   [[nodiscard]] const std::shared_ptr<ResidencyGauge>& gauge() const { return gauge_; }
 
  protected:
+  /// Every source hands its header in here, where it is validated.
   explicit ChunkedTelemetrySource(DatasetHeader header) : header_(std::move(header)) {
     header_.validate();
   }
-  /// For sources that can only produce the header in their own constructor
-  /// body (they must assign header_ and validate it themselves).
-  ChunkedTelemetrySource() = default;
 
   DatasetHeader header_;
   std::shared_ptr<ResidencyGauge> gauge_ = std::make_shared<ResidencyGauge>();
@@ -165,18 +144,11 @@ class InMemoryChunkSource final : public ChunkedTelemetrySource {
   std::vector<std::size_t> cursors_;  ///< per-channel next-sample index
 };
 
-/// One entry of the exadigit-bin v2 manifest chunk index.
-struct ChunkIndexEntry {
-  double start_time_s = 0.0;
-  double end_time_s = 0.0;
-  std::uint64_t offset = 0;  ///< byte offset of the chunk block in channels.bin
-  std::uint64_t bytes = 0;   ///< encoded size of the chunk block
-};
-
 /// Streams exadigit-bin chunks off disk one window at a time. v2 files are
-/// read through the manifest chunk index; legacy v1 single-block files are
-/// served as one chunk. Never holds more than one decoded window itself;
-/// with a max_resident_mb budget, refuses to decode a chunk that would push
+/// read through the manifest chunk index (validated against channels.bin
+/// by read_manifest); legacy v1 single-block files are served as one chunk.
+/// Never holds more than one decoded window itself; with a
+/// max_resident_mb budget, refuses to decode a chunk that would push
 /// gauge residency past the budget while a previous chunk is still live
 /// (a single chunk is always allowed, so the budget cannot deadlock the
 /// stream — it only forces release-before-next discipline).
@@ -193,6 +165,8 @@ class BinChunkSource final : public ChunkedTelemetrySource {
   [[nodiscard]] const std::vector<ChunkIndexEntry>& chunk_index() const { return index_; }
 
  private:
+  BinChunkSource(const std::string& directory, Options options, DatasetManifest manifest);
+
   std::string path_;
   std::ifstream file_;
   Options options_;
@@ -248,9 +222,8 @@ class ChunkedBinWriter {
 
  private:
   std::string directory_;
-  DatasetHeader header_;
+  DatasetManifest manifest_;  ///< the header plus the chunk index built so far
   std::ofstream file_;
-  std::vector<ChunkIndexEntry> index_;
   std::uint64_t offset_ = 0;
   bool finished_ = false;
 };
@@ -268,7 +241,8 @@ void save_dataset_binary_chunked(const TelemetryDataset& dataset, const std::str
     const std::string& directory, double chunk_seconds, BinChunkSource::Options options = {});
 
 /// Rewraps a materialized dataset as a columnar DatasetFrame (copying the
-/// channel arrays), so it can be sliced through an InMemoryChunkSource.
+/// header and the channel arrays), so it can be sliced through an
+/// InMemoryChunkSource.
 [[nodiscard]] DatasetFrame dataset_to_frame(const TelemetryDataset& dataset);
 
 /// Total sample-payload bytes of a dataset (the doubles across all series),

@@ -66,12 +66,6 @@ const TelemetryChannel* TelemetryFrame::find(std::string_view tag,
   return it == index_.end() ? nullptr : &channels_[it->second];
 }
 
-TimeSeries TelemetryFrame::series(std::string_view tag, std::string_view channel) const {
-  const TelemetryChannel* ch = find(tag, channel);
-  if (ch == nullptr) return TimeSeries{};
-  return TimeSeries(ch->times, ch->values);
-}
-
 TimeSeries TelemetryFrame::take_series(std::string_view tag, std::string_view channel) {
   TelemetryChannel* ch = find_mutable(tag, channel);
   if (ch == nullptr) return TimeSeries{};
@@ -80,22 +74,10 @@ TimeSeries TelemetryFrame::take_series(std::string_view tag, std::string_view ch
 
 TelemetryFrame TelemetryFrame::from_dataset(const TelemetryDataset& dataset) {
   TelemetryFrame frame;
-  auto copy_in = [&frame](const std::string& tag, const char* name, const TimeSeries& s) {
-    if (s.empty()) return;
-    frame.adopt_channel(tag, name, s.times(), s.values());
-  };
-  for (const SystemChannelDef& def : system_channel_defs()) {
-    copy_in(kSystemTag, def.name, dataset.*(def.member));
-  }
-  for (std::size_t i = 0; i < dataset.cdus.size(); ++i) {
-    const std::string tag = cdu_tag(i);
-    for (const CduChannelDef& def : cdu_channel_defs()) {
-      copy_in(tag, def.name, dataset.cdus[i].*(def.member));
-    }
-  }
-  for (const FacilityChannelDef& def : facility_channel_defs()) {
-    copy_in(kFacilityTag, def.name, dataset.facility.*(def.member));
-  }
+  for_each_channel(dataset, [&frame](const std::string& tag, const char* name,
+                                     const TimeSeries& s) {
+    if (!s.empty()) frame.adopt_channel(tag, name, s.times(), s.values());
+  });
   return frame;
 }
 

@@ -1,14 +1,16 @@
 #pragma once
 
 /// @file frame.hpp
-/// Columnar in-memory telemetry: the single-pass loader's target.
+/// Columnar telemetry: one contiguous (times, values) column pair per
+/// (tag, channel) key.
 ///
 /// The 183-day validation replay (paper Table IV) ingests months of
 /// long-format channel telemetry. Loading that by rescanning the document
-/// once per channel is O(channels x rows); a TelemetryFrame instead holds
-/// one contiguous (times, values) column pair per (tag, channel) key, so a
-/// loader can bucket rows into channels in a single streaming pass and the
-/// replay path can adopt the arrays as TimeSeries without copying.
+/// once per channel is O(channels x rows); a TelemetryFrame instead lets a
+/// loader bucket rows into channels in a single streaming pass, and lets
+/// replay adopt the arrays as TimeSeries without copying. A loaded dataset
+/// is a DatasetFrame (store.hpp): a DatasetHeader plus one of these, and
+/// every chunk a ChunkedTelemetrySource yields carries one for its window.
 ///
 /// Keys are open-ended: "system"/"facility" tags carry the Table II system
 /// and CEP channels, "cdu<i>" tags the per-CDU sensors, and readers for
@@ -74,9 +76,6 @@ class TelemetryFrame {
   /// The channel at `key`, or nullptr when absent.
   [[nodiscard]] const TelemetryChannel* find(std::string_view tag,
                                              std::string_view channel) const;
-
-  /// Copies one channel out as a TimeSeries (empty series when absent).
-  [[nodiscard]] TimeSeries series(std::string_view tag, std::string_view channel) const;
 
   /// Moves one channel's arrays out as a TimeSeries (empty series when
   /// absent); the channel stays registered but becomes empty.

@@ -66,7 +66,11 @@ std::span<const FacilityChannelDef> facility_channel_defs() { return kFacilityCh
 
 std::string cdu_tag(std::size_t index) { return "cdu" + std::to_string(index); }
 
-void TelemetryDataset::validate() const {
+namespace {
+
+/// The one body behind TelemetryDataset::validate and DatasetHeader::validate.
+void validate_header(double duration_s, double trace_quantum_s,
+                     const std::vector<JobRecord>& jobs) {
   if (duration_s <= 0.0) throw TelemetryError("dataset duration must be positive");
   if (trace_quantum_s <= 0.0) throw TelemetryError("trace quantum must be positive");
   for (const auto& job : jobs) {
@@ -87,6 +91,23 @@ void TelemetryDataset::validate() const {
       }
     }
   }
+}
+
+}  // namespace
+
+void TelemetryDataset::validate() const { validate_header(duration_s, trace_quantum_s, jobs); }
+
+void DatasetHeader::validate() const { validate_header(duration_s, trace_quantum_s, jobs); }
+
+DatasetHeader DatasetHeader::copy_from(const TelemetryDataset& dataset) {
+  DatasetHeader header;
+  header.system_name = dataset.system_name;
+  header.start_time_s = dataset.start_time_s;
+  header.duration_s = dataset.duration_s;
+  header.trace_quantum_s = dataset.trace_quantum_s;
+  header.cdu_count = dataset.cdus.size();
+  header.jobs = dataset.jobs;
+  return header;
 }
 
 }  // namespace exadigit

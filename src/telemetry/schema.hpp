@@ -83,6 +83,30 @@ struct FacilityTelemetry {
   TimeSeries pue;                     ///< 15 s interpolated
 };
 
+struct TelemetryDataset;
+
+/// Dataset-wide metadata: the manifest fields plus the job list. Jobs are
+/// submitted up front by replay, so they ride with the header rather than
+/// with any window of channel data. Chunk sources, DatasetFrame and the
+/// manifest codec (store.hpp) all carry this one type.
+struct DatasetHeader {
+  std::string system_name;
+  double start_time_s = 0.0;
+  double duration_s = 0.0;
+  double trace_quantum_s = 15.0;
+  std::size_t cdu_count = 0;
+  std::vector<JobRecord> jobs;
+
+  [[nodiscard]] double end_time_s() const { return start_time_s + duration_s; }
+
+  /// The same checks as TelemetryDataset::validate(); throws TelemetryError
+  /// on violation.
+  void validate() const;
+
+  /// The header of a materialized dataset (copies the job list).
+  [[nodiscard]] static DatasetHeader copy_from(const TelemetryDataset& dataset);
+};
+
 /// A complete validation dataset for a replay window.
 struct TelemetryDataset {
   std::string system_name;
@@ -100,10 +124,9 @@ struct TelemetryDataset {
   void validate() const;
 };
 
-/// Named member tables for the Table II channel structs. Every serializer
-/// (long-format CSV, exadigit-bin, the columnar frame materializer) walks
-/// these same tables, so the (tag, channel) naming cannot drift between
-/// formats.
+/// Named member tables for the Table II channel structs. Code that visits
+/// every channel goes through for_each_channel() below, so the (tag,
+/// channel) naming and order cannot drift between formats.
 struct SystemChannelDef {
   const char* name;
   TimeSeries TelemetryDataset::* member;
@@ -125,5 +148,27 @@ struct FacilityChannelDef {
 inline constexpr const char* kSystemTag = "system";
 inline constexpr const char* kFacilityTag = "facility";
 [[nodiscard]] std::string cdu_tag(std::size_t index);
+
+/// Visits every Table II channel of `dataset` as visit(tag, name, series):
+/// the system slots, then cdu0..cdu<N-1>, then the facility slots. This is
+/// the channel order of every native layout on disk, so it must not change.
+/// A non-const dataset passes its series by mutable reference.
+template <typename Dataset, typename Visit>
+void for_each_channel(Dataset& dataset, Visit&& visit) {
+  const std::string system_tag = kSystemTag;
+  for (const SystemChannelDef& def : system_channel_defs()) {
+    visit(system_tag, def.name, dataset.*(def.member));
+  }
+  for (std::size_t i = 0; i < dataset.cdus.size(); ++i) {
+    const std::string tag = cdu_tag(i);
+    for (const CduChannelDef& def : cdu_channel_defs()) {
+      visit(tag, def.name, dataset.cdus[i].*(def.member));
+    }
+  }
+  const std::string facility_tag = kFacilityTag;
+  for (const FacilityChannelDef& def : facility_channel_defs()) {
+    visit(facility_tag, def.name, dataset.facility.*(def.member));
+  }
+}
 
 }  // namespace exadigit

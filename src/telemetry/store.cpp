@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -77,40 +78,63 @@ JobRecord job_from_json(const Json& o) {
   return j;
 }
 
-// ------------------------------------------- shared manifest/jobs plumbing
+// ---------------------------------------------------------- manifest JSON
 
-void save_manifest_and_jobs(const TelemetryDataset& dataset, const std::string& directory,
-                            const char* format) {
-  namespace fs = std::filesystem;
-  fs::create_directories(directory);
-
-  Json manifest;
-  manifest["format"] = Json(std::string(format));
-  manifest["system_name"] = Json(dataset.system_name);
-  manifest["start_time_s"] = Json(dataset.start_time_s);
-  manifest["duration_s"] = Json(dataset.duration_s);
-  manifest["trace_quantum_s"] = Json(dataset.trace_quantum_s);
-  manifest["cdu_count"] = Json(dataset.cdus.size());
-  manifest.save_file(directory + "/manifest.json");
-
-  // Explicitly an array: a job-less dataset must not serialize as null.
-  Json jobs{Json::Array{}};
-  for (const auto& j : dataset.jobs) jobs.push_back(job_to_json(j));
-  jobs.save_file(directory + "/jobs.json");
+Json chunk_index_to_json(const std::vector<ChunkIndexEntry>& index) {
+  Json arr{Json::Array{}};
+  for (const ChunkIndexEntry& e : index) {
+    Json entry;
+    entry["start_time_s"] = Json(e.start_time_s);
+    entry["end_time_s"] = Json(e.end_time_s);
+    entry["offset"] = Json(static_cast<double>(e.offset));
+    entry["bytes"] = Json(static_cast<double>(e.bytes));
+    arr.push_back(std::move(entry));
+  }
+  return arr;
 }
 
-/// Reads manifest.json + jobs.json into a channel-less DatasetFrame and
-/// returns the manifest's format name.
-std::string load_header(const std::string& directory, DatasetFrame& out) {
-  const Json manifest = Json::load_file(directory + "/manifest.json");
-  out.system_name = manifest.string_or("system_name", "");
-  out.start_time_s = manifest.number_or("start_time_s", 0.0);
-  out.duration_s = manifest.number_or("duration_s", 0.0);
-  out.trace_quantum_s = manifest.number_or("trace_quantum_s", 15.0);
-  out.cdu_count = static_cast<std::size_t>(manifest.int_or("cdu_count", 0));
-  const Json jobs = Json::load_file(directory + "/jobs.json");
-  for (const auto& j : jobs.as_array()) out.jobs.push_back(job_from_json(j));
-  return manifest.string_or("format", "");
+/// The integer manifest field `key` of `object` (named `where` + `key` in
+/// errors), which must lie in [lo, hi]. Range-checked as a double before
+/// the cast, so no value is ever converted out of range.
+std::uint64_t manifest_integer(const Json& object, const std::string& where, const char* key,
+                               double lo, double hi) {
+  const double v = object.number_or(key, 0.0);
+  if (!(v >= lo && v <= hi) || std::nearbyint(v) != v) {
+    throw TelemetryError("manifest " + where + key + " must be an integer in [" +
+                         format_double(lo) + ", " + format_double(hi) + "], got " +
+                         format_double(v));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// Decodes the v2 chunk index, checking every entry against the size of
+/// the channels.bin it points into.
+std::vector<ChunkIndexEntry> chunk_index_from_json(const Json& arr, std::uint64_t file_bytes) {
+  std::vector<ChunkIndexEntry> index;
+  for (const Json& entry : arr.as_array()) {
+    const std::string where = "chunks[" + std::to_string(index.size()) + "].";
+    ChunkIndexEntry e;
+    e.start_time_s = entry.number_or("start_time_s", 0.0);
+    e.end_time_s = entry.number_or("end_time_s", 0.0);
+    if (!(e.start_time_s <= e.end_time_s)) {
+      throw TelemetryError("manifest " + where + "start_time_s " + format_double(e.start_time_s) +
+                           " is after its end_time_s " + format_double(e.end_time_s));
+    }
+    if (!index.empty() && e.start_time_s < index.back().start_time_s) {
+      throw TelemetryError("manifest " + where + "start_time_s " + format_double(e.start_time_s) +
+                           " is before the previous chunk's");
+    }
+    const auto size = static_cast<double>(file_bytes);
+    e.offset = manifest_integer(entry, where, "offset",
+                                static_cast<double>(sizeof binfmt::kMagicV2), size);
+    e.bytes = manifest_integer(entry, where, "bytes", 0.0, size);
+    if (e.offset > file_bytes || e.bytes > file_bytes - e.offset) {
+      throw TelemetryError("manifest " + where + "offset + bytes runs past the " +
+                           std::to_string(file_bytes) + "-byte channels.bin");
+    }
+    index.push_back(e);
+  }
+  return index;
 }
 
 // --------------------------------------------------- long-format CSV path
@@ -232,9 +256,52 @@ void note_binary_read(std::uint64_t samples) {
 void note_binary_file_read() { g_binary_file_reads.fetch_add(1, std::memory_order_relaxed); }
 }  // namespace binfmt
 
-Json telemetry_job_to_json(const JobRecord& job) { return job_to_json(job); }
+DatasetManifest read_manifest(const std::string& directory) {
+  const Json json = Json::load_file(directory + "/manifest.json");
+  DatasetManifest manifest;
+  manifest.format = json.string_or("format", "");
+  DatasetHeader& header = manifest.header;
+  header.system_name = json.string_or("system_name", "");
+  header.start_time_s = json.number_or("start_time_s", 0.0);
+  header.duration_s = json.number_or("duration_s", 0.0);
+  header.trace_quantum_s = json.number_or("trace_quantum_s", 15.0);
+  header.cdu_count =
+      manifest_integer(json, "", "cdu_count", 0.0, static_cast<double>(kMaxDatasetCdus));
+  if (json.contains("chunks")) {
+    const std::string bin = directory + "/channels.bin";
+    std::error_code ec;
+    const std::uintmax_t file_bytes = std::filesystem::file_size(bin, ec);
+    if (ec) throw TelemetryError("manifest has a chunk index but cannot size " + bin);
+    manifest.chunks = chunk_index_from_json(json.at("chunks"), file_bytes);
+  }
+  return manifest;
+}
 
-JobRecord telemetry_job_from_json(const Json& json) { return job_from_json(json); }
+std::vector<JobRecord> read_jobs(const std::string& directory) {
+  const Json jobs = Json::load_file(directory + "/jobs.json");
+  std::vector<JobRecord> out;
+  for (const Json& j : jobs.as_array()) out.push_back(job_from_json(j));
+  return out;
+}
+
+void write_manifest(const std::string& directory, const DatasetManifest& manifest) {
+  std::filesystem::create_directories(directory);
+  // Explicitly an array: a job-less dataset must not serialize as null.
+  Json jobs{Json::Array{}};
+  for (const JobRecord& j : manifest.header.jobs) jobs.push_back(job_to_json(j));
+  jobs.save_file(directory + "/jobs.json");
+
+  const DatasetHeader& header = manifest.header;
+  Json json;
+  json["format"] = Json(manifest.format);
+  json["system_name"] = Json(header.system_name);
+  json["start_time_s"] = Json(header.start_time_s);
+  json["duration_s"] = Json(header.duration_s);
+  json["trace_quantum_s"] = Json(header.trace_quantum_s);
+  json["cdu_count"] = Json(header.cdu_count);
+  if (!manifest.chunks.empty()) json["chunks"] = chunk_index_to_json(manifest.chunks);
+  json.save_file(directory + "/manifest.json");
+}
 
 DatasetIoStats dataset_io_stats() {
   DatasetIoStats s;
@@ -254,24 +321,15 @@ void reset_dataset_io_stats() {
 
 TelemetryDataset DatasetFrame::to_dataset() && {
   TelemetryDataset d;
-  d.system_name = std::move(system_name);
-  d.start_time_s = start_time_s;
-  d.duration_s = duration_s;
-  d.trace_quantum_s = trace_quantum_s;
-  d.jobs = std::move(jobs);
-  for (const SystemChannelDef& def : system_channel_defs()) {
-    d.*(def.member) = frame.take_series(kSystemTag, def.name);
-  }
-  d.cdus.resize(cdu_count);
-  for (std::size_t i = 0; i < cdu_count; ++i) {
-    const std::string tag = cdu_tag(i);
-    for (const CduChannelDef& def : cdu_channel_defs()) {
-      d.cdus[i].*(def.member) = frame.take_series(tag, def.name);
-    }
-  }
-  for (const FacilityChannelDef& def : facility_channel_defs()) {
-    d.facility.*(def.member) = frame.take_series(kFacilityTag, def.name);
-  }
+  d.system_name = std::move(header.system_name);
+  d.start_time_s = header.start_time_s;
+  d.duration_s = header.duration_s;
+  d.trace_quantum_s = header.trace_quantum_s;
+  d.jobs = std::move(header.jobs);
+  d.cdus.resize(header.cdu_count);
+  for_each_channel(d, [this](const std::string& tag, const char* name, TimeSeries& slot) {
+    slot = frame.take_series(tag, name);
+  });
   d.validate();
   return d;
 }
@@ -312,34 +370,24 @@ std::vector<std::string> TelemetryReaderRegistry::formats() const {
 
 void save_dataset(const TelemetryDataset& dataset, const std::string& directory) {
   dataset.validate();
-  save_manifest_and_jobs(dataset, directory, kExadigitCsvFormat);
+  write_manifest(directory, {kExadigitCsvFormat, DatasetHeader::copy_from(dataset), {}});
 
   CsvDocument system({"tag", "channel", "time_s", "value"});
-  for (const SystemChannelDef& def : system_channel_defs()) {
-    append_series(system, kSystemTag, def.name, dataset.*(def.member));
-  }
-  system.save(directory + "/system.csv");
-
   CsvDocument cdu({"tag", "channel", "time_s", "value"});
-  for (std::size_t i = 0; i < dataset.cdus.size(); ++i) {
-    const std::string tag = cdu_tag(i);
-    for (const CduChannelDef& def : cdu_channel_defs()) {
-      append_series(cdu, tag, def.name, dataset.cdus[i].*(def.member));
-    }
-  }
-  cdu.save(directory + "/cdu.csv");
-
   CsvDocument facility({"tag", "channel", "time_s", "value"});
-  for (const FacilityChannelDef& def : facility_channel_defs()) {
-    append_series(facility, kFacilityTag, def.name, dataset.facility.*(def.member));
-  }
+  for_each_channel(dataset, [&](const std::string& tag, const char* name, const TimeSeries& s) {
+    CsvDocument& doc = tag == kSystemTag ? system : tag == kFacilityTag ? facility : cdu;
+    append_series(doc, tag, name, s);
+  });
+  system.save(directory + "/system.csv");
+  cdu.save(directory + "/cdu.csv");
   facility.save(directory + "/facility.csv");
 }
 
 void save_dataset_binary(const TelemetryDataset& dataset, const std::string& directory) {
   dataset.validate();
   binfmt::require_little_endian();
-  save_manifest_and_jobs(dataset, directory, kExadigitBinFormat);
+  write_manifest(directory, {kExadigitBinFormat, DatasetHeader::copy_from(dataset), {}});
 
   const std::string path = directory + "/channels.bin";
   std::ofstream f(path, std::ios::binary);
@@ -347,25 +395,12 @@ void save_dataset_binary(const TelemetryDataset& dataset, const std::string& dir
   f.write(binfmt::kMagicV1, sizeof binfmt::kMagicV1);
 
   std::uint64_t channel_count = 0;
-  auto for_each_channel = [&dataset](auto&& visit) {
-    for (const SystemChannelDef& def : system_channel_defs()) {
-      visit(std::string(kSystemTag), def.name, dataset.*(def.member));
-    }
-    for (std::size_t i = 0; i < dataset.cdus.size(); ++i) {
-      const std::string tag = cdu_tag(i);
-      for (const CduChannelDef& def : cdu_channel_defs()) {
-        visit(tag, def.name, dataset.cdus[i].*(def.member));
-      }
-    }
-    for (const FacilityChannelDef& def : facility_channel_defs()) {
-      visit(std::string(kFacilityTag), def.name, dataset.facility.*(def.member));
-    }
-  };
-  for_each_channel([&channel_count](const std::string&, const char*, const TimeSeries& s) {
+  for_each_channel(dataset, [&channel_count](const std::string&, const char*,
+                                             const TimeSeries& s) {
     if (!s.empty()) ++channel_count;
   });
   binfmt::write_pod<std::uint64_t>(f, channel_count);
-  for_each_channel([&f](const std::string& tag, const char* name, const TimeSeries& s) {
+  for_each_channel(dataset, [&f](const std::string& tag, const char* name, const TimeSeries& s) {
     if (!s.empty()) binfmt::write_channel_block(f, tag, name, s.times(), s.values());
   });
   require(f.good(), "failed writing channels.bin: " + path);
@@ -373,12 +408,14 @@ void save_dataset_binary(const TelemetryDataset& dataset, const std::string& dir
 
 DatasetFrame load_dataset_frame(const std::string& directory,
                                 const std::string& expected_format) {
-  DatasetFrame out;
-  const std::string format = load_header(directory, out);
+  DatasetManifest manifest = read_manifest(directory);
+  const std::string& format = manifest.format;
   if (!expected_format.empty() && format != expected_format) {
     throw TelemetryError("dataset manifest format is '" + format + "', expected '" +
                          expected_format + "'");
   }
+  DatasetFrame out{std::move(manifest.header), TelemetryFrame{}};
+  out.header.jobs = read_jobs(directory);
   if (format == kExadigitCsvFormat) {
     stream_channel_csv(directory + "/system.csv", out.frame);
     stream_channel_csv(directory + "/cdu.csv", out.frame);

@@ -1,29 +1,36 @@
 #pragma once
 
 /// @file store.hpp
-/// Telemetry dataset persistence and the pluggable reader registry.
+/// Telemetry dataset persistence, the manifest codec, and the pluggable
+/// reader registry.
 ///
 /// The paper's generalized RAPS reads "different types of bespoke telemetry
 /// datasets" through a pluggable architecture (Section V; e.g. Frontier's
 /// internal schema vs the public PM100 dataset). Here a TelemetryReader is
 /// an interface keyed by format name in a registry; the library ships two
-/// native formats plus test-registered synthetic adapters:
+/// native formats plus test-registered synthetic adapters. Both native
+/// formats are a directory holding manifest.json (the format name, the
+/// DatasetHeader fields, and for exadigit-bin v2 a chunk index) and
+/// jobs.json (the job list), plus the channel data:
 ///
-///  - "exadigit-csv": manifest.json + jobs.json + long-format channel CSVs
-///    (system.csv / cdu.csv / facility.csv with tag,channel,time_s,value
-///    rows). Human-readable; numbers are written in shortest round-trip
-///    form, so save -> load -> save is bit-identical.
-///  - "exadigit-bin": manifest.json + jobs.json + channels.bin, a little-
-///    endian block of contiguous per-channel (times, values) double arrays.
-///    Written and read streaming, channel at a time — a 183-day dataset
-///    never materializes row-of-strings intermediates.
+///  - "exadigit-csv": long-format channel CSVs (system.csv / cdu.csv /
+///    facility.csv with tag,channel,time_s,value rows). Human-readable;
+///    numbers are written in shortest round-trip form, so save -> load ->
+///    save is bit-identical.
+///  - "exadigit-bin": channels.bin, a little-endian block of contiguous
+///    per-channel (times, values) double arrays. Written and read
+///    streaming, channel at a time — a 183-day dataset never materializes
+///    row-of-strings intermediates.
 ///
-/// Both native loads are single-pass and columnar: each channel file is
-/// parsed exactly once into a TelemetryFrame (see frame.hpp), then the
-/// frame's arrays are moved into the TelemetryDataset schema slots. The
-/// original per-channel-rescan CSV loader survives as
-/// load_dataset_reference(), the correctness reference the columnar and
-/// binary paths are validated against.
+/// read_manifest / read_jobs / write_manifest are the only code that reads
+/// or writes manifest.json and jobs.json; read_manifest validates every
+/// field before anything is sized from it. A loaded dataset is a
+/// DatasetFrame: a DatasetHeader plus a columnar TelemetryFrame (see
+/// frame.hpp), each channel file parsed exactly once. to_dataset() moves
+/// the frame's arrays into the TelemetryDataset schema slots. The original
+/// per-channel-rescan CSV loader survives as load_dataset_reference(), the
+/// correctness reference the columnar and binary paths are validated
+/// against.
 
 #include <cstdint>
 #include <map>
@@ -35,8 +42,6 @@
 #include "telemetry/schema.hpp"
 
 namespace exadigit {
-
-class Json;
 
 /// Native dataset format names (manifest.json "format" values).
 inline constexpr const char* kExadigitCsvFormat = "exadigit-csv";
@@ -55,17 +60,11 @@ struct DatasetIoStats {
 [[nodiscard]] DatasetIoStats dataset_io_stats();
 void reset_dataset_io_stats();
 
-/// A loaded-but-unmaterialized dataset: the manifest header plus jobs, with
-/// every sensor channel still columnar. Consumers that only need a few
-/// channels (e.g. replay_power) can take them from the frame without
-/// paying for the rest; to_dataset() moves everything into schema slots.
+/// A loaded-but-unmaterialized dataset: the header, with every sensor
+/// channel still columnar. Consumers that only need a few channels (e.g.
+/// replay_power) can take them from the frame without paying for the rest.
 struct DatasetFrame {
-  std::string system_name;
-  double start_time_s = 0.0;
-  double duration_s = 0.0;
-  double trace_quantum_s = 15.0;
-  std::size_t cdu_count = 0;
-  std::vector<JobRecord> jobs;
+  DatasetHeader header;
   TelemetryFrame frame;
 
   /// Materializes the schema view by moving channels out of the frame;
@@ -73,6 +72,41 @@ struct DatasetFrame {
   /// reference loader, which only ever looked up known keys). Validates.
   [[nodiscard]] TelemetryDataset to_dataset() &&;
 };
+
+/// One entry of the exadigit-bin v2 manifest chunk index.
+struct ChunkIndexEntry {
+  double start_time_s = 0.0;
+  double end_time_s = 0.0;
+  std::uint64_t offset = 0;  ///< byte offset of the chunk block in channels.bin
+  std::uint64_t bytes = 0;   ///< encoded size of the chunk block
+};
+
+/// Largest cdu_count a manifest may declare (Frontier has 25). Loading
+/// sizes the per-CDU slots from it, so the reader rejects anything larger
+/// before allocating.
+inline constexpr std::size_t kMaxDatasetCdus = 4096;
+
+/// The decoded manifest.json of a dataset directory.
+struct DatasetManifest {
+  std::string format;                   ///< kExadigitCsvFormat, kExadigitBinFormat, ...
+  DatasetHeader header;                 ///< jobs come from jobs.json (read_jobs)
+  std::vector<ChunkIndexEntry> chunks;  ///< exadigit-bin v2 chunk index, else empty
+};
+
+/// Reads manifest.json alone (never jobs.json, which can be large), so a
+/// format check is cheap. Throws TelemetryError naming the field unless
+/// cdu_count is an integer in [0, kMaxDatasetCdus] and every chunk index
+/// entry has integer offset >= 8 and bytes >= 0 lying inside channels.bin,
+/// start_time_s <= end_time_s, and a start time no earlier than the
+/// previous entry's.
+[[nodiscard]] DatasetManifest read_manifest(const std::string& directory);
+
+/// Reads jobs.json.
+[[nodiscard]] std::vector<JobRecord> read_jobs(const std::string& directory);
+
+/// Writes jobs.json (the header's job list) and manifest.json, creating
+/// the directory if missing. The chunk index is written when non-empty.
+void write_manifest(const std::string& directory, const DatasetManifest& manifest);
 
 /// Reads a TelemetryDataset from some external source (directory, file...).
 class TelemetryReader {
@@ -122,11 +156,5 @@ void save_dataset_binary(const TelemetryDataset& dataset, const std::string& dir
 /// The original O(channels x rows) exadigit-csv loader (one full document
 /// scan per channel), kept as the reference path for equivalence tests.
 [[nodiscard]] TelemetryDataset load_dataset_reference(const std::string& directory);
-
-/// jobs.json entry (de)serialization, shared with the chunked writer/reader
-/// (chunk.cpp) so the job schema cannot drift between the monolithic and
-/// chunked layouts.
-[[nodiscard]] Json telemetry_job_to_json(const JobRecord& job);
-[[nodiscard]] JobRecord telemetry_job_from_json(const Json& json);
 
 }  // namespace exadigit

@@ -71,18 +71,10 @@ TEST_F(ReplayTest, ScoreSeriesStillTruncatesGenuineFractionalSpans) {
 }
 
 TEST_F(ReplayTest, FrameOverloadMatchesDatasetReplay) {
-  // The columnar frame path must be bit-identical to the classic path.
+  // The frame overload carries every channel, the dataset overload only the
+  // system ones; both must give the same bits.
   const PowerReplayResult direct = replay_power(*spec_, *dataset_, /*with_cooling=*/false);
-
-  DatasetFrame frame;
-  frame.system_name = dataset_->system_name;
-  frame.start_time_s = dataset_->start_time_s;
-  frame.duration_s = dataset_->duration_s;
-  frame.trace_quantum_s = dataset_->trace_quantum_s;
-  frame.cdu_count = dataset_->cdus.size();
-  frame.jobs = dataset_->jobs;
-  frame.frame = TelemetryFrame::from_dataset(*dataset_);
-  const PowerReplayResult framed = replay_power(*spec_, std::move(frame), false);
+  const PowerReplayResult framed = replay_power(*spec_, dataset_to_frame(*dataset_), false);
 
   ASSERT_EQ(framed.predicted_power_mw.size(), direct.predicted_power_mw.size());
   for (std::size_t i = 0; i < framed.predicted_power_mw.size(); ++i) {

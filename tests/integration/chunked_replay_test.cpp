@@ -48,11 +48,41 @@ const TelemetryDataset& replay_dataset() {
   return dataset;
 }
 
+/// The reference every chunked replay must match: the whole dataset in one
+/// DigitalTwin run, with no stop before the end. It is built here rather
+/// than through replay_power, whose every overload runs the chunked loop.
+PowerReplayResult uninterrupted_replay(bool with_cooling) {
+  const SystemConfig config = frontier_system_config();
+  const TelemetryDataset& dataset = replay_dataset();
+  DigitalTwinOptions options;
+  options.enable_cooling = with_cooling;
+  options.start_time_s = dataset.start_time_s;
+  DigitalTwin twin(config, options);
+  twin.set_wetbulb_series(dataset.wetbulb_c);
+  twin.submit_all(dataset.jobs);
+  twin.run_until(dataset.start_time_s + dataset.duration_s);
+
+  PowerReplayResult r;
+  r.predicted_power_mw = twin.engine().power_series_mw();
+  const TimeSeries& measured = dataset.measured_system_power_w;
+  for (std::size_t i = 0; i < measured.size(); ++i) {
+    r.measured_power_mw.push_back(measured.time(i), units::mw_from_watts(measured.value(i)));
+  }
+  r.eta_system = twin.engine().eta_series();
+  r.utilization = twin.engine().utilization_series();
+  if (with_cooling) {
+    r.cooling_eff = twin.cooling_efficiency_series();
+    r.pue = twin.pue_series();
+  }
+  r.power_score = score_series(r.predicted_power_mw, r.measured_power_mw,
+                               config.simulation.cooling_quantum_s);
+  r.report = twin.report();
+  return r;
+}
+
 const PowerReplayResult& monolithic_replay(bool with_cooling) {
-  static const PowerReplayResult no_cooling =
-      replay_power(frontier_system_config(), replay_dataset(), false);
-  static const PowerReplayResult cooling =
-      replay_power(frontier_system_config(), replay_dataset(), true);
+  static const PowerReplayResult no_cooling = uninterrupted_replay(false);
+  static const PowerReplayResult cooling = uninterrupted_replay(true);
   return with_cooling ? cooling : no_cooling;
 }
 
@@ -108,6 +138,16 @@ TEST(ChunkedReplayTest, CoupledCoolingReplayBitIdentical) {
   InMemoryChunkSource source(dataset_to_frame(replay_dataset()), 40.0);
   const PowerReplayResult chunked = replay_power(config, source, true);
   expect_replays_identical(chunked, monolithic_replay(true));
+}
+
+TEST(ChunkedReplayTest, DatasetOverloadBitIdenticalToUninterruptedRun) {
+  // The TelemetryDataset overload is a one-chunk adapter over the chunked
+  // loop; it must still give the uninterrupted run's bits, with and without
+  // the plant.
+  const SystemConfig config = frontier_system_config();
+  expect_replays_identical(replay_power(config, replay_dataset(), false),
+                           monolithic_replay(false));
+  expect_replays_identical(replay_power(config, replay_dataset(), true), monolithic_replay(true));
 }
 
 class ChunkedReplayFileTest : public ::testing::Test {

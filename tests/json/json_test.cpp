@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace exadigit {
@@ -71,6 +74,17 @@ TEST(JsonTypeTest, CheckedAccessorsThrowOnMismatch) {
 TEST(JsonTypeTest, IntAccessor) {
   EXPECT_EQ(Json::parse("42").as_int(), 42);
   EXPECT_EQ(Json::parse("-7").as_int(), -7);
+}
+
+TEST(JsonTypeTest, IntAccessorRejectsValuesOutsideInt64) {
+  // Integral doubles outside [-2^63, 2^63) have no int64 value; converting
+  // them is undefined behaviour, so they must throw instead.
+  EXPECT_THROW(Json::parse("1e300").as_int(), JsonTypeError);
+  EXPECT_THROW(Json::parse("9.3e18").as_int(), JsonTypeError);
+  EXPECT_THROW(Json::parse("-1e19").as_int(), JsonTypeError);
+  EXPECT_THROW(Json::parse("{\"seed\": 1e300}").int_or("seed", 0), JsonTypeError);
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(JsonTypeTest, DefaultedAccessors) {

@@ -306,6 +306,98 @@ TEST_F(ChunkFileTest, OpenChunkSourceDispatchesOnManifestFormat) {
   EXPECT_EQ(bin->header().system_name, csv->header().system_name);
 }
 
+// --- manifest validation ---------------------------------------------------
+
+/// Saves small_dataset() in three 40 s chunks under `dir`, applies `edit` to
+/// its manifest, and returns what opening it as a BinChunkSource throws
+/// (empty when nothing is thrown).
+template <typename Edit>
+std::string open_error_after(const std::string& dir, Edit edit) {
+  save_dataset_binary_chunked(small_dataset(), dir, 40.0);
+  Json manifest = Json::load_file(dir + "/manifest.json");
+  edit(manifest);
+  manifest.save_file(dir + "/manifest.json");
+  try {
+    BinChunkSource source(dir);
+  } catch (const TelemetryError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+Json& chunk_entry(Json& manifest, std::size_t i) { return manifest["chunks"].as_array()[i]; }
+
+TEST_F(ChunkFileTest, ManifestChunkOffsetMustBeANonNegativeInteger) {
+  const std::string error =
+      open_error_after(dir_, [](Json& m) { chunk_entry(m, 1)["offset"] = Json(-1.0); });
+  EXPECT_NE(error.find("chunks[1].offset"), std::string::npos) << error;
+  const std::string fractional =
+      open_error_after(dir_, [](Json& m) { chunk_entry(m, 1)["offset"] = Json(100.5); });
+  EXPECT_NE(fractional.find("chunks[1].offset"), std::string::npos) << fractional;
+}
+
+TEST_F(ChunkFileTest, ManifestChunkBytesMustBeANonNegativeInteger) {
+  const std::string error =
+      open_error_after(dir_, [](Json& m) { chunk_entry(m, 0)["bytes"] = Json(-1.0); });
+  EXPECT_NE(error.find("chunks[0].bytes"), std::string::npos) << error;
+}
+
+TEST_F(ChunkFileTest, ManifestChunkOffsetMustSkipTheMagic) {
+  const std::string error =
+      open_error_after(dir_, [](Json& m) { chunk_entry(m, 0)["offset"] = Json(0.0); });
+  EXPECT_NE(error.find("chunks[0].offset"), std::string::npos) << error;
+}
+
+TEST_F(ChunkFileTest, ManifestChunkMustLieInsideChannelsBin) {
+  const std::string far =
+      open_error_after(dir_, [](Json& m) { chunk_entry(m, 2)["offset"] = Json(1e300); });
+  EXPECT_NE(far.find("chunks[2].offset"), std::string::npos) << far;
+  // Each field in range, but together one byte past the end of the file.
+  const std::string overrun = open_error_after(dir_, [](Json& m) {
+    Json& last = chunk_entry(m, 2);
+    last["bytes"] = Json(last.at("bytes").as_number() + 1.0);
+  });
+  EXPECT_NE(overrun.find("chunks[2].offset + bytes"), std::string::npos) << overrun;
+}
+
+TEST_F(ChunkFileTest, ManifestChunkMustNotEndBeforeItStarts) {
+  const std::string error = open_error_after(dir_, [](Json& m) {
+    Json& entry = chunk_entry(m, 1);
+    entry["end_time_s"] = Json(entry.at("start_time_s").as_number() - 1.0);
+  });
+  EXPECT_NE(error.find("chunks[1].start_time_s"), std::string::npos) << error;
+}
+
+TEST_F(ChunkFileTest, ManifestChunkStartsMustNotDecrease) {
+  const std::string error = open_error_after(dir_, [](Json& m) {
+    const double previous_start = chunk_entry(m, 1).at("start_time_s").as_number();
+    chunk_entry(m, 2)["start_time_s"] = Json(previous_start - 1.0);
+  });
+  EXPECT_NE(error.find("chunks[2].start_time_s"), std::string::npos) << error;
+}
+
+TEST_F(ChunkFileTest, ManifestCduCountIsBounded) {
+  const std::string above = open_error_after(dir_, [](Json& m) {
+    m["cdu_count"] = Json(kMaxDatasetCdus + 1);
+  });
+  EXPECT_NE(above.find("cdu_count"), std::string::npos) << above;
+  // The whole-dataset loader reads the same manifest: it must refuse before
+  // sizing the per-CDU slots.
+  EXPECT_THROW((void)load_dataset(dir_), TelemetryError);
+  const std::string negative =
+      open_error_after(dir_, [](Json& m) { m["cdu_count"] = Json(-1); });
+  EXPECT_NE(negative.find("cdu_count"), std::string::npos) << negative;
+  EXPECT_THROW((void)load_dataset(dir_), TelemetryError);
+}
+
+TEST_F(ChunkFileTest, FormatCheckReadsOnlyTheManifest) {
+  save_dataset_binary_chunked(small_dataset(), dir_, 40.0);
+  fs::remove(dir_ + "/jobs.json");
+  EXPECT_EQ(read_manifest(dir_).format, kExadigitBinFormat);
+  EXPECT_TRUE(read_manifest(dir_).header.jobs.empty());
+  EXPECT_THROW(BinChunkSource{dir_}, ConfigError);  // a source needs the jobs
+}
+
 TEST(DatasetPayloadBytesTest, MatchesFrameAccounting) {
   const TelemetryDataset d = small_dataset();
   EXPECT_EQ(dataset_payload_bytes(d), TelemetryFrame::from_dataset(d).payload_bytes());

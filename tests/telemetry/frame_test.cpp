@@ -47,7 +47,6 @@ TEST(FrameTest, FindAndSeriesOnMissingKey) {
   frame.append("a", "x", 0.0, 1.0);
   EXPECT_EQ(frame.find("a", "z"), nullptr);
   EXPECT_EQ(frame.find("z", "x"), nullptr);
-  EXPECT_TRUE(frame.series("a", "z").empty());
   EXPECT_TRUE(frame.take_series("nope", "x").empty());
 }
 
@@ -68,16 +67,6 @@ TEST(FrameTest, AdoptChannelRejectsDuplicatesAndRaggedArrays) {
   frame.adopt_channel("a", "x", {0.0}, {1.0});
   EXPECT_THROW(frame.adopt_channel("a", "x", {1.0}, {2.0}), ConfigError);
   EXPECT_THROW(frame.adopt_channel("a", "y", {0.0, 1.0}, {1.0}), ConfigError);
-}
-
-TEST(FrameTest, SeriesCopiesWithoutDraining) {
-  TelemetryFrame frame;
-  frame.adopt_channel("a", "x", {0.0, 1.0}, {5.0, 6.0});
-  const TimeSeries first = frame.series("a", "x");
-  const TimeSeries second = frame.series("a", "x");
-  EXPECT_EQ(first.size(), 2u);
-  EXPECT_EQ(second.size(), 2u);
-  EXPECT_DOUBLE_EQ(second.value(0), 5.0);
 }
 
 TEST(FrameTest, FromDatasetCoversEveryNonEmptyChannel) {

@@ -6,9 +6,12 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/stable_hash.hpp"
+#include "telemetry/chunk.hpp"
 #include "telemetry/frame.hpp"
 
 namespace exadigit {
@@ -75,6 +78,58 @@ TelemetryDataset synthetic_multi_cdu_dataset(std::size_t cdu_count, std::size_t 
   j.node_count = 100;
   j.wall_time_s = 60.0;
   d.jobs.push_back(j);
+  return d;
+}
+
+/// A fixed dataset built from exact IEEE arithmetic only (no libm), so the
+/// files saved from it are the same bytes on every platform. It sets every
+/// optional job field on one job and none on the other, and leaves some
+/// channels empty, so the writers' skip rules are pinned too.
+TelemetryDataset digest_dataset() {
+  TelemetryDataset d;
+  d.system_name = "digest";
+  d.start_time_s = 30.0;
+  d.duration_s = 120.0;
+  d.trace_quantum_s = 15.0;
+
+  JobRecord full;
+  full.name = "hpl";
+  full.id = 7;
+  full.node_count = 9216;
+  full.submit_time_s = 5.0;
+  full.wall_time_s = 60.0;
+  full.mean_cpu_util = 0.33;
+  full.mean_gpu_util = 0.79;
+  full.fixed_start_time_s = 40.0;
+  full.partition = "batch";
+  full.user = "u1";
+  full.priority = 2.5;
+  full.cpu_util_trace = {0.3, 0.33, 0.31};
+  full.gpu_util_trace = {0.7, 0.9};
+  JobRecord bare;
+  bare.name = "fill";
+  bare.id = 8;
+  bare.node_count = 100;
+  bare.wall_time_s = 90.0;
+  d.jobs = {full, bare};
+
+  int phase = 0;
+  auto fill = [&d, &phase](TimeSeries& s) {
+    ++phase;
+    if (phase % 4 == 0) return;  // every fourth channel stays empty
+    const double step = (phase % 3 == 0) ? 60.0 : 15.0 * static_cast<double>(phase % 3);
+    for (double t = d.start_time_s; t < d.start_time_s + d.duration_s; t += step) {
+      s.push_back(t, static_cast<double>(phase) / 3.0 + t / 7.0);
+    }
+  };
+  for (const SystemChannelDef& def : system_channel_defs()) fill(d.*(def.member));
+  d.cdus.resize(3);
+  for (auto& cdu : d.cdus) {
+    for (const CduChannelDef& def : cdu_channel_defs()) fill(cdu.*(def.member));
+  }
+  for (const FacilityChannelDef& def : facility_channel_defs()) {
+    fill(d.facility.*(def.member));
+  }
   return d;
 }
 
@@ -263,6 +318,40 @@ TEST_F(StoreTest, BinarySaveLoadSaveIsBitIdentical) {
   }
 }
 
+TEST_F(StoreTest, WritersProducePinnedBytes) {
+  // FNV-1a digests of every file the three writers produce for one fixed
+  // dataset. A digest that moves means the on-disk format moved: datasets
+  // saved before the change would no longer match ones saved after it.
+  const TelemetryDataset d = digest_dataset();
+  save_dataset(d, dir_ + "/csv");
+  save_dataset_binary(d, dir_ + "/bin");
+  save_dataset_binary_chunked(d, dir_ + "/binv2", 40.0);
+
+  const std::map<std::string, std::uint64_t> expected = {
+      {"bin/channels.bin", 0xc30b234b1e896ea1ULL},
+      {"bin/jobs.json", 0x8b4537739d384e61ULL},
+      {"bin/manifest.json", 0xcc15f5506facd294ULL},
+      {"binv2/channels.bin", 0x1f0da99df8d985eeULL},
+      {"binv2/jobs.json", 0x8b4537739d384e61ULL},
+      {"binv2/manifest.json", 0xd55d6b5b7bb9b11eULL},
+      {"csv/cdu.csv", 0x0b472a0763fa3b36ULL},
+      {"csv/facility.csv", 0xdf640b8ac3268124ULL},
+      {"csv/jobs.json", 0x8b4537739d384e61ULL},
+      {"csv/manifest.json", 0xcc37c5cf846a6ef1ULL},
+      {"csv/system.csv", 0xcae29be3f8015f9aULL},
+  };
+  std::map<std::string, std::uint64_t> written;
+  for (const auto& entry : fs::recursive_directory_iterator(dir_)) {
+    if (!entry.is_regular_file()) continue;
+    written[fs::relative(entry.path(), dir_).generic_string()] =
+        fnv1a64(slurp(entry.path().string()));
+  }
+  ASSERT_EQ(written.size(), expected.size());
+  for (const auto& [file, digest] : expected) {
+    EXPECT_EQ(stable_hash_hex(written[file]), stable_hash_hex(digest)) << file;
+  }
+}
+
 TEST_F(StoreTest, RegistryResolvesBinaryFormat) {
   save_dataset_binary(sample_dataset(), dir_);
   auto& registry = TelemetryReaderRegistry::instance();
@@ -316,9 +405,9 @@ TEST_F(StoreTest, LoadDatasetAutoDetectsFormatFromManifest) {
 TEST_F(StoreTest, LoadDatasetFrameExposesColumnarChannels) {
   save_dataset(sample_dataset(), dir_);
   DatasetFrame frame = load_dataset_frame(dir_);
-  EXPECT_EQ(frame.system_name, "frontier");
-  EXPECT_EQ(frame.cdu_count, 2u);
-  ASSERT_EQ(frame.jobs.size(), 1u);
+  EXPECT_EQ(frame.header.system_name, "frontier");
+  EXPECT_EQ(frame.header.cdu_count, 2u);
+  ASSERT_EQ(frame.header.jobs.size(), 1u);
   const TelemetryChannel* power = frame.frame.find(kSystemTag, "measured_power_w");
   ASSERT_NE(power, nullptr);
   ASSERT_EQ(power->size(), 3u);
