@@ -1,6 +1,6 @@
 /// Coupled cooling perf trajectory: the paper Fig. 9 day (24 h Frontier
 /// telemetry replay with an HPL campaign) run through the *coupled* twin —
-/// RAPS + the cooling FMU every 15 s quantum — under three configurations:
+/// RAPS + the cooling plant every 15 s quantum — under three configurations:
 ///
 ///   fast    — the defaults: event-driven engine, incremental power model,
 ///             deduplicated/workspace-reused hydraulics (kDedup);
@@ -53,7 +53,7 @@ struct CoupledRun {
   CoolingPlantModel::HydraulicsStats stats;
 };
 
-/// Coupled replay (RAPS + cooling FMU) under one full configuration.
+/// Coupled replay (RAPS + cooling plant) under one full configuration.
 CoupledRun time_coupled_replay_once(const SystemConfig& base, const TelemetryDataset& dataset,
                                     HydraulicsEval eval, EngineMode engine,
                                     RapsEngine::PowerEval power_eval) {
@@ -74,8 +74,8 @@ CoupledRun time_coupled_replay_once(const SystemConfig& base, const TelemetryDat
                   .count();
   r.report = twin.report();
   r.pue_mean = twin.pue_series().time_weighted_mean();
-  r.plant_steps = twin.cooling().plant().step_count();
-  r.stats = twin.cooling().plant().hydraulics_stats();
+  r.plant_steps = twin.cooling().step_count();
+  r.stats = twin.cooling().hydraulics_stats();
   return r;
 }
 

@@ -33,7 +33,7 @@ void BM_NetworkSolveWarm(benchmark::State& state) {
   double speed = 0.8;
   for (auto _ : state) {
     speed = speed > 0.99 ? 0.8 : speed + 0.001;  // keep the solve warm-started
-    net.branch(pump).speed = speed;
+    net.set_speed(pump, speed);
     benchmark::DoNotOptimize(net.solve(0.35));
   }
 }
@@ -131,7 +131,7 @@ void BM_CoupledTwinSimulatedHour(benchmark::State& state) {
     twin.run_until(3600.0);
     benchmark::DoNotOptimize(twin.report());
   }
-  state.SetLabel("1 simulated hour, RAPS x cooling FMU co-simulation");
+  state.SetLabel("1 simulated hour, RAPS x cooling plant co-simulation");
 }
 BENCHMARK(BM_CoupledTwinSimulatedHour)->Unit(benchmark::kMillisecond);
 

@@ -31,6 +31,24 @@ void TimeSeries::push_back(double time, double value) {
   values_.push_back(value);
 }
 
+void TimeSeries::append(const double* times, const double* values, std::size_t stride,
+                        std::size_t n) {
+  if (n == 0) return;
+  constexpr const char* kOrder = "time series append must increase timestamps";
+  require(times_.empty() || times[0] > times_.back(), kOrder);
+  for (std::size_t i = 1; i < n; ++i) require(times[i] > times[i - 1], kOrder);
+  reserve(times_.size() + n);
+  times_.insert(times_.end(), times, times + n);
+  for (std::size_t i = 0; i < n; ++i) values_.push_back(values[i * stride]);
+}
+
+void TimeSeries::reserve(std::size_t n) {
+  if (n <= times_.capacity()) return;
+  const std::size_t grown = std::max(n, 2 * times_.capacity());
+  times_.reserve(grown);
+  values_.reserve(grown);
+}
+
 double TimeSeries::start_time() const {
   require(!times_.empty(), "start_time of empty series");
   return times_.front();

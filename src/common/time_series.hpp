@@ -34,6 +34,15 @@ class TimeSeries {
   /// Appends a sample; its timestamp must exceed the last one.
   void push_back(double time, double value);
 
+  /// Appends `n` samples: times[i] with values[i * stride]. Every timestamp
+  /// must exceed the one before it (the first one, back()). All are checked
+  /// before the series changes, so a rejected block leaves it untouched.
+  void append(const double* times, const double* values, std::size_t stride, std::size_t n);
+
+  /// Makes room for `n` samples in total. When the capacity must grow it
+  /// grows to at least twice its old value.
+  void reserve(std::size_t n);
+
   [[nodiscard]] std::size_t size() const { return times_.size(); }
   [[nodiscard]] bool empty() const { return times_.empty(); }
   [[nodiscard]] double time(std::size_t i) const { return times_.at(i); }

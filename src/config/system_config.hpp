@@ -211,11 +211,11 @@ struct CtLoopConfig {
 /// How CoolingPlantModel::step evaluates the per-step hydraulic solves
 /// (see cooling/plant.hpp for the dedup semantics).
 enum class HydraulicsEval {
-  /// Skip a network's re-solve when its exact parameter key is unchanged
-  /// since the last solve, and share one solution among identical-topology
-  /// CDU loops at the same operating point. Default; bit-identical to
-  /// kAlwaysSolve because reuse is keyed on exact (parameter, warm-start)
-  /// equality, never on tolerances.
+  /// Skip a network's re-solve when no branch parameter changed since the
+  /// last solve, and share one solution among identical-topology CDU loops
+  /// at the same operating point. Default; bit-identical to kAlwaysSolve
+  /// because reuse rests on exact (parameter, warm-start) equality, never
+  /// on tolerances.
   kDedup,
   /// Reference path: every network re-solved every step. Kept selectable
   /// for cross-validation and for benchmarking the dedup speedup.

@@ -12,10 +12,20 @@ namespace {
 /// Pressure-drop regularization half-width (Pa): below this the quadratic
 /// characteristic is linearized so dQ/ddp stays bounded.
 constexpr double kRegularizePa = 2.0;
+
+/// Writes `value` into `slot` and reports whether it differed (exact
+/// comparison, as the dedup contract requires).
+template <typename T>
+bool assign_changed(T& slot, T value) {
+  if (slot == value) return false;
+  slot = value;
+  return true;
+}
 }  // namespace
 
 NodeId FlowNetwork::add_node(std::string name) {
   node_names_.push_back(std::move(name));
+  changed_ = true;
   return node_names_.size() - 1;
 }
 
@@ -30,6 +40,7 @@ BranchId FlowNetwork::add_resistance(NodeId from, NodeId to, double k, std::stri
   b.k = k;
   b.name = std::move(name);
   branches_.push_back(b);
+  changed_ = true;
   return branches_.size() - 1;
 }
 
@@ -55,7 +66,51 @@ BranchId FlowNetwork::add_pump(NodeId from, NodeId to, double shutoff_head_pa,
   b.parallel_units = parallel_units;
   b.name = std::move(name);
   branches_.push_back(b);
+  changed_ = true;
   return branches_.size() - 1;
+}
+
+void FlowNetwork::set_speed(BranchId id, double speed) {
+  changed_ |= assign_changed(branches_.at(id).speed, speed);
+}
+
+void FlowNetwork::set_parallel_units(BranchId id, int units) {
+  require(units >= 1, "pump bank requires at least one unit");
+  changed_ |= assign_changed(branches_.at(id).parallel_units, units);
+}
+
+void FlowNetwork::set_k(BranchId id, double k) {
+  require(k > 0.0, "resistance coefficient must be positive");
+  changed_ |= assign_changed(branches_.at(id).k, k);
+}
+
+void FlowNetwork::set_position(BranchId id, double position) {
+  changed_ |= assign_changed(branches_.at(id).position, position);
+}
+
+void FlowNetwork::convert_to_valve(BranchId id, double position, double min_position) {
+  Branch& b = branches_.at(id);
+  require(b.kind != BranchKind::kPump, "a pump branch cannot become a valve");
+  changed_ |= assign_changed(b.kind, BranchKind::kValve);
+  changed_ |= assign_changed(b.position, position);
+  changed_ |= assign_changed(b.min_position, min_position);
+}
+
+bool FlowNetwork::same_operating_point(const FlowNetwork& other) const {
+  if (node_count() != other.node_count() || branches_.size() != other.branches_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < branches_.size(); ++i) {
+    const Branch& a = branches_[i];
+    const Branch& b = other.branches_[i];
+    if (a.kind != b.kind || a.from != b.from || a.to != b.to || a.k != b.k ||
+        a.position != b.position || a.min_position != b.min_position ||
+        a.shutoff_head_pa != b.shutoff_head_pa || a.curve_coeff != b.curve_coeff ||
+        a.speed != b.speed || a.parallel_units != b.parallel_units) {
+      return false;
+    }
+  }
+  return warm_pressures_ == other.warm_pressures_;
 }
 
 void FlowNetwork::branch_flow(const Branch& b, double dp, double& q, double& dq_ddp) const {
@@ -146,66 +201,12 @@ void FlowNetwork::solve_with(SolveWorkspace& ws, double flow_scale_m3s,
   solve_impl(ws, flow_scale_m3s, /*use_warm_start=*/false, out);
 }
 
-void FlowNetwork::append_parameter_key(std::vector<double>& key) const {
-  key.push_back(static_cast<double>(node_count()));
-  key.push_back(static_cast<double>(branches_.size()));
-  for (const Branch& b : branches_) {
-    key.push_back(static_cast<double>(b.kind));
-    key.push_back(static_cast<double>(b.from));
-    key.push_back(static_cast<double>(b.to));
-    key.push_back(b.k);
-    key.push_back(b.position);
-    key.push_back(b.min_position);
-    key.push_back(b.shutoff_head_pa);
-    key.push_back(b.curve_coeff);
-    key.push_back(b.speed);
-    key.push_back(static_cast<double>(b.parallel_units));
-  }
-}
-
-bool FlowNetwork::refresh_parameter_key(std::vector<double>& key) const {
-  const std::size_t want = 2 + branches_.size() * 10;
-  if (key.size() != want) {
-    key.clear();
-    key.reserve(want);
-    append_parameter_key(key);
-    return true;
-  }
-  // Single pass: compare each slot against the current parameter and write
-  // through on mismatch. Same slot layout as append_parameter_key; exact
-  // (bitwise-equality-of-values) comparison, consistent with the dedup
-  // contract. One fused pass instead of rebuild-then-compare halves the
-  // per-step key traffic on the hot path.
-  bool changed = false;
-  auto put = [&key, &changed](std::size_t slot, double v) {
-    if (key[slot] != v) {
-      key[slot] = v;
-      changed = true;
-    }
-  };
-  put(0, static_cast<double>(node_count()));
-  put(1, static_cast<double>(branches_.size()));
-  std::size_t slot = 2;
-  for (const Branch& b : branches_) {
-    put(slot++, static_cast<double>(b.kind));
-    put(slot++, static_cast<double>(b.from));
-    put(slot++, static_cast<double>(b.to));
-    put(slot++, b.k);
-    put(slot++, b.position);
-    put(slot++, b.min_position);
-    put(slot++, b.shutoff_head_pa);
-    put(slot++, b.curve_coeff);
-    put(slot++, b.speed);
-    put(slot++, static_cast<double>(b.parallel_units));
-  }
-  return changed;
-}
-
 void FlowNetwork::adopt_solution(const NetworkSolution& sol) {
   require(sol.node_pressure_pa.size() == node_count() &&
           sol.branch_flow_m3s.size() == branch_count(),
           "adopted solution does not match the network shape");
   warm_pressures_.assign(sol.node_pressure_pa.begin(), sol.node_pressure_pa.end());
+  changed_ = false;
 }
 
 void FlowNetwork::solve_impl(SolveWorkspace& ws, double flow_scale_m3s,
@@ -363,6 +364,7 @@ void FlowNetwork::solve_impl(SolveWorkspace& ws, double flow_scale_m3s,
   out.iterations = iter;
   out.residual_m3s = res_norm;
   warm_pressures_.assign(pressure.begin(), pressure.end());
+  changed_ = false;
 }
 // exadigit-hot-end
 

@@ -18,10 +18,18 @@
 /// The solver keeps a persistent per-network workspace (pressures,
 /// residual, Jacobian, line-search buffers, branch flows): after the first
 /// solve on a network, re-solves perform no heap allocation when driven
-/// through `solve_into`. Networks also expose their exact operating point
-/// as a parameter key (`append_parameter_key`) so callers can skip a
-/// re-solve when nothing changed, or share one solution among
-/// identical-topology networks at the same operating point — see
+/// through `solve_into`.
+///
+/// Branch parameters change only through the network's setters (pump speed
+/// and units, resistance k, valve position, resistance-to-valve
+/// conversion), so the network knows whether its operating point moved
+/// since it last held a converged state: `parameters_changed()` is set by
+/// any setter that writes a new value and cleared by `solve`, `solve_into`
+/// and `adopt_solution`. A setter that writes the value already held is not
+/// a change. `same_operating_point` compares two networks exactly: the
+/// topology, every branch parameter and the warm start. Together they let
+/// callers skip a re-solve when nothing changed, or share one solution
+/// among identical-topology networks at the same operating point — see
 /// CoolingPlantModel::solve_hydraulics.
 
 #include <cstddef>
@@ -42,7 +50,7 @@ enum class BranchKind {
   kPump,        ///< head rise dP = s^2 H0 - a (Q/n)^2, Q >= 0 (check valve)
 };
 
-/// One network branch with mutable operating parameters.
+/// One network branch and its operating parameters.
 struct Branch {
   BranchKind kind = BranchKind::kResistance;
   NodeId from = 0;
@@ -67,7 +75,7 @@ struct NetworkSolution {
   double residual_m3s = 0.0;  ///< worst nodal mass imbalance
 };
 
-/// A flow network: build once, mutate branch parameters (speeds, valve
+/// A flow network: build once, set branch parameters (speeds, valve
 /// positions, blockage factors) between solves, and re-solve warm-started.
 class FlowNetwork {
  public:
@@ -90,8 +98,32 @@ class FlowNetwork {
   BranchId add_pump(NodeId from, NodeId to, double shutoff_head_pa, double curve_coeff,
                     int parallel_units = 1, std::string name = {});
 
-  [[nodiscard]] Branch& branch(BranchId id) { return branches_.at(id); }
   [[nodiscard]] const Branch& branch(BranchId id) const { return branches_.at(id); }
+
+  // Parameter setters. Each marks the network changed only when it writes
+  // a value different from the one held.
+  /// Pump relative speed s.
+  void set_speed(BranchId id, double speed);
+  /// Number of identical pump units sharing a pump branch (>= 1).
+  void set_parallel_units(BranchId id, int units);
+  /// Resistance (fully open, for a valve) coefficient k (> 0).
+  void set_k(BranchId id, double k);
+  /// Valve opening; effective K is k / max(position, min_position)^2.
+  void set_position(BranchId id, double position);
+  /// Turns a branch into a valve at `position`, clamped at `min_position`
+  /// (a resistance keeps its k as the fully open coefficient).
+  void convert_to_valve(BranchId id, double position, double min_position);
+
+  /// True when a parameter changed since the last solve, solve_into or
+  /// adopt_solution, and for a network that has never held a solution.
+  [[nodiscard]] bool parameters_changed() const { return changed_; }
+
+  /// Exact operating-point equality: the node count, every branch's kind,
+  /// endpoints and parameters, and the warm-start pressures. Two networks
+  /// that compare equal produce bit-identical solutions (exact comparison,
+  /// never tolerance-based, to keep runs deterministic).
+  [[nodiscard]] bool same_operating_point(const FlowNetwork& other) const;
+
   [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
   [[nodiscard]] std::size_t branch_count() const { return branches_.size(); }
 
@@ -108,28 +140,6 @@ class FlowNetwork {
   /// workspace. Identical arithmetic to solve(); after the first call with
   /// a given `out` the steady-state inner loop performs no heap allocation.
   void solve_into(NetworkSolution& out, double flow_scale_m3s = 0.1) const;
-
-  /// Appends this network's exact operating point to `key`: the topology
-  /// (node/branch counts, endpoints, kinds) plus every mutable branch
-  /// parameter. Two networks with equal keys and equal warm-start states
-  /// produce bit-identical solutions, which is what lets the cooling plant
-  /// deduplicate identical CDU-loop solves and skip unchanged re-solves
-  /// (exact comparison, never tolerance-based, to keep runs deterministic).
-  void append_parameter_key(std::vector<double>& key) const;
-
-  /// In-place variant for hot loops: rewrites `key` to this network's
-  /// current parameter key (same layout as append_parameter_key produces
-  /// for a single network) in one fused compare-and-write pass. Returns
-  /// true when any slot changed — i.e. exactly when the freshly built key
-  /// would have differed from the previous contents of `key`. A `key` of
-  /// the wrong size is rebuilt from scratch (and reported changed).
-  bool refresh_parameter_key(std::vector<double>& key) const;
-
-  /// Warm-start state: the previously converged nodal pressures (empty
-  /// before the first successful solve).
-  [[nodiscard]] const std::vector<double>& warm_start_pressures() const {
-    return warm_pressures_;
-  }
 
   /// Installs `sol` as this network's converged state without solving, as
   /// if solve() had just returned it (the next solve warm-starts from it).
@@ -162,6 +172,9 @@ class FlowNetwork {
   std::vector<std::string> node_names_;
   std::vector<Branch> branches_;
   mutable std::vector<double> warm_pressures_;
+  /// Set when a node, a branch or a parameter value is added or changed;
+  /// cleared once a converged state for the current parameters is held.
+  mutable bool changed_ = true;
   mutable SolveWorkspace ws_;
 
   void solve_with(SolveWorkspace& ws, double flow_scale_m3s, NetworkSolution& out) const;

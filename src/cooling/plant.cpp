@@ -185,13 +185,10 @@ void CoolingPlantModel::reset(double ambient_c) {
     loop.pump_pid.reset(loop.pump_speed);
     loop.valve_pid.reset(loop.valve_position);
     loop.last_solution = NetworkSolution{};
-    loop.key.clear();
     loop.has_solution = false;
-    for (BranchId b : loop.rack_branches) loop.net.branch(b).position = 1.0;
+    for (BranchId b : loop.rack_branches) loop.net.set_position(b, 1.0);
   }
-  pri_key_.clear();
   pri_has_solution_ = false;
-  ct_key_.clear();
   ct_has_solution_ = false;
   hydraulics_stats_ = HydraulicsStats{};
   thermal_stats_ = ThermalStats{};
@@ -222,10 +219,8 @@ void CoolingPlantModel::set_rack_blockage(int cdu, int rack_slot, double factor)
   require(factor > 0.0 && factor <= 1.0, "blockage factor must be in (0,1]");
   // A blockage that scales achievable flow by `factor` raises the branch
   // resistance by 1/factor^2. Reuse the valve-position mechanism.
-  Branch& b = loop.net.branch(loop.rack_branches[static_cast<std::size_t>(rack_slot)]);
-  b.kind = BranchKind::kValve;
-  b.position = factor;
-  b.min_position = 0.01;
+  loop.net.convert_to_valve(loop.rack_branches[static_cast<std::size_t>(rack_slot)], factor,
+                            0.01);
 }
 
 void CoolingPlantModel::force_cdu_pump_speed(int cdu, double speed) {
@@ -286,36 +281,34 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
 
   // Apply to the networks.
   for (auto& loop : cdu_loops_) {
-    loop.net.branch(loop.pump).speed = loop.pump_speed;
+    loop.net.set_speed(loop.pump, loop.pump_speed);
   }
   {
-    Branch& pump = pri_net_.branch(pri_pump_branch_);
-    pump.speed = htwp_speed;
-    pump.parallel_units = htwp_staged;
+    pri_net_.set_speed(pri_pump_branch_, htwp_speed);
+    pri_net_.set_parallel_units(pri_pump_branch_, htwp_staged);
     const double n = static_cast<double>(ehx_staged);
     const double n_design = static_cast<double>(cool.primary.ehx_count);
     const double k_each = 0.25 * cool.primary.pump.design_head_pa * n_design * n_design /
                           (cool.primary.design_flow_m3s * cool.primary.design_flow_m3s);
-    pri_net_.branch(pri_ehx_branch_).k = k_each / (n * n);
+    pri_net_.set_k(pri_ehx_branch_, k_each / (n * n));
     for (int i = 0; i < config_.cdu_count; ++i) {
-      pri_net_.branch(pri_cdu_branches_[static_cast<std::size_t>(i)]).position =
-          cdu_loops_[static_cast<std::size_t>(i)].valve_position;
+      pri_net_.set_position(pri_cdu_branches_[static_cast<std::size_t>(i)],
+                            cdu_loops_[static_cast<std::size_t>(i)].valve_position);
     }
   }
   {
-    Branch& pump = ct_net_.branch(ct_pump_branch_);
-    pump.speed = ctwp_speed;
-    pump.parallel_units = ctwp_staged;
+    ct_net_.set_speed(ct_pump_branch_, ctwp_speed);
+    ct_net_.set_parallel_units(ct_pump_branch_, ctwp_staged);
     const double n_ehx = static_cast<double>(ehx_staged);
     const double n_design = static_cast<double>(cool.primary.ehx_count);
     const double k_cold_each = 0.35 * cool.ct.pump.design_head_pa * n_design * n_design /
                                (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
-    ct_net_.branch(ct_ehx_branch_).k = k_cold_each / (n_ehx * n_ehx);
+    ct_net_.set_k(ct_ehx_branch_, k_cold_each / (n_ehx * n_ehx));
     const int total_cells = tower_bank_.total_cells();
     const double k_cell = 0.65 * cool.ct.pump.design_head_pa * total_cells * total_cells /
                           (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
     const double n_cells = static_cast<double>(cells);
-    ct_net_.branch(ct_cell_branch_).k = k_cell / (n_cells * n_cells);
+    ct_net_.set_k(ct_cell_branch_, k_cell / (n_cells * n_cells));
   }
 
   outputs_.htwp_speed = htwp_speed;
@@ -340,30 +333,25 @@ void CoolingPlantModel::solve_hydraulics() {
   // live warm vectors directly (no snapshot copies needed).
   solve_actions_.assign(n, SolveAction::kSolve);
   solve_donor_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& loop = cdu_loops_[i];
-    const bool changed = loop.net.refresh_parameter_key(loop.key);
-    if (dedup && loop.has_solution && !changed) {
+  for (std::size_t i = 0; dedup && i < n; ++i) {
+    const FlowNetwork& net = cdu_loops_[i].net;
+    if (cdu_loops_[i].has_solution && !net.parameters_changed()) {
       // Unchanged operating point: a re-solve would warm-start at the
       // converged pressures and exit after zero iterations with exactly
       // the stored state, so skip it outright.
       solve_actions_[i] = SolveAction::kSkipUnchanged;
       continue;
     }
-    if (dedup) {
-      // A loop ahead of this one with the same exact key and the same
-      // pre-step warm start converges to the bit-identical solution:
-      // Newton here is a deterministic function of (parameters, warm
-      // start). Every loop ends the step holding a solution, so any j < i
-      // is an eligible donor.
-      for (std::size_t j = 0; j < i; ++j) {
-        const CduLoopState& other = cdu_loops_[j];
-        if (other.key == loop.key &&
-            other.net.warm_start_pressures() == loop.net.warm_start_pressures()) {
-          solve_actions_[i] = SolveAction::kCopyDonor;
-          solve_donor_[i] = j;
-          break;
-        }
+    // A loop ahead of this one at the same exact operating point (branch
+    // parameters and pre-step warm start) converges to the bit-identical
+    // solution: Newton here is a deterministic function of both. Every
+    // loop ends the step holding a solution, so any j < i is an eligible
+    // donor.
+    for (std::size_t j = 0; j < i; ++j) {
+      if (cdu_loops_[j].net.same_operating_point(net)) {
+        solve_actions_[i] = SolveAction::kCopyDonor;
+        solve_donor_[i] = j;
+        break;
       }
     }
   }
@@ -396,10 +384,9 @@ void CoolingPlantModel::solve_hydraulics() {
     }
   }
 
-  // Primary and CT loops have unique topologies, so only the unchanged-key
+  // Primary and CT loops have unique topologies, so only the unchanged
   // skip applies to them.
-  const bool pri_changed = pri_net_.refresh_parameter_key(pri_key_);
-  if (dedup && pri_has_solution_ && !pri_changed) {
+  if (dedup && pri_has_solution_ && !pri_net_.parameters_changed()) {
     ++hydraulics_stats_.reused_unchanged;
   } else {
     if (dedup) {
@@ -411,8 +398,7 @@ void CoolingPlantModel::solve_hydraulics() {
     pri_has_solution_ = true;
   }
 
-  const bool ct_changed = ct_net_.refresh_parameter_key(ct_key_);
-  if (dedup && ct_has_solution_ && !ct_changed) {
+  if (dedup && ct_has_solution_ && !ct_net_.parameters_changed()) {
     ++hydraulics_stats_.reused_unchanged;
   } else {
     if (dedup) {

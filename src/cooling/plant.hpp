@@ -19,21 +19,25 @@
 /// FMU: 12 per CDU plus 17 plant-level values.
 ///
 /// Hydraulic-solve deduplication (HydraulicsEval::kDedup, the default):
-/// every network's exact operating point is captured as a parameter key
-/// (FlowNetwork::append_parameter_key) before each step's solves.
-///   - A network whose key is unchanged since its last solve skips the
-///     re-solve: Newton would warm-start at the converged pressures and
-///     exit after zero iterations with the same state.
-///   - CDU loops share one solve: a loop whose (key, warm-start) pair
-///     exactly matches an already-processed loop this step copies that
+/// the controls write every branch parameter through FlowNetwork's setters,
+/// which record whether a network's operating point changed since it last
+/// held a converged state (FlowNetwork::parameters_changed).
+///   - A network with no parameter change skips the re-solve: Newton would
+///     warm-start at the converged pressures and exit after zero iterations
+///     with the same state.
+///   - CDU loops share one solve: a loop at exactly the same operating
+///     point as an earlier loop this step (FlowNetwork::same_operating_point:
+///     topology, every branch parameter and the warm start) copies that
 ///     loop's solution, because Newton is a deterministic function of the
 ///     branch parameters and the warm start. In an unperturbed Frontier
 ///     plant all same-rack-count CDU loops track each other bit-for-bit,
 ///     collapsing 25 secondary solves to 2 per step.
-/// Both reuses compare keys exactly (never within a tolerance), so kDedup
-/// is bit-identical to the HydraulicsEval::kAlwaysSolve reference path —
+/// Both reuses compare exactly (never within a tolerance), so kDedup is
+/// bit-identical to the HydraulicsEval::kAlwaysSolve reference path —
 /// tests/cooling/plant_dedup_test.cpp asserts this across staging,
-/// blockage, and forced-pump churn.
+/// blockage, and forced-pump churn. The change tracking runs in both
+/// modes, so switching modes mid-run stays exact, and reset() forces every
+/// network to re-solve.
 ///
 /// solve_hydraulics classifies every CDU loop (skip / copy-from-donor /
 /// solve) before it solves any of them. The donor scan can then compare
@@ -112,7 +116,7 @@ class CoolingPlantModel {
   /// Hydraulic-solve accounting since the last reset().
   struct HydraulicsStats {
     long long solves_performed = 0;  ///< Newton solves actually run
-    long long reused_unchanged = 0;  ///< skipped: parameter key unchanged
+    long long reused_unchanged = 0;  ///< skipped: no parameter change
     long long reused_shared = 0;     ///< copied from an identical CDU loop
     [[nodiscard]] long long solves_reused() const {
       return reused_unchanged + reused_shared;
@@ -156,7 +160,8 @@ class CoolingPlantModel {
 
   /// Hydraulic evaluation strategy; seeded from CoolingConfig::hydraulics
   /// (see the dedup semantics in the file header). Switching modes mid-run
-  /// is allowed and stays exact — reuse keys survive the switch.
+  /// is allowed and stays exact: every solve clears a network's change
+  /// flag in either mode, so the flags are current at the switch.
   void set_hydraulics_eval(HydraulicsEval eval) { hydraulics_eval_ = eval; }
   [[nodiscard]] HydraulicsEval hydraulics_eval() const { return hydraulics_eval_; }
 
@@ -191,12 +196,7 @@ class CoolingPlantModel {
     double pump_speed = 0.8;
     double forced_speed = -1.0;
     NetworkSolution last_solution;
-    // Dedup bookkeeping (solve_hydraulics): the parameter key, refreshed
-    // in place each step (FlowNetwork::refresh_parameter_key reports
-    // whether it differs from the previous step's). Donor comparisons use
-    // the networks' live warm-start vectors — classification runs before
-    // any of the step's solves, so they still hold the pre-step state.
-    std::vector<double> key;
+    /// False until the first solve after construction or reset().
     bool has_solution = false;
     CduLoopState(FlowNetwork n, const PidConfig& pump_cfg, const PidConfig& valve_cfg)
         : net(std::move(n)), pump_pid(pump_cfg), valve_pid(valve_cfg) {}
@@ -244,9 +244,7 @@ class CoolingPlantModel {
   HydraulicsEval hydraulics_eval_ = HydraulicsEval::kDedup;
   HydraulicsStats hydraulics_stats_;
   ThermalStats thermal_stats_;
-  std::vector<double> pri_key_;
   bool pri_has_solution_ = false;
-  std::vector<double> ct_key_;
   bool ct_has_solution_ = false;
 
   // Classification scratch for solve_hydraulics, reused per step.

@@ -1,5 +1,7 @@
 #include "core/digital_twin.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 
@@ -14,11 +16,24 @@ DigitalTwin::DigitalTwin(const SystemConfig& config, const DigitalTwinOptions& o
                                           options.power_eval}),
       collect_series_(options.collect_series) {
   if (options.enable_cooling) {
-    fmu_ = std::make_unique<CoolingFmu>(config);
-    fmu_->plant().reset(options.ambient_c);
+    const auto cdus = static_cast<std::size_t>(config_.cdu_count);
+    plant_ = std::make_unique<CoolingPlantModel>(config_);
+    plant_->reset(options.ambient_c);
     cooling_synced_s_ = options.start_time_s;
-    cdu_series_.resize(static_cast<std::size_t>(config_.cdu_count));
-    cdu_power_series_.resize(static_cast<std::size_t>(config_.cdu_count));
+    cdu_series_.resize(cdus);
+    cdu_power_series_.resize(cdus);
+    if (collect_series_) {
+      // Stage-row order; on_cooling_quantum writes the rows in this order.
+      channels_ = {&pue_series_, &htws_series_, &pri_return_series_, &pri_dp_series_,
+                   &cooling_eff_series_};
+      for (std::size_t i = 0; i < cdus; ++i) {
+        CduSeries& c = cdu_series_[i];
+        channels_.insert(channels_.end(), {&c.pri_flow_gpm, &c.sec_flow_gpm, &c.return_temp_c,
+                                           &c.supply_temp_c, &c.pump_power_w,
+                                           &cdu_power_series_[i]});
+      }
+      stage_.resize(kStageRows * channels_.size());
+    }
     engine_.set_cooling_callback(
         [this](RapsEngine&, double now_s) { on_cooling_quantum(now_s); });
   }
@@ -36,9 +51,11 @@ void DigitalTwin::append_wetbulb_samples(const std::vector<double>& times,
                                          const std::vector<double>& values) {
   require(times.size() == values.size(), "wetbulb sample arrays must be equally sized");
   if (times.empty()) return;
-  if (!wetbulb_series_.has_value()) wetbulb_series_.emplace();
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    wetbulb_series_->push_back(times[i], values[i]);
+  // Both branches check the whole batch before anything changes.
+  if (wetbulb_series_.has_value()) {
+    wetbulb_series_->append(times.data(), values.data(), 1, times.size());
+  } else {
+    wetbulb_series_ = TimeSeries(times, values);
   }
 }
 
@@ -51,14 +68,14 @@ double DigitalTwin::wetbulb_at(double t_s) const {
   return wetbulb_series_.has_value() ? wetbulb_series_->at(t_s) : wetbulb_constant_;
 }
 
-CoolingFmu& DigitalTwin::cooling() {
-  require(fmu_ != nullptr, "cooling model is disabled for this twin");
-  return *fmu_;
+CoolingPlantModel& DigitalTwin::cooling() {
+  require(plant_ != nullptr, "cooling model is disabled for this twin");
+  return *plant_;
 }
 
-const CoolingFmu& DigitalTwin::cooling() const {
-  require(fmu_ != nullptr, "cooling model is disabled for this twin");
-  return *fmu_;
+const CoolingPlantModel& DigitalTwin::cooling() const {
+  require(plant_ != nullptr, "cooling model is disabled for this twin");
+  return *plant_;
 }
 
 void DigitalTwin::on_cooling_quantum(double now_s) {
@@ -69,50 +86,77 @@ void DigitalTwin::on_cooling_quantum(double now_s) {
   const double dt = now_s - cooling_synced_s_;
   if (dt <= 1e-9) return;
   // Per-CDU heat = wall power * cooling efficiency (the same product
-  // RapsPowerModel::cdu_heat_w returns), computed into a reused scratch so
-  // the per-quantum callback does not allocate.
+  // RapsPowerModel::cdu_heat_w returns), written into the plant inputs in
+  // place so the per-quantum callback does not allocate.
   const std::vector<double>& cdu_wall = engine_.power_model().cdu_wall_power_w();
-  heat_scratch_.resize(cdu_wall.size());
+  std::vector<double>& heat = inputs_.cdu_heat_w;
+  heat.resize(cdu_wall.size());
   for (std::size_t i = 0; i < cdu_wall.size(); ++i) {
-    heat_scratch_[i] = cdu_wall[i] * config_.cooling.cooling_efficiency;
+    heat[i] = cdu_wall[i] * config_.cooling.cooling_efficiency;
+    require(heat[i] >= 0.0, "cdu heat input must be non-negative");
   }
-  const std::vector<double>& heat = heat_scratch_;
   const double p_system = engine_.power().system_power_w;
-  for (std::size_t i = 0; i < heat.size(); ++i) {
-    fmu_->set_real(static_cast<ValueRef>(i), heat[i]);
-  }
-  fmu_->set_by_name("wetbulb_c", wetbulb_at(now_s));
-  fmu_->set_by_name("system_power_w", p_system);
-  fmu_->do_step(now_s, dt);
+  inputs_.wetbulb_c = wetbulb_at(now_s);
+  inputs_.system_power_w = p_system;
+  const PlantOutputs& out = plant_->step(inputs_, dt);
   cooling_synced_s_ = now_s;
 
-  if (!collect_series_) return;
-  const PlantOutputs& out = fmu_->outputs();
-  pue_series_.push_back(now_s, out.pue);
-  htws_series_.push_back(now_s, out.pri_supply_t_c);
-  pri_return_series_.push_back(now_s, out.pri_return_t_c);
-  pri_dp_series_.push_back(now_s, out.pri_dp_pa);
+  if (channels_.empty()) return;
+  // One stage row, in the channel order the constructor laid out.
+  double* row = stage_.data() + staged_rows_ * channels_.size();
+  stage_times_[staged_rows_] = now_s;
+  *row++ = out.pue;
+  *row++ = out.pri_supply_t_c;
+  *row++ = out.pri_return_t_c;
+  *row++ = out.pri_dp_pa;
   // Cooling efficiency eta_cooling = H / P_system (paper Section IV-1).
   double total_heat = 0.0;
   for (const double h : heat) total_heat += h;
-  cooling_eff_series_.push_back(now_s, p_system > 0.0 ? total_heat / p_system : 0.0);
+  *row++ = p_system > 0.0 ? total_heat / p_system : 0.0;
   for (std::size_t i = 0; i < cdu_series_.size(); ++i) {
     const CduOutputs& c = out.cdus[i];
-    cdu_series_[i].pri_flow_gpm.push_back(now_s, units::gpm_from_m3s(c.pri_flow_m3s));
-    cdu_series_[i].sec_flow_gpm.push_back(now_s, units::gpm_from_m3s(c.sec_flow_m3s));
-    cdu_series_[i].return_temp_c.push_back(now_s, c.pri_return_t_c);
-    cdu_series_[i].supply_temp_c.push_back(now_s, c.sec_supply_t_c);
-    cdu_series_[i].pump_power_w.push_back(now_s, c.pump_power_w);
-    cdu_power_series_[i].push_back(now_s, cdu_wall[i]);
+    *row++ = units::gpm_from_m3s(c.pri_flow_m3s);
+    *row++ = units::gpm_from_m3s(c.sec_flow_m3s);
+    *row++ = c.pri_return_t_c;
+    *row++ = c.sec_supply_t_c;
+    *row++ = c.pump_power_w;
+    *row++ = cdu_wall[i];
   }
+  if (++staged_rows_ == kStageRows) flush_stage();
+}
+
+void DigitalTwin::flush_stage() {
+  const std::size_t stride = channels_.size();
+  for (std::size_t c = 0; c < stride; ++c) {
+    channels_[c]->append(stage_times_.data(), stage_.data() + c, stride, staged_rows_);
+  }
+  staged_rows_ = 0;
+}
+
+void DigitalTwin::reserve_series(double t_end_s) {
+  if (channels_.empty() || !(t_end_s > engine_.now_s())) return;
+  // One sample per quantum boundary up to t_end, plus the off-grid tail.
+  const double quanta =
+      std::ceil((t_end_s - engine_.now_s()) / config_.simulation.cooling_quantum_s) + 1.0;
+  if (!std::isfinite(quanta)) return;
+  const auto add = static_cast<std::size_t>(quanta);
+  for (TimeSeries* series : channels_) series->reserve(series->size() + staged_rows_ + add);
 }
 
 void DigitalTwin::run_until(double t_end_s) {
-  engine_.run_until(t_end_s);
-  // Flush a final partial plant step when t_end is off the cooling grid
-  // (the last quantum callback fired before t_end); on-grid ends are
-  // already synced and this is a no-op.
-  if (fmu_ != nullptr) on_cooling_quantum(engine_.now_s());
+  reserve_series(t_end_s);
+  try {
+    engine_.run_until(t_end_s);
+    // Flush a final partial plant step when t_end is off the cooling grid
+    // (the last quantum callback fired before t_end); on-grid ends are
+    // already synced and this is a no-op.
+    if (plant_ != nullptr) on_cooling_quantum(engine_.now_s());
+  } catch (...) {
+    // A failed run keeps the samples recorded before the failure.
+    flush_stage();
+    throw;
+  }
+  flush_stage();
 }
 
 }  // namespace exadigit

@@ -1,16 +1,34 @@
 #pragma once
 
 /// @file digital_twin.hpp
-/// The ExaDigiT digital twin: RAPS co-simulated with the cooling FMU.
+/// The ExaDigiT digital twin: RAPS co-simulated with the cooling plant.
 ///
 /// This is the paper's integration layer (Fig. 1): the RAPS engine advances
 /// event-to-event on a 1 s grid (see raps/engine.hpp), and every 15 s
 /// cooling quantum it hands the per-CDU heat load, the ambient wet bulb,
-/// and P_system to the cooling FMU, steps it, and records the coupled
+/// and P_system to the cooling plant, steps it, and records the coupled
 /// series (PUE, HTWS temperature, cooling efficiency eta_cooling =
 /// H / P_system, per-CDU flows and temperatures). Cooling can be disabled
 /// for power-only sweeps — the paper's "three minutes instead of nine"
 /// replay path.
+///
+/// Plant binding: the twin owns a CoolingPlantModel and one CoolingInputs.
+/// Each quantum writes the per-CDU heat into the inputs in place, sets the
+/// wet bulb and P_system, and calls CoolingPlantModel::step; cooling()
+/// returns the plant. CoolingFmu is the same plant behind the FMI-shaped
+/// interface (value references, set_real / do_step) for callers that want
+/// that seam, such as validate_cooling; the twin does not route its inputs
+/// through it.
+///
+/// Recording: each quantum's values of the 155 coupled channels (5 plant
+/// series, then 6 per CDU for the 25 Frontier CDUs) are staged as one row
+/// of a fixed block of kStageRows rows. A full block, and the partial block
+/// at the end of every run_until, is appended into the series column by
+/// column (TimeSeries::append). run_until reserves each series for the
+/// quanta it will add, so the series are complete, and grown linearly in
+/// the horizon, whenever run_until has returned. With collect_series off
+/// nothing is staged. The engine's four event-sampled series keep their
+/// own time axis (raps/engine.hpp).
 ///
 /// Energy accounting: every run_until(t_end) closes the engine's energy and
 /// utilization integrals exactly at t_end (the final partial interval is
@@ -27,14 +45,21 @@
 ///
 /// A twin runs serially on its caller's thread. Each 15 s quantum holds too
 /// little work to shard (25 CDU solves and a few dirty racks); independent
-/// twins run side by side through ScenarioRunner instead.
+/// twins run side by side through ScenarioRunner instead. The engine's
+/// cooling callback and the recorder's channel table point into the twin,
+/// so a twin can be neither copied nor moved; hold it in a unique_ptr to
+/// hand it around.
 
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/time_series.hpp"
-#include "fmi/cooling_fmu.hpp"
+#include "cooling/plant.hpp"
+#include "fmi/cooling_fmu.hpp"  // the FMI facade, for callers beside a twin
 #include "raps/engine.hpp"
 #include "raps/workload.hpp"
 
@@ -71,6 +96,10 @@ class DigitalTwin {
  public:
   explicit DigitalTwin(const SystemConfig& config);
   DigitalTwin(const SystemConfig& config, const DigitalTwinOptions& options);
+  DigitalTwin(const DigitalTwin&) = delete;
+  DigitalTwin& operator=(const DigitalTwin&) = delete;
+  DigitalTwin(DigitalTwin&&) = delete;
+  DigitalTwin& operator=(DigitalTwin&&) = delete;
 
   /// Ambient boundary condition: a wet-bulb series (60 s telemetry) or a
   /// constant; the series wins when both are set. Until either setter is
@@ -81,9 +110,11 @@ class DigitalTwin {
   /// Incremental twin of set_wetbulb_series for chunked replay and live
   /// ingest: appends time-ordered samples to the wet-bulb series, creating
   /// it on the first non-empty batch. Timestamps must strictly increase
-  /// across batches. The caller must not run the twin past the last
-  /// appended sample time if it intends to append more (the series clamps
-  /// at its end, so later samples could no longer affect earlier steps).
+  /// across batches. The whole batch is checked first: a rejected batch
+  /// leaves the ambient boundary condition unchanged. The caller must not
+  /// run the twin past the last appended sample time if it intends to
+  /// append more (the series clamps at its end, so later samples could no
+  /// longer affect earlier steps).
   void append_wetbulb_samples(const std::vector<double>& times,
                               const std::vector<double>& values);
 
@@ -95,10 +126,10 @@ class DigitalTwin {
 
   [[nodiscard]] RapsEngine& engine() { return engine_; }
   [[nodiscard]] const RapsEngine& engine() const { return engine_; }
-  /// The cooling FMU; throws when cooling is disabled.
-  [[nodiscard]] CoolingFmu& cooling();
-  [[nodiscard]] const CoolingFmu& cooling() const;
-  [[nodiscard]] bool cooling_enabled() const { return fmu_ != nullptr; }
+  /// The cooling plant; throws when cooling is disabled.
+  [[nodiscard]] CoolingPlantModel& cooling();
+  [[nodiscard]] const CoolingPlantModel& cooling() const;
+  [[nodiscard]] bool cooling_enabled() const { return plant_ != nullptr; }
 
   // --- coupled series (cooling quantum resolution) -----------------------
   [[nodiscard]] const TimeSeries& pue_series() const { return pue_series_; }
@@ -108,6 +139,8 @@ class DigitalTwin {
   [[nodiscard]] const TimeSeries& cooling_efficiency_series() const {
     return cooling_eff_series_;
   }
+  /// One entry per CDU when cooling is on; the series stay empty with
+  /// collect_series off.
   [[nodiscard]] const std::vector<CduSeries>& cdu_series() const { return cdu_series_; }
   /// Wall power per CDU over time (cooling-model input channel).
   [[nodiscard]] const std::vector<TimeSeries>& cdu_rack_power_series() const {
@@ -118,15 +151,19 @@ class DigitalTwin {
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
  private:
+  /// Quanta staged before they are appended to the series: 64 rows of the
+  /// 155 Frontier channels is about 80 KB. A constant, not an option.
+  static constexpr std::size_t kStageRows = 64;
+
   SystemConfig config_;
   RapsEngine engine_;
-  std::unique_ptr<CoolingFmu> fmu_;
+  std::unique_ptr<CoolingPlantModel> plant_;
+  /// The plant's boundary conditions, rewritten in place every quantum.
+  CoolingInputs inputs_;
   /// Simulated time the plant has been stepped to; callbacks and the
   /// run_until tail flush step the plant by (now - this), keeping the plant
   /// clock equal to the simulation clock even off the cooling grid.
   double cooling_synced_s_ = 0.0;
-  /// Reused per-quantum buffer for the per-CDU heat handed to the FMU.
-  std::vector<double> heat_scratch_;
   std::optional<TimeSeries> wetbulb_series_;
   /// Seeded from DigitalTwinOptions::ambient_c at construction (see the
   /// precedence note on that field); never read before then.
@@ -141,7 +178,19 @@ class DigitalTwin {
   std::vector<CduSeries> cdu_series_;
   std::vector<TimeSeries> cdu_power_series_;
 
+  /// The recorded series in stage-row order; empty unless cooling and
+  /// collect_series are both on.
+  std::vector<TimeSeries*> channels_;
+  /// Row-major stage: row r holds every channel's value at stage_times_[r].
+  std::vector<double> stage_;
+  std::array<double, kStageRows> stage_times_{};
+  std::size_t staged_rows_ = 0;
+
   void on_cooling_quantum(double now_s);
+  /// Appends the staged rows to the series and empties the stage.
+  void flush_stage();
+  /// Reserves every recorded series for the quanta a run to t_end_s adds.
+  void reserve_series(double t_end_s);
   [[nodiscard]] double wetbulb_at(double t_s) const;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -24,6 +25,56 @@ TEST(TimeSeriesTest, RejectsNonIncreasingTimestamps) {
   TimeSeries s;
   s.push_back(1.0, 0.0);
   EXPECT_THROW(s.push_back(1.0, 0.0), ConfigError);
+}
+
+TEST(TimeSeriesTest, BulkAppendGathersStridedColumn) {
+  // Three rows of a two-channel row-major block.
+  const double times[] = {1.0, 2.0, 3.0};
+  const double block[] = {10.0, 20.0, 11.0, 21.0, 12.0, 22.0};
+  TimeSeries first;
+  first.push_back(0.5, 9.0);
+  first.append(times, block, 2, 3);
+  TimeSeries second;
+  second.append(times, block + 1, 2, 3);
+  EXPECT_EQ(first.times(), (std::vector<double>{0.5, 1.0, 2.0, 3.0}));
+  EXPECT_EQ(first.values(), (std::vector<double>{9.0, 10.0, 11.0, 12.0}));
+  EXPECT_EQ(second.times(), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(second.values(), (std::vector<double>{20.0, 21.0, 22.0}));
+  second.append(times, block, 2, 0);  // an empty block is a no-op
+  EXPECT_EQ(second.size(), 3u);
+}
+
+TEST(TimeSeriesTest, BulkAppendRejectsNonIncreasingAndLeavesSeriesUnchanged) {
+  TimeSeries s({0.0, 1.0}, {5.0, 6.0});
+  const double values[] = {7.0, 8.0, 9.0};
+  // At the seam, the first timestamp must exceed back().
+  const double at_seam[] = {1.0, 2.0, 3.0};
+  EXPECT_THROW(s.append(at_seam, values, 1, 3), ConfigError);
+  // Inside the block, a repeated and a decreasing timestamp.
+  const double repeated[] = {2.0, 3.0, 3.0};
+  EXPECT_THROW(s.append(repeated, values, 1, 3), ConfigError);
+  const double backwards[] = {2.0, 4.0, 3.0};
+  EXPECT_THROW(s.append(backwards, values, 1, 3), ConfigError);
+  EXPECT_EQ(s.times(), (std::vector<double>{0.0, 1.0}));
+  EXPECT_EQ(s.values(), (std::vector<double>{5.0, 6.0}));
+}
+
+TEST(TimeSeriesTest, ReserveKeepsContentsAndGrowsGeometrically) {
+  TimeSeries s({0.0, 1.0, 2.0}, {3.0, 4.0, 5.0});
+  s.reserve(1000);
+  s.reserve(2);  // never shrinks
+  EXPECT_EQ(s.times(), (std::vector<double>{0.0, 1.0, 2.0}));
+  EXPECT_EQ(s.values(), (std::vector<double>{3.0, 4.0, 5.0}));
+  const std::size_t capacity = s.times().capacity();
+  EXPECT_GE(capacity, 1000u);
+  // A reserve just past the capacity at least doubles it, so reserving per
+  // chunk of a long run stays linear.
+  s.reserve(capacity + 1);
+  EXPECT_GE(s.times().capacity(), 2 * capacity);
+  EXPECT_GE(s.values().capacity(), 2 * capacity);
+  s.push_back(3.0, 6.0);
+  EXPECT_EQ(s.size(), 4u);
+  EXPECT_DOUBLE_EQ(s.value(3), 6.0);
 }
 
 TEST(TimeSeriesTest, RejectsSizeMismatch) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -61,9 +64,9 @@ TEST(NetworkTest, PumpSpeedAffinityScaling) {
   const NodeId b = net.add_node();
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
-  net.branch(pump).speed = 1.0;
+  net.set_speed(pump, 1.0);
   const double q_full = net.flow(net.solve(0.1), pump);
-  net.branch(pump).speed = 0.5;
+  net.set_speed(pump, 0.5);
   const double q_half = net.flow(net.solve(0.1), pump);
   EXPECT_NEAR(q_half, 0.5 * q_full, 1e-9);
 }
@@ -75,7 +78,7 @@ TEST(NetworkTest, ParallelPumpUnitsShareFlow) {
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7, 2);
   net.add_resistance(b, a, 1e6);
   const double q2 = net.flow(net.solve(0.5), pump);
-  net.branch(pump).parallel_units = 4;
+  net.set_parallel_units(pump, 4);
   const double q4 = net.flow(net.solve(0.5), pump);
   EXPECT_GT(q4, q2);
   EXPECT_LT(q4, 2.0 * q2);  // system curve limits the gain
@@ -87,11 +90,11 @@ TEST(NetworkTest, ValvePositionThrottlesFlow) {
   const NodeId b = net.add_node();
   net.add_pump(a, b, 300e3, 1e7);
   const BranchId valve = net.add_valve(b, a, 1e7);
-  net.branch(valve).position = 1.0;
+  net.set_position(valve, 1.0);
   const double q_open = net.flow(net.solve(0.1), valve);
-  net.branch(valve).position = 0.5;
+  net.set_position(valve, 0.5);
   const double q_half = net.flow(net.solve(0.1), valve);
-  net.branch(valve).position = 0.05;
+  net.set_position(valve, 0.05);
   const double q_closed = net.flow(net.solve(0.1), valve);
   EXPECT_GT(q_open, q_half);
   EXPECT_GT(q_half, q_closed);
@@ -107,7 +110,7 @@ TEST(NetworkTest, CheckValveBlocksReverseFlow) {
   const BranchId live = net.add_pump(a, b, 300e3, 1e7);
   const BranchId dead = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
-  net.branch(dead).speed = 0.0;
+  net.set_speed(dead, 0.0);
   const NetworkSolution sol = net.solve(0.1);
   EXPECT_GE(net.flow(sol, dead), 0.0);
   EXPECT_GT(net.flow(sol, live), 0.0);
@@ -119,7 +122,7 @@ TEST(NetworkTest, ZeroSpeedPumpAloneGivesZeroFlow) {
   const NodeId b = net.add_node();
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
-  net.branch(pump).speed = 0.0;
+  net.set_speed(pump, 0.0);
   const NetworkSolution sol = net.solve(0.1);
   EXPECT_NEAR(net.flow(sol, pump), 0.0, 1e-9);
 }
@@ -137,7 +140,7 @@ TEST(NetworkTest, PumpHeldAgainstReverseHeadConverges) {
   const BranchId strong = net.add_pump(a, b, 500e3, 5e6, 4);
   const BranchId weak = net.add_pump(a, b, 400e3, 1e7);
   net.add_resistance(b, a, 5e5);
-  net.branch(weak).speed = 0.3;  // s^2 H0 = 36 kPa vs ~300 kPa discharge head
+  net.set_speed(weak, 0.3);  // s^2 H0 = 36 kPa vs ~300 kPa discharge head
   const NetworkSolution sol = net.solve(0.1);
   EXPECT_LT(sol.residual_m3s, 1e-6);
   EXPECT_DOUBLE_EQ(net.flow(sol, weak), 0.0);
@@ -156,7 +159,7 @@ TEST(NetworkTest, PumpHeldAgainstReverseHeadConverges) {
     fresh.add_pump(fa, fb, 500e3, 5e6, 4);
     const BranchId fweak = fresh.add_pump(fa, fb, 400e3, 1e7);
     fresh.add_resistance(fb, fa, 5e5);
-    fresh.branch(fweak).speed = speed;
+    fresh.set_speed(fweak, speed);
     const NetworkSolution s = fresh.solve(0.1);
     const double q = fresh.flow(s, fweak);
     EXPECT_GE(q, 0.0) << "backflow at speed " << speed;
@@ -202,34 +205,113 @@ TEST(NetworkTest, SolveIntoMatchesSolveBitIdentical) {
   }
 }
 
-TEST(NetworkTest, ParameterKeyTracksOperatingPoint) {
+TEST(NetworkTest, SettersTrackParameterChanges) {
   FlowNetwork net;
   const NodeId a = net.add_node();
   const NodeId b = net.add_node();
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
-  const BranchId valve = net.add_valve(b, a, 2e7);
+  const BranchId pipe = net.add_resistance(b, a, 2e7);
+  const BranchId valve = net.add_valve(b, a, 4e7);
+  EXPECT_TRUE(net.parameters_changed());  // never solved
+  NetworkSolution sol;
+  net.solve_into(sol, 0.1);
+  EXPECT_FALSE(net.parameters_changed());
 
-  std::vector<double> key0;
-  net.append_parameter_key(key0);
-  std::vector<double> key1;
-  net.append_parameter_key(key1);
-  EXPECT_EQ(key0, key1);  // stable when nothing changed
+  // Writing the value already held is not a change.
+  net.set_speed(pump, 1.0);
+  net.set_parallel_units(pump, 1);
+  net.set_k(pipe, 2e7);
+  net.set_position(valve, 1.0);
+  net.convert_to_valve(valve, 1.0, 0.02);
+  EXPECT_FALSE(net.parameters_changed());
 
-  net.branch(pump).speed = 0.9;
-  std::vector<double> key2;
-  net.append_parameter_key(key2);
-  EXPECT_NE(key0, key2);
+  // Each setter's real change is one. The two conversions change one field
+  // each: the pipe's kind, then the valve's minimum position.
+  const std::vector<std::pair<const char*, std::function<void()>>> changes = {
+      {"speed", [&] { net.set_speed(pump, 0.9); }},
+      {"parallel units", [&] { net.set_parallel_units(pump, 2); }},
+      {"k", [&] { net.set_k(pipe, 3e7); }},
+      {"position", [&] { net.set_position(valve, 0.5); }},
+      {"kind", [&] { net.convert_to_valve(pipe, 1.0, 0.02); }},
+      {"min position", [&] { net.convert_to_valve(valve, 0.5, 0.01); }},
+  };
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    changes[i].second();
+    EXPECT_TRUE(net.parameters_changed()) << changes[i].first;
+    // Every way of installing a converged state clears the change.
+    if (i % 3 == 0) {
+      net.solve_into(sol, 0.1);
+    } else if (i % 3 == 1) {
+      sol = net.solve(0.1);
+    } else {
+      net.adopt_solution(sol);
+    }
+    EXPECT_FALSE(net.parameters_changed()) << changes[i].first;
+  }
+  EXPECT_THROW(net.set_parallel_units(pump, 0), ConfigError);
+  EXPECT_THROW(net.set_k(pipe, 0.0), ConfigError);
+  EXPECT_THROW(net.convert_to_valve(pump, 0.5, 0.01), ConfigError);
+}
 
-  net.branch(pump).speed = 1.0;
-  net.branch(valve).position = 0.5;
-  std::vector<double> key3;
-  net.append_parameter_key(key3);
-  EXPECT_NE(key0, key3);
+/// Pump, valve and return pipe; the arguments vary the fields no setter
+/// reaches (pump curve, pipe endpoints).
+FlowNetwork pumped_valve_loop(double shutoff_head_pa = 300e3, double curve_coeff = 1e7,
+                              bool reverse_pipe = false) {
+  FlowNetwork net;
+  const NodeId a = net.add_node();
+  const NodeId b = net.add_node();
+  const NodeId c = net.add_node();
+  net.add_pump(a, b, shutoff_head_pa, curve_coeff, 2);
+  net.add_valve(b, c, 2e7);
+  if (reverse_pipe) {
+    net.add_resistance(a, c, 1e7);
+  } else {
+    net.add_resistance(c, a, 1e7);
+  }
+  return net;
+}
 
-  net.branch(valve).position = 1.0;
-  std::vector<double> key4;
-  net.append_parameter_key(key4);
-  EXPECT_EQ(key0, key4);  // exact restore -> exact key match
+TEST(NetworkTest, SameOperatingPointIsExact) {
+  constexpr BranchId kPump = 0;
+  constexpr BranchId kValve = 1;
+  constexpr BranchId kPipe = 2;
+  const FlowNetwork base = pumped_valve_loop();
+  EXPECT_TRUE(base.same_operating_point(pumped_valve_loop()));
+
+  // Every branch field, the node count and the branch count take part.
+  const std::vector<std::pair<const char*, std::function<void(FlowNetwork&)>>> edits = {
+      {"kind", [](FlowNetwork& n) { n.convert_to_valve(kPipe, 1.0, 0.02); }},
+      {"endpoints", [](FlowNetwork& n) { n = pumped_valve_loop(300e3, 1e7, true); }},
+      {"k", [](FlowNetwork& n) { n.set_k(kPipe, 1.5e7); }},
+      {"position", [](FlowNetwork& n) { n.set_position(kValve, 0.5); }},
+      {"min position", [](FlowNetwork& n) { n.convert_to_valve(kValve, 1.0, 0.01); }},
+      {"shutoff head", [](FlowNetwork& n) { n = pumped_valve_loop(310e3); }},
+      {"curve", [](FlowNetwork& n) { n = pumped_valve_loop(300e3, 2e7); }},
+      {"speed", [](FlowNetwork& n) { n.set_speed(kPump, 0.9); }},
+      {"parallel units", [](FlowNetwork& n) { n.set_parallel_units(kPump, 3); }},
+      {"node count", [](FlowNetwork& n) { n.add_node(); }},
+      {"branch count", [](FlowNetwork& n) { n.add_resistance(0, 2, 1e7); }},
+  };
+  for (const auto& [field, edit] : edits) {
+    FlowNetwork other = pumped_valve_loop();
+    edit(other);
+    EXPECT_FALSE(base.same_operating_point(other)) << field;
+    EXPECT_FALSE(other.same_operating_point(base)) << field;
+  }
+
+  // The warm start takes part too: a solved network differs from an
+  // unsolved twin until the twin adopts the same solution.
+  FlowNetwork solved = pumped_valve_loop();
+  FlowNetwork adopter = pumped_valve_loop();
+  const NetworkSolution sol = solved.solve(0.1);
+  EXPECT_FALSE(solved.same_operating_point(adopter));
+  adopter.adopt_solution(sol);
+  EXPECT_TRUE(solved.same_operating_point(adopter));
+  // Restoring a parameter restores the match.
+  adopter.set_speed(kPump, 0.9);
+  EXPECT_FALSE(solved.same_operating_point(adopter));
+  adopter.set_speed(kPump, 1.0);
+  EXPECT_TRUE(solved.same_operating_point(adopter));
 }
 
 TEST(NetworkTest, AdoptSolutionSeedsWarmStart) {
@@ -247,7 +329,7 @@ TEST(NetworkTest, AdoptSolutionSeedsWarmStart) {
 
   FlowNetwork adopter = build();
   adopter.adopt_solution(sol);
-  EXPECT_EQ(adopter.warm_start_pressures(), sol.node_pressure_pa);
+  EXPECT_TRUE(adopter.same_operating_point(solved));  // same warm start
   // The adopted state is already converged for identical parameters.
   const NetworkSolution re = adopter.solve(0.1);
   EXPECT_EQ(re.iterations, 0);
@@ -270,7 +352,7 @@ TEST(NetworkTest, WarmStartConvergesFasterOnReSolve) {
   const BranchId pump = net.add_pump(a, b, 300e3, 1e7);
   net.add_resistance(b, a, 2e7);
   const NetworkSolution cold = net.solve(0.1);
-  net.branch(pump).speed = 0.99;  // tiny perturbation
+  net.set_speed(pump, 0.99);  // tiny perturbation
   const NetworkSolution warm = net.solve(0.1);
   EXPECT_LE(warm.iterations, cold.iterations);
 }
@@ -313,11 +395,11 @@ TEST_P(RandomNetworkProperty, ConvergesAndConservesMass) {
     const BranchId pump =
         net.add_pump(suction, header, rng.uniform(1e5, 5e5), rng.uniform(1e6, 5e7),
                      static_cast<int>(rng.uniform_int(1, 4)));
-    net.branch(pump).speed = rng.uniform(0.3, 1.0);
+    net.set_speed(pump, rng.uniform(0.3, 1.0));
     const int rungs = static_cast<int>(rng.uniform_int(1, 25));
     for (int i = 0; i < rungs; ++i) {
       const BranchId v = net.add_valve(header, ret, rng.uniform(1e6, 1e9));
-      net.branch(v).position = rng.uniform(0.05, 1.0);
+      net.set_position(v, rng.uniform(0.05, 1.0));
     }
     net.add_resistance(ret, suction, rng.uniform(1e5, 1e7));
     const NetworkSolution sol = net.solve(0.1);

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <type_traits>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
+#include "fmi/cooling_fmu.hpp"
+#include "raps/workload.hpp"
 
 namespace exadigit {
 namespace {
@@ -107,20 +115,20 @@ TEST(DigitalTwinTest, CoolingClockMatchesSimEndOffGrid) {
   twin.submit(make_hpl_job(5.0, 400.0));
 
   twin.run_until(100.0);  // 100 = 6*15 + 10: off the cooling grid
-  EXPECT_NEAR(twin.cooling().plant().time_s(), 100.0, 1e-9);
+  EXPECT_NEAR(twin.cooling().time_s(), 100.0, 1e-9);
   // The flush records the partial-step outputs at t_end.
   EXPECT_DOUBLE_EQ(twin.pue_series().times().back(), 100.0);
 
   // Resume across the next boundary: the first callback covers only the
   // remaining 5 s to the 105 s boundary, never double-stepping.
   twin.run_until(130.0);
-  EXPECT_NEAR(twin.cooling().plant().time_s(), 130.0, 1e-9);
+  EXPECT_NEAR(twin.cooling().time_s(), 130.0, 1e-9);
   EXPECT_DOUBLE_EQ(twin.pue_series().times().back(), 130.0);
 
   // On-grid end: the quantum callback already synced the plant and the
   // flush is a no-op (no duplicate series sample).
   twin.run_until(150.0);
-  EXPECT_NEAR(twin.cooling().plant().time_s(), 150.0, 1e-9);
+  EXPECT_NEAR(twin.cooling().time_s(), 150.0, 1e-9);
   const TimeSeries& pue = twin.pue_series();
   EXPECT_DOUBLE_EQ(pue.times().back(), 150.0);
   ASSERT_GE(pue.size(), 2u);
@@ -132,21 +140,212 @@ TEST(DigitalTwinTest, CoolingClockMatchesSimEndOffGrid) {
 TEST(DigitalTwinTest, OffGridTailHeatNotDropped) {
   SystemConfig config = frontier_system_config();
   auto make_loaded_twin = [&config] {
-    DigitalTwin twin(config);
-    twin.set_wetbulb_constant(16.0);
-    twin.submit(make_hpl_job(5.0, 2000.0));
+    auto twin = std::make_unique<DigitalTwin>(config);
+    twin->set_wetbulb_constant(16.0);
+    twin->submit(make_hpl_job(5.0, 2000.0));
     return twin;
   };
-  DigitalTwin on_grid = make_loaded_twin();
-  on_grid.run_until(900.0);
-  DigitalTwin with_tail = make_loaded_twin();
-  with_tail.run_until(910.0);
-  EXPECT_NEAR(on_grid.cooling().plant().time_s(), 900.0, 1e-9);
-  EXPECT_NEAR(with_tail.cooling().plant().time_s(), 910.0, 1e-9);
+  const auto on_grid = make_loaded_twin();
+  on_grid->run_until(900.0);
+  const auto with_tail = make_loaded_twin();
+  with_tail->run_until(910.0);
+  EXPECT_NEAR(on_grid->cooling().time_s(), 900.0, 1e-9);
+  EXPECT_NEAR(with_tail->cooling().time_s(), 910.0, 1e-9);
   // Mid-HPL the loops are heating: 10 extra seconds of heat moves the
   // secondary return temperature.
-  EXPECT_NE(with_tail.cooling().outputs().cdus[0].sec_return_t_c,
-            on_grid.cooling().outputs().cdus[0].sec_return_t_c);
+  EXPECT_NE(with_tail->cooling().outputs().cdus[0].sec_return_t_c,
+            on_grid->cooling().outputs().cdus[0].sec_return_t_c);
+}
+
+/// The engine callback and the recorder point into the twin, so a copied or
+/// moved twin would step through a dangling pointer.
+TEST(DigitalTwinTest, NeitherCopyableNorMovable) {
+  EXPECT_FALSE(std::is_copy_constructible_v<DigitalTwin>);
+  EXPECT_FALSE(std::is_copy_assignable_v<DigitalTwin>);
+  EXPECT_FALSE(std::is_move_constructible_v<DigitalTwin>);
+  EXPECT_FALSE(std::is_move_assignable_v<DigitalTwin>);
+}
+
+/// Every series a coupled twin records: the engine's four, then the plant
+/// and per-CDU series.
+std::vector<const TimeSeries*> recorded_series(const DigitalTwin& twin) {
+  std::vector<const TimeSeries*> all = {
+      &twin.engine().power_series_mw(),   &twin.engine().loss_series_mw(),
+      &twin.engine().utilization_series(), &twin.engine().eta_series(),
+      &twin.pue_series(),                 &twin.htws_temp_series(),
+      &twin.pri_return_temp_series(),     &twin.htw_supply_pressure_series(),
+      &twin.cooling_efficiency_series()};
+  for (const CduSeries& cdu : twin.cdu_series()) {
+    for (const TimeSeries* s : {&cdu.pri_flow_gpm, &cdu.sec_flow_gpm, &cdu.return_temp_c,
+                                &cdu.supply_temp_c, &cdu.pump_power_w}) {
+      all.push_back(s);
+    }
+  }
+  for (const TimeSeries& s : twin.cdu_rack_power_series()) all.push_back(&s);
+  return all;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expect_same_series(const std::vector<const TimeSeries*>& a,
+                        const std::vector<const TimeSeries*>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_bits(a[i]->times(), b[i]->times())) << "series " << i << " times";
+    EXPECT_TRUE(same_bits(a[i]->values(), b[i]->values())) << "series " << i << " values";
+  }
+}
+
+/// A wet-bulb batch whose third timestamp goes backwards is rejected whole:
+/// the twin then runs exactly like one that never saw the batch, whether
+/// the batch would have extended a series or started one.
+TEST(DigitalTwinTest, RejectedWetbulbBatchLeavesTwinUnchanged) {
+  const SystemConfig config = frontier_system_config();
+  const std::vector<double> bad_t = {120.0, 180.0, 150.0};
+  const std::vector<double> bad_v = {30.0, 30.0, 30.0};
+  for (const bool seeded : {true, false}) {
+    auto run = [&](bool offer_bad_batch) {
+      auto twin = std::make_unique<DigitalTwin>(config);
+      twin->set_wetbulb_constant(16.0);
+      if (seeded) twin->append_wetbulb_samples({0.0, 60.0}, {12.0, 12.0});
+      if (offer_bad_batch) {
+        EXPECT_THROW(twin->append_wetbulb_samples(bad_t, bad_v), ConfigError);
+      }
+      twin->submit(make_hpl_job(5.0, 1200.0));
+      twin->run_until(240.0);
+      return twin;
+    };
+    const auto offered = run(true);
+    const auto clean = run(false);
+    SCOPED_TRACE(seeded ? "extending a series" : "starting a series");
+    expect_same_series(recorded_series(*offered), recorded_series(*clean));
+  }
+}
+
+/// The twin's coupling as it ran before the recorder staged rows and the
+/// twin stepped the plant directly: a bare engine, the cooling FMU driven
+/// through set_real / set_by_name, and one push_back per series per quantum.
+class FmuCoupling {
+ public:
+  FmuCoupling(const SystemConfig& config, const TimeSeries& wetbulb)
+      : config_(config),
+        engine_(config),
+        fmu_(config),
+        wetbulb_(wetbulb),
+        cdu_(static_cast<std::size_t>(config.cdu_count)),
+        cdu_power_(static_cast<std::size_t>(config.cdu_count)) {
+    fmu_.plant().reset(DigitalTwinOptions{}.ambient_c);
+    engine_.set_cooling_callback([this](RapsEngine&, double now_s) { on_quantum(now_s); });
+  }
+  FmuCoupling(const FmuCoupling&) = delete;
+  FmuCoupling& operator=(const FmuCoupling&) = delete;
+
+  void submit_all(std::vector<JobRecord> jobs) { engine_.submit_all(std::move(jobs)); }
+  void run_until(double t_end_s) {
+    engine_.run_until(t_end_s);
+    on_quantum(engine_.now_s());
+  }
+
+  [[nodiscard]] std::vector<const TimeSeries*> recorded_series() const {
+    std::vector<const TimeSeries*> all = {&engine_.power_series_mw(), &engine_.loss_series_mw()};
+    all.insert(all.end(), {&engine_.utilization_series(), &engine_.eta_series(), &pue_});
+    all.insert(all.end(), {&htws_, &pri_return_, &pri_dp_, &cooling_eff_});
+    for (const CduSeries& cdu : cdu_) {
+      for (const TimeSeries* s : {&cdu.pri_flow_gpm, &cdu.sec_flow_gpm, &cdu.return_temp_c,
+                                  &cdu.supply_temp_c, &cdu.pump_power_w}) {
+        all.push_back(s);
+      }
+    }
+    for (const TimeSeries& s : cdu_power_) all.push_back(&s);
+    return all;
+  }
+  [[nodiscard]] Report report() const { return engine_.report(); }
+
+ private:
+  void on_quantum(double now_s) {
+    const double dt = now_s - synced_s_;
+    if (dt <= 1e-9) return;
+    const std::vector<double>& cdu_wall = engine_.power_model().cdu_wall_power_w();
+    std::vector<double> heat(cdu_wall.size());
+    for (std::size_t i = 0; i < cdu_wall.size(); ++i) {
+      heat[i] = cdu_wall[i] * config_.cooling.cooling_efficiency;
+    }
+    const double p_system = engine_.power().system_power_w;
+    for (std::size_t i = 0; i < heat.size(); ++i) {
+      fmu_.set_real(static_cast<ValueRef>(i), heat[i]);
+    }
+    fmu_.set_by_name("wetbulb_c", wetbulb_.at(now_s));
+    fmu_.set_by_name("system_power_w", p_system);
+    fmu_.do_step(now_s, dt);
+    synced_s_ = now_s;
+
+    const PlantOutputs& out = fmu_.outputs();
+    pue_.push_back(now_s, out.pue);
+    htws_.push_back(now_s, out.pri_supply_t_c);
+    pri_return_.push_back(now_s, out.pri_return_t_c);
+    pri_dp_.push_back(now_s, out.pri_dp_pa);
+    double total_heat = 0.0;
+    for (const double h : heat) total_heat += h;
+    cooling_eff_.push_back(now_s, p_system > 0.0 ? total_heat / p_system : 0.0);
+    for (std::size_t i = 0; i < cdu_.size(); ++i) {
+      const CduOutputs& c = out.cdus[i];
+      cdu_[i].pri_flow_gpm.push_back(now_s, units::gpm_from_m3s(c.pri_flow_m3s));
+      cdu_[i].sec_flow_gpm.push_back(now_s, units::gpm_from_m3s(c.sec_flow_m3s));
+      cdu_[i].return_temp_c.push_back(now_s, c.pri_return_t_c);
+      cdu_[i].supply_temp_c.push_back(now_s, c.sec_supply_t_c);
+      cdu_[i].pump_power_w.push_back(now_s, c.pump_power_w);
+      cdu_power_[i].push_back(now_s, cdu_wall[i]);
+    }
+  }
+
+  const SystemConfig& config_;
+  RapsEngine engine_;
+  CoolingFmu fmu_;
+  const TimeSeries& wetbulb_;
+  double synced_s_ = 0.0;
+  TimeSeries pue_;
+  TimeSeries htws_;
+  TimeSeries pri_return_;
+  TimeSeries pri_dp_;
+  TimeSeries cooling_eff_;
+  std::vector<CduSeries> cdu_;
+  std::vector<TimeSeries> cdu_power_;
+};
+
+/// The block-staged recorder and the direct plant binding change no bit:
+/// the twin equals the per-sample FMU coupling on every sample of all 159
+/// series and on the report. The two runs record 67 and 68 quanta (135 in
+/// all, not a multiple of the 64-row block) and both end off the 15 s
+/// cooling grid, so full-block and partial-block flushes both occur.
+TEST(DigitalTwinTest, RecorderMatchesPerSampleFmuCoupling) {
+  const SystemConfig config = frontier_system_config();
+  WorkloadGenerator gen(config.workload, config, Rng(81));
+  std::vector<JobRecord> jobs = gen.generate(0.0, 2007.0);
+  jobs.push_back(make_hpl_job(300.0, 900.0));
+  std::vector<double> wetbulb_c(40);
+  for (std::size_t i = 0; i < wetbulb_c.size(); ++i) {
+    wetbulb_c[i] = 14.0 + 0.25 * static_cast<double>(i % 7);
+  }
+  const TimeSeries wetbulb = TimeSeries::uniform(0.0, 60.0, wetbulb_c);
+
+  DigitalTwin twin(config);
+  twin.set_wetbulb_series(wetbulb);
+  twin.submit_all(jobs);
+  FmuCoupling reference(config, wetbulb);
+  reference.submit_all(jobs);
+  for (const double t_end : {1000.0, 2007.0}) {
+    twin.run_until(t_end);
+    reference.run_until(t_end);
+    expect_same_series(recorded_series(twin), reference.recorded_series());
+  }
+  EXPECT_EQ(twin.pue_series().size(), 135u);
+  const Report a = twin.report();
+  const Report b = reference.report();
+  EXPECT_EQ(a.total_energy_mwh, b.total_energy_mwh);
+  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/units.hpp"
 #include "core/digital_twin.hpp"
 #include "core/physical_twin.hpp"
@@ -36,9 +39,35 @@ TEST(DeterminismTest, CoupledRunsBitIdentical) {
   }
 }
 
+/// Every series a coupled twin records: the engine's four, then the plant
+/// and per-CDU series (159 for Frontier).
+std::vector<const TimeSeries*> recorded_series(const DigitalTwin& twin) {
+  std::vector<const TimeSeries*> all = {
+      &twin.engine().power_series_mw(),   &twin.engine().loss_series_mw(),
+      &twin.engine().utilization_series(), &twin.engine().eta_series(),
+      &twin.pue_series(),                 &twin.htws_temp_series(),
+      &twin.pri_return_temp_series(),     &twin.htw_supply_pressure_series(),
+      &twin.cooling_efficiency_series()};
+  for (const CduSeries& cdu : twin.cdu_series()) {
+    for (const TimeSeries* s : {&cdu.pri_flow_gpm, &cdu.sec_flow_gpm, &cdu.return_temp_c,
+                                &cdu.supply_temp_c, &cdu.pump_power_w}) {
+      all.push_back(s);
+    }
+  }
+  for (const TimeSeries& s : twin.cdu_rack_power_series()) all.push_back(&s);
+  return all;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 TEST(DeterminismTest, ChunkedRunMatchesMonolithic) {
   // run_until(T) in one call vs many small calls must land on the same
   // state: nothing in the engine may depend on the observation schedule.
+  // The 60 s chunks end every run_until on a partly filled recorder block,
+  // so the comparison covers every sample of every recorded series too.
   const SystemConfig config = frontier_system_config();
   WorkloadGenerator gen(config.workload, config, Rng(78));
   const auto jobs = gen.generate(0.0, 3600.0);
@@ -59,6 +88,15 @@ TEST(DeterminismTest, ChunkedRunMatchesMonolithic) {
   EXPECT_EQ(mono.cooling().outputs().pue, chunked.cooling().outputs().pue);
   EXPECT_EQ(mono.cooling().outputs().pri_supply_t_c,
             chunked.cooling().outputs().pri_supply_t_c);
+  const std::vector<const TimeSeries*> a = recorded_series(mono);
+  const std::vector<const TimeSeries*> b = recorded_series(chunked);
+  ASSERT_EQ(a.size(), 159u);
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_FALSE(a[i]->empty()) << "series " << i;
+    EXPECT_TRUE(same_bits(a[i]->times(), b[i]->times())) << "series " << i << " times";
+    EXPECT_TRUE(same_bits(a[i]->values(), b[i]->values())) << "series " << i << " values";
+  }
 }
 
 TEST(DeterminismTest, PhysicalTwinDatasetsBitIdentical) {
