@@ -41,14 +41,13 @@ struct TimedRun {
 };
 
 /// Power-side replay (no cooling) under an explicit engine configuration.
-TimedRun time_power_replay_once(const SystemConfig& base, const TelemetryDataset& dataset,
+TimedRun time_power_replay_once(const SystemConfig& config, const TelemetryDataset& dataset,
                                 EngineMode mode, RapsEngine::PowerEval eval) {
-  SystemConfig config = base;
-  config.simulation.engine = mode;
   RapsEngine::Options options;
   options.start_time_s = dataset.start_time_s;
   options.collect_series = true;
   options.power_eval = eval;
+  options.mode = mode;
   RapsEngine engine(config, options);
   const auto t0 = std::chrono::steady_clock::now();
   engine.submit_all(dataset.jobs);

@@ -195,8 +195,6 @@ Json cooling_to_json(const CoolingConfig& c) {
   j["staging_delay_s"] = Json(c.staging_delay_s);
   j["step_s"] = Json(c.step_s);
   j["thermal_substep_s"] = Json(c.thermal_substep_s);
-  j["hydraulics"] = Json(std::string(hydraulics_eval_name(c.hydraulics)));
-  j["thermal"] = Json(std::string(thermal_eval_name(c.thermal)));
   return j;
 }
 
@@ -262,12 +260,6 @@ CoolingConfig cooling_from_json(const Json& j, const CoolingConfig& d) {
   c.staging_delay_s = j.number_or("staging_delay_s", c.staging_delay_s);
   c.step_s = j.number_or("step_s", c.step_s);
   c.thermal_substep_s = j.number_or("thermal_substep_s", c.thermal_substep_s);
-  if (j.contains("hydraulics")) {
-    c.hydraulics = hydraulics_eval_from_name(j.at("hydraulics").as_string());
-  }
-  if (j.contains("thermal")) {
-    c.thermal = thermal_eval_from_name(j.at("thermal").as_string());
-  }
   return c;
 }
 
@@ -279,8 +271,8 @@ std::mutex& policy_names_mutex() {
 }
 
 std::set<std::string>& policy_names_locked() {
-  static std::set<std::string> names{"fcfs", "sjf", "easy_backfill", "priority",
-                                     "power_capped"};
+  static std::set<std::string> names{"fcfs", "sjf", "easy_backfill", "priority", "power_capped",
+                                     "price_aware"};
   return names;
 }
 
@@ -309,37 +301,6 @@ void require_scheduler_policy_name(const std::string& name) {
     first = false;
   }
   throw ConfigError(msg);
-}
-
-const char* engine_mode_name(EngineMode mode) {
-  return mode == EngineMode::kTickLoop ? "tick" : "event";
-}
-
-EngineMode engine_mode_from_name(const std::string& name) {
-  if (name == "event") return EngineMode::kEventDriven;
-  if (name == "tick") return EngineMode::kTickLoop;
-  throw ConfigError("engine mode must be \"event\" or \"tick\", got \"" + name + "\"");
-}
-
-const char* hydraulics_eval_name(HydraulicsEval eval) {
-  return eval == HydraulicsEval::kAlwaysSolve ? "always_solve" : "dedup";
-}
-
-HydraulicsEval hydraulics_eval_from_name(const std::string& name) {
-  if (name == "dedup") return HydraulicsEval::kDedup;
-  if (name == "always_solve") return HydraulicsEval::kAlwaysSolve;
-  throw ConfigError("hydraulics eval must be \"dedup\" or \"always_solve\", got \"" + name +
-                    "\"");
-}
-
-const char* thermal_eval_name(ThermalEval eval) {
-  return eval == ThermalEval::kScalar ? "scalar" : "batched";
-}
-
-ThermalEval thermal_eval_from_name(const std::string& name) {
-  if (name == "batched") return ThermalEval::kBatched;
-  if (name == "scalar") return ThermalEval::kScalar;
-  throw ConfigError("thermal eval must be \"batched\" or \"scalar\", got \"" + name + "\"");
 }
 
 Json system_config_to_json(const SystemConfig& c) {
@@ -378,7 +339,6 @@ Json system_config_to_json(const SystemConfig& c) {
   sim["tick_s"] = Json(c.simulation.tick_s);
   sim["cooling_quantum_s"] = Json(c.simulation.cooling_quantum_s);
   sim["trace_quantum_s"] = Json(c.simulation.trace_quantum_s);
-  sim["engine"] = Json(std::string(engine_mode_name(c.simulation.engine)));
   j["simulation"] = sim;
   if (!c.partitions.empty()) {
     Json::Array parts;
@@ -445,9 +405,6 @@ SystemConfig system_config_from_json(const Json& j) {
     c.simulation.cooling_quantum_s =
         s.number_or("cooling_quantum_s", c.simulation.cooling_quantum_s);
     c.simulation.trace_quantum_s = s.number_or("trace_quantum_s", c.simulation.trace_quantum_s);
-    if (s.contains("engine")) {
-      c.simulation.engine = engine_mode_from_name(s.at("engine").as_string());
-    }
   }
   if (j.contains("partitions")) {
     for (const auto& jp : j.at("partitions").as_array()) {

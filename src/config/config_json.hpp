@@ -7,7 +7,8 @@
 /// describing "the system architecture, the cooling system, the scheduler,
 /// and the power system". These functions define that exchange format. A
 /// round-trip (`system_config_from_json(system_config_to_json(c))`) is
-/// lossless; missing optional fields take the Frontier defaults.
+/// lossless; missing optional fields take the Frontier defaults, and keys
+/// the descriptor does not define are ignored.
 
 #include "config/system_config.hpp"
 #include "json/json.hpp"
@@ -28,29 +29,12 @@ namespace exadigit {
 [[nodiscard]] Json curve_to_json(const PiecewiseLinearCurve& curve);
 [[nodiscard]] PiecewiseLinearCurve curve_from_json(const Json& j);
 
-/// Engine-mode exchange names ("event" / "tick"), shared by the
-/// simulation.engine config field and scenario params.
-[[nodiscard]] const char* engine_mode_name(EngineMode mode);
-/// Parses an engine-mode name; throws ConfigError on anything else.
-[[nodiscard]] EngineMode engine_mode_from_name(const std::string& name);
-
-/// Hydraulics-eval exchange names ("dedup" / "always_solve"), shared by
-/// the cooling.hydraulics config field and scenario params.
-[[nodiscard]] const char* hydraulics_eval_name(HydraulicsEval eval);
-/// Parses a hydraulics-eval name; throws ConfigError on anything else.
-[[nodiscard]] HydraulicsEval hydraulics_eval_from_name(const std::string& name);
-
-/// Thermal-eval exchange names ("batched" / "scalar"), shared by the
-/// cooling.thermal config field and scenario params.
-[[nodiscard]] const char* thermal_eval_name(ThermalEval eval);
-/// Parses a thermal-eval name; throws ConfigError on anything else.
-[[nodiscard]] ThermalEval thermal_eval_from_name(const std::string& name);
-
 /// Scheduler policy names the config layer will accept. Seeded with the
 /// built-in policies ("fcfs", "sjf", "easy_backfill", "priority",
-/// "power_capped"); the raps-layer SchedulingPolicyRegistry registers any
-/// additional policies here so config parsing and policy construction agree
-/// without the config library depending on raps. Sorted, thread-safe.
+/// "power_capped", "price_aware"), so a config names any built-in before the
+/// registry is first used; the raps-layer SchedulingPolicyRegistry registers
+/// any additional policies here so config parsing and policy construction
+/// agree without the config library depending on raps. Sorted, thread-safe.
 [[nodiscard]] std::vector<std::string> known_scheduler_policy_names();
 /// Adds a name to the accepted set (idempotent, thread-safe). Called by
 /// SchedulingPolicyRegistry::register_policy for non-built-in policies.

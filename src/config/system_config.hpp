@@ -9,6 +9,12 @@
 /// means writing a descriptor rather than code. `frontier_system_config()`
 /// returns the descriptor used throughout the paper (Table I and Section
 /// III constants).
+///
+/// A descriptor says what the machine is, not how the twin evaluates it.
+/// The fast paths and the references the tests hold them to are chosen on
+/// the object that runs them: RapsEngine::Options (engine mode and power
+/// evaluation) and CoolingPlantModel::set_hydraulics_eval /
+/// set_thermal_eval.
 
 #include <cstdint>
 #include <string>
@@ -97,9 +103,9 @@ struct PartitionConfig {
 /// III-B4). The policy is an *open* string resolved against the
 /// SchedulingPolicyRegistry (raps/policy/policy_registry.hpp) when the
 /// Scheduler is built; built-ins are "fcfs", "sjf", "easy_backfill",
-/// "priority", and "power_capped". JSON parsing validates the name against
-/// the registered set (see config_json.hpp) so typos fail at config load,
-/// not mid-run.
+/// "priority", "power_capped" and "price_aware". JSON parsing validates the
+/// name against the registered set (see config_json.hpp) so typos fail at
+/// config load, not mid-run.
 struct SchedulerConfig {
   std::string policy = "fcfs";
   /// Free-form parameter block handed to the policy factory (null = policy
@@ -208,33 +214,6 @@ struct CtLoopConfig {
   double ct_stage_min_interval_s = 600.0;
 };
 
-/// How CoolingPlantModel::step evaluates the per-step hydraulic solves
-/// (see cooling/plant.hpp for the dedup semantics).
-enum class HydraulicsEval {
-  /// Skip a network's re-solve when no branch parameter changed since the
-  /// last solve, and share one solution among identical-topology CDU loops
-  /// at the same operating point. Default; bit-identical to kAlwaysSolve
-  /// because reuse rests on exact (parameter, warm-start) equality, never
-  /// on tolerances.
-  kDedup,
-  /// Reference path: every network re-solved every step. Kept selectable
-  /// for cross-validation and for benchmarking the dedup speedup.
-  kAlwaysSolve,
-};
-
-/// How CoolingPlantModel::integrate_thermal evaluates the per-substep
-/// counterflow-HX effectiveness kernels (see cooling/heat_exchanger.hpp).
-enum class ThermalEval {
-  /// Gather the per-CDU HX inputs into contiguous arrays and evaluate the
-  /// NTU/exp math through the batched kernel. Default; bit-identical to
-  /// kScalar because the batch kernel runs the exact scalar element math
-  /// in the same order (tests/cooling/plant_dedup_test.cpp asserts it).
-  kBatched,
-  /// Reference path: one evaluate_counterflow_hx call per CDU inside the
-  /// substep loop, the original PR 4 structure.
-  kScalar,
-};
-
 /// Whole cooling plant (paper Fig. 5) + coupling constants.
 struct CoolingConfig {
   CduLoopConfig cdu;
@@ -250,21 +229,6 @@ struct CoolingConfig {
   double step_s = 15.0;
   /// Internal thermal substep for the finite-volume integrator.
   double thermal_substep_s = 3.0;
-  /// Hydraulic-solve evaluation strategy (dedup fast path vs. reference).
-  HydraulicsEval hydraulics = HydraulicsEval::kDedup;
-  /// Thermal HX kernel evaluation strategy (batched fast path vs. reference).
-  ThermalEval thermal = ThermalEval::kBatched;
-};
-
-/// How RapsEngine advances simulated time (see raps/engine.hpp).
-enum class EngineMode {
-  /// Jump directly between events (arrivals, completions, cooling-quantum
-  /// and trace-quantum boundaries) quantized to the tick grid. Default;
-  /// bit-identical to the tick loop and ~an order of magnitude faster.
-  kEventDriven,
-  /// Legacy fixed-step loop ticking every tick_s. Kept as the validation
-  /// reference the event-driven core is asserted against.
-  kTickLoop,
 };
 
 /// Simulation clocking (paper Algorithm 1).
@@ -272,7 +236,6 @@ struct SimulationConfig {
   double tick_s = 1.0;            ///< scheduler/power tick (event-time grid)
   double cooling_quantum_s = 15.0;  ///< FMU call cadence
   double trace_quantum_s = 15.0;    ///< CPU/GPU utilization trace resolution
-  EngineMode engine = EngineMode::kEventDriven;
 };
 
 /// Complete machine + plant descriptor.

@@ -171,9 +171,8 @@ void FlowNetwork::branch_flow(const Branch& b, double dp, double& q, double& dq_
 }
 
 NetworkSolution FlowNetwork::solve(double flow_scale_m3s) const {
-  // Fresh workspace per call: this is the original per-solve allocation
-  // pattern, preserved so the always-solve reference path benchmarks the
-  // cost the workspace-reusing fast path removed.
+  // Fresh workspace per call, so a one-off solve shares no scratch state
+  // with solve_into.
   SolveWorkspace ws;
   NetworkSolution sol;
   solve_with(ws, flow_scale_m3s, sol);

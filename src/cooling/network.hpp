@@ -129,10 +129,10 @@ class FlowNetwork {
 
   /// Solves mass conservation; throws SolverError when Newton fails.
   /// `flow_scale_m3s` sets the convergence tolerance (1e-6 of it).
-  /// Allocates a fresh solution and solver workspace on every call — the
-  /// original cost structure, which the HydraulicsEval::kAlwaysSolve
-  /// reference path deliberately keeps for benchmarking; hot paths use
-  /// solve_into instead. Results are bit-identical between the two.
+  /// Allocates a fresh solution and solver workspace on every call; the
+  /// plant and other hot paths use solve_into instead. Results are
+  /// bit-identical between the two (NetworkTest holds solve_into to this
+  /// reference).
   [[nodiscard]] NetworkSolution solve(double flow_scale_m3s = 0.1) const;
 
   /// Allocation-free variant of solve(): writes the converged state into

@@ -97,8 +97,6 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
           /*initial_units=*/8),
       ehx_stage_lag_(config.cooling.staging_delay_s, 2.0) {
   config_.validate();
-  hydraulics_eval_ = config_.cooling.hydraulics;
-  thermal_eval_ = config_.cooling.thermal;
   ct_supply_setpoint_c_ = config_.cooling.primary.htws_setpoint_c - 4.0;
   build_networks();
   reset();
@@ -371,13 +369,7 @@ void CoolingPlantModel::solve_hydraulics() {
         loop.has_solution = true;
         break;
       case SolveAction::kSolve:
-        if (dedup) {
-          loop.net.solve_into(loop.last_solution, sec_scale);
-        } else {
-          // Reference path: the original allocate-per-solve call, preserved
-          // so benchmarks can measure the cost the fast path removed.
-          loop.last_solution = loop.net.solve(sec_scale);
-        }
+        loop.net.solve_into(loop.last_solution, sec_scale);
         ++hydraulics_stats_.solves_performed;
         loop.has_solution = true;
         break;
@@ -389,11 +381,7 @@ void CoolingPlantModel::solve_hydraulics() {
   if (dedup && pri_has_solution_ && !pri_net_.parameters_changed()) {
     ++hydraulics_stats_.reused_unchanged;
   } else {
-    if (dedup) {
-      pri_net_.solve_into(pri_solution_, config_.cooling.primary.design_flow_m3s);
-    } else {
-      pri_solution_ = pri_net_.solve(config_.cooling.primary.design_flow_m3s);
-    }
+    pri_net_.solve_into(pri_solution_, config_.cooling.primary.design_flow_m3s);
     ++hydraulics_stats_.solves_performed;
     pri_has_solution_ = true;
   }
@@ -401,11 +389,7 @@ void CoolingPlantModel::solve_hydraulics() {
   if (dedup && ct_has_solution_ && !ct_net_.parameters_changed()) {
     ++hydraulics_stats_.reused_unchanged;
   } else {
-    if (dedup) {
-      ct_net_.solve_into(ct_solution_, config_.cooling.ct.design_flow_m3s);
-    } else {
-      ct_solution_ = ct_net_.solve(config_.cooling.ct.design_flow_m3s);
-    }
+    ct_net_.solve_into(ct_solution_, config_.cooling.ct.design_flow_m3s);
     ++hydraulics_stats_.solves_performed;
     ct_has_solution_ = true;
   }

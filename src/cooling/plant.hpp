@@ -39,6 +39,11 @@
 /// modes, so switching modes mid-run stays exact, and reset() forces every
 /// network to re-solve.
 ///
+/// The references (kAlwaysSolve, ThermalEval::kScalar) are selected only
+/// through set_hydraulics_eval / set_thermal_eval on a plant; the system
+/// descriptor and the scenario API do not name them. A DigitalTwin's plant
+/// is reached through DigitalTwin::cooling().
+///
 /// solve_hydraulics classifies every CDU loop (skip / copy-from-donor /
 /// solve) before it solves any of them. The donor scan can then compare
 /// the networks' live warm-start vectors, which still hold the pre-step
@@ -110,6 +115,32 @@ struct PlantOutputs {
   [[nodiscard]] double total_hex_duty_w() const;
 };
 
+/// How CoolingPlantModel::step evaluates the per-step hydraulic solves
+/// (see the dedup semantics in the file header).
+enum class HydraulicsEval {
+  /// Skip a network's re-solve when no branch parameter changed since the
+  /// last solve, and share one solution among identical-topology CDU loops
+  /// at the same operating point. Default; bit-identical to kAlwaysSolve
+  /// because reuse rests on exact (parameter, warm-start) equality, never
+  /// on tolerances.
+  kDedup,
+  /// Reference path: every network re-solved every step.
+  kAlwaysSolve,
+};
+
+/// How CoolingPlantModel::integrate_thermal evaluates the per-substep
+/// counterflow-HX effectiveness kernels (see cooling/heat_exchanger.hpp).
+enum class ThermalEval {
+  /// Gather the per-CDU HX inputs into contiguous arrays and evaluate the
+  /// NTU/exp math through the batched kernel. Default; bit-identical to
+  /// kScalar because the batch kernel runs the exact scalar element math
+  /// in the same order (tests/cooling/plant_dedup_test.cpp asserts it).
+  kBatched,
+  /// Reference path: one evaluate_counterflow_hx call per CDU inside the
+  /// substep loop.
+  kScalar,
+};
+
 /// The transient cooling plant model.
 class CoolingPlantModel {
  public:
@@ -158,16 +189,16 @@ class CoolingPlantModel {
   void set_basin_setpoint_offset(double offset_k);
   [[nodiscard]] double basin_setpoint_c() const { return ct_supply_setpoint_c_; }
 
-  /// Hydraulic evaluation strategy; seeded from CoolingConfig::hydraulics
-  /// (see the dedup semantics in the file header). Switching modes mid-run
-  /// is allowed and stays exact: every solve clears a network's change
-  /// flag in either mode, so the flags are current at the switch.
+  /// Hydraulic evaluation strategy, kDedup until set (see the dedup
+  /// semantics in the file header). Switching modes mid-run is allowed and
+  /// stays exact: every solve clears a network's change flag in either
+  /// mode, so the flags are current at the switch.
   void set_hydraulics_eval(HydraulicsEval eval) { hydraulics_eval_ = eval; }
   [[nodiscard]] HydraulicsEval hydraulics_eval() const { return hydraulics_eval_; }
 
-  /// Thermal HX kernel strategy; seeded from CoolingConfig::thermal.
-  /// Batched and scalar are bit-identical (see heat_exchanger.hpp), so
-  /// switching mid-run is allowed.
+  /// Thermal HX kernel strategy, kBatched until set. Batched and scalar
+  /// are bit-identical (see heat_exchanger.hpp), so switching mid-run is
+  /// allowed.
   void set_thermal_eval(ThermalEval eval) { thermal_eval_ = eval; }
   [[nodiscard]] ThermalEval thermal_eval() const { return thermal_eval_; }
 

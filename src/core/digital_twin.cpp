@@ -12,8 +12,7 @@ DigitalTwin::DigitalTwin(const SystemConfig& config)
 
 DigitalTwin::DigitalTwin(const SystemConfig& config, const DigitalTwinOptions& options)
     : config_(config),
-      engine_(config, RapsEngine::Options{options.start_time_s, options.collect_series,
-                                          options.power_eval}),
+      engine_(config, RapsEngine::Options{options.start_time_s, options.collect_series}),
       collect_series_(options.collect_series) {
   if (options.enable_cooling) {
     const auto cdus = static_cast<std::size_t>(config_.cdu_count);

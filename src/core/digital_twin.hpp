@@ -70,10 +70,6 @@ struct DigitalTwinOptions {
   bool enable_cooling = true;
   bool collect_series = true;
   double start_time_s = 0.0;
-  /// Power-sample evaluation strategy, passed through to RapsEngine —
-  /// kFullRecompute re-creates the pre-event-core hot path for legacy
-  /// benchmarking of the coupled twin.
-  RapsEngine::PowerEval power_eval = RapsEngine::PowerEval::kIncremental;
   /// Initial plant temperature seed AND the default constant wet bulb.
   /// Precedence for the ambient boundary condition, highest first:
   ///   1. set_wetbulb_series()  — a telemetry/synthetic series;

@@ -362,7 +362,7 @@ void RapsEngine::flush_tail(double t_end_s) {
 void RapsEngine::run_until(double t_end_s) {
   require(t_end_s >= now_s_, "run_until target is in the past");
   const long long k_end = last_tick_for(t_end_s);
-  if (config_.simulation.engine == EngineMode::kTickLoop) {
+  if (options_.mode == EngineMode::kTickLoop) {
     while (tick_count_ < k_end) tick();
   } else {
     while (tick_count_ < k_end) {

@@ -13,8 +13,10 @@
 /// incrementally (see power_model.hpp). The cooling model callback fires on
 /// every cooling-quantum boundary — exactly the paper's RAPS <-> FMU
 /// coupling. The legacy fixed-step loop is retained behind
-/// SimulationConfig::engine = EngineMode::kTickLoop as the validation
-/// reference; both modes produce bit-identical reports and series.
+/// Options::mode = EngineMode::kTickLoop as the validation reference; both
+/// modes produce bit-identical reports and series. The references are
+/// selected here on the engine only, never through the system descriptor or
+/// the scenario API.
 ///
 /// Energy accounting semantics: power is piecewise-constant between
 /// samples, and every run_until(t_end) closes the integrals exactly at
@@ -52,6 +54,17 @@ struct JobStartLogEntry {
   double start_time_s = 0.0;
 };
 
+/// How RapsEngine advances simulated time.
+enum class EngineMode {
+  /// Jump directly between events (arrivals, completions, cooling-quantum
+  /// and trace-quantum boundaries) quantized to the tick grid. Default;
+  /// bit-identical to the tick loop and ~an order of magnitude faster.
+  kEventDriven,
+  /// Legacy fixed-step loop ticking every tick_s. Kept as the validation
+  /// reference the event-driven core is asserted against.
+  kTickLoop,
+};
+
 /// The resource-allocator-and-power-simulator engine.
 class RapsEngine {
  public:
@@ -71,6 +84,9 @@ class RapsEngine {
     /// long parameter sweeps that only need the final report).
     bool collect_series = true;
     PowerEval power_eval = PowerEval::kIncremental;
+    /// Last, so callers that aggregate-initialize the members above (as
+    /// perfbench does) keep compiling.
+    EngineMode mode = EngineMode::kEventDriven;
   };
 
   explicit RapsEngine(const SystemConfig& config);

@@ -28,8 +28,9 @@ class SchedulingPolicyRegistry {
   /// check_policy_params) so typos fail loudly at construction.
   using Factory = std::function<std::unique_ptr<SchedulingPolicy>(const Json& params)>;
 
-  /// Process-wide registry, with the five built-in policies ("fcfs", "sjf",
-  /// "easy_backfill", "priority", "power_capped") registered on first use.
+  /// Process-wide registry, with the six built-in policies ("fcfs", "sjf",
+  /// "easy_backfill", "priority", "power_capped", "price_aware") registered
+  /// on first use. The config layer knows the same six names before then.
   static SchedulingPolicyRegistry& instance();
 
   /// Registers (or replaces) a factory and mirrors the name into the config

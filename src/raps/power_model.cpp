@@ -72,17 +72,6 @@ const NodeConfig& RapsPowerModel::node_config_for(const JobRecord& job) const {
   return config_.node;
 }
 
-double RapsPowerModel::idle_node_power_w(int node_index) const {
-  if (!config_.partitions.empty()) {
-    int cursor = 0;
-    for (const auto& p : config_.partitions) {
-      if (node_index < cursor + p.node_count) return p.node.idle_power_w();
-      cursor += p.node_count;
-    }
-  }
-  return config_.node.idle_power_w();
-}
-
 double RapsPowerModel::job_node_power_w(const JobRecord& job, const NodeConfig& cfg,
                                         double now, double start_time_s) const {
   const double since = now - start_time_s;
@@ -289,7 +278,7 @@ const PowerSample& RapsPowerModel::recompute(double now,
     active_nodes_ += static_cast<int>(view.nodes->size());
     for (const int node : *view.nodes) {
       group_output_w_[static_cast<std::size_t>(node / nodes_per_group_)] +=
-          p_node - idle_node_power_w(node);
+          p_node - idle_node_w_[static_cast<std::size_t>(node)];
     }
   }
   rebuild_all_racks(/*use_memo=*/false);

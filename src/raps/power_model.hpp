@@ -26,7 +26,9 @@
 /// whole-rack operating points that equal occupancy produces. RapsEngine
 /// drives the incremental interface (on_job_start / on_job_stop /
 /// advance); the stateless recompute() rebuilds everything from the given
-/// running set and remains available for one-shot evaluations.
+/// running set, reading the same per-node idle powers. It serves one-shot
+/// evaluations and RapsEngine's PowerEval::kFullRecompute reference, which
+/// is selected on RapsEngine::Options only.
 ///
 /// advance() refreshes each job's node power, recomputes the dirty groups,
 /// then re-evaluates the dirty racks in ascending rack order and folds
@@ -166,11 +168,6 @@ class RapsPowerModel {
                                         double now, double start_time_s) const;
   /// Node config for the job's partition; throws on an unknown partition.
   [[nodiscard]] const NodeConfig& node_config_for(const JobRecord& job) const;
-  /// Reference per-node idle power (the original O(partitions) scan). The
-  /// incremental path uses the precomputed idle_node_w_ array instead; this
-  /// stays as the seed-faithful arithmetic (and cost profile) recompute()
-  /// is benchmarked against. Values are bit-identical to idle_node_w_.
-  [[nodiscard]] double idle_node_power_w(int node_index) const;
   /// Recomputes every dirty group's load from its occupants and marks its
   /// rack dirty.
   void refresh_dirty_groups();

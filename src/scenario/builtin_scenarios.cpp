@@ -80,8 +80,7 @@ void add_report_metrics(ScenarioResult& r, const Report& report) {
 // --- workflow adapters -----------------------------------------------------
 
 ScenarioResult run_simulate_scenario(const ScenarioSpec& spec) {
-  check_params(spec,
-               {"cooling", "engine", "hydraulics", "thermal", "policy", "policy_params"});
+  check_params(spec, {"cooling", "policy", "policy_params"});
   SystemConfig config = spec.resolve_config();
   // "policy" / "policy_params": scheduling policy for the built-in
   // scheduler (see raps/policy/). Equivalent to a config delta on
@@ -94,25 +93,6 @@ ScenarioResult run_simulate_scenario(const ScenarioSpec& spec) {
   }
   if (spec.params.is_object() && spec.params.contains("policy_params")) {
     config.scheduler.policy_params = spec.params.at("policy_params");
-  }
-  // "engine": "event" (default) or "tick" — the legacy fixed-step loop,
-  // kept for A/B validation batches (results are bit-identical; see
-  // raps/engine.hpp). Equivalent to a config delta on simulation.engine.
-  if (spec.params.is_object() && spec.params.contains("engine")) {
-    config.simulation.engine =
-        engine_mode_from_name(spec.params.at("engine").as_string());
-  }
-  // "hydraulics": "dedup" (default) or "always_solve" — the reference
-  // cooling hydraulic path, same A/B role as "engine" (see cooling/plant.hpp).
-  if (spec.params.is_object() && spec.params.contains("hydraulics")) {
-    config.cooling.hydraulics =
-        hydraulics_eval_from_name(spec.params.at("hydraulics").as_string());
-  }
-  // "thermal": "batched" (default) or "scalar" — the reference per-CDU HX
-  // kernel, same A/B role (see cooling/heat_exchanger.hpp).
-  if (spec.params.is_object() && spec.params.contains("thermal")) {
-    config.cooling.thermal =
-        thermal_eval_from_name(spec.params.at("thermal").as_string());
   }
   const std::uint64_t seed = spec.seed_or(42);
   const bool cooling = param_bool(spec, "cooling", true);

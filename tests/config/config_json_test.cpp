@@ -49,49 +49,21 @@ TEST(ConfigJsonTest, FrontierRoundTripIsLossless) {
   }
 }
 
-TEST(ConfigJsonTest, EngineModeRoundTripAndValidation) {
-  SystemConfig original = frontier_system_config();
-  original.simulation.engine = EngineMode::kTickLoop;
-  const SystemConfig back = system_config_from_json(system_config_to_json(original));
-  EXPECT_EQ(back.simulation.engine, EngineMode::kTickLoop);
-
-  const Json event = Json::parse(R"({"simulation": {"engine": "event"}})");
-  EXPECT_EQ(system_config_from_json(event).simulation.engine, EngineMode::kEventDriven);
-  // Absent field keeps the event-driven default.
-  const Json empty = Json::parse(R"({})");
-  EXPECT_EQ(system_config_from_json(empty).simulation.engine, EngineMode::kEventDriven);
-  const Json bad = Json::parse(R"({"simulation": {"engine": "warp"}})");
-  EXPECT_THROW(system_config_from_json(bad), ConfigError);
-}
-
-TEST(ConfigJsonTest, HydraulicsEvalRoundTripAndValidation) {
-  SystemConfig original = frontier_system_config();
-  original.cooling.hydraulics = HydraulicsEval::kAlwaysSolve;
-  const SystemConfig back = system_config_from_json(system_config_to_json(original));
-  EXPECT_EQ(back.cooling.hydraulics, HydraulicsEval::kAlwaysSolve);
-
-  const Json dedup = Json::parse(R"({"cooling": {"hydraulics": "dedup"}})");
-  EXPECT_EQ(system_config_from_json(dedup).cooling.hydraulics, HydraulicsEval::kDedup);
-  // Absent field keeps the dedup default.
-  const Json empty = Json::parse(R"({})");
-  EXPECT_EQ(system_config_from_json(empty).cooling.hydraulics, HydraulicsEval::kDedup);
-  const Json bad = Json::parse(R"({"cooling": {"hydraulics": "sometimes"}})");
-  EXPECT_THROW(system_config_from_json(bad), ConfigError);
-}
-
-TEST(ConfigJsonTest, ThermalEvalRoundTripAndValidation) {
-  SystemConfig original = frontier_system_config();
-  original.cooling.thermal = ThermalEval::kScalar;
-  const SystemConfig back = system_config_from_json(system_config_to_json(original));
-  EXPECT_EQ(back.cooling.thermal, ThermalEval::kScalar);
-
-  const Json batched = Json::parse(R"({"cooling": {"thermal": "batched"}})");
-  EXPECT_EQ(system_config_from_json(batched).cooling.thermal, ThermalEval::kBatched);
-  // Absent field keeps the batched default.
-  const Json empty = Json::parse(R"({})");
-  EXPECT_EQ(system_config_from_json(empty).cooling.thermal, ThermalEval::kBatched);
-  const Json bad = Json::parse(R"({"cooling": {"thermal": "vectorish"}})");
-  EXPECT_THROW(system_config_from_json(bad), ConfigError);
+/// The evaluation-strategy keys older descriptors carried (simulation.engine,
+/// cooling.hydraulics, cooling.thermal) are not part of the descriptor: like
+/// any unknown key they are ignored, whatever their value.
+TEST(ConfigJsonTest, RetiredEvaluationKeysAreIgnored) {
+  const Json stale = Json::parse(R"({
+    "simulation": {"engine": "tick", "tick_s": 1.0},
+    "cooling": {"hydraulics": "always_solve", "thermal": "vectorish"}
+  })");
+  const Json plain = Json::parse(R"({"simulation": {"tick_s": 1.0}, "cooling": {}})");
+  EXPECT_EQ(system_config_to_json(system_config_from_json(stale)).dump(),
+            system_config_to_json(system_config_from_json(plain)).dump());
+  const Json out = system_config_to_json(frontier_system_config());
+  EXPECT_FALSE(out.at("simulation").contains("engine"));
+  EXPECT_FALSE(out.at("cooling").contains("hydraulics"));
+  EXPECT_FALSE(out.at("cooling").contains("thermal"));
 }
 
 TEST(ConfigJsonTest, MultiPartitionRoundTrip) {
@@ -116,7 +88,8 @@ TEST(ConfigJsonTest, MissingFieldsTakeFrontierDefaults) {
 
 TEST(ConfigJsonTest, SchedulerPolicyNames) {
   // Legacy names stay parseable, and the new built-ins are accepted.
-  for (const char* name : {"fcfs", "sjf", "easy_backfill", "priority", "power_capped"}) {
+  for (const char* name :
+       {"fcfs", "sjf", "easy_backfill", "priority", "power_capped", "price_aware"}) {
     Json j;
     j["scheduler"]["policy"] = Json(name);
     EXPECT_NO_THROW(system_config_from_json(j));
@@ -137,7 +110,7 @@ TEST(ConfigJsonTest, UnknownSchedulerPolicyErrorListsValidNames) {
     const std::string what = e.what();
     EXPECT_NE(what.find("lottery"), std::string::npos) << what;
     for (const char* name :
-         {"fcfs", "sjf", "easy_backfill", "priority", "power_capped"}) {
+         {"fcfs", "sjf", "easy_backfill", "priority", "power_capped", "price_aware"}) {
       EXPECT_NE(what.find(name), std::string::npos) << "missing " << name << ": " << what;
     }
   }

@@ -1,11 +1,10 @@
 /// Cross-validation of the deduplicated hydraulics fast path
 /// (HydraulicsEval::kDedup) against the always-solve reference: a churning
 /// coupled run with staging events, blockages, and forced pump speeds must
-/// produce every PlantOutputs field within 1e-12 relative (bit-identical in
-/// practice — reuse is keyed on exact parameter/warm-start equality), plus
-/// energy-consistency guards that would catch stale outputs on the fast
-/// path. The same churn script pins the batched thermal kernel to its
-/// scalar reference bit for bit.
+/// produce every PlantOutputs field bit for bit (reuse is keyed on exact
+/// parameter/warm-start equality), plus energy-consistency guards that
+/// would catch stale outputs on the fast path. The same churn script pins
+/// the batched thermal kernel to its scalar reference bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -17,14 +16,6 @@
 
 namespace exadigit {
 namespace {
-
-constexpr double kRelTol = 1e-12;
-
-void expect_rel_eq(double a, double b, const std::string& what, int step) {
-  const double scale = std::max({std::abs(a), std::abs(b), 1e-30});
-  EXPECT_LE(std::abs(a - b) / scale, kRelTol) << what << " diverged at step " << step
-                                              << ": " << a << " vs " << b;
-}
 
 /// Applies check(x, y, name) to every floating-point PlantOutputs field of
 /// `a` and `b`; the integer staging counts are always compared exactly.
@@ -67,12 +58,6 @@ void compare_outputs(const PlantOutputs& a, const PlantOutputs& b, int step, Che
   check(a.pue, b.pue, "pue");
 }
 
-void expect_outputs_match(const PlantOutputs& a, const PlantOutputs& b, int step) {
-  compare_outputs(a, b, step, [step](double x, double y, const std::string& what) {
-    expect_rel_eq(x, y, what, step);
-  });
-}
-
 void expect_outputs_bit_identical(const PlantOutputs& a, const PlantOutputs& b, int step) {
   compare_outputs(a, b, step, [step](double x, double y, const std::string& what) {
     EXPECT_EQ(x, y) << what << " differs at step " << step;
@@ -109,15 +94,12 @@ void churn_step(CoolingPlantModel& plant, int step, const SystemConfig& config) 
 TEST(PlantDedupTest, ChurnRunMatchesAlwaysSolveReference) {
   const SystemConfig config = frontier_system_config();
 
-  SystemConfig fast_config = config;
-  fast_config.cooling.hydraulics = HydraulicsEval::kDedup;
-  CoolingPlantModel fast(fast_config);
-  fast.reset(20.0);
+  CoolingPlantModel fast(config);
   EXPECT_EQ(fast.hydraulics_eval(), HydraulicsEval::kDedup);
+  fast.reset(20.0);
 
-  SystemConfig ref_config = config;
-  ref_config.cooling.hydraulics = HydraulicsEval::kAlwaysSolve;
-  CoolingPlantModel ref(ref_config);
+  CoolingPlantModel ref(config);
+  ref.set_hydraulics_eval(HydraulicsEval::kAlwaysSolve);
   ref.reset(20.0);
   EXPECT_EQ(ref.hydraulics_eval(), HydraulicsEval::kAlwaysSolve);
 
@@ -125,7 +107,7 @@ TEST(PlantDedupTest, ChurnRunMatchesAlwaysSolveReference) {
   for (int step = 0; step < 800; ++step) {
     churn_step(fast, step, config);
     churn_step(ref, step, config);
-    expect_outputs_match(fast.outputs(), ref.outputs(), step);
+    expect_outputs_bit_identical(fast.outputs(), ref.outputs(), step);
     if (HasFatalFailure()) return;
   }
 
@@ -141,8 +123,7 @@ TEST(PlantDedupTest, ChurnRunMatchesAlwaysSolveReference) {
 }
 
 TEST(PlantDedupTest, UnperturbedPlantCollapsesCduSolves) {
-  SystemConfig config = frontier_system_config();
-  config.cooling.hydraulics = HydraulicsEval::kDedup;
+  const SystemConfig config = frontier_system_config();
   CoolingPlantModel plant(config);
   plant.reset(20.0);
   const long long performed0 = plant.hydraulics_stats().solves_performed;
@@ -181,7 +162,7 @@ TEST(PlantDedupTest, ResetClearsCountersAndStaysExact) {
   for (int step = 0; step < 60; ++step) {
     churn_step(fast, step, config);
     churn_step(ref, step, config);
-    expect_outputs_match(fast.outputs(), ref.outputs(), step);
+    expect_outputs_bit_identical(fast.outputs(), ref.outputs(), step);
     if (HasFatalFailure()) return;
   }
 }
@@ -191,8 +172,7 @@ TEST(PlantDedupTest, ResetClearsCountersAndStaysExact) {
 /// state, and PUE / aux_power_w stay consistent with the component powers
 /// (stale shared solutions would break both).
 TEST(PlantDedupTest, EnergyAndPueConsistentUnderDedup) {
-  SystemConfig config = frontier_system_config();
-  config.cooling.hydraulics = HydraulicsEval::kDedup;
+  const SystemConfig config = frontier_system_config();
   CoolingPlantModel plant(config);
   plant.reset(20.0);
 
@@ -243,7 +223,7 @@ TEST(PlantDedupTest, SwitchingModesMidRunStaysExact) {
   for (int step = 40; step < 80; ++step) {
     churn_step(a, step, config);
     churn_step(b, step, config);
-    expect_outputs_match(a.outputs(), b.outputs(), step);
+    expect_outputs_bit_identical(a.outputs(), b.outputs(), step);
     if (HasFatalFailure()) return;
   }
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -346,6 +347,74 @@ TEST(DigitalTwinTest, RecorderMatchesPerSampleFmuCoupling) {
   const Report b = reference.report();
   EXPECT_EQ(a.total_energy_mwh, b.total_energy_mwh);
   EXPECT_EQ(a.jobs_completed, b.jobs_completed);
+}
+
+/// A 1 h coupled twin whose plant runs the given evaluation paths, set
+/// through cooling() after construction. The run ends off the 15 s cooling
+/// grid, so the partial plant step is covered.
+std::unique_ptr<DigitalTwin> run_coupled_hour(const SystemConfig& config,
+                                              HydraulicsEval hydraulics, ThermalEval thermal) {
+  WorkloadGenerator gen(config.workload, config, Rng(17));
+  std::vector<JobRecord> jobs = gen.generate(0.0, 3000.0);
+  jobs.push_back(make_hpl_job(600.0, 1500.0));
+  auto twin = std::make_unique<DigitalTwin>(config);
+  twin->cooling().set_hydraulics_eval(hydraulics);
+  twin->cooling().set_thermal_eval(thermal);
+  twin->set_wetbulb_constant(16.0);
+  twin->submit_all(std::move(jobs));
+  twin->run_until(3607.0);
+  return twin;
+}
+
+/// The same report and all 159 series, bit for bit.
+void expect_same_twin(const DigitalTwin& fast, const DigitalTwin& ref) {
+  expect_same_series(recorded_series(fast), recorded_series(ref));
+  EXPECT_EQ(recorded_series(fast).size(), 159u);
+  const Report a = fast.report();
+  const Report b = ref.report();
+  for (const double Report::*field :
+       {&Report::duration_s, &Report::avg_wait_s, &Report::makespan_s,
+        &Report::throughput_jobs_per_hour, &Report::avg_power_mw, &Report::min_power_mw,
+        &Report::max_power_mw, &Report::total_energy_mwh, &Report::avg_loss_mw,
+        &Report::max_loss_mw, &Report::loss_fraction, &Report::avg_eta_system,
+        &Report::avg_utilization, &Report::avg_arrival_s, &Report::avg_nodes_per_job,
+        &Report::avg_runtime_min, &Report::carbon_tons, &Report::energy_cost_usd}) {
+    EXPECT_TRUE(same_bits({a.*field}, {b.*field})) << a.*field << " vs " << b.*field;
+  }
+  EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
+  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
+  EXPECT_EQ(a.jobs_rejected, b.jobs_rejected);
+  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+}
+
+/// The hydraulics reference is selected on the plant itself: a twin whose
+/// plant re-solves every network every step records the same report and
+/// all 159 series, bit for bit, as a default twin.
+TEST(DigitalTwinTest, PlantAlwaysSolveMatchesDefaultTwin) {
+  const SystemConfig config = frontier_system_config();
+  const auto fast = run_coupled_hour(config, HydraulicsEval::kDedup, ThermalEval::kBatched);
+  const auto ref = run_coupled_hour(config, HydraulicsEval::kAlwaysSolve, ThermalEval::kBatched);
+  expect_same_twin(*fast, *ref);
+  // The reference really ran: every step re-solved all 27 networks (the
+  // construction-time reset ran before the switch).
+  const long long networks = config.cdu_count + 2;
+  EXPECT_LT(fast->cooling().hydraulics_stats().solves_performed,
+            networks * fast->cooling().step_count());
+  EXPECT_GE(ref->cooling().hydraulics_stats().solves_performed,
+            networks * ref->cooling().step_count());
+}
+
+/// The thermal reference is selected on the plant itself: a twin whose
+/// plant runs the scalar HX kernel records the same report and all 159
+/// series, bit for bit, as a default twin.
+TEST(DigitalTwinTest, PlantScalarThermalMatchesDefaultTwin) {
+  const SystemConfig config = frontier_system_config();
+  const auto fast = run_coupled_hour(config, HydraulicsEval::kDedup, ThermalEval::kBatched);
+  const auto ref = run_coupled_hour(config, HydraulicsEval::kDedup, ThermalEval::kScalar);
+  expect_same_twin(*fast, *ref);
+  // The reference really ran: no HX went through the batched kernel.
+  EXPECT_GT(fast->cooling().thermal_stats().hx_evaluated, 0);
+  EXPECT_EQ(ref->cooling().thermal_stats().hx_evaluated, 0);
 }
 
 }  // namespace

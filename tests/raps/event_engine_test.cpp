@@ -54,11 +54,11 @@ struct RunResult {
   std::vector<double> cooling_calls;
 };
 
-RunResult run_mode(SystemConfig config, EngineMode mode, double t_end_s,
+RunResult run_mode(const SystemConfig& config, EngineMode mode, double t_end_s,
                    RapsEngine::PowerEval eval = RapsEngine::PowerEval::kIncremental) {
-  config.simulation.engine = mode;
   RapsEngine::Options options;
   options.power_eval = eval;
+  options.mode = mode;
   RapsEngine engine(config, options);
   RunResult r;
   engine.set_cooling_callback(

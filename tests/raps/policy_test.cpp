@@ -45,6 +45,15 @@ SystemConfig one_rack_system() {
 
 // --- registry --------------------------------------------------------------
 
+/// The config layer accepts every built-in before the registry is first
+/// used, so a scenario that names a policy before any Scheduler exists (the
+/// policy_sweep name check) sees the same set. ctest runs each case in its
+/// own process, so here the snapshot is taken before the registry exists.
+TEST(PolicyRegistryTest, ConfigLayerKnowsEveryBuiltinBeforeFirstUse) {
+  const std::vector<std::string> before = known_scheduler_policy_names();
+  EXPECT_EQ(before, SchedulingPolicyRegistry::instance().names());
+}
+
 TEST(PolicyRegistryTest, BuiltinsRegistered) {
   auto& reg = SchedulingPolicyRegistry::instance();
   for (const char* name :

@@ -48,7 +48,7 @@ TEST(ScenarioKeyTest, EveryResultBearingFieldPerturbsTheSpecHash) {
       R"({"name": "n", "type": "simulate", "horizon_hours": 2, "seed": 1})",
       R"({"name": "n", "type": "simulate", "horizon_hours": 1, "seed": 2})",
       R"({"name": "n", "type": "simulate", "horizon_hours": 1, "seed": 1,
-          "params": {"engine": "tick"}})",
+          "params": {"cooling": false}})",
       R"({"name": "n", "type": "simulate", "horizon_hours": 1, "seed": 1,
           "source": {"kind": "synthetic", "hours": 2}})",
   };

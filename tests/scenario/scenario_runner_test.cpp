@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -326,104 +328,27 @@ TEST(ScenarioRunnerTest, RunsBatchWithItsOwnSettings) {
   EXPECT_GE(results[1].metric("extended_htws_c"), results[0].metric("extended_htws_c"));
 }
 
-/// The "engine" param selects the legacy tick loop for A/B validation
-/// batches; both engines must produce bit-identical simulate results.
-TEST(ScenarioRunnerTest, SimulateEngineParamTickMatchesEvent) {
-  auto make_spec = [](const char* engine) {
-    ScenarioSpec spec;
-    spec.name = std::string("sim-") + engine;
-    spec.type = "simulate";
-    spec.horizon_hours = 0.25;
-    spec.seed = 11;
-    Json params;
-    params["cooling"] = false;
-    params["engine"] = Json(std::string(engine));
-    spec.params = std::move(params);
-    return spec;
-  };
-  const ScenarioResult event = ScenarioRegistry::instance().run(make_spec("event"));
-  const ScenarioResult tick = ScenarioRegistry::instance().run(make_spec("tick"));
-  ASSERT_EQ(event.summary.size(), tick.summary.size());
-  for (std::size_t i = 0; i < event.summary.size(); ++i) {
-    EXPECT_EQ(event.summary[i].value, tick.summary[i].value)
-        << "metric " << event.summary[i].name;
-  }
-  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("warp")), ConfigError);
-}
-
-/// The "hydraulics" param selects the always-solve reference for cooling
-/// A/B batches; both strategies must produce bit-identical simulate
-/// results (the dedup reuse is keyed on exact operating-point equality).
-TEST(ScenarioRunnerTest, SimulateHydraulicsParamAlwaysSolveMatchesDedup) {
-  auto make_spec = [](const char* hydraulics) {
-    ScenarioSpec spec;
-    spec.name = std::string("sim-") + hydraulics;
-    spec.type = "simulate";
-    spec.horizon_hours = 0.25;
-    spec.seed = 11;
-    Json params;
-    params["hydraulics"] = Json(std::string(hydraulics));
-    spec.params = std::move(params);
-    return spec;
-  };
-  const ScenarioResult dedup = ScenarioRegistry::instance().run(make_spec("dedup"));
-  const ScenarioResult ref = ScenarioRegistry::instance().run(make_spec("always_solve"));
-  ASSERT_EQ(dedup.summary.size(), ref.summary.size());
-  for (std::size_t i = 0; i < dedup.summary.size(); ++i) {
-    EXPECT_EQ(dedup.summary[i].value, ref.summary[i].value)
-        << "metric " << dedup.summary[i].name;
-  }
-  const TimeSeries& pue_a = dedup.channels.at("pue");
-  const TimeSeries& pue_b = ref.channels.at("pue");
-  ASSERT_EQ(pue_a.size(), pue_b.size());
-  for (std::size_t i = 0; i < pue_a.size(); ++i) {
-    EXPECT_EQ(pue_a.values()[i], pue_b.values()[i]) << "pue sample " << i;
-  }
-  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("sometimes")), ConfigError);
-}
-
-/// The "thermal" param selects the scalar HX-kernel reference for A/B
-/// batches; both kernels must produce bit-identical simulate results (the
-/// batched kernel's lane math runs the same operations in the same order).
-TEST(ScenarioRunnerTest, SimulateThermalParamScalarMatchesBatched) {
-  auto make_spec = [](const char* thermal) {
-    ScenarioSpec spec;
-    spec.name = std::string("sim-") + thermal;
-    spec.type = "simulate";
-    spec.horizon_hours = 0.25;
-    spec.seed = 11;
-    Json params;
-    params["thermal"] = Json(std::string(thermal));
-    spec.params = std::move(params);
-    return spec;
-  };
-  const ScenarioResult batched = ScenarioRegistry::instance().run(make_spec("batched"));
-  const ScenarioResult scalar = ScenarioRegistry::instance().run(make_spec("scalar"));
-  ASSERT_EQ(batched.summary.size(), scalar.summary.size());
-  for (std::size_t i = 0; i < batched.summary.size(); ++i) {
-    EXPECT_EQ(batched.summary[i].value, scalar.summary[i].value)
-        << "metric " << batched.summary[i].name;
-  }
-  const TimeSeries& pue_a = batched.channels.at("pue");
-  const TimeSeries& pue_b = scalar.channels.at("pue");
-  ASSERT_EQ(pue_a.size(), pue_b.size());
-  for (std::size_t i = 0; i < pue_a.size(); ++i) {
-    EXPECT_EQ(pue_a.values()[i], pue_b.values()[i]) << "pue sample " << i;
-  }
-  EXPECT_THROW(ScenarioRegistry::instance().run(make_spec("vectorish")), ConfigError);
-}
-
-/// A twin runs serially, so "threads" is not a simulate param: like any
-/// unknown field it fails before the twin is built.
+/// A twin runs serially, and its evaluation strategies (engine mode,
+/// hydraulics, thermal kernel) are set on the engine and the plant, not
+/// through the scenario API. So none of these is a simulate param: like any
+/// unknown field each fails before the twin is built.
 TEST(ScenarioRunnerTest, SimulateRejectsThreadsParam) {
-  ScenarioSpec spec;
-  spec.name = "sim-threads";
-  spec.type = "simulate";
-  spec.horizon_hours = 0.25;
-  Json params;
-  params["threads"] = Json(static_cast<std::int64_t>(2));
-  spec.params = std::move(params);
-  EXPECT_THROW(ScenarioRegistry::instance().run(spec), ConfigError);
+  const std::pair<const char*, Json> retired[] = {
+      {"threads", Json(static_cast<std::int64_t>(2))},
+      {"engine", Json("tick")},
+      {"hydraulics", Json("always_solve")},
+      {"thermal", Json("scalar")},
+  };
+  for (const auto& [key, value] : retired) {
+    ScenarioSpec spec;
+    spec.name = std::string("sim-") + key;
+    spec.type = "simulate";
+    spec.horizon_hours = 0.25;
+    Json params;
+    params[key] = value;
+    spec.params = std::move(params);
+    EXPECT_THROW(ScenarioRegistry::instance().run(spec), ConfigError) << key;
+  }
 }
 
 TEST(ScenarioRunnerTest, DatasetReplayIdenticalAcrossFormatsAndLoaders) {
