@@ -90,6 +90,9 @@ void SystemConfig::validate() const {
   require(simulation.tick_s > 0.0, "tick must be positive");
   require(simulation.cooling_quantum_s >= simulation.tick_s,
           "cooling quantum must be >= tick");
+  // Utilization traces are indexed by time / trace quantum.
+  require(std::isfinite(simulation.trace_quantum_s) && simulation.trace_quantum_s > 0.0,
+          "trace quantum must be finite and positive");
   require(workload.mean_arrival_s > 0.0, "mean arrival time must be positive");
   require(workload.mean_nodes >= 1.0, "mean job size must be >= 1 node");
   require(economics.electricity_usd_per_kwh >= 0.0, "negative electricity price");

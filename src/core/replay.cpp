@@ -90,7 +90,14 @@ PowerReplayResult replay_power(const SystemConfig& config, ChunkedTelemetrySourc
   const auto sim_begin = std::chrono::steady_clock::now();
   twin.submit_all(header.jobs);
   TimeSeries measured_mw;
+  // Replay reads the system channels only (measured power and wet bulb);
+  // a source may leave every other channel of a window undecoded.
   TelemetryChunk chunk;
+  std::vector<ChannelKey> system_channels;
+  for (const SystemChannelDef& def : system_channel_defs()) {
+    system_channels.push_back({kSystemTag, def.name});
+  }
+  chunk.select(std::move(system_channels));
   // Replay's only mid-run telemetry dependency is the wet bulb (measured
   // power is scored after the run); the safe simulation horizon while the
   // stream is live is therefore the last ingested wet-bulb sample — past

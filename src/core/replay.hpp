@@ -62,7 +62,9 @@ struct PowerReplayResult {
 
 /// The replay loop every overload runs: pulls telemetry chunk by chunk off
 /// `source` and advances the twin incrementally, so peak telemetry
-/// residency is one chunk rather than the whole dataset. Bit-identical to
+/// residency is one chunk rather than the whole dataset. The pulled chunk
+/// selects the system channels (system_channel_defs()), the only ones
+/// replay reads, so a BinChunkSource decodes nothing else. Bit-identical to
 /// one uninterrupted run of the twin over the whole span, on the report
 /// and on every recorded series sample, for any chunk geometry: between
 /// chunks the twin only ever runs to a cooling-quantum fire tick at or

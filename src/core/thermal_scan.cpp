@@ -28,13 +28,13 @@ ThermalScanResult scan_fleet_thermals(const RapsEngine& engine, const PlantOutpu
 
   for (const RunningJob& job : engine.running_jobs()) {
     const double since = engine.now_s() - job.start_time_s;
-    const double cu = job.record.cpu_util_at(since, quantum);
-    const double gu = job.record.gpu_util_at(since, quantum);
+    const JobRecord::Utilization u = job.record.utilization_at(since, quantum);
     const NodeConfig& node_cfg = config.node;
-    const double cpu_w = node_cfg.cpus_per_node *
-                         (node_cfg.cpu_idle_w + cu * (node_cfg.cpu_peak_w - node_cfg.cpu_idle_w));
+    const double cpu_w =
+        node_cfg.cpus_per_node *
+        (node_cfg.cpu_idle_w + u.cpu * (node_cfg.cpu_peak_w - node_cfg.cpu_idle_w));
     const double gpu_w_each =
-        node_cfg.gpu_idle_w + gu * (node_cfg.gpu_peak_w - node_cfg.gpu_idle_w);
+        node_cfg.gpu_idle_w + u.gpu * (node_cfg.gpu_peak_w - node_cfg.gpu_idle_w);
 
     for (const int n : job.nodes) {
       const int rack = config.rack_of_node(n);

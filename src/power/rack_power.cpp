@@ -40,50 +40,45 @@ void RackPowerModel::add_switches(RackPowerResult& result) const {
 }
 
 RackPowerResult RackPowerModel::from_group_outputs(std::span<const double> group_outputs_w,
-                                                   ConversionMemo* memo) const {
+                                                   std::span<GroupConversion> conversions) const {
   require(group_outputs_w.size() == static_cast<std::size_t>(groups_per_rack_),
           "group output count must match groups per rack");
+  require(conversions.empty() || conversions.size() == group_outputs_w.size(),
+          "group conversion count must match groups per rack");
   RackPowerResult result;
-  if (memo == nullptr) {
-    // Exact reference path: one chain evaluation per group, accumulated in
-    // group order.
-    for (const double out_w : group_outputs_w) {
-      const ConversionResult c = chain_.convert(out_w);
-      result.node_output_w += c.output_w;
-      result.input_w += c.input_w;
-      result.rectifier_loss_w += c.rectifier_loss_w;
-      result.sivoc_loss_w += c.sivoc_loss_w;
-      result.any_overload = result.any_overload || c.overloaded;
-    }
-  } else {
-    // Fast path: runs of adjacent groups with the same exact load (idle
-    // spans, groups one job fully covers) resolve one conversion and
-    // accumulate by multiplication. Measured on the 7-day ooc_replay
-    // benchmark, a dirty 8-group rack takes 4.7 memo lookups on average
-    // (7.6 while group loads were running sums of float deltas). Rounding
-    // can differ from the reference path in the last ulp, but is
-    // deterministic for a given group vector.
-    std::size_t i = 0;
-    const std::size_t n = group_outputs_w.size();
-    ConversionResult local;
-    while (i < n) {
-      const double v = group_outputs_w[i];
-      std::size_t j = i + 1;
-      while (j < n && group_outputs_w[j] == v) ++j;
-      const double len = static_cast<double>(j - i);
-      const ConversionResult* c = memo->find(v);
-      if (c == nullptr) {
-        local = chain_.convert(v);
-        memo->insert(v, local);
-        c = &local;
-      }
-      result.node_output_w += c->output_w * len;
-      result.input_w += c->input_w * len;
-      result.rectifier_loss_w += c->rectifier_loss_w * len;
-      result.sivoc_loss_w += c->sivoc_loss_w * len;
-      result.any_overload = result.any_overload || c->overloaded;
-      i = j;
-    }
+  for (std::size_t g = 0; g < group_outputs_w.size(); ++g) {
+    const ConversionResult c = chain_.convert(group_outputs_w[g]);
+    result.node_output_w += c.output_w;
+    result.input_w += c.input_w;
+    result.rectifier_loss_w += c.rectifier_loss_w;
+    result.sivoc_loss_w += c.sivoc_loss_w;
+    result.any_overload = result.any_overload || c.overloaded;
+    if (!conversions.empty()) conversions[g] = GroupConversion::of(c);
+  }
+  add_switches(result);
+  return result;
+}
+
+RackPowerResult RackPowerModel::from_group_conversions(
+    std::span<const GroupConversion> groups) const {
+  require(groups.size() == static_cast<std::size_t>(groups_per_rack_),
+          "group conversion count must match groups per rack");
+  // Runs of adjacent groups with the same exact load (idle spans, groups
+  // one job fully covers) add one conversion times the run length.
+  RackPowerResult result;
+  std::size_t i = 0;
+  const std::size_t n = groups.size();
+  while (i < n) {
+    const GroupConversion& c = groups[i];
+    std::size_t j = i + 1;
+    while (j < n && groups[j].output_w == c.output_w) ++j;
+    const double len = static_cast<double>(j - i);
+    result.node_output_w += c.output_w * len;
+    result.input_w += c.input_w * len;
+    result.rectifier_loss_w += c.rectifier_loss_w * len;
+    result.sivoc_loss_w += c.sivoc_loss_w * len;
+    result.any_overload = result.any_overload || c.overloaded;
+    i = j;
   }
   add_switches(result);
   return result;

@@ -8,11 +8,14 @@
 /// the rack's 32 Slingshot switches draw through the rectifier stage. The
 /// SystemPowerModel adds CDU pump power and produces the paper's
 /// P_system together with a component breakdown (Fig. 4).
+///
+/// A rack sums either fresh conversions of its group loads
+/// (from_group_outputs, the exact reference) or conversions its caller
+/// already holds (from_group_conversions, run-length accumulation). The
+/// incremental RAPS power model takes the second path: it keeps each
+/// group's GroupConversion and converts a group only when its load
+/// changes, so no cache of conversions by value is needed.
 
-#include <array>
-#include <bit>
-#include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -48,67 +51,22 @@ struct PowerBreakdown {
   }
 };
 
-/// Tiny value-keyed cache for power-evaluation results. Loads repeat
-/// heavily within one power evaluation — every idle group of a partition
-/// carries the same exact load, all fully-covered groups of a job carry
-/// another, and whole racks covered by one job share a uniform value — so a
-/// fleet walk touches only a handful of distinct operating points.
-/// Exact-match keying keeps cached evaluations bit-identical to uncached
-/// ones. Open-addressed, overwrite-on-collision: a collision only costs a
-/// re-evaluation, never correctness.
-template <class Value>
-class ValueMemo {
- public:
-  /// Cached result for `key`, or nullptr on miss.
-  [[nodiscard]] const Value* find(double key) const {
-    for (int p = 0; p < kProbes; ++p) {
-      const Slot& s = slots_[slot_of(key, p)];
-      if (s.used && s.key == key) return &s.value;
-    }
-    return nullptr;
-  }
+/// The part of one rectifier group's ConversionResult that a rack sum
+/// reads. The incremental RAPS power model keeps one per group, for the
+/// group's current load, and re-converts a group only when its load
+/// changes.
+struct GroupConversion {
+  double output_w = 0.0;  ///< the group's 48 V load (ConversionResult::output_w)
+  double input_w = 0.0;
+  double rectifier_loss_w = 0.0;
+  double sivoc_loss_w = 0.0;
+  bool overloaded = false;
 
-  void insert(double key, const Value& value) {
-    // Prefer an empty probe slot; otherwise overwrite the first one.
-    for (int p = 0; p < kProbes; ++p) {
-      Slot& s = slots_[slot_of(key, p)];
-      if (!s.used) {
-        s = Slot{key, true, value};
-        return;
-      }
-    }
-    slots_[slot_of(key, 0)] = Slot{key, true, value};
-  }
-
-  void clear() {
-    for (Slot& s : slots_) s.used = false;
-  }
-
- private:
-  // Power of two, sized well above the distinct concurrent operating points
-  // (~one per active job plus idle levels): overwrite-on-collision means an
-  // undersized table silently thrashes into re-evaluations.
-  static constexpr int kSlots = 1024;
-  static constexpr int kProbes = 4;
-  struct Slot {
-    double key = 0.0;
-    bool used = false;
-    Value value;
-  };
-  std::array<Slot, kSlots> slots_{};
-
-  [[nodiscard]] static std::size_t slot_of(double key, int probe) {
-    // Splitmix-style bit mix over the exact double representation.
-    std::uint64_t h = std::bit_cast<std::uint64_t>(key);
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return static_cast<std::size_t>((h + static_cast<std::uint64_t>(probe)) &
-                                    static_cast<std::uint64_t>(kSlots - 1));
+  [[nodiscard]] static GroupConversion of(const ConversionResult& c) {
+    return GroupConversion{c.output_w, c.input_w, c.rectifier_loss_w, c.sivoc_loss_w,
+                           c.overloaded};
   }
 };
-
-using ConversionMemo = ValueMemo<ConversionResult>;
 
 /// Conversion-aware rack power model.
 class RackPowerModel {
@@ -116,13 +74,21 @@ class RackPowerModel {
   RackPowerModel(const RackConfig& rack, const PowerChainConfig& chain);
 
   /// Wall power for a rack whose rectifier groups deliver the node-side
-  /// loads in `group_outputs_w` (size must equal groups per rack). Without
-  /// a memo this is the exact reference path (one chain evaluation per
-  /// group). With a memo, runs of equal group loads resolve one cached
-  /// conversion and accumulate by multiplication — deterministic, but the
-  /// rounding may differ from the reference path in the last ulp.
-  [[nodiscard]] RackPowerResult from_group_outputs(std::span<const double> group_outputs_w,
-                                                   ConversionMemo* memo = nullptr) const;
+  /// loads in `group_outputs_w` (size must equal groups per rack). The
+  /// exact reference: one chain evaluation per group, accumulated group by
+  /// group. A non-empty `conversions` (one slot per group) receives each
+  /// group's conversion.
+  [[nodiscard]] RackPowerResult from_group_outputs(
+      std::span<const double> group_outputs_w,
+      std::span<GroupConversion> conversions = {}) const;
+
+  /// Wall power for a rack from its groups' stored conversions (size must
+  /// equal groups per rack). Runs of adjacent groups with the same exact
+  /// load add the run's conversion times the run length, in group order,
+  /// so the rounding may differ from from_group_outputs in the last ulp
+  /// but is fixed for a given set of loads.
+  [[nodiscard]] RackPowerResult from_group_conversions(
+      std::span<const GroupConversion> groups) const;
 
   /// Wall power for a rack with a uniform per-node 48 V load. Fast path for
   /// full-system sweeps (all groups identical).

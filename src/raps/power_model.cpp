@@ -1,6 +1,7 @@
 #include "raps/power_model.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -42,7 +43,14 @@ RapsPowerModel::RapsPowerModel(const SystemConfig& config)
     idle_group_output_w_[static_cast<std::size_t>(node / nodes_per_group_)] +=
         idle_node_w_[static_cast<std::size_t>(node)];
   }
+  // Each group's idle conversion, once: groups of different partitions
+  // idle at different loads.
+  idle_group_conv_.reserve(idle_group_output_w_.size());
+  for (const double load : idle_group_output_w_) {
+    idle_group_conv_.push_back(GroupConversion::of(rack_model_.chain().convert(load)));
+  }
   group_output_w_ = idle_group_output_w_;
+  group_conv_ = idle_group_conv_;
   group_occupants_.resize(static_cast<std::size_t>(total_groups));
   group_dirty_.assign(static_cast<std::size_t>(total_groups), 0);
   // Each group/rack is listed at most once, so marking never reallocates.
@@ -52,7 +60,10 @@ RapsPowerModel::RapsPowerModel(const SystemConfig& config)
   cdu_wall_w_.assign(static_cast<std::size_t>(config_.cdu_count), 0.0);
   rack_results_.resize(static_cast<std::size_t>(config_.rack_count));
   rack_dirty_.assign(static_cast<std::size_t>(config_.rack_count), 0);
-  rebuild_all_racks(/*use_memo=*/true);
+  for (int r = 0; r < config_.rack_count; ++r) {
+    rack_results_[static_cast<std::size_t>(r)] = evaluate_rack(r);
+  }
+  fold_all_racks();
 }
 
 double RapsPowerModel::projected_job_wall_w(const JobRecord& job) const {
@@ -72,14 +83,6 @@ const NodeConfig& RapsPowerModel::node_config_for(const JobRecord& job) const {
   return config_.node;
 }
 
-double RapsPowerModel::job_node_power_w(const JobRecord& job, const NodeConfig& cfg,
-                                        double now, double start_time_s) const {
-  const double since = now - start_time_s;
-  const double cu = job.cpu_util_at(since, config_.simulation.trace_quantum_s);
-  const double gu = job.gpu_util_at(since, config_.simulation.trace_quantum_s);
-  return cfg.power_w(cu, gu);
-}
-
 int RapsPowerModel::on_job_start(const JobRecord& job, const std::vector<int>& nodes,
                                  double start_time_s) {
   const NodeConfig& cfg = node_config_for(job);  // resolved once; throws early
@@ -96,7 +99,10 @@ int RapsPowerModel::on_job_start(const JobRecord& job, const std::vector<int>& n
   a.start_time_s = start_time_s;
   a.applied_node_w = 0.0;
   a.node_cfg = &cfg;
+  a.sole_conv.output_w = std::numeric_limits<double>::quiet_NaN();  // matches no load
+  a.lead_conv.output_w = std::numeric_limits<double>::quiet_NaN();
   a.live = true;
+  a.settled = false;
   // One occupant entry per touched group, nodes counted and idle powers
   // summed in allocation order. A group's newest entry is this job's while
   // it is being registered, so non-contiguous nodes fold into one entry.
@@ -139,13 +145,16 @@ void RapsPowerModel::on_job_stop(int handle) {
 
 // exadigit-hot-begin(power-advance)
 const PowerSample& RapsPowerModel::advance(double now) {
+  const double quantum_s = config_.simulation.trace_quantum_s;
   for (ActiveJob& a : active_) {
-    if (!a.live) continue;
-    const double p = job_node_power_w(a.job, *a.node_cfg, now, a.start_time_s);
+    if (!a.live || a.settled) continue;
+    const JobRecord::Utilization u = a.job.utilization_at(now - a.start_time_s, quantum_s);
+    const double p = a.node_cfg->power_w(u.cpu, u.gpu);  // Eq. (3)
     if (p != a.applied_node_w) {
       a.applied_node_w = p;
       for (const int group : a.groups) mark_dirty(group_dirty_, dirty_groups_, group);
     }
+    a.settled = u.settled;
   }
   refresh_dirty_groups();
   refresh_dirty_racks();
@@ -156,6 +165,7 @@ const PowerSample& RapsPowerModel::advance(double now) {
 void RapsPowerModel::refresh_dirty_groups() {
   for (const int g : dirty_groups_) {
     const std::size_t gi = static_cast<std::size_t>(g);
+    group_dirty_[gi] = 0;
     double occupied_idle_w = 0.0;
     double busy_w = 0.0;
     for (const GroupOccupant& o : group_occupants_[gi]) {
@@ -163,45 +173,37 @@ void RapsPowerModel::refresh_dirty_groups() {
       busy_w += static_cast<double>(o.count) *
                 active_[static_cast<std::size_t>(o.slot)].applied_node_w;
     }
-    group_output_w_[gi] = (idle_group_output_w_[gi] - occupied_idle_w) + busy_w;
+    const double load = (idle_group_output_w_[gi] - occupied_idle_w) + busy_w;
+    // An unchanged load keeps its conversion and leaves the rack as it is.
+    if (load == group_output_w_[gi]) continue;
+    group_output_w_[gi] = load;
+    group_conv_[gi] = conversion_for(gi, load);
     mark_dirty(rack_dirty_, dirty_racks_, g / groups_per_rack_);
-    group_dirty_[gi] = 0;
   }
   dirty_groups_.clear();
 }
 
-RackPowerResult RapsPowerModel::evaluate_rack(int r) {
-  const std::span<const double> groups(
-      group_output_w_.data() + static_cast<std::size_t>(r) * groups_per_rack_,
-      static_cast<std::size_t>(groups_per_rack_));
-  // Uniform racks (all groups idle, or covered by one job) go through a
-  // whole-rack memo keyed on the shared group value. Measured on the 7-day
-  // ooc_replay benchmark: 9.3 % of dirty-rack evaluations are uniform
-  // (0.7 % while group loads were running sums of float deltas).
-  bool uniform = true;
-  for (int g = 1; g < groups_per_rack_; ++g) {
-    if (groups[static_cast<std::size_t>(g)] != groups[0]) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    const RackPowerResult* hit = rack_memo_.find(groups[0]);
-    if (hit != nullptr) return *hit;
-    const RackPowerResult fresh = rack_model_.from_group_outputs(groups, &memo_);
-    rack_memo_.insert(groups[0], fresh);
-    return fresh;
-  }
-  return rack_model_.from_group_outputs(groups, &memo_);
+GroupConversion RapsPowerModel::conversion_for(std::size_t g, double load) {
+  if (load == idle_group_output_w_[g]) return idle_group_conv_[g];
+  // refresh_dirty_groups() is the only caller, and it gives a group without
+  // occupants exactly its idle load, so a loaded group has a first occupant.
+  const std::vector<GroupOccupant>& occupants = group_occupants_[g];
+  ActiveJob& first = active_[static_cast<std::size_t>(occupants.front().slot)];
+  GroupConversion& shared = occupants.size() == 1 ? first.sole_conv : first.lead_conv;
+  if (shared.output_w != load) shared = GroupConversion::of(rack_model_.chain().convert(load));
+  return shared;
+}
+
+RackPowerResult RapsPowerModel::evaluate_rack(int r) const {
+  return rack_model_.from_group_conversions(std::span<const GroupConversion>(
+      group_conv_.data() + static_cast<std::size_t>(r) * groups_per_rack_,
+      static_cast<std::size_t>(groups_per_rack_)));
 }
 
 void RapsPowerModel::refresh_dirty_racks() {
   if (dirty_racks_.empty()) return;
-  // The memo persists across refreshes: keys are exact load values, so a
-  // stale hit is still the exact conversion result, and recurring operating
-  // points (idle groups, steady jobs) skip re-evaluation entirely.
   // Rack order fixes the accumulation (and its rounding) independently of
-  // which job dirtied a rack first, and walks group_output_w_ in order.
+  // which job dirtied a rack first, and walks group_conv_ in order.
   std::sort(dirty_racks_.begin(), dirty_racks_.end());
   for (const int r : dirty_racks_) {
     const RackPowerResult fresh = evaluate_rack(r);
@@ -221,9 +223,7 @@ void RapsPowerModel::refresh_dirty_racks() {
 }
 // exadigit-hot-end
 
-void RapsPowerModel::rebuild_all_racks(bool use_memo) {
-  memo_.clear();
-  ConversionMemo* memo = use_memo ? &memo_ : nullptr;
+void RapsPowerModel::fold_all_racks() {
   std::fill(cdu_wall_w_.begin(), cdu_wall_w_.end(), 0.0);
   total_input_w_ = 0.0;
   total_output_w_ = 0.0;
@@ -231,11 +231,7 @@ void RapsPowerModel::rebuild_all_racks(bool use_memo) {
   rect_loss_w_ = 0.0;
   sivoc_loss_w_ = 0.0;
   for (int r = 0; r < config_.rack_count; ++r) {
-    const std::span<const double> groups(
-        group_output_w_.data() + static_cast<std::size_t>(r) * groups_per_rack_,
-        static_cast<std::size_t>(groups_per_rack_));
-    const RackPowerResult rack = rack_model_.from_group_outputs(groups, memo);
-    rack_results_[static_cast<std::size_t>(r)] = rack;
+    const RackPowerResult& rack = rack_results_[static_cast<std::size_t>(r)];
     rack_wall_w_[static_cast<std::size_t>(r)] = rack.input_w;
     cdu_wall_w_[static_cast<std::size_t>(config_.cdu_of_rack(r))] += rack.input_w;
     total_input_w_ += rack.input_w;
@@ -274,14 +270,26 @@ const PowerSample& RapsPowerModel::recompute(double now,
   for (const auto& view : running) {
     require(view.job != nullptr && view.nodes != nullptr, "null running job view");
     const NodeConfig& cfg = node_config_for(*view.job);
-    const double p_node = job_node_power_w(*view.job, cfg, now, view.start_time_s);
+    const JobRecord::Utilization u =
+        view.job->utilization_at(now - view.start_time_s, config_.simulation.trace_quantum_s);
+    const double p_node = cfg.power_w(u.cpu, u.gpu);
     active_nodes_ += static_cast<int>(view.nodes->size());
     for (const int node : *view.nodes) {
       group_output_w_[static_cast<std::size_t>(node / nodes_per_group_)] +=
           p_node - idle_node_w_[static_cast<std::size_t>(node)];
     }
   }
-  rebuild_all_racks(/*use_memo=*/false);
+  // Racks by the exact reference, which also stores each group's
+  // conversion of its rebuilt load (one conversion per group), so a later
+  // advance() sums consistent state.
+  const std::size_t per_rack = static_cast<std::size_t>(groups_per_rack_);
+  for (int r = 0; r < config_.rack_count; ++r) {
+    const std::size_t first = static_cast<std::size_t>(r) * per_rack;
+    rack_results_[static_cast<std::size_t>(r)] = rack_model_.from_group_outputs(
+        std::span<const double>(group_output_w_.data() + first, per_rack),
+        std::span<GroupConversion>(group_conv_.data() + first, per_rack));
+  }
+  fold_all_racks();
   fill_sample(now);
   return sample_;
 }

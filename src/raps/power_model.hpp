@@ -21,21 +21,44 @@
 /// count x node power. A group's load is therefore a function of its
 /// occupancy, not of the run's history: a group one job fully covers carries
 /// exactly nodes_per_group x p, and an emptied group returns to its idle
-/// baseline bit for bit. Only racks holding a dirty group are
-/// re-evaluated, with value-keyed memos collapsing the repeated group and
-/// whole-rack operating points that equal occupancy produces. RapsEngine
-/// drives the incremental interface (on_job_start / on_job_stop /
-/// advance); the stateless recompute() rebuilds everything from the given
-/// running set, reading the same per-node idle powers. It serves one-shot
-/// evaluations and RapsEngine's PowerEval::kFullRecompute reference, which
-/// is selected on RapsEngine::Options only.
+/// baseline bit for bit.
+///
+/// Each group also keeps the conversion of its current load (a
+/// GroupConversion) and is converted again only when that load changes:
+/// an emptied group takes its idle-baseline conversion, computed once per
+/// group at construction (so every partition's idle level is covered); a
+/// group with a single occupant shares the conversion its job last
+/// computed for such a group at that exact load (the job's fully covered
+/// groups all carry one load), and a shared group likewise the one its
+/// oldest occupant last computed for a shared group (groups that the same
+/// jobs split alike carry one load too); any other group runs the
+/// conversion chain. Only racks whose group loads changed are
+/// re-evaluated, by summing their groups' stored conversions
+/// (RackPowerModel::from_group_conversions). A conversion is a pure
+/// function of the load, so a stored one has the bits a fresh one would.
+/// A job whose utilization traces have both reached their last sample
+/// draws constant power from then on and is not re-evaluated. That pays
+/// only while a job outlives its traces: WorkloadGenerator's traces cover
+/// a quarter of the wall time (at most 64 samples), so about 78 % of job
+/// evaluations on the perfbench ooc_replay and coupled_day workloads are
+/// skipped, while a recorded job whose traces span its whole run settles
+/// only as it ends.
+///
+/// RapsEngine drives the incremental interface (on_job_start / on_job_stop
+/// / advance); the stateless recompute() rebuilds everything from the
+/// given running set, reading the same per-node idle powers and summing
+/// racks with the exact reference RackPowerModel::from_group_outputs,
+/// which also hands back each group's conversion, so every group is
+/// converted once and the stored conversions stay consistent. It serves
+/// one-shot evaluations and RapsEngine's PowerEval::kFullRecompute
+/// reference, which is selected on RapsEngine::Options only.
 ///
 /// advance() refreshes each job's node power, recomputes the dirty groups,
 /// then re-evaluates the dirty racks in ascending rack order and folds
 /// their deltas into the totals in that order, so the rounding of every
-/// total is fixed by rack order, not by which job dirtied a rack first. The
-/// memos are exact-key caches of deterministic functions, so a hit returns
-/// the same bits a recompute would.
+/// total is fixed by rack order, not by which job dirtied a rack first.
+/// Every per-group and per-rack array is sized at construction, so
+/// advance() allocates nothing.
 
 #include <span>
 #include <vector>
@@ -80,7 +103,9 @@ class RapsPowerModel {
   /// Unregisters a stopped job; its nodes fall back to idle power.
   void on_job_stop(int handle);
   /// Re-evaluates registered jobs' utilization at `now`, re-walks only the
-  /// racks whose group loads changed, and refreshes the sample.
+  /// racks whose group loads changed, and refreshes the sample. `now` must
+  /// not decrease from one call to the next (it is the engine's clock): a
+  /// job found settled at `now` is not evaluated again.
   const PowerSample& advance(double now);
 
   /// Rebuilds all power state from scratch for the running set at `now`.
@@ -104,6 +129,10 @@ class RapsPowerModel {
   [[nodiscard]] const std::vector<double>& rack_wall_power_w() const { return rack_wall_w_; }
   /// 48 V node-side output per rectifier group (viz / diagnostics).
   [[nodiscard]] const std::vector<double>& group_output_w() const { return group_output_w_; }
+  /// The stored conversion of each group's current load (diagnostics).
+  [[nodiscard]] const std::vector<GroupConversion>& group_conversions() const {
+    return group_conv_;
+  }
 
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
@@ -127,7 +156,15 @@ class RapsPowerModel {
     /// Uniform per-node 48 V power the job's groups are computed with.
     double applied_node_w = 0.0;
     const NodeConfig* node_cfg = nullptr;  ///< resolved once at start
+    /// The conversions last computed for a group this job occupies alone
+    /// and for a shared group whose oldest occupant it is. Each one's
+    /// output_w is the load it belongs to (NaN: none yet).
+    GroupConversion sole_conv;
+    GroupConversion lead_conv;
     bool live = false;
+    /// Both utilization traces are on their last sample: applied_node_w is
+    /// final and advance() skips the job.
+    bool settled = false;
   };
 
   SystemConfig config_;
@@ -136,7 +173,9 @@ class RapsPowerModel {
   int nodes_per_group_;
   std::vector<double> idle_node_w_;          ///< per-node idle power (precomputed)
   std::vector<double> idle_group_output_w_;  ///< baseline with all nodes idle
+  std::vector<GroupConversion> idle_group_conv_;  ///< conversion of each baseline
   std::vector<double> group_output_w_;
+  std::vector<GroupConversion> group_conv_;  ///< conversion of group_output_w_
   std::vector<double> rack_wall_w_;
   std::vector<double> cdu_wall_w_;
   PowerSample sample_;
@@ -151,11 +190,6 @@ class RapsPowerModel {
   std::vector<RackPowerResult> rack_results_;
   std::vector<char> rack_dirty_;
   std::vector<int> dirty_racks_;
-  ConversionMemo memo_;
-  /// Rack results keyed on a *uniform* group load: racks fully covered by
-  /// one job (or idle) all share one value, so a fleet-wide load change
-  /// costs one rack evaluation plus cache hits.
-  ValueMemo<RackPowerResult> rack_memo_;
   double total_input_w_ = 0.0;
   double total_output_w_ = 0.0;
   double switch_output_w_ = 0.0;
@@ -163,23 +197,23 @@ class RapsPowerModel {
   double sivoc_loss_w_ = 0.0;
   int active_nodes_ = 0;
 
-  /// Node-side power of one node of `job` at time `now` (Eq. (3)).
-  [[nodiscard]] double job_node_power_w(const JobRecord& job, const NodeConfig& cfg,
-                                        double now, double start_time_s) const;
   /// Node config for the job's partition; throws on an unknown partition.
   [[nodiscard]] const NodeConfig& node_config_for(const JobRecord& job) const;
-  /// Recomputes every dirty group's load from its occupants and marks its
-  /// rack dirty.
+  /// Recomputes every dirty group's load from its occupants; a group whose
+  /// load changed gets the conversion of its new load and marks its rack
+  /// dirty.
   void refresh_dirty_groups();
-  /// Evaluates one rack's conversion chain through memo_ (uniform-load
-  /// racks hit rack_memo_). Pure modulo the caches.
-  [[nodiscard]] RackPowerResult evaluate_rack(int r);
+  /// The conversion of group `g` at `load`: the idle baseline's, or the
+  /// first occupant's sole_conv / lead_conv where its load matches, else
+  /// freshly converted and kept there.
+  [[nodiscard]] GroupConversion conversion_for(std::size_t g, double load);
+  /// Rack `r` summed from its groups' stored conversions.
+  [[nodiscard]] RackPowerResult evaluate_rack(int r) const;
   /// Re-evaluates every dirty rack and folds the differences into totals.
   void refresh_dirty_racks();
-  /// Recomputes every rack and all totals from group_output_w_. With
-  /// `use_memo` the fast run-length path is taken; without it the exact
-  /// reference accumulation (the recompute() contract) is used.
-  void rebuild_all_racks(bool use_memo);
+  /// Recomputes every rack's wall power and all totals from rack_results_,
+  /// in rack order.
+  void fold_all_racks();
   void fill_sample(double now);
 };
 

@@ -14,6 +14,8 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config, const SystemC
       trace_quantum_s_(system.simulation.trace_quantum_s),
       rng_(rng) {
   require(config_.mean_arrival_s > 0.0, "mean arrival time must be positive");
+  require(std::isfinite(trace_quantum_s_) && trace_quantum_s_ > 0.0,
+          "trace quantum must be finite and positive");
 }
 
 JobRecord WorkloadGenerator::draw_job(double submit_time_s) {

@@ -21,6 +21,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -84,9 +85,40 @@ inline void write_channel_block(std::ostream& os, const std::string& tag,
   os.write(reinterpret_cast<const char*>(values.data()), bytes);
 }
 
-/// One decoded channel block. `file_size` (when non-zero) bounds the sample
-/// count so a corrupt count field fails cleanly instead of allocating far
-/// beyond the file.
+/// A channel block's key and sample count: everything before its samples.
+struct ChannelBlockHeader {
+  std::string tag;
+  std::string channel;
+  std::uint64_t samples = 0;
+
+  /// Encoded size of the header: the two length-prefixed names and the
+  /// count.
+  [[nodiscard]] std::uint64_t bytes() const {
+    return 2 * sizeof(std::uint32_t) + tag.size() + channel.size() + sizeof(std::uint64_t);
+  }
+};
+
+/// Reads a channel block up to its samples. `file_size` (when non-zero)
+/// bounds the sample count, so a corrupt count field fails cleanly instead
+/// of allocating or seeking far beyond the file.
+inline ChannelBlockHeader read_channel_header(std::istream& is, std::uintmax_t file_size) {
+  ChannelBlockHeader header;
+  header.tag = read_string(is, "tag");
+  header.channel = read_string(is, "channel name");
+  header.samples = read_pod<std::uint64_t>(is, "sample count");
+  if (file_size != 0 && header.samples > file_size / (2 * sizeof(double))) {
+    throw TelemetryError("implausible sample count in channels.bin: " +
+                         std::to_string(header.samples));
+  }
+  return header;
+}
+
+/// The error for a block whose samples run past the data that holds them.
+[[nodiscard]] inline TelemetryError truncated_samples(const std::string& path) {
+  return TelemetryError("truncated channels.bin samples in " + path);
+}
+
+/// One decoded channel block.
 struct ChannelBlock {
   std::string tag;
   std::string channel;
@@ -94,22 +126,22 @@ struct ChannelBlock {
   std::vector<double> values;
 };
 
-inline ChannelBlock read_channel_block(std::istream& is, std::uintmax_t file_size,
-                                       const std::string& path) {
-  ChannelBlock block;
-  block.tag = read_string(is, "tag");
-  block.channel = read_string(is, "channel name");
-  const auto n = read_pod<std::uint64_t>(is, "sample count");
-  if (file_size != 0 && n > file_size / (2 * sizeof(double))) {
-    throw TelemetryError("implausible sample count in channels.bin: " + std::to_string(n));
-  }
-  block.times.resize(n);
-  block.values.resize(n);
-  const auto bytes = static_cast<std::streamsize>(n * sizeof(double));
+/// Reads the samples of the block whose header was just read.
+inline ChannelBlock read_channel_samples(std::istream& is, ChannelBlockHeader header,
+                                         const std::string& path) {
+  ChannelBlock block{std::move(header.tag), std::move(header.channel), {}, {}};
+  block.times.resize(header.samples);
+  block.values.resize(header.samples);
+  const auto bytes = static_cast<std::streamsize>(header.samples * sizeof(double));
   is.read(reinterpret_cast<char*>(block.times.data()), bytes);
   is.read(reinterpret_cast<char*>(block.values.data()), bytes);
-  if (!is.good()) throw TelemetryError("truncated channels.bin samples in " + path);
+  if (!is.good()) throw truncated_samples(path);
   return block;
+}
+
+inline ChannelBlock read_channel_block(std::istream& is, std::uintmax_t file_size,
+                                       const std::string& path) {
+  return read_channel_samples(is, read_channel_header(is, file_size), path);
 }
 
 /// Bump the process-wide binary I/O counters (defined in store.cpp) so

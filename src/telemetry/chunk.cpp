@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "telemetry/bin_format.hpp"
 #include "telemetry/schema.hpp"
 
@@ -40,17 +41,37 @@ void write_chunk_block(std::ostream& os, const TelemetryFrame& frame) {
   }
 }
 
-/// Reads one v2 chunk block into a fresh frame.
-TelemetryFrame read_chunk_block(std::istream& is, std::uintmax_t file_size,
-                                const std::string& path) {
+/// Reads the chunk block `entry` points at (the stream is positioned
+/// there) into a fresh frame, decoding the channels `chunk` selects and
+/// seeking past the samples of every other one.
+TelemetryFrame read_chunk_block(std::istream& is, const ChunkIndexEntry& entry,
+                                std::uintmax_t file_size, const std::string& path,
+                                const TelemetryChunk& chunk) {
   TelemetryFrame frame;
   const auto count = binfmt::read_pod<std::uint64_t>(is, "chunk channel count");
+  const std::uint64_t entry_end = entry.offset + entry.bytes;
+  std::uint64_t offset = entry.offset + sizeof(std::uint64_t);  // of the next block
   std::uint64_t samples = 0;
   for (std::uint64_t c = 0; c < count; ++c) {
-    binfmt::ChannelBlock block = binfmt::read_channel_block(is, file_size, path);
-    samples += block.times.size();
-    frame.adopt_channel(std::move(block.tag), std::move(block.channel),
-                        std::move(block.times), std::move(block.values));
+    binfmt::ChannelBlockHeader header = binfmt::read_channel_header(is, file_size);
+    offset += header.bytes();
+    const std::uint64_t sample_bytes = header.samples * 2 * sizeof(double);
+    if (chunk.selects(header.tag, header.channel)) {
+      samples += header.samples;
+      binfmt::ChannelBlock block = binfmt::read_channel_samples(is, std::move(header), path);
+      frame.adopt_channel(std::move(block.tag), std::move(block.channel),
+                          std::move(block.times), std::move(block.values));
+    } else {
+      // The samples must end inside the chunk's index entry, which lies
+      // inside the file (read_manifest checks every entry against its
+      // size), so a corrupt count cannot seek anywhere else.
+      if (offset > entry_end || header.samples > (entry_end - offset) / (2 * sizeof(double))) {
+        throw binfmt::truncated_samples(path);
+      }
+      is.seekg(static_cast<std::streamoff>(offset + sample_bytes));
+      if (!is.good()) throw binfmt::truncated_samples(path);
+    }
+    offset += sample_bytes;
   }
   binfmt::note_binary_read(samples);
   return frame;
@@ -71,6 +92,7 @@ TelemetryChunk::TelemetryChunk(std::size_t index, double start_time_s, double en
   if (gauge_) gauge_->add(bytes_);
 }
 
+// The moves carry the window and leave both selections where they are.
 TelemetryChunk::TelemetryChunk(TelemetryChunk&& other) noexcept
     : index_(other.index_),
       start_time_s_(other.start_time_s_),
@@ -104,6 +126,13 @@ void TelemetryChunk::release() {
   frame_ = TelemetryFrame{};
 }
 
+bool TelemetryChunk::selects(std::string_view tag, std::string_view channel) const {
+  if (selection_.empty()) return true;
+  return std::any_of(selection_.begin(), selection_.end(), [&](const ChannelKey& key) {
+    return key.tag == tag && key.channel == channel;
+  });
+}
+
 // ------------------------------------------------------- InMemoryChunkSource
 
 InMemoryChunkSource::InMemoryChunkSource(DatasetFrame frame, double chunk_seconds)
@@ -112,9 +141,14 @@ InMemoryChunkSource::InMemoryChunkSource(DatasetFrame frame, double chunk_second
       chunk_seconds_(chunk_seconds) {
   if (chunk_seconds_ > 0.0 && chunk_seconds_ < header_.duration_s) {
     // ceil with a tolerance so duration == k * chunk_seconds gives exactly k.
-    chunk_count_ = static_cast<std::size_t>(
-        std::ceil(header_.duration_s / chunk_seconds_ - 1e-9));
-    chunk_count_ = std::max<std::size_t>(chunk_count_, 1);
+    // The count is checked as a double, before the cast can overflow.
+    const double count = std::ceil(header_.duration_s / chunk_seconds_ - 1e-9);
+    if (!(count <= kMaxChunks)) {
+      throw TelemetryError("chunk_seconds " + format_double(chunk_seconds_) + " cuts the " +
+                           format_double(header_.duration_s) + " s span into more than " +
+                           format_double(kMaxChunks) + " windows");
+    }
+    chunk_count_ = std::max<std::size_t>(static_cast<std::size_t>(count), 1);
   }
   cursors_.assign(frame_.channels().size(), 0);
 }
@@ -138,7 +172,11 @@ bool InMemoryChunkSource::next(TelemetryChunk& out) {
   const auto& channels = frame_.channels();
   for (std::size_t i = 0; i < channels.size(); ++i) {
     const TelemetryChannel& ch = channels[i];
-    const std::size_t begin = cursors_[i];
+    if (!out.selects(ch.tag, ch.channel)) continue;
+    std::size_t begin = cursors_[i];
+    // A channel an earlier selection skipped first catches up past the
+    // windows it missed; one read every window is already there.
+    while (k > 0 && begin < ch.times.size() && ch.times[begin] < chunk_start) ++begin;
     std::size_t end = begin;
     // The last window absorbs every remaining sample (including any past the
     // nominal dataset end), mirroring how the first absorbs pre-start ones.
@@ -205,7 +243,7 @@ bool BinChunkSource::next(TelemetryChunk& out) {
   file_.clear();
   file_.seekg(static_cast<std::streamoff>(entry.offset));
   require(file_.good(), "cannot seek in channels.bin: " + path_);
-  TelemetryFrame frame = read_chunk_block(file_, file_size_, path_);
+  TelemetryFrame frame = read_chunk_block(file_, entry, file_size_, path_, out);
   out = TelemetryChunk(next_chunk_, entry.start_time_s, entry.end_time_s, std::move(frame),
                        gauge_);
   ++next_chunk_;
@@ -313,7 +351,7 @@ void save_dataset_binary_chunked(const TelemetryDataset& dataset, const std::str
   InMemoryChunkSource slicer(dataset_to_frame(dataset), chunk_seconds);
 
   ChunkedBinWriter writer(directory, slicer.header());
-  TelemetryChunk chunk;
+  TelemetryChunk chunk;  // no selection: every channel is written
   while (slicer.next(chunk)) {
     writer.append(chunk.start_time_s(), chunk.end_time_s(), chunk.frame());
     chunk.release();

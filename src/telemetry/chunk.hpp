@@ -29,6 +29,19 @@
 /// Every chunk registers its payload bytes with the source's ResidencyGauge
 /// on construction and deregisters on release/destruction, so tests and
 /// benches can assert "never held more than X bytes" from the source side.
+///
+/// Channel selection: a consumer names the channels it reads on the
+/// TelemetryChunk it passes to next() (chunk.select({...})), and a source
+/// may then leave every other channel out of the window. The selection
+/// belongs to the chunk object, not to the window it holds: it survives
+/// release() and a source's refill of the chunk (move-assignment carries
+/// the window, never the selection), so it is set once before the first
+/// pull, and a decorator that forwards next(out) forwards it too. An empty
+/// selection means every channel. A selection is a promise about what is
+/// read, not a filter: BinChunkSource seeks past unselected channel blocks
+/// without decoding them, InMemoryChunkSource's windowing loop skips them,
+/// and the whole-frame handover and LiveAppendSource may return more.
+/// Residency and read accounting count the decoded channels only.
 
 #include <atomic>
 #include <condition_variable>
@@ -38,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/store.hpp"
@@ -67,11 +81,19 @@ class ResidencyGauge {
   std::atomic<std::size_t> peak_{0};
 };
 
+/// A (tag, channel) key naming one telemetry channel.
+struct ChannelKey {
+  std::string tag;
+  std::string channel;
+};
+
 /// One bounded time window of telemetry: a TelemetryFrame restricted to
 /// samples with time in [start_time_s, end_time_s) — the stream's first and
 /// last windows absorb any out-of-range samples so no sample is ever
 /// dropped. Move-only; the payload is registered with the originating
-/// source's ResidencyGauge until release() or destruction.
+/// source's ResidencyGauge until release() or destruction. The consumer's
+/// channel selection (see the file comment) stays with the object: moves
+/// transfer the window only.
 class TelemetryChunk {
  public:
   TelemetryChunk() = default;
@@ -92,8 +114,15 @@ class TelemetryChunk {
 
   /// Drops the channel storage and deregisters from the gauge. Consumers
   /// call this (or let the chunk go out of scope) before pulling the next
-  /// chunk so residency never covers two windows at once.
+  /// chunk so residency never covers two windows at once. The selection
+  /// stays.
   void release();
+
+  /// Names the only channels the consumer reads from the windows pulled
+  /// into this chunk; empty (the default) means every channel.
+  void select(std::vector<ChannelKey> channels) { selection_ = std::move(channels); }
+  /// True when the selection is empty or names (tag, channel).
+  [[nodiscard]] bool selects(std::string_view tag, std::string_view channel) const;
 
  private:
   std::size_t index_ = 0;
@@ -102,6 +131,7 @@ class TelemetryChunk {
   TelemetryFrame frame_;
   std::size_t bytes_ = 0;
   std::shared_ptr<ResidencyGauge> gauge_;
+  std::vector<ChannelKey> selection_;  ///< not moved: see the class comment
 };
 
 /// Pull interface over a stream of time-ordered telemetry chunks. next()
@@ -112,7 +142,8 @@ class ChunkedTelemetrySource {
   virtual ~ChunkedTelemetrySource() = default;
 
   [[nodiscard]] const DatasetHeader& header() const { return header_; }
-  /// Fills `out` with the next chunk; false once the stream is exhausted.
+  /// Fills `out` with the next chunk, holding at least the channels `out`
+  /// selects; false once the stream is exhausted.
   [[nodiscard]] virtual bool next(TelemetryChunk& out) = 0;
   [[nodiscard]] const std::shared_ptr<ResidencyGauge>& gauge() const { return gauge_; }
 
@@ -126,11 +157,17 @@ class ChunkedTelemetrySource {
   std::shared_ptr<ResidencyGauge> gauge_ = std::make_shared<ResidencyGauge>();
 };
 
-/// Slices an already-loaded DatasetFrame into chunk_seconds windows. With
-/// chunk_seconds <= 0 the whole frame moves into a single chunk (zero
-/// copies) — the adapter that makes the monolithic overloads chunked.
+/// Slices an already-loaded DatasetFrame into chunk_seconds windows,
+/// copying only the selected channels into each. With chunk_seconds <= 0
+/// the whole frame moves into a single chunk (zero copies, every channel)
+/// — the adapter that makes the monolithic overloads chunked.
 class InMemoryChunkSource final : public ChunkedTelemetrySource {
  public:
+  /// Most windows one source may cut: 2^22, about 4.2 million (a 183-day
+  /// span in 15 s windows is 1,054,080). Throws TelemetryError naming
+  /// chunk_seconds when the window count is not finite or exceeds it.
+  static constexpr double kMaxChunks = 4194304.0;
+
   explicit InMemoryChunkSource(DatasetFrame frame, double chunk_seconds = 0.0);
 
   [[nodiscard]] bool next(TelemetryChunk& out) override;
@@ -147,7 +184,10 @@ class InMemoryChunkSource final : public ChunkedTelemetrySource {
 /// Streams exadigit-bin chunks off disk one window at a time. v2 files are
 /// read through the manifest chunk index (validated against channels.bin
 /// by read_manifest); legacy v1 single-block files are served as one chunk.
-/// Never holds more than one decoded window itself; with a
+/// Every channel block's name and count are read; the samples of a block
+/// the chunk does not select are seeked past, after checking that they end
+/// inside the chunk's index entry and the file. Never holds more than one
+/// decoded window itself; with a
 /// max_resident_mb budget, refuses to decode a chunk that would push
 /// gauge residency past the budget while a previous chunk is still live
 /// (a single chunk is always allowed, so the budget cannot deadlock the

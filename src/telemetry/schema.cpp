@@ -8,21 +8,28 @@
 namespace exadigit {
 
 namespace {
-double trace_at(const std::vector<double>& trace, double fallback, double t_since_start,
-                double quantum_s) {
-  if (trace.empty()) return std::clamp(fallback, 0.0, 1.0);
-  const double idx = std::max(0.0, t_since_start) / quantum_s;
-  const std::size_t i = std::min(static_cast<std::size_t>(idx), trace.size() - 1);
-  return std::clamp(trace[i], 0.0, 1.0);
+/// A trace's value at position `idx` (zero-order hold, clamped to [0, 1])
+/// and whether that is its last sample; an empty trace holds `fallback`
+/// and always is. The position is compared as a double before the cast, so
+/// one far past the end takes the last sample without an out-of-range
+/// conversion.
+struct TraceSample {
+  double value;
+  bool last;
+};
+TraceSample trace_sample(const std::vector<double>& trace, double fallback, double idx) {
+  if (trace.empty()) return {std::clamp(fallback, 0.0, 1.0), true};
+  const std::size_t last = trace.size() - 1;
+  const std::size_t i = idx < static_cast<double>(last) ? static_cast<std::size_t>(idx) : last;
+  return {std::clamp(trace[i], 0.0, 1.0), i == last};
 }
 }  // namespace
 
-double JobRecord::cpu_util_at(double t_since_start, double quantum_s) const {
-  return trace_at(cpu_util_trace, mean_cpu_util, t_since_start, quantum_s);
-}
-
-double JobRecord::gpu_util_at(double t_since_start, double quantum_s) const {
-  return trace_at(gpu_util_trace, mean_gpu_util, t_since_start, quantum_s);
+JobRecord::Utilization JobRecord::utilization_at(double t_since_start, double quantum_s) const {
+  const double idx = std::max(0.0, t_since_start) / quantum_s;  // fractional sample position
+  const TraceSample cpu = trace_sample(cpu_util_trace, mean_cpu_util, idx);
+  const TraceSample gpu = trace_sample(gpu_util_trace, mean_gpu_util, idx);
+  return Utilization{cpu.value, gpu.value, cpu.last && gpu.last};
 }
 
 namespace {

@@ -48,9 +48,18 @@ struct JobRecord {
 
   [[nodiscard]] bool is_replay() const { return fixed_start_time_s >= 0.0; }
 
-  /// Utilization at time `t_since_start` (zero-order hold over the trace).
-  [[nodiscard]] double cpu_util_at(double t_since_start, double quantum_s) const;
-  [[nodiscard]] double gpu_util_at(double t_since_start, double quantum_s) const;
+  /// CPU and GPU utilization at time `t_since_start` (zero-order hold over
+  /// each trace, one sample per `quantum_s`, clamped to [0, 1]; a negative
+  /// time reads the first sample, one past the end the last, and an empty
+  /// trace the clamped mean). `settled` is true once both traces sit on
+  /// their last sample (an empty trace always does): the hold keeps that
+  /// sample for every later time, so neither value changes again.
+  struct Utilization {
+    double cpu = 0.0;
+    double gpu = 0.0;
+    bool settled = false;
+  };
+  [[nodiscard]] Utilization utilization_at(double t_since_start, double quantum_s) const;
 };
 
 /// Per-CDU sensor channels (paper Table II "Outputs (CDU)", 15 s). The

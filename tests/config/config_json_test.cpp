@@ -150,6 +150,14 @@ TEST(ConfigJsonTest, InvalidDescriptorFailsValidation) {
   EXPECT_THROW(system_config_from_json(j), ConfigError);
 }
 
+TEST(ConfigJsonTest, NonPositiveTraceQuantumFailsValidation) {
+  for (const double bad : {0.0, -15.0}) {
+    Json j;
+    j["simulation"]["trace_quantum_s"] = Json(bad);
+    EXPECT_THROW(system_config_from_json(j), ConfigError) << bad;
+  }
+}
+
 TEST(ConfigJsonTest, FileRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "exadigit_config_test.json").string();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace exadigit {
@@ -109,6 +111,17 @@ TEST(ConfigValidationTest, CatchesInconsistencies) {
   c = frontier_system_config();
   c.workload.mean_arrival_s = 0.0;
   EXPECT_THROW(c.validate(), ConfigError);
+}
+
+/// Utilization traces are indexed by time / trace quantum, so a zero,
+/// negative or NaN quantum would cast an infinite or NaN index.
+TEST(ConfigValidationTest, TraceQuantumMustBeFiniteAndPositive) {
+  for (const double bad : {0.0, -15.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SystemConfig c = frontier_system_config();
+    c.simulation.trace_quantum_s = bad;
+    EXPECT_THROW(c.validate(), ConfigError) << bad;
+  }
 }
 
 TEST(ConfigValidationTest, PartitionOversubscriptionCaught) {

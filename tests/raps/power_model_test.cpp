@@ -5,6 +5,8 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "power/conversion.hpp"
 #include "raps/workload.hpp"
 
 namespace exadigit {
@@ -292,6 +294,136 @@ TEST_F(PowerModelTest, RecomputeClearsIncrementalState) {
   const RunningJobView view{&j, &nodes, 15.0};
   const double p_ref = reference.recompute(30.0, std::span(&view, 1)).system_power_w;
   EXPECT_NEAR(p_inc, p_ref, p_ref * 1e-9);
+}
+
+/// Every group's stored conversion is the conversion chain's result for
+/// its current load, bit for bit, after random churn (partial and whole
+/// groups, shared groups, varying and constant traces, stops) and after a
+/// recompute() that leaves jobs running on the group loads.
+TEST_F(PowerModelTest, StoredGroupConversionsMatchTheChainAfterChurn) {
+  const ConversionChain chain(config_.power);
+  auto expect_consistent = [&](const RapsPowerModel& model, const char* when) {
+    const std::vector<double>& loads = model.group_output_w();
+    const std::vector<GroupConversion>& stored = model.group_conversions();
+    ASSERT_EQ(stored.size(), loads.size());
+    for (std::size_t g = 0; g < loads.size(); ++g) {
+      const ConversionResult want = chain.convert(loads[g]);
+      EXPECT_EQ(stored[g].output_w, want.output_w) << when << " group " << g;
+      EXPECT_EQ(stored[g].input_w, want.input_w) << when << " group " << g;
+      EXPECT_EQ(stored[g].rectifier_loss_w, want.rectifier_loss_w) << when << " group " << g;
+      EXPECT_EQ(stored[g].sivoc_loss_w, want.sivoc_loss_w) << when << " group " << g;
+      EXPECT_EQ(stored[g].overloaded, want.overloaded) << when << " group " << g;
+    }
+  };
+  expect_consistent(model_, "construction");
+
+  Rng rng(2024);
+  std::vector<JobRecord> jobs;
+  std::vector<std::vector<int>> job_nodes;
+  std::vector<int> handles;
+  std::vector<char> node_busy(9472, 0);
+  const double q = config_.simulation.trace_quantum_s;
+  for (int step = 0; step < 60; ++step) {
+    const double now = step * q;
+    // Stop a random running job now and then.
+    if (!handles.empty() && rng.uniform() < 0.3) {
+      const std::size_t k = static_cast<std::size_t>(rng.uniform() * handles.size());
+      model_.on_job_stop(handles[k]);
+      for (const int n : job_nodes[k]) node_busy[static_cast<std::size_t>(n)] = 0;
+      handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(k));
+      job_nodes.erase(job_nodes.begin() + static_cast<std::ptrdiff_t>(k));
+      jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    // Start a job on a random run of free nodes (1 to 80, any alignment).
+    const int first = static_cast<int>(rng.uniform() * 9000.0);
+    const int count = 1 + static_cast<int>(rng.uniform() * 80.0);
+    std::vector<int> nodes;
+    for (int n = first; n < first + count; ++n) {
+      if (node_busy[static_cast<std::size_t>(n)] == 0) nodes.push_back(n);
+    }
+    if (!nodes.empty()) {
+      JobRecord j = make_constant_job(0.0, 1e6, static_cast<int>(nodes.size()), rng.uniform(),
+                                      rng.uniform());
+      if (rng.uniform() < 0.7) {
+        for (int k = 0; k < 1 + step % 5; ++k) {
+          j.cpu_util_trace.push_back(rng.uniform());
+          j.gpu_util_trace.push_back(rng.uniform());
+        }
+      }
+      for (const int n : nodes) node_busy[static_cast<std::size_t>(n)] = 1;
+      handles.push_back(model_.on_job_start(j, nodes, now));
+      jobs.push_back(std::move(j));
+      job_nodes.push_back(std::move(nodes));
+    }
+    (void)model_.advance(now);
+    expect_consistent(model_, "churn");
+  }
+
+  std::vector<RunningJobView> views;
+  for (std::size_t k = 0; k < jobs.size(); ++k) views.push_back({&jobs[k], &job_nodes[k], 0.0});
+  (void)model_.recompute(60 * q, views);
+  expect_consistent(model_, "recompute");
+  // Incremental use after the recompute: one job on groups recompute left
+  // loaded reads the stored state of their neighbours.
+  ASSERT_FALSE(job_nodes.empty());
+  const int h = model_.on_job_start(jobs.front(), job_nodes.front(), 60 * q);
+  (void)model_.advance(61 * q);
+  expect_consistent(model_, "after recompute");
+  model_.on_job_stop(h);
+  (void)model_.advance(62 * q);
+  expect_consistent(model_, "stop after recompute");
+}
+
+/// A job whose traces have both reached their last sample is settled:
+/// advance() stops evaluating it, so every later sample must be the one of
+/// its last evaluation, bit for bit, and its racks those of a history-free
+/// model at the same time. Up to that evaluation the job's power follows
+/// its traces.
+TEST_F(PowerModelTest, SettledJobKeepsItsLastEvaluatedSamples) {
+  JobRecord j = make_constant_job(0.0, 1e6, 100, 0.0, 0.0);
+  j.cpu_util_trace = {0.2, 0.8, 0.5};
+  j.gpu_util_trace = {0.9, 0.3};
+  const auto nodes = node_range(7, 100);
+  const double q = config_.simulation.trace_quantum_s;
+  (void)model_.on_job_start(j, nodes, 0.0);
+  const double p0 = model_.advance(0.0).system_power_w;
+  const double p1 = model_.advance(q).system_power_w;  // gpu on its last sample, cpu not yet
+  const PowerSample settled = model_.advance(2 * q);   // both on their last sample
+  EXPECT_NE(p0, p1);
+  EXPECT_NE(p1, settled.system_power_w);
+  const std::vector<double> racks = model_.rack_wall_power_w();
+
+  for (const double t : {3 * q, 100 * q, 1e5}) {
+    const PowerSample& s = model_.advance(t);
+    EXPECT_EQ(s.system_power_w, settled.system_power_w) << t;
+    EXPECT_EQ(s.node_output_w, settled.node_output_w) << t;
+    EXPECT_EQ(s.rectifier_loss_w, settled.rectifier_loss_w) << t;
+    EXPECT_EQ(s.sivoc_loss_w, settled.sivoc_loss_w) << t;
+    EXPECT_EQ(s.eta_system, settled.eta_system) << t;
+    expect_bit_equal(model_.rack_wall_power_w(), racks, "rack");
+
+    // Rack results depend on the group loads alone; the totals also on
+    // the order of the deltas that built them.
+    RapsPowerModel fresh(config_);
+    (void)fresh.on_job_start(j, nodes, 0.0);
+    EXPECT_NEAR(fresh.advance(t).system_power_w, settled.system_power_w,
+                settled.system_power_w * 1e-12)
+        << t;
+    expect_bit_equal(fresh.rack_wall_power_w(), racks, "fresh rack");
+  }
+
+  // A job with no traces is settled at its first advance and draws its
+  // means from then on; the settled job beside it keeps its power.
+  const JobRecord flat = make_constant_job(0.0, 1e6, 16, 0.4, 0.6);
+  const auto flat_nodes = node_range(2000, 16);
+  (void)model_.on_job_start(flat, flat_nodes, 1e5);
+  const PowerSample both = model_.advance(1e5);
+  RapsPowerModel fresh(config_);
+  (void)fresh.on_job_start(j, nodes, 0.0);
+  (void)fresh.on_job_start(flat, flat_nodes, 1e5);
+  (void)fresh.advance(1e5);
+  expect_bit_equal(model_.rack_wall_power_w(), fresh.rack_wall_power_w(), "two settled jobs");
+  EXPECT_EQ(model_.advance(2e5).system_power_w, both.system_power_w);
 }
 
 /// Property: system power is monotone in the number of active nodes.

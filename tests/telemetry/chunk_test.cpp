@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -422,6 +427,223 @@ TEST(DatasetHeaderTest, ValidateRejectsBadHeaders) {
   EXPECT_THROW(header.validate(), TelemetryError);
   header.jobs[0].cpu_util_trace = {0.5};
   EXPECT_NO_THROW(header.validate());
+}
+
+// --- channel selection -----------------------------------------------------
+
+/// Forwards next() to another source, as a timing or logging wrapper does.
+class ForwardingSource final : public ChunkedTelemetrySource {
+ public:
+  explicit ForwardingSource(ChunkedTelemetrySource& inner)
+      : ChunkedTelemetrySource(inner.header()), inner_(inner) {}
+  [[nodiscard]] bool next(TelemetryChunk& out) override { return inner_.next(out); }
+
+ private:
+  ChunkedTelemetrySource& inner_;
+};
+
+/// The channels of each window in a stream, copied.
+using Windows = std::vector<std::vector<TelemetryChannel>>;
+
+/// Every window `source` yields into `chunk`.
+Windows pull_all(ChunkedTelemetrySource& source, TelemetryChunk& chunk) {
+  Windows windows;
+  while (source.next(chunk)) {
+    windows.push_back(chunk.frame().channels());
+    chunk.release();
+  }
+  return windows;
+}
+
+/// `windows` with only the channels `keys` name, in their original order.
+Windows only(const Windows& windows, const std::vector<ChannelKey>& keys) {
+  Windows out;
+  for (const auto& window : windows) {
+    out.emplace_back();
+    for (const TelemetryChannel& ch : window) {
+      for (const ChannelKey& key : keys) {
+        if (key.tag == ch.tag && key.channel == ch.channel) out.back().push_back(ch);
+      }
+    }
+  }
+  return out;
+}
+
+void expect_same_windows(const Windows& got, const Windows& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(got[k].size(), want[k].size()) << "window " << k;
+    for (std::size_t c = 0; c < got[k].size(); ++c) {
+      EXPECT_EQ(got[k][c].tag, want[k][c].tag) << "window " << k;
+      EXPECT_EQ(got[k][c].channel, want[k][c].channel) << "window " << k;
+      EXPECT_EQ(got[k][c].times, want[k][c].times) << "window " << k;
+      EXPECT_EQ(got[k][c].values, want[k][c].values) << "window " << k;
+    }
+  }
+}
+
+/// Two channels with an unselected block between and after them.
+const std::vector<ChannelKey> kPicked = {{"system", "wetbulb_c"}, {"cdu1", "supply_temp_c"}};
+
+TEST_F(ChunkFileTest, BinSelectionDecodesOnlySelectedChannelsWithFullDecodeBits) {
+  save_dataset_binary_chunked(small_dataset(240.0), dir_, 60.0);
+  BinChunkSource full_source(dir_);
+  TelemetryChunk every;
+  const auto full = pull_all(full_source, every);
+  ASSERT_EQ(full.size(), 4u);
+
+  BinChunkSource source(dir_);
+  TelemetryChunk chunk;
+  chunk.select(kPicked);
+  const std::uint64_t samples_before = dataset_io_stats().binary_samples;
+  const auto picked = pull_all(source, chunk);
+  expect_same_windows(picked, only(full, kPicked));
+
+  // Residency and read accounting see the decoded channels only.
+  std::size_t picked_samples = 0;
+  for (const auto& window : picked) {
+    for (const TelemetryChannel& ch : window) picked_samples += ch.size();
+  }
+  EXPECT_EQ(dataset_io_stats().binary_samples - samples_before, picked_samples);
+  EXPECT_LT(source.gauge()->peak_bytes(), full_source.gauge()->peak_bytes());
+  std::size_t largest = 0;
+  for (const auto& window : picked) {
+    std::size_t samples = 0;
+    for (const TelemetryChannel& ch : window) samples += ch.size();
+    largest = std::max(largest, samples);
+  }
+  EXPECT_EQ(source.gauge()->peak_bytes(), largest * 2 * sizeof(double));
+}
+
+TEST_F(ChunkFileTest, SkippedBlockRunningPastItsChunkThrows) {
+  save_dataset_binary_chunked(small_dataset(120.0), dir_, 40.0);
+  const ChunkIndexEntry entry = read_manifest(dir_).chunks.front();
+  {
+    // Walk chunk 0 to its first unselected block and stretch its sample
+    // count one sample past the chunk's end (still below the file-size
+    // plausibility bound, so only the skip's own check can catch it).
+    std::fstream f(dir_ + "/channels.bin", std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(static_cast<std::streamoff>(entry.offset + sizeof(std::uint64_t)));
+    for (;;) {
+      std::string names[2];
+      for (std::string& name : names) {
+        std::uint32_t len = 0;
+        f.read(reinterpret_cast<char*>(&len), sizeof len);
+        name.resize(len);
+        f.read(name.data(), len);
+      }
+      const auto count_at = static_cast<std::uint64_t>(f.tellg());
+      std::uint64_t count = 0;
+      f.read(reinterpret_cast<char*>(&count), sizeof count);
+      ASSERT_TRUE(f.good());
+      if (names[0] != "system") {
+        const std::uint64_t samples_at = count_at + sizeof count;
+        const std::uint64_t stretched =
+            (entry.offset + entry.bytes - samples_at) / (2 * sizeof(double)) + 1;
+        f.seekp(static_cast<std::streamoff>(count_at));
+        f.write(reinterpret_cast<const char*>(&stretched), sizeof stretched);
+        break;
+      }
+      f.seekg(static_cast<std::streamoff>(count * 2 * sizeof(double)), std::ios::cur);
+    }
+    ASSERT_TRUE(f.good());
+  }
+  BinChunkSource source(dir_);
+  TelemetryChunk chunk;
+  chunk.select({{"system", "measured_power_w"}, {"system", "wetbulb_c"}});
+  try {
+    (void)source.next(chunk);
+    FAIL() << "a skipped block running past its chunk must throw";
+  } catch (const TelemetryError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated channels.bin samples"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ChunkFileTest, SelectionSurvivesReleaseAndAForwardingDecorator) {
+  const TelemetryDataset d = small_dataset(240.0);
+  save_dataset_binary_chunked(d, dir_, 60.0);
+  const std::vector<ChannelKey> power = {{"system", "measured_power_w"}};
+  TelemetryChunk every;
+  BinChunkSource full_bin(dir_);
+  InMemoryChunkSource full_mem(dataset_to_frame(d), 60.0);
+  const auto bin_full = pull_all(full_bin, every);
+  const auto mem_full = pull_all(full_mem, every);
+
+  BinChunkSource bin(dir_);
+  InMemoryChunkSource mem(dataset_to_frame(d), 60.0);
+  for (auto [inner, full] : {std::pair{static_cast<ChunkedTelemetrySource*>(&bin), &bin_full},
+                             std::pair{static_cast<ChunkedTelemetrySource*>(&mem), &mem_full}}) {
+    ForwardingSource forward(*inner);
+    TelemetryChunk chunk;
+    chunk.select(power);
+    Windows windows;
+    while (forward.next(chunk)) {
+      windows.push_back(chunk.frame().channels());
+      chunk.release();
+      EXPECT_FALSE(chunk.selects("system", "wetbulb_c"));  // still selecting power only
+    }
+    ASSERT_EQ(windows.size(), 4u);
+    expect_same_windows(windows, only(*full, power));
+  }
+}
+
+TEST_F(ChunkFileTest, EmptySelectionGivesEveryChannel) {
+  const TelemetryDataset d = small_dataset(240.0);
+  save_dataset_binary_chunked(d, dir_, 60.0);
+  TelemetryChunk every;
+  BinChunkSource full_bin(dir_);
+  InMemoryChunkSource full_mem(dataset_to_frame(d), 60.0);
+  const auto bin_full = pull_all(full_bin, every);
+  const auto mem_full = pull_all(full_mem, every);
+  ASSERT_EQ(bin_full.front().size(), 4u);
+
+  TelemetryChunk cleared;
+  cleared.select(kPicked);
+  cleared.select({});
+  EXPECT_TRUE(cleared.selects("cdu0", "rack_power_w"));
+  BinChunkSource bin(dir_);
+  expect_same_windows(pull_all(bin, cleared), bin_full);
+  InMemoryChunkSource mem(dataset_to_frame(d), 60.0);
+  expect_same_windows(pull_all(mem, cleared), mem_full);
+}
+
+TEST(InMemoryChunkSourceTest, SelectionSkipsChannelsAndASkippedChannelCatchesUp) {
+  const TelemetryDataset d = small_dataset(120.0);
+  InMemoryChunkSource full_source(dataset_to_frame(d), 50.0);
+  TelemetryChunk every;
+  const auto full = pull_all(full_source, every);
+  ASSERT_EQ(full.size(), 3u);
+
+  InMemoryChunkSource source(dataset_to_frame(d), 50.0);
+  TelemetryChunk chunk;
+  chunk.select(kPicked);
+  ASSERT_TRUE(source.next(chunk));
+  expect_same_windows({chunk.frame().channels()}, only({full[0]}, kPicked));
+  // Widening the selection mid-stream: the channels skipped in window 0
+  // start at window 1's first sample, as in the full stream.
+  chunk.select({});
+  Windows rest;
+  while (source.next(chunk)) rest.push_back(chunk.frame().channels());
+  expect_same_windows(rest, {full[1], full[2]});
+}
+
+TEST(InMemoryChunkSourceTest, WindowCountIsBoundedBeforeTheCast) {
+  for (const double chunk_seconds : {1e-300, 1e-4}) {
+    try {
+      InMemoryChunkSource source(dataset_to_frame(small_dataset(3600.0)), chunk_seconds);
+      ADD_FAILURE() << chunk_seconds << " gave " << source.chunk_count() << " windows";
+    } catch (const TelemetryError& e) {
+      EXPECT_NE(std::string(e.what()).find("chunk_seconds"), std::string::npos) << e.what();
+    }
+  }
+  // The paper's 183-day window at 15 s chunks stays legal.
+  DatasetHeader header;
+  header.system_name = "table-iv";
+  header.duration_s = 183.0 * 86400.0;
+  InMemoryChunkSource window(DatasetFrame{header, TelemetryFrame{}}, 15.0);
+  EXPECT_EQ(window.chunk_count(), 1054080u);
 }
 
 // --- LiveAppendSource ------------------------------------------------------

@@ -12,32 +12,49 @@ namespace {
 TEST(JobRecordTest, TraceLookupZeroOrderHold) {
   JobRecord j;
   j.cpu_util_trace = {0.1, 0.5, 0.9};
-  EXPECT_DOUBLE_EQ(j.cpu_util_at(0.0, 15.0), 0.1);
-  EXPECT_DOUBLE_EQ(j.cpu_util_at(14.9, 15.0), 0.1);
-  EXPECT_DOUBLE_EQ(j.cpu_util_at(15.0, 15.0), 0.5);
-  EXPECT_DOUBLE_EQ(j.cpu_util_at(44.0, 15.0), 0.9);
+  EXPECT_DOUBLE_EQ(j.utilization_at(0.0, 15.0).cpu, 0.1);
+  EXPECT_DOUBLE_EQ(j.utilization_at(14.9, 15.0).cpu, 0.1);
+  EXPECT_DOUBLE_EQ(j.utilization_at(15.0, 15.0).cpu, 0.5);
+  EXPECT_DOUBLE_EQ(j.utilization_at(44.0, 15.0).cpu, 0.9);
   // Past the trace end: hold the last sample.
-  EXPECT_DOUBLE_EQ(j.cpu_util_at(1000.0, 15.0), 0.9);
+  EXPECT_DOUBLE_EQ(j.utilization_at(1000.0, 15.0).cpu, 0.9);
+}
+
+TEST(JobRecordTest, UtilizationSettlesWhenBothTracesHoldTheirLastSample) {
+  JobRecord j;
+  j.cpu_util_trace = {0.1, 0.5, 0.9};
+  j.gpu_util_trace = {0.3, 0.6};
+  EXPECT_FALSE(j.utilization_at(0.0, 15.0).settled);
+  EXPECT_FALSE(j.utilization_at(15.0, 15.0).settled);  // gpu on its last sample only
+  const JobRecord::Utilization u = j.utilization_at(30.0, 15.0);
+  EXPECT_TRUE(u.settled);
+  EXPECT_DOUBLE_EQ(u.cpu, 0.9);
+  EXPECT_DOUBLE_EQ(u.gpu, 0.6);
+  // Far past the end the position is compared before any cast.
+  EXPECT_TRUE(j.utilization_at(1e300, 15.0).settled);
+  EXPECT_DOUBLE_EQ(j.utilization_at(1e300, 15.0).cpu, 0.9);
+  // Empty traces hold their means from the start.
+  EXPECT_TRUE(JobRecord{}.utilization_at(0.0, 15.0).settled);
 }
 
 TEST(JobRecordTest, EmptyTraceFallsBackToMean) {
   JobRecord j;
   j.mean_gpu_util = 0.79;
-  EXPECT_DOUBLE_EQ(j.gpu_util_at(100.0, 15.0), 0.79);
+  EXPECT_DOUBLE_EQ(j.utilization_at(100.0, 15.0).gpu, 0.79);
 }
 
 TEST(JobRecordTest, NegativeTimeClampsToStart) {
   JobRecord j;
   j.gpu_util_trace = {0.3, 0.6};
-  EXPECT_DOUBLE_EQ(j.gpu_util_at(-5.0, 15.0), 0.3);
+  EXPECT_DOUBLE_EQ(j.utilization_at(-5.0, 15.0).gpu, 0.3);
 }
 
 TEST(JobRecordTest, MeansAreClamped) {
   JobRecord j;
   j.mean_cpu_util = 1.7;
-  EXPECT_DOUBLE_EQ(j.cpu_util_at(0.0, 15.0), 1.0);
+  EXPECT_DOUBLE_EQ(j.utilization_at(0.0, 15.0).cpu, 1.0);
   j.mean_cpu_util = -0.5;
-  EXPECT_DOUBLE_EQ(j.cpu_util_at(0.0, 15.0), 0.0);
+  EXPECT_DOUBLE_EQ(j.utilization_at(0.0, 15.0).cpu, 0.0);
 }
 
 TEST(JobRecordTest, ReplayFlag) {
