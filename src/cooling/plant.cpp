@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "cooling/fluid.hpp"
@@ -590,6 +591,19 @@ const PlantOutputs& CoolingPlantModel::step(const CoolingInputs& inputs, double 
   require(dt > 0.0, "plant step requires dt > 0");
   require(inputs.cdu_heat_w.size() == static_cast<std::size_t>(config_.cdu_count),
           "cdu_heat_w size must equal cdu_count");
+  // Boundary conditions are checked here, once for every caller: a NaN or
+  // negative heat would otherwise surface deep in the HX kernel, or run on
+  // to unphysical temperatures.
+  for (std::size_t i = 0; i < inputs.cdu_heat_w.size(); ++i) {
+    const double heat = inputs.cdu_heat_w[i];
+    if (!(std::isfinite(heat) && heat >= 0.0)) {
+      throw ConfigError("cdu_heat_w of CDU " + std::to_string(i) +
+                        " must be finite and non-negative");
+    }
+  }
+  require(std::isfinite(inputs.wetbulb_c), "wetbulb_c must be finite");
+  require(std::isfinite(inputs.system_power_w) && inputs.system_power_w >= 0.0,
+          "system_power_w must be finite and non-negative");
   update_controls(inputs, dt);
   solve_hydraulics();
   integrate_thermal(inputs, dt);

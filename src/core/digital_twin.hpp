@@ -43,15 +43,42 @@
 /// tail heat between the last quantum boundary and t_end is no longer
 /// dropped (the cooling-side twin of the power-model tail-flush fix).
 ///
-/// A twin runs serially on its caller's thread. Each 15 s quantum holds too
-/// little work to shard (25 CDU solves and a few dirty racks); independent
-/// twins run side by side through ScenarioRunner instead. The engine's
-/// cooling callback and the recorder's channel table point into the twin,
-/// so a twin can be neither copied nor moved; hold it in a unique_ptr to
-/// hand it around.
+/// Two stages: a coupled run_until that adds at least kPipelineMinQuanta
+/// quanta overlaps the engine with the plant. RAPS reads no cooling state,
+/// so the coupling is one way and the plant can trail the engine:
+///   - Engine stage, on the caller's thread: RapsEngine::run_until. The
+///     cooling callback only captures the quantum's plant inputs (time,
+///     P_system, wet bulb, per-CDU wall power) into a bounded
+///     single-producer/single-consumer ring of kRingQuanta quanta, sized
+///     from cdu_count at construction.
+///   - Plant stage, on one worker thread started and joined inside
+///     run_until: it pops the quanta in order and runs the quantum body
+///     (the heat, CoolingPlantModel::step, the stage row, flush_stage).
+/// A stage that finds the ring full (engine) or empty (plant) sleeps until
+/// the other has moved a batch of quanta, so a 24 h run (5760 quanta)
+/// wakes a stage a few dozen times, not once per quantum. Shorter runs,
+/// and a run whose worker thread cannot be started, run the same quantum
+/// body inline on the caller's thread. Every plant input arrives in the
+/// same order with the same values either way, so the two paths record
+/// the same bits.
+///
+/// Failures: run_until throws the first error in simulated order and
+/// returns with the worker joined. When the engine throws, the plant first
+/// finishes every quantum captured before the failure, so the twin holds
+/// exactly what an inline run holds. When the plant throws, the plant and
+/// coupled series keep the quanta the plant completed, as inline, but the
+/// engine may have run up to kRingQuanta quanta past the failing one: its
+/// clock, report and own four series can lie that far ahead.
+///
+/// Independent twins run side by side through ScenarioRunner; sharding a
+/// single quantum loses (README, "Parallelism"). The engine's cooling
+/// callback and the recorder's channel table point into the twin, so a
+/// twin can be neither copied nor moved; hold it in a unique_ptr to hand
+/// it around.
 
 #include <array>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -96,6 +123,7 @@ class DigitalTwin {
   DigitalTwin& operator=(const DigitalTwin&) = delete;
   DigitalTwin(DigitalTwin&&) = delete;
   DigitalTwin& operator=(DigitalTwin&&) = delete;
+  ~DigitalTwin();
 
   /// Ambient boundary condition: a wet-bulb series (60 s telemetry) or a
   /// constant; the series wins when both are set. Until either setter is
@@ -117,7 +145,8 @@ class DigitalTwin {
   void submit(JobRecord job) { engine_.submit(std::move(job)); }
   void submit_all(std::vector<JobRecord> jobs) { engine_.submit_all(std::move(jobs)); }
 
-  /// Advances the coupled simulation.
+  /// Advances the coupled simulation, in two stages when the run is long
+  /// enough (see the file header, including what a failed run keeps).
   void run_until(double t_end_s);
 
   [[nodiscard]] RapsEngine& engine() { return engine_; }
@@ -150,6 +179,23 @@ class DigitalTwin {
   /// Quanta staged before they are appended to the series: 64 rows of the
   /// 155 Frontier channels is about 80 KB. A constant, not an option.
   static constexpr std::size_t kStageRows = 64;
+  /// A coupled run that adds fewer quanta steps the plant inline: starting
+  /// and joining the worker costs more than the overlap saves there.
+  /// Measured on fresh Frontier twins (Release, GCC 12, 4 cores, min of 40
+  /// runs, three alternations): at 8 quanta the worker cost +50 %
+  /// (0.14-0.17 -> 0.23-0.26 ms), the paths crossed between 32 and 48
+  /// quanta, and at 64 the pipelined run led (0.77-0.81 against
+  /// 0.79-1.15 ms; medians 1.07-1.17 against 1.21-1.26 ms).
+  static constexpr std::size_t kPipelineMinQuanta = 64;
+  /// Quanta the engine may run ahead of the plant, about 57 KB of inputs
+  /// at 25 CDUs. The engine stage sleeps when the ring is full and resumes
+  /// when half of it is free, so a 24 h run (5760 quanta) wakes it at most
+  /// about 45 times (14-24 measured on perfbench's Frontier day, where the
+  /// engine is not always a full ring ahead), and the 128 quanta still
+  /// queued (about 1 ms of plant work) cover its wake-up latency.
+  static constexpr std::size_t kRingQuanta = 256;
+
+  class QuantumRing;
 
   SystemConfig config_;
   RapsEngine engine_;
@@ -182,9 +228,26 @@ class DigitalTwin {
   std::array<double, kStageRows> stage_times_{};
   std::size_t staged_rows_ = 0;
 
+  /// Plant inputs handed from the engine stage to the plant stage; null
+  /// when cooling is off.
+  std::unique_ptr<QuantumRing> ring_;
+  /// True while a plant-stage worker consumes the ring.
+  bool pipelined_ = false;
+  /// The plant stage's error, read after the worker is joined.
+  std::exception_ptr plant_error_;
+
+  /// The engine's cooling callback: captures the quantum's plant inputs and
+  /// hands them to the plant stage, or steps the plant on them inline.
   void on_cooling_quantum(double now_s);
+  /// The quantum body: steps the plant on one captured quantum and stages
+  /// its row.
+  void step_plant(const double* quantum);
+  /// The plant stage's loop, run on the worker thread.
+  void run_plant_stage();
   /// Appends the staged rows to the series and empties the stage.
   void flush_stage();
+  /// Cooling quanta a run to t_end_s adds (0 when it adds none).
+  [[nodiscard]] std::size_t quanta_until(double t_end_s) const;
   /// Reserves every recorded series for the quanta a run to t_end_s adds.
   void reserve_series(double t_end_s);
   [[nodiscard]] double wetbulb_at(double t_s) const;

@@ -38,6 +38,7 @@ NodeAllocator::PartitionRange NodeAllocator::range_for(const std::string& partit
 }
 
 int NodeAllocator::free_nodes_in(const std::string& partition) const {
+  if (partition.empty()) return free_count_;
   const PartitionRange r = range_for(partition);
   int n = 0;
   int i = r.begin;
@@ -125,9 +126,13 @@ std::optional<std::vector<int>> NodeAllocator::allocate(int count,
 }
 
 void NodeAllocator::release(const std::vector<int>& nodes) {
-  for (int n : nodes) {
-    require(n >= 0 && n < total_nodes_, "release of out-of-range node");
-    if (test(n)) {
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    const int n = nodes[k];
+    if (n < 0 || n >= total_nodes_ || test(n)) {
+      // Undo this call's frees (each of those nodes was busy), so a rejected
+      // release changes nothing. A node listed twice is caught here too.
+      for (std::size_t j = 0; j < k; ++j) clear_bit(nodes[j]);
+      require(n >= 0 && n < total_nodes_, "release of out-of-range node");
       // Message built only on failure: the old unconditional
       // string-concatenation argument dominated release() cost.
       throw ConfigError("double release of node " + std::to_string(n));

@@ -42,7 +42,8 @@ class NodeAllocator {
   [[nodiscard]] std::optional<std::vector<int>> allocate(int count,
                                                          const std::string& partition = {});
 
-  /// Releases previously allocated nodes; double-free throws.
+  /// Releases previously allocated nodes. A node that is already free, out
+  /// of range or listed twice throws, and the rejected call frees nothing.
   void release(const std::vector<int>& nodes);
 
   [[nodiscard]] bool is_free(int node) const;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 
@@ -191,6 +194,37 @@ TEST_F(PlantTest, InputValidation) {
   EXPECT_THROW(plant.set_rack_blockage(30, 0, 0.5), ConfigError);
   EXPECT_THROW(plant.set_rack_blockage(0, 5, 0.5), ConfigError);
   EXPECT_THROW(plant.set_rack_blockage(0, 0, 0.0), ConfigError);
+
+  // Bad boundary conditions are rejected before the step, with a message
+  // naming the input (and the CDU, for heat), and leave the plant as it was.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto expect_rejected = [&](const CoolingInputs& in, const std::string& needle) {
+    try {
+      plant.step(in, 15.0);
+      ADD_FAILURE() << "accepted input, expected a rejection naming " << needle;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(plant.step_count(), 0);
+  };
+  for (const double heat : {nan, inf, -5.0e6}) {
+    CoolingInputs in = ok;
+    in.cdu_heat_w[7] = heat;
+    expect_rejected(in, "cdu_heat_w of CDU 7");
+  }
+  for (const double wetbulb : {nan, inf, -inf}) {
+    CoolingInputs in = ok;
+    in.wetbulb_c = wetbulb;
+    expect_rejected(in, "wetbulb_c");
+  }
+  for (const double power : {nan, inf, -1.0}) {
+    CoolingInputs in = ok;
+    in.system_power_w = power;
+    expect_rejected(in, "system_power_w");
+  }
+  plant.step(ok, 15.0);
+  EXPECT_EQ(plant.step_count(), 1);
 }
 
 /// Property sweep: the plant settles to a physical steady state across the

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -415,6 +417,108 @@ TEST(DigitalTwinTest, PlantScalarThermalMatchesDefaultTwin) {
   // The reference really ran: no HX went through the batched kernel.
   EXPECT_GT(fast->cooling().thermal_stats().hx_evaluated, 0);
   EXPECT_EQ(ref->cooling().thermal_stats().hx_evaluated, 0);
+}
+
+/// The plant rejects a non-finite wet bulb at its first step, whichever
+/// boundary condition the twin feeds it.
+TEST(DigitalTwinTest, NanWetbulbConstantRejectedByPlant) {
+  DigitalTwin twin(frontier_system_config());
+  twin.set_wetbulb_constant(std::numeric_limits<double>::quiet_NaN());
+  try {
+    twin.run_until(600.0);
+    ADD_FAILURE() << "a NaN wet bulb ran";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("wetbulb_c"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(twin.cooling().step_count(), 0);
+  EXPECT_TRUE(twin.pue_series().empty());
+}
+
+constexpr double kFailingRunEnd = 6.0 * units::kSecondsPerHour;
+constexpr double kFailureAt = 3.0 * units::kSecondsPerHour;
+
+/// A twin advanced toward 6 h in calls of `call_s` until one throws; returns
+/// the twin and the error's message (empty when nothing threw).
+std::pair<std::unique_ptr<DigitalTwin>, std::string> run_until_failure(
+    const SystemConfig& config, const std::vector<JobRecord>& jobs, const TimeSeries& wetbulb,
+    double call_s) {
+  auto twin = std::make_unique<DigitalTwin>(config);
+  twin->set_wetbulb_series(wetbulb);
+  twin->submit_all(jobs);
+  try {
+    for (double t = call_s; t <= kFailingRunEnd; t += call_s) twin->run_until(t);
+  } catch (const ConfigError& e) {
+    return {std::move(twin), e.what()};
+  }
+  return {std::move(twin), std::string()};
+}
+
+/// The plant, its counters and its recorded series, bit for bit.
+void expect_same_plant(const DigitalTwin& a, const DigitalTwin& b) {
+  const CoolingPlantModel& pa = a.cooling();
+  const CoolingPlantModel& pb = b.cooling();
+  EXPECT_EQ(pa.step_count(), pb.step_count());
+  EXPECT_TRUE(same_bits({pa.time_s()}, {pb.time_s()}));
+  EXPECT_TRUE(same_bits({pa.outputs().pue, pa.outputs().pri_supply_t_c},
+                        {pb.outputs().pue, pb.outputs().pri_supply_t_c}));
+  EXPECT_EQ(pa.hydraulics_stats().solves_performed, pb.hydraulics_stats().solves_performed);
+  EXPECT_EQ(pa.hydraulics_stats().solves_reused(), pb.hydraulics_stats().solves_reused());
+  EXPECT_EQ(pa.thermal_stats().hx_evaluated, pb.thermal_stats().hx_evaluated);
+  // The plant and coupled series follow the engine's four.
+  std::vector<const TimeSeries*> sa = recorded_series(a);
+  std::vector<const TimeSeries*> sb = recorded_series(b);
+  sa.erase(sa.begin(), sa.begin() + 4);
+  sb.erase(sb.begin(), sb.begin() + 4);
+  expect_same_series(sa, sb);
+}
+
+/// A 6 h coupled run whose engine fails at 3 h: a job naming an unknown
+/// partition arrives. In one call (1440 quanta) the plant steps on a worker
+/// behind the engine; in 15-minute calls (60 quanta each) it steps inline.
+/// Both throw the engine's error, and the pipelined twin's plant finishes
+/// every quantum captured before it, so the twins match in full.
+TEST(DigitalTwinTest, EngineFailureKeepsWhatAnInlineRunKeeps) {
+  const SystemConfig config = frontier_system_config();
+  WorkloadGenerator gen(config.workload, config, Rng(23));
+  std::vector<JobRecord> jobs = gen.generate(0.0, kFailingRunEnd);
+  JobRecord stray = make_hpl_job(kFailureAt, 600.0, 64);
+  stray.partition = "no-such-partition";
+  jobs.push_back(stray);
+  const TimeSeries wetbulb = TimeSeries::uniform(0.0, 60.0, std::vector<double>(400, 16.0));
+
+  auto [pipelined, pipelined_error] = run_until_failure(config, jobs, wetbulb, kFailingRunEnd);
+  auto [inline_twin, inline_error] = run_until_failure(config, jobs, wetbulb, 900.0);
+  EXPECT_NE(pipelined_error.find("unknown partition"), std::string::npos) << pipelined_error;
+  EXPECT_EQ(pipelined_error, inline_error);
+  EXPECT_EQ(pipelined->engine().now_s(), kFailureAt);
+  EXPECT_EQ(pipelined->cooling().step_count(), 719);
+  expect_same_plant(*pipelined, *inline_twin);
+  expect_same_twin(*pipelined, *inline_twin);
+}
+
+/// A 6 h coupled run whose plant fails at 3 h: the wet bulb has a NaN
+/// sample there, which the plant rejects at the first quantum that reads
+/// it. Both paths throw the plant's error and keep the same plant and
+/// coupled series; the pipelined engine may have run ahead of the plant.
+TEST(DigitalTwinTest, PlantFailureKeepsThePlantOfAnInlineRun) {
+  const SystemConfig config = frontier_system_config();
+  WorkloadGenerator gen(config.workload, config, Rng(29));
+  const std::vector<JobRecord> jobs = gen.generate(0.0, kFailingRunEnd);
+  std::vector<double> wetbulb_c(400, 16.0);
+  wetbulb_c[static_cast<std::size_t>(kFailureAt / 60.0)] = std::numeric_limits<double>::quiet_NaN();
+  const TimeSeries wetbulb = TimeSeries::uniform(0.0, 60.0, wetbulb_c);
+
+  auto [pipelined, pipelined_error] = run_until_failure(config, jobs, wetbulb, kFailingRunEnd);
+  auto [inline_twin, inline_error] = run_until_failure(config, jobs, wetbulb, 900.0);
+  EXPECT_NE(pipelined_error.find("wetbulb_c"), std::string::npos) << pipelined_error;
+  EXPECT_EQ(pipelined_error, inline_error);
+  // The interval before the NaN sample interpolates to NaN from its start
+  // (a zero weight times NaN), so the quantum at 10740 s is the first
+  // rejected and 715 quanta complete.
+  EXPECT_EQ(inline_twin->cooling().step_count(), 715);
+  EXPECT_EQ(inline_twin->pue_series().times().back(), kFailureAt - 75.0);
+  EXPECT_GE(pipelined->engine().now_s(), inline_twin->engine().now_s());
+  expect_same_plant(*pipelined, *inline_twin);
 }
 
 }  // namespace

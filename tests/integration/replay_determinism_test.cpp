@@ -68,6 +68,9 @@ TEST(DeterminismTest, ChunkedRunMatchesMonolithic) {
   // state: nothing in the engine may depend on the observation schedule.
   // The 60 s chunks end every run_until on a partly filled recorder block,
   // so the comparison covers every sample of every recorded series too.
+  // It also crosses the twin's two paths: the 3600 s call adds 240 quanta
+  // and steps the plant on a worker thread behind the engine, while each
+  // 60 s call adds 4 quanta and steps it inline.
   const SystemConfig config = frontier_system_config();
   WorkloadGenerator gen(config.workload, config, Rng(78));
   const auto jobs = gen.generate(0.0, 3600.0);
@@ -88,6 +91,15 @@ TEST(DeterminismTest, ChunkedRunMatchesMonolithic) {
   EXPECT_EQ(mono.cooling().outputs().pue, chunked.cooling().outputs().pue);
   EXPECT_EQ(mono.cooling().outputs().pri_supply_t_c,
             chunked.cooling().outputs().pri_supply_t_c);
+  EXPECT_EQ(mono.cooling().step_count(), chunked.cooling().step_count());
+  EXPECT_EQ(mono.cooling().hydraulics_stats().solves_performed,
+            chunked.cooling().hydraulics_stats().solves_performed);
+  EXPECT_EQ(mono.cooling().hydraulics_stats().reused_unchanged,
+            chunked.cooling().hydraulics_stats().reused_unchanged);
+  EXPECT_EQ(mono.cooling().hydraulics_stats().reused_shared,
+            chunked.cooling().hydraulics_stats().reused_shared);
+  EXPECT_EQ(mono.cooling().thermal_stats().hx_evaluated,
+            chunked.cooling().thermal_stats().hx_evaluated);
   const std::vector<const TimeSeries*> a = recorded_series(mono);
   const std::vector<const TimeSeries*> b = recorded_series(chunked);
   ASSERT_EQ(a.size(), 159u);

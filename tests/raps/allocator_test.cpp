@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -79,6 +80,22 @@ TEST(AllocatorTest, DoubleReleaseThrows) {
   const auto nodes = *alloc.allocate(4);
   alloc.release(nodes);
   EXPECT_THROW(alloc.release(nodes), ConfigError);
+
+  // A rejected release frees nothing, whether the bad node is already
+  // free, listed twice or out of range, and wherever it sits in the list.
+  const std::vector<int> busy = *alloc.allocate(3);
+  const int free_node = busy.back() + 1;
+  ASSERT_TRUE(alloc.is_free(free_node));
+  for (const std::vector<int>& bad :
+       {std::vector<int>{busy[0], free_node}, std::vector<int>{busy[0], busy[1], busy[0]},
+        std::vector<int>{busy[0], busy[1], 9472}, std::vector<int>{busy[2], -1}}) {
+    EXPECT_THROW(alloc.release(bad), ConfigError);
+    EXPECT_EQ(alloc.free_nodes(), 9472 - 3);
+    EXPECT_EQ(alloc.free_nodes_in(""), 9472 - 3);
+    for (const int n : busy) EXPECT_FALSE(alloc.is_free(n)) << "node " << n;
+  }
+  alloc.release(busy);
+  EXPECT_EQ(alloc.free_nodes(), 9472);
 }
 
 TEST(AllocatorTest, BusyPerRackCounts) {
@@ -146,6 +163,11 @@ TEST_P(AllocatorChurnProperty, ConservesInventory) {
     int held_count = 0;
     for (const auto& h : held) held_count += static_cast<int>(h.size());
     EXPECT_EQ(alloc.free_nodes() + held_count, 9472);
+    // The whole-machine count is the maintained one; it must agree with
+    // the bitmap.
+    int busy = 0;
+    for (const int b : alloc.busy_per_rack()) busy += b;
+    EXPECT_EQ(alloc.free_nodes_in(""), 9472 - busy);
   }
 }
 
