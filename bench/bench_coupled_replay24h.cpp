@@ -1,26 +1,21 @@
 /// Coupled cooling perf trajectory: the paper Fig. 9 day (24 h Frontier
 /// telemetry replay with an HPL campaign) run through the *coupled* twin —
-/// RAPS + the cooling plant every 15 s quantum — under two plant
-/// configurations:
-///
-///   fast    — the defaults: event-driven engine, incremental power model,
-///             deduplicated/workspace-reused hydraulics (kDedup);
-///   ref     — the same twin with its plant set to
-///             HydraulicsEval::kAlwaysSolve through
-///             DigitalTwin::cooling().set_hydraulics_eval: isolates the
-///             hydraulics dedup, and cross-checks it bit for bit.
+/// RAPS + the cooling plant every 15 s quantum, with the plant's loops
+/// evaluated in closed form (cooling/network.hpp).
 ///
 /// The coupled path is the paper's value proposition (what-if cooling
 /// studies and setpoint optimization at exascale); this bench records the
-/// trajectory of that hot path.
+/// trajectory of that hot path. It exits non-zero when a repeat run
+/// diverges from the first, or when any node of any loop leaves more than
+/// 1e-12 of its loop flow unbalanced on any step.
 ///
-/// `--json <path>` emits BENCH_coupled24h.json: wall_ms (fast path),
-/// wall_ms_always_solve, speedup_vs_always_solve, sim_rate, plant_steps,
-/// solves_performed, solves_reused, energy_mwh, pue.
+/// `--json <path>` emits BENCH_coupled24h.json: wall_ms, sim_rate,
+/// plant_steps, solves_performed (loops evaluated), max_mass_residual_rel,
+/// energy_mwh, pue.
 ///
 /// EXADIGIT_BENCH_HOURS shrinks the replayed window for smoke runs;
-/// EXADIGIT_BENCH_REPS sets the repetitions per configuration (min wall
-/// time is reported — see perf_json.hpp).
+/// EXADIGIT_BENCH_REPS sets the repetitions (min wall time is reported —
+/// see perf_json.hpp).
 
 #include <chrono>
 #include <cstdio>
@@ -38,6 +33,10 @@ using namespace exadigit;
 
 namespace {
 
+/// The largest node mass residual, relative to the loop flow, that a
+/// closed-form loop evaluation may leave.
+constexpr double kMaxMassResidualRel = 1e-12;
+
 struct CoupledRun {
   double wall_ms = 0.0;
   Report report;
@@ -46,15 +45,12 @@ struct CoupledRun {
   CoolingPlantModel::HydraulicsStats stats;
 };
 
-/// Coupled replay (RAPS + cooling plant) with the plant's hydraulics set
-/// to `eval`.
-CoupledRun time_coupled_replay_once(const SystemConfig& config, const TelemetryDataset& dataset,
-                                    HydraulicsEval eval) {
+/// One coupled replay (RAPS + cooling plant).
+CoupledRun time_coupled_replay_once(const SystemConfig& config, const TelemetryDataset& dataset) {
   DigitalTwinOptions options;
   options.enable_cooling = true;
   options.start_time_s = dataset.start_time_s;
   DigitalTwin twin(config, options);
-  twin.cooling().set_hydraulics_eval(eval);
   if (!dataset.wetbulb_c.empty()) twin.set_wetbulb_series(dataset.wetbulb_c);
   const auto t0 = std::chrono::steady_clock::now();
   twin.submit_all(dataset.jobs);
@@ -69,14 +65,14 @@ CoupledRun time_coupled_replay_once(const SystemConfig& config, const TelemetryD
   return r;
 }
 
-/// Runs a configuration `reps` times and reports the minimum wall time.
-/// Every rep must reproduce the first rep's physics exactly (same process,
-/// same inputs): a mismatch means nondeterminism and aborts the bench.
+/// Runs the replay `reps` times and reports the minimum wall time. Every
+/// rep must reproduce the first rep's physics exactly (same process, same
+/// inputs): a mismatch means nondeterminism and aborts the bench.
 CoupledRun time_coupled_replay(const SystemConfig& config, const TelemetryDataset& dataset,
-                               HydraulicsEval eval, int reps) {
-  CoupledRun best = time_coupled_replay_once(config, dataset, eval);
+                               int reps) {
+  CoupledRun best = time_coupled_replay_once(config, dataset);
   for (int rep = 1; rep < reps; ++rep) {
-    const CoupledRun r = time_coupled_replay_once(config, dataset, eval);
+    const CoupledRun r = time_coupled_replay_once(config, dataset);
     if (r.report.total_energy_mwh != best.report.total_energy_mwh ||
         r.pue_mean != best.pue_mean || r.plant_steps != best.plant_steps) {
       std::fprintf(stderr, "FAIL: repeat run diverged (rep %d)\n", rep);
@@ -97,8 +93,7 @@ int main(int argc, char** argv) {
   const double duration = hours * units::kSecondsPerHour;
   const SystemConfig spec = frontier_system_config();
 
-  std::printf("=== Coupled cooling replay: %.0f h Frontier day, dedup vs always-solve ===\n\n",
-              hours);
+  std::printf("=== Coupled cooling replay: %.0f h Frontier day ===\n\n", hours);
 
   // The same replayed day as bench_fig9_replay24h: heavy synthetic mix plus
   // four back-to-back 9216-node HPL runs.
@@ -127,40 +122,26 @@ int main(int argc, char** argv) {
 
   const int reps = bench::bench_reps();
 
-  const CoupledRun fast = time_coupled_replay(spec, dataset, HydraulicsEval::kDedup, reps);
-  const CoupledRun ref = time_coupled_replay(spec, dataset, HydraulicsEval::kAlwaysSolve, reps);
+  const CoupledRun run = time_coupled_replay(spec, dataset, reps);
+  const double sim_rate = run.wall_ms > 0.0 ? duration / (run.wall_ms / 1000.0) : 0.0;
+  const double residual = run.stats.max_mass_residual_rel;
 
-  const double sim_rate = fast.wall_ms > 0.0 ? duration / (fast.wall_ms / 1000.0) : 0.0;
-  const double speedup_ref = fast.wall_ms > 0.0 ? ref.wall_ms / fast.wall_ms : 0.0;
-  const long long total = fast.stats.solves_performed + fast.stats.solves_reused();
-
-  AsciiTable t({"Coupled replay", "dedup (fast)", "always_solve (ref)"});
-  t.add_row({"wall (ms)", AsciiTable::num(fast.wall_ms, 0), AsciiTable::num(ref.wall_ms, 0)});
-  t.add_row({"plant steps", AsciiTable::num(static_cast<double>(fast.plant_steps), 0),
-             AsciiTable::num(static_cast<double>(ref.plant_steps), 0)});
-  t.add_row({"solves performed",
-             AsciiTable::num(static_cast<double>(fast.stats.solves_performed), 0),
-             AsciiTable::num(static_cast<double>(ref.stats.solves_performed), 0)});
-  t.add_row({"solves reused",
-             AsciiTable::num(static_cast<double>(fast.stats.solves_reused()), 0),
-             AsciiTable::num(static_cast<double>(ref.stats.solves_reused()), 0)});
-  t.add_row({"energy (MWh)", AsciiTable::num(fast.report.total_energy_mwh, 3),
-             AsciiTable::num(ref.report.total_energy_mwh, 3)});
-  t.add_row({"mean PUE", AsciiTable::num(fast.pue_mean, 5), AsciiTable::num(ref.pue_mean, 5)});
+  AsciiTable t({"Coupled replay", "value"});
+  t.add_row({"wall (ms)", AsciiTable::num(run.wall_ms, 1)});
+  t.add_row({"plant steps", AsciiTable::num(static_cast<double>(run.plant_steps), 0)});
+  t.add_row({"loops evaluated",
+             AsciiTable::num(static_cast<double>(run.stats.solves_performed), 0)});
+  t.add_row({"energy (MWh)", AsciiTable::num(run.report.total_energy_mwh, 3)});
+  t.add_row({"mean PUE", AsciiTable::num(run.pue_mean, 5)});
   std::printf("%s\n", t.render().c_str());
 
-  std::printf("coupled replay: %.0f ms fast vs %.0f ms always-solve (%.1fx); "
-              "%.0f sim-s/wall-s\n",
-              fast.wall_ms, ref.wall_ms, speedup_ref, sim_rate);
-  std::printf("dedup reuse: %lld of %lld solves reused (%.0f %%)\n",
-              fast.stats.solves_reused(), total,
-              total > 0 ? 100.0 * fast.stats.solves_reused() / total : 0.0);
-  if (fast.report.total_energy_mwh != ref.report.total_energy_mwh ||
-      fast.pue_mean != ref.pue_mean) {
-    std::fprintf(stderr, "FAIL: dedup diverged from the always-solve reference\n");
+  std::printf("coupled replay: %.1f ms; %.0f sim-s/wall-s\n", run.wall_ms, sim_rate);
+  std::printf("worst node mass residual: %.3g of the loop flow\n", residual);
+  if (!(residual <= kMaxMassResidualRel)) {
+    std::fprintf(stderr, "FAIL: a loop left %.3g of its flow unbalanced at a node (> %g)\n",
+                 residual, kMaxMassResidualRel);
     return 1;
   }
-  std::printf("cross-check vs reference: energy and mean PUE bit-identical\n");
 
   if (!json_path.empty()) {
     Json out;
@@ -169,16 +150,13 @@ int main(int argc, char** argv) {
     out["reps"] = Json(static_cast<std::int64_t>(reps));
     out["sim_seconds"] = Json(duration);
     out["jobs"] = Json(static_cast<std::int64_t>(dataset.jobs.size()));
-    out["wall_ms"] = Json(fast.wall_ms);
-    out["wall_ms_always_solve"] = Json(ref.wall_ms);
-    out["speedup_vs_always_solve"] = Json(speedup_ref);
+    out["wall_ms"] = Json(run.wall_ms);
     out["sim_rate"] = Json(sim_rate);  // simulated seconds per wall second
-    out["plant_steps"] = Json(static_cast<std::int64_t>(fast.plant_steps));
-    out["solves_performed"] = Json(static_cast<std::int64_t>(fast.stats.solves_performed));
-    out["solves_reused"] = Json(static_cast<std::int64_t>(fast.stats.solves_reused()));
-    out["energy_mwh"] = Json(fast.report.total_energy_mwh);
-    out["pue"] = Json(fast.pue_mean);
-    out["hydraulics"] = Json(std::string("dedup"));
+    out["plant_steps"] = Json(static_cast<std::int64_t>(run.plant_steps));
+    out["solves_performed"] = Json(static_cast<std::int64_t>(run.stats.solves_performed));
+    out["max_mass_residual_rel"] = Json(residual);
+    out["energy_mwh"] = Json(run.report.total_energy_mwh);
+    out["pue"] = Json(run.pue_mean);
     if (!bench::write_perf_json(json_path, out)) return 1;
     std::printf("JSON -> %s\n", json_path.c_str());
   }

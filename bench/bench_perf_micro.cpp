@@ -22,22 +22,21 @@ const SystemConfig& frontier() {
   return config;
 }
 
-void BM_NetworkSolveWarm(benchmark::State& state) {
-  FlowNetwork net;
-  const NodeId a = net.add_node();
-  const NodeId b = net.add_node();
-  const NodeId c = net.add_node();
-  const BranchId pump = net.add_pump(a, c, 300e3, 1e7, 2);
-  net.add_resistance(c, b, 5e6);
-  for (int i = 0; i < 25; ++i) net.add_valve(b, a, 3e8);
+void BM_LoopEvaluate(benchmark::State& state) {
+  // The primary loop's shape: a two-pump bank, a series EHX bank and 25
+  // CDU valves in parallel.
+  SeriesParallelLoop loop(300e3, 1e7, 2);
+  loop.add_series(5e6);
+  for (int i = 0; i < 25; ++i) loop.add_parallel(3e8);
   double speed = 0.8;
   for (auto _ : state) {
-    speed = speed > 0.99 ? 0.8 : speed + 0.001;  // keep the solve warm-started
-    net.set_speed(pump, speed);
-    benchmark::DoNotOptimize(net.solve(0.35));
+    speed = speed > 0.99 ? 0.8 : speed + 0.001;
+    loop.set_speed(speed);
+    loop.evaluate();
+    benchmark::DoNotOptimize(loop.flow_m3s());
   }
 }
-BENCHMARK(BM_NetworkSolveWarm);
+BENCHMARK(BM_LoopEvaluate);
 
 void BM_ConversionChain(benchmark::State& state) {
   ConversionChain chain(frontier().power);

@@ -24,11 +24,13 @@ Gates (a failure in any one fails the run):
     full-day baseline checks only the machine-independent gates below.
   * speedup floors: every "speedup_vs_*" field must be >= 1.0 — the fast
     paths must never lose to the reference/legacy paths they replace.
-  * invariants: "sim_rate" > 0, "solves_reused" > 0, "peak_rss_mb" > 0,
-    "chunk_peak_resident_mb" > 0, every "policy_jobs_per_s_*" > 0, and
-    "chunked_identical" is true (the streamed chunk replay must stay
-    bit-identical to the monolithic path), for whichever of those fields
-    the measured file carries.
+  * invariants: "sim_rate" > 0, "peak_rss_mb" > 0,
+    "chunk_peak_resident_mb" > 0, every "policy_jobs_per_s_*" > 0,
+    "max_mass_residual_rel" <= 1e-12 (every node of every cooling loop
+    balances its mass to rounding on every step), and "chunked_identical"
+    is true (the streamed chunk replay must stay bit-identical to the
+    monolithic path), for whichever of those fields the measured file
+    carries.
 
 Updating baselines (intentional bumps only):
   1. Build Release and run the bench on the CI reference configuration
@@ -60,6 +62,9 @@ WALL_EXTRA = ("chunked_wall_ms",)
 INFO_KEYS = ("dataset_load_ms", "dataset_load_bin_ms", "dataset_save_ms",
              "dataset_save_bin_ms", "dataset_replay_ms")
 SCALE_KEYS = ("hours", "sim_seconds", "dataset_days", "sim_days")
+# Largest node mass residual, relative to the loop flow, that a closed-form
+# loop evaluation may leave.
+MAX_MASS_RESIDUAL_REL = 1e-12
 
 
 def is_wall_key(key: str) -> bool:
@@ -88,9 +93,14 @@ def check_pair(measured_path: str, baseline_path: str, tolerance: float,
             if value < 1.0:
                 failures.append(f"{name}: {key} = {value:.3f} < 1.0 "
                                 "(fast path lost to its reference)")
-    for key in ("sim_rate", "solves_reused", "peak_rss_mb", "chunk_peak_resident_mb"):
+    for key in ("sim_rate", "peak_rss_mb", "chunk_peak_resident_mb"):
         if key in measured and not measured[key] > 0:
             failures.append(f"{name}: {key} = {measured[key]!r} (must be > 0)")
+    residual = measured.get("max_mass_residual_rel")
+    if residual is not None and not residual <= MAX_MASS_RESIDUAL_REL:
+        failures.append(f"{name}: max_mass_residual_rel = {residual!r} (must be "
+                        f"<= {MAX_MASS_RESIDUAL_REL:g}: a cooling loop left mass "
+                        "unbalanced at a node)")
     for key, value in sorted(measured.items()):
         # Per-policy scheduling throughput (bench_fig9_replay24h): every
         # policy column must schedule at a positive rate — 0 means the

@@ -66,7 +66,9 @@ double TimeSeries::at(double t, SampleHold hold) const {
   const auto it = std::upper_bound(times_.begin(), times_.end(), t);
   const std::size_t hi = static_cast<std::size_t>(it - times_.begin());
   const std::size_t lo = hi - 1;
-  if (hold == SampleHold::kPrevious) return values_[lo];
+  // At a sample time the sample itself, never a zero weight times a
+  // neighbour that may be NaN or infinite.
+  if (hold == SampleHold::kPrevious || times_[lo] == t) return values_[lo];
   const double span = times_[hi] - times_[lo];
   const double u = (t - times_[lo]) / span;
   return values_[lo] + u * (values_[hi] - values_[lo]);

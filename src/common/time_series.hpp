@@ -52,7 +52,8 @@ class TimeSeries {
   [[nodiscard]] double start_time() const;
   [[nodiscard]] double end_time() const;
 
-  /// Value at time `t` with the requested reconstruction. Outside the series
+  /// Value at time `t` with the requested reconstruction. At a sample time
+  /// it is that sample, whatever its neighbours hold; outside the series
   /// range the boundary value is held.
   [[nodiscard]] double at(double t, SampleHold hold = SampleHold::kLinear) const;
 

@@ -13,8 +13,7 @@
 /// A descriptor says what the machine is, not how the twin evaluates it.
 /// The fast paths and the references the tests hold them to are chosen on
 /// the object that runs them: RapsEngine::Options (engine mode and power
-/// evaluation) and CoolingPlantModel::set_hydraulics_eval /
-/// set_thermal_eval.
+/// evaluation) and CoolingPlantModel::set_thermal_eval.
 
 #include <cstdint>
 #include <string>

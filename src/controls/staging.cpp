@@ -58,8 +58,10 @@ int BandStagingController::update(double value, double setpoint, double dt) {
 
   const bool hot = value > setpoint + config_.band;
   const bool cold = value < setpoint - config_.band;
-  const bool rising_ok = !config_.use_gradient || gradient >= 0.0;
-  const bool falling_ok = !config_.use_gradient || gradient <= 0.0;
+  // Stage up unless the value already falls faster than the deadband, and
+  // down unless it already rises faster than it.
+  const bool rising_ok = !config_.use_gradient || gradient >= -kTrendDeadband;
+  const bool falling_ok = !config_.use_gradient || gradient <= kTrendDeadband;
   if (hot && rising_ok && staged_ < config_.max_units) {
     ++staged_;
     since_last_change_s_ = 0.0;

@@ -43,17 +43,28 @@ class SpeedStagingController {
 };
 
 /// Stages units on a process-variable band: stage up when `value` exceeds
-/// setpoint + band (and, optionally, is still rising), down when below
-/// setpoint - band. Used for cooling-tower cells on HTW supply temperature.
+/// setpoint + band, down when below setpoint - band. With the gradient rule
+/// a hot value that is falling faster than kTrendDeadband holds the count,
+/// and so does a cold value rising faster than it. Used for cooling-tower
+/// cells on HTW supply temperature.
 class BandStagingController {
  public:
+  /// A trend slower than this (value units per second) is no trend. A plant
+  /// settling slowly toward a hot steady state changes its HTWS by very
+  /// little per step, and numerical noise can flip the sign of that change;
+  /// staging must not follow it. 1e-5 K/s is 0.006 K over a 600 s staging
+  /// interval, about 20 times the step-to-step HTWS noise an iterative
+  /// hydraulic solve with a 1e-6 tolerance leaves.
+  static constexpr double kTrendDeadband = 1e-5;
+
   struct Config {
     int min_units = 1;
     int max_units = 20;
     double band = 1.5;              ///< half-width around the setpoint
     double min_interval_s = 600.0;
-    /// Require the signal gradient to agree with the staging direction
-    /// (paper: CTs stage on header pressure *and* the HTWS gradient).
+    /// Hold the count while the signal moves back toward the band faster
+    /// than kTrendDeadband (paper: CTs stage on header pressure *and* the
+    /// HTWS gradient).
     bool use_gradient = true;
   };
 

@@ -21,6 +21,17 @@ struct TowerResult {
   double effectiveness = 0.0; ///< realized (T_in - T_out)/(T_in - T_wb)
 };
 
+/// What staging, fan speed and water flow fix about the bank: everything
+/// but the water and wet-bulb temperatures.
+struct TowerOperatingPoint {
+  double effectiveness = 0.0;  ///< Merkel effectiveness; 0 when no water flows
+  double fan_power_w = 0.0;    ///< total electric power of staged cell fans
+
+  /// Basin temperature for inlet water at `water_in_c` under ambient wet
+  /// bulb `wetbulb_c`. Water never cools below the wet bulb.
+  [[nodiscard]] double water_out_c(double water_in_c, double wetbulb_c) const;
+};
+
 /// A bank of identical tower cells with shared staging and fan speed.
 class CoolingTowerBank {
  public:
@@ -28,10 +39,16 @@ class CoolingTowerBank {
   /// effectiveness curve applies.
   CoolingTowerBank(const CoolingTowerConfig& config, double design_cell_flow_m3s);
 
-  /// Evaluates the bank with `staged_cells` active, all fans at
-  /// `fan_speed` (0..1), total water flow `water_flow_m3s` distributed
-  /// evenly over staged cells, inlet water `water_in_c`, and ambient
-  /// wet-bulb `wetbulb_c`. Water never cools below the wet bulb.
+  /// The bank with `staged_cells` active, all fans at `fan_speed` (0..1),
+  /// and total water flow `water_flow_m3s` distributed evenly over staged
+  /// cells. The plant holds these fixed for a step and takes only the
+  /// approach to the wet bulb per thermal substep.
+  [[nodiscard]] TowerOperatingPoint operating_point(int staged_cells, double fan_speed,
+                                                    double water_flow_m3s) const;
+
+  /// The full evaluation at inlet water `water_in_c` and ambient wet bulb
+  /// `wetbulb_c`: operating_point() plus the approach, with the realized
+  /// effectiveness and the heat rejected.
   [[nodiscard]] TowerResult evaluate(int staged_cells, double fan_speed,
                                      double water_flow_m3s, double water_in_c,
                                      double wetbulb_c) const;

@@ -1,188 +1,117 @@
 #pragma once
 
 /// @file network.hpp
-/// Steady incompressible flow-network solver.
+/// Steady hydraulics of a series-parallel cooling loop, in closed form.
 ///
-/// Each cooling loop in the plant (25 CDU secondary loops, the primary HTW
-/// loop, the cooling-tower loop — paper Fig. 5) is a pipe network of pumps,
-/// quadratic resistances, and control valves. Because the fluid transients
-/// are far faster than the thermal ones, hydraulics are solved as a steady
-/// network at every cooling step: Newton iteration on nodal pressures with
-/// mass conservation residuals, which is the staggered-grid momentum/mass
-/// formulation of Modelica.Fluid collapsed to its steady limit.
+/// Each cooling loop in the plant (paper Fig. 5) is a pump bank in series
+/// with quadratic resistances, one group of which may be in parallel:
+///   - a CDU loop: pump -> 3 rack branches in parallel -> HEX leg;
+///   - the primary HTW loop: HTWP bank -> EHX bank -> 25 CDU valves in
+///     parallel;
+///   - the cooling-tower loop: CTWP bank -> EHX cold side -> tower cells.
 ///
-/// Branch characteristics are regularized near zero pressure drop so the
-/// Jacobian stays finite, and pumps carry integral check valves (no
-/// backflow), matching the physical plant.
+/// Fluid transients are far faster than thermal ones, so the plant takes
+/// the steady limit of the paper's Modelica.Fluid loops at every step, and
+/// on this shape the steady limit has an exact closed form. A bank of n
+/// units at relative speed s lifts s^2 H0 - a (Q/n)^2, and a resistance
+/// drops K Q^2, so the loop flow is
 ///
-/// The solver keeps a persistent per-network workspace (pressures,
-/// residual, Jacobian, line-search buffers, branch flows): after the first
-/// solve on a network, re-solves perform no heap allocation when driven
-/// through `solve_into`.
+///     Q = n s sqrt(H0 / (a + n^2 K_eq)),  K_eq = sum K_series + (sum g_i)^-2,
 ///
-/// Branch parameters change only through the network's setters (pump speed
-/// and units, resistance k, valve position, resistance-to-valve
-/// conversion), so the network knows whether its operating point moved
-/// since it last held a converged state: `parameters_changed()` is set by
-/// any setter that writes a new value and cleared by `solve`, `solve_into`
-/// and `adopt_solution`. A setter that writes the value already held is not
-/// a change. `same_operating_point` compares two networks exactly: the
-/// topology, every branch parameter and the warm start. Together they let
-/// callers skip a re-solve when nothing changed, or share one solution
-/// among identical-topology networks at the same operating point — see
-/// CoolingPlantModel::solve_hydraulics.
+/// where g_i = 1/sqrt(K_i) is a parallel branch's conductance; a valve at
+/// position p has g = max(p, p_min)/sqrt(k_open). The branches split the
+/// flow as Q_i = (Q / sum g) g_i, and node pressures follow branch by branch
+/// from the pump suction, the 0 Pa reference. Zero speed gives zero flow,
+/// and no flow ever runs backward through the pumps.
+///
+/// Nothing iterates: every evaluation is exact to rounding, and every node
+/// balances its mass to rounding (mass_residual_rel reports how closely).
+/// The type expresses only this shape; a second parallel group, or a loop
+/// with nothing for the pump to push against, is a ConfigError.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace exadigit {
 
-/// Handle for a network node.
-using NodeId = std::size_t;
-/// Handle for a network branch.
+/// Handle of a series leg, or of a branch of the parallel group.
 using BranchId = std::size_t;
 
-/// Branch kind; determines how flow responds to the pressure difference.
-enum class BranchKind {
-  kResistance,  ///< dP = K Q |Q|
-  kValve,       ///< resistance with position-dependent K
-  kPump,        ///< head rise dP = s^2 H0 - a (Q/n)^2, Q >= 0 (check valve)
-};
-
-/// One network branch and its operating parameters.
-struct Branch {
-  BranchKind kind = BranchKind::kResistance;
-  NodeId from = 0;
-  NodeId to = 0;
-  std::string name;
-  // Resistance / valve:
-  double k = 0.0;           ///< Pa/(m^3/s)^2 at fully open
-  double position = 1.0;    ///< valve opening in (0, 1]
-  double min_position = 0.02;
-  // Pump:
-  double shutoff_head_pa = 0.0;  ///< H0 at full speed
-  double curve_coeff = 0.0;      ///< a in dP = s^2 H0 - a (Q/n)^2
-  double speed = 1.0;            ///< relative speed s in [0, 1]
-  int parallel_units = 1;        ///< n identical units sharing the branch
-};
-
-/// Converged network state.
-struct NetworkSolution {
-  std::vector<double> node_pressure_pa;  ///< relative to the reference node
-  std::vector<double> branch_flow_m3s;   ///< positive from -> to
-  int iterations = 0;
-  double residual_m3s = 0.0;  ///< worst nodal mass imbalance
-};
-
-/// A flow network: build once, set branch parameters (speeds, valve
-/// positions, blockage factors) between solves, and re-solve warm-started.
-class FlowNetwork {
+/// One pump-driven series-parallel loop: build once, set parameters
+/// (speeds, staged units, resistances, valve positions) between steps, and
+/// evaluate.
+class SeriesParallelLoop {
  public:
-  /// Diagnostic label included in solver-failure messages.
-  void set_label(std::string label) { label_ = std::move(label); }
-  [[nodiscard]] const std::string& label() const { return label_; }
+  /// A bank of `units` identical pumps with shut-off head `shutoff_head_pa`
+  /// and curve coefficient `curve_coeff` (head s^2 H0 - a (Q/n)^2) lifting
+  /// from the suction node into the first leg, at full speed.
+  SeriesParallelLoop(double shutoff_head_pa, double curve_coeff, int units = 1);
 
-  /// Adds a node; the first node added is the pressure reference (0 Pa).
-  NodeId add_node(std::string name = {});
+  /// Appends a series resistance dP = k Q^2 after the legs added so far.
+  /// The last leg added returns to the suction node.
+  BranchId add_series(double k);
 
-  /// Adds a quadratic resistance with coefficient `k` (Pa s^2/m^6).
-  BranchId add_resistance(NodeId from, NodeId to, double k, std::string name = {});
+  /// Adds a branch with fully open resistance `k_open` to the loop's
+  /// parallel group, which sits where the first such branch was added.
+  /// Its position starts fully open and never closes below `min_position`.
+  BranchId add_parallel(double k_open, double min_position = 0.02);
 
-  /// Adds a valve: fully open resistance `k_open`; effective K is
-  /// k_open / position^2 (clamped at min_position).
-  BranchId add_valve(NodeId from, NodeId to, double k_open, std::string name = {});
+  /// Pump relative speed s (>= 0).
+  void set_speed(double speed);
+  /// Number of identical pump units running (>= 1).
+  void set_units(int units);
+  /// Series resistance coefficient k (> 0).
+  void set_k(BranchId series, double k);
+  /// Parallel branch opening; the branch's K is k_open / max(position,
+  /// min_position)^2.
+  void set_position(BranchId parallel, double position);
 
-  /// Adds a pump bank of `parallel_units` identical pumps from suction
-  /// `from` to discharge `to`.
-  BranchId add_pump(NodeId from, NodeId to, double shutoff_head_pa, double curve_coeff,
-                    int parallel_units = 1, std::string name = {});
+  /// Computes flows and pressures at the current parameters.
+  void evaluate();
 
-  [[nodiscard]] const Branch& branch(BranchId id) const { return branches_.at(id); }
-
-  // Parameter setters. Each marks the network changed only when it writes
-  // a value different from the one held.
-  /// Pump relative speed s.
-  void set_speed(BranchId id, double speed);
-  /// Number of identical pump units sharing a pump branch (>= 1).
-  void set_parallel_units(BranchId id, int units);
-  /// Resistance (fully open, for a valve) coefficient k (> 0).
-  void set_k(BranchId id, double k);
-  /// Valve opening; effective K is k / max(position, min_position)^2.
-  void set_position(BranchId id, double position);
-  /// Turns a branch into a valve at `position`, clamped at `min_position`
-  /// (a resistance keeps its k as the fully open coefficient).
-  void convert_to_valve(BranchId id, double position, double min_position);
-
-  /// True when a parameter changed since the last solve, solve_into or
-  /// adopt_solution, and for a network that has never held a solution.
-  [[nodiscard]] bool parameters_changed() const { return changed_; }
-
-  /// Exact operating-point equality: the node count, every branch's kind,
-  /// endpoints and parameters, and the warm-start pressures. Two networks
-  /// that compare equal produce bit-identical solutions (exact comparison,
-  /// never tolerance-based, to keep runs deterministic).
-  [[nodiscard]] bool same_operating_point(const FlowNetwork& other) const;
-
-  [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
-  [[nodiscard]] std::size_t branch_count() const { return branches_.size(); }
-
-  /// Solves mass conservation; throws SolverError when Newton fails.
-  /// `flow_scale_m3s` sets the convergence tolerance (1e-6 of it).
-  /// Allocates a fresh solution and solver workspace on every call; the
-  /// plant and other hot paths use solve_into instead. Results are
-  /// bit-identical between the two (NetworkTest holds solve_into to this
-  /// reference).
-  [[nodiscard]] NetworkSolution solve(double flow_scale_m3s = 0.1) const;
-
-  /// Allocation-free variant of solve(): writes the converged state into
-  /// `out`, reusing its vectors and the network's persistent solver
-  /// workspace. Identical arithmetic to solve(); after the first call with
-  /// a given `out` the steady-state inner loop performs no heap allocation.
-  void solve_into(NetworkSolution& out, double flow_scale_m3s = 0.1) const;
-
-  /// Installs `sol` as this network's converged state without solving, as
-  /// if solve() had just returned it (the next solve warm-starts from it).
-  /// The caller guarantees `sol` solves this network's current parameters —
-  /// used when an identical-topology network at the same operating point
-  /// was already solved this step.
-  void adopt_solution(const NetworkSolution& sol);
-
-  /// Flow through a branch under a solution.
-  [[nodiscard]] double flow(const NetworkSolution& sol, BranchId id) const {
-    return sol.branch_flow_m3s.at(id);
+  // Results of the last evaluate().
+  /// Flow through the pump bank, which is the flow round the loop.
+  [[nodiscard]] double flow_m3s() const { return flow_m3s_; }
+  /// Flow through one branch of the parallel group.
+  [[nodiscard]] double branch_flow_m3s(BranchId parallel) const {
+    return group_.at(parallel).flow_m3s;
   }
+  /// Pressure rise across the pump bank: its discharge pressure.
+  [[nodiscard]] double pump_rise_pa() const { return rise_pa_; }
+  /// Pressure at the inlet of a series leg.
+  [[nodiscard]] double inlet_pressure_pa(BranchId series) const {
+    return series_.at(series).inlet_pa;
+  }
+  /// |Q - sum Q_i| / Q at the parallel group's two nodes; every other node
+  /// passes the loop flow through unchanged. 0 without flow or a group.
+  [[nodiscard]] double mass_residual_rel() const { return mass_residual_rel_; }
 
-  /// Pressure rise across a branch (to minus from) under a solution.
-  [[nodiscard]] double pressure_rise(const NetworkSolution& sol, BranchId id) const;
+  [[nodiscard]] std::size_t parallel_count() const { return group_.size(); }
 
  private:
-  /// Persistent solver buffers, sized on first use and reused thereafter so
-  /// steady-state re-solves are allocation-free.
-  struct SolveWorkspace {
-    std::vector<double> pressure;  ///< current Newton iterate (all nodes)
-    std::vector<double> residual;  ///< nodal mass imbalance (non-reference)
-    std::vector<double> jac;       ///< dense Jacobian, destroyed in place by GE
-    std::vector<double> delta;     ///< Newton step
-    std::vector<double> trial;     ///< line-search candidate pressures
-    std::vector<double> flows;     ///< per-branch flows at the last evaluate
+  struct SeriesLeg {
+    double k = 0.0;
+    double inlet_pa = 0.0;
+  };
+  struct ParallelBranch {
+    double inv_sqrt_k_open = 0.0;  ///< cached when the branch is added
+    double min_position = 0.0;
+    double conductance = 0.0;      ///< max(position, min_position) / sqrt(k_open)
+    double flow_m3s = 0.0;
   };
 
-  std::string label_;
-  std::vector<std::string> node_names_;
-  std::vector<Branch> branches_;
-  mutable std::vector<double> warm_pressures_;
-  /// Set when a node, a branch or a parameter value is added or changed;
-  /// cleared once a converged state for the current parameters is held.
-  mutable bool changed_ = true;
-  mutable SolveWorkspace ws_;
+  double shutoff_head_pa_;
+  double curve_coeff_;
+  int units_;
+  double speed_ = 1.0;
+  std::vector<SeriesLeg> series_;
+  std::vector<ParallelBranch> group_;
+  /// Number of series legs ahead of the parallel group.
+  std::size_t group_at_ = 0;
 
-  void solve_with(SolveWorkspace& ws, double flow_scale_m3s, NetworkSolution& out) const;
-  void solve_impl(SolveWorkspace& ws, double flow_scale_m3s, bool use_warm_start,
-                  NetworkSolution& out) const;
-
-  /// Flow and dQ/d(dp) for a branch at pressure drop `dp = P_from - P_to`.
-  void branch_flow(const Branch& b, double dp, double& q, double& dq_ddp) const;
+  double flow_m3s_ = 0.0;
+  double rise_pa_ = 0.0;
+  double mass_residual_rel_ = 0.0;
 };
 
 /// Resistance coefficient K from a design point: dP_design = K Q_design^2.

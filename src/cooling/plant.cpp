@@ -76,6 +76,7 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
                   config.cooling.ct.design_flow_m3s /
                       (config.cooling.ct.tower.tower_count *
                        config.cooling.ct.tower.cells_per_tower)),
+      pri_net_(config.cooling.primary.pump.shutoff_head_pa, htwp_model_.curve_coeff(), 2),
       htwp_pid_(loop_dp_pid_config(config.cooling.primary.dp_setpoint_pa,
                                    config.cooling.primary.pump.min_speed)),
       htwp_staging_({/*min_units=*/1, config.cooling.primary.pump_count,
@@ -83,6 +84,7 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
                      config.cooling.primary.stage_down_speed,
                      config.cooling.primary.stage_min_interval_s},
                     /*initial_units=*/2),
+      ct_net_(config.cooling.ct.pump.shutoff_head_pa, ctwp_model_.curve_coeff(), 2),
       ctwp_pid_(loop_dp_pid_config(config.cooling.ct.header_pressure_setpoint_pa,
                                    config.cooling.ct.pump.min_speed)),
       fan_pid_(fan_pid_config()),
@@ -99,11 +101,11 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
       ehx_stage_lag_(config.cooling.staging_delay_s, 2.0) {
   config_.validate();
   ct_supply_setpoint_c_ = config_.cooling.primary.htws_setpoint_c - 4.0;
-  build_networks();
+  build_loops();
   reset();
 }
 
-void CoolingPlantModel::build_networks() {
+void CoolingPlantModel::build_loops() {
   const CoolingConfig& cool = config_.cooling;
 
   // ---- 25 CDU secondary loops ----------------------------------------
@@ -112,66 +114,37 @@ void CoolingPlantModel::build_networks() {
   const double k_rack = k_from_design(cool.cdu.rack_branch_dp_pa, q_sec / 3.0);
   const double k_hex_leg = k_from_design(h_sec - cool.cdu.rack_branch_dp_pa, q_sec);
   for (int i = 0; i < config_.cdu_count; ++i) {
-    FlowNetwork net;
-    net.set_label("cdu_" + std::to_string(i));
-    const NodeId suction = net.add_node("suction");
-    const NodeId supply = net.add_node("supply_header");
-    const NodeId ret = net.add_node("return_header");
-    CduLoopState loop(std::move(net), cdu_pump_pid_config(cool.cdu, cool.cdu.pump),
-                      cdu_valve_pid_config());
-    loop.supply_node = supply;
-    loop.return_node = ret;
-    loop.pump = loop.net.add_pump(suction, supply, cool.cdu.pump.shutoff_head_pa,
-                                  cdu_pump_model_.curve_coeff(), 1, "cdu_pump");
-    const int racks = config_.racks_for_cdu(i);
-    for (int r = 0; r < racks; ++r) {
-      loop.rack_branches.push_back(
-          loop.net.add_resistance(supply, ret, k_rack, "rack_" + std::to_string(r)));
-    }
-    loop.hex_leg = loop.net.add_resistance(ret, suction, k_hex_leg, "hex_leg");
-    cdu_loops_.push_back(std::move(loop));
+    SeriesParallelLoop net(cool.cdu.pump.shutoff_head_pa, cdu_pump_model_.curve_coeff(), 1);
+    // Rack branches close to their blockage factor (set_rack_blockage),
+    // never below 0.01.
+    for (int r = 0; r < config_.racks_for_cdu(i); ++r) net.add_parallel(k_rack, 0.01);
+    const BranchId hex_leg = net.add_series(k_hex_leg);
+    cdu_loops_.emplace_back(std::move(net), cdu_pump_pid_config(cool.cdu, cool.cdu.pump),
+                            cdu_valve_pid_config());
+    cdu_loops_.back().hex_leg = hex_leg;
   }
 
   // ---- Primary HTW loop ------------------------------------------------
   const double q_pri = cool.primary.design_flow_m3s;
   const double h_pri = cool.primary.pump.design_head_pa;
-  pri_net_.set_label("primary");
-  const NodeId p_ret = pri_net_.add_node("return_header");
-  const NodeId p_sup = pri_net_.add_node("supply_header");
-  const NodeId p_disc = pri_net_.add_node("pump_discharge");
-  pri_pump_branch_ = pri_net_.add_pump(p_ret, p_disc, cool.primary.pump.shutoff_head_pa,
-                                       htwp_model_.curve_coeff(), 2, "htwp_bank");
   // EHX hot-side bank: 25 % of design head at 5 staged units.
   const double n_ehx = static_cast<double>(cool.primary.ehx_count);
   const double k_ehx_each = 0.25 * h_pri * n_ehx * n_ehx / (q_pri * q_pri);
-  pri_ehx_branch_ = pri_net_.add_resistance(p_disc, p_sup, k_ehx_each / (n_ehx * n_ehx),
-                                            "ehx_hot_bank");
+  pri_ehx_leg_ = pri_net_.add_series(k_ehx_each / (n_ehx * n_ehx));
   // CDU HEX branches: 75 % of design head at valve position 0.7.
   const double q_branch = q_pri / static_cast<double>(config_.cdu_count);
   const double k_open = 0.7 * 0.7 * 0.75 * h_pri / (q_branch * q_branch);
-  for (int i = 0; i < config_.cdu_count; ++i) {
-    pri_cdu_branches_.push_back(
-        pri_net_.add_valve(p_sup, p_ret, k_open, "cdu_hex_" + std::to_string(i)));
-  }
+  for (int i = 0; i < config_.cdu_count; ++i) pri_net_.add_parallel(k_open);
 
   // ---- Cooling-tower loop ----------------------------------------------
   const double q_ct = cool.ct.design_flow_m3s;
   const double h_ct = cool.ct.pump.design_head_pa;
-  ct_net_.set_label("cooling_tower");
-  const NodeId c_basin = ct_net_.add_node("basin");
-  const NodeId c_head = ct_net_.add_node("tower_header");
-  const NodeId c_disc = ct_net_.add_node("pump_discharge");
-  ct_header_node_ = c_head;
-  ct_pump_branch_ = ct_net_.add_pump(c_basin, c_disc, cool.ct.pump.shutoff_head_pa,
-                                     ctwp_model_.curve_coeff(), 2, "ctwp_bank");
   const double k_ehx_cold_each = 0.35 * h_ct * n_ehx * n_ehx / (q_ct * q_ct);
-  ct_ehx_branch_ = ct_net_.add_resistance(c_disc, c_head, k_ehx_cold_each / (n_ehx * n_ehx),
-                                          "ehx_cold_bank");
+  ct_ehx_leg_ = ct_net_.add_series(k_ehx_cold_each / (n_ehx * n_ehx));
   const int cells = tower_bank_.total_cells();
   const double k_cell =
       0.65 * h_ct * static_cast<double>(cells) * static_cast<double>(cells) / (q_ct * q_ct);
-  ct_cell_branch_ = ct_net_.add_resistance(c_head, c_basin, k_cell / (cells * cells),
-                                           "tower_cells");
+  ct_cell_leg_ = ct_net_.add_series(k_cell / (cells * cells));
 }
 
 void CoolingPlantModel::reset(double ambient_c) {
@@ -183,12 +156,8 @@ void CoolingPlantModel::reset(double ambient_c) {
     loop.valve_position = 0.7;
     loop.pump_pid.reset(loop.pump_speed);
     loop.valve_pid.reset(loop.valve_position);
-    loop.last_solution = NetworkSolution{};
-    loop.has_solution = false;
-    for (BranchId b : loop.rack_branches) loop.net.set_position(b, 1.0);
+    for (BranchId b = 0; b < loop.net.parallel_count(); ++b) loop.net.set_position(b, 1.0);
   }
-  pri_has_solution_ = false;
-  ct_has_solution_ = false;
   hydraulics_stats_ = HydraulicsStats{};
   thermal_stats_ = ThermalStats{};
   step_count_ = 0;
@@ -213,13 +182,12 @@ void CoolingPlantModel::reset(double ambient_c) {
 void CoolingPlantModel::set_rack_blockage(int cdu, int rack_slot, double factor) {
   require(cdu >= 0 && cdu < static_cast<int>(cdu_loops_.size()), "cdu index out of range");
   auto& loop = cdu_loops_[static_cast<std::size_t>(cdu)];
-  require(rack_slot >= 0 && rack_slot < static_cast<int>(loop.rack_branches.size()),
+  require(rack_slot >= 0 && rack_slot < static_cast<int>(loop.net.parallel_count()),
           "rack slot out of range");
   require(factor > 0.0 && factor <= 1.0, "blockage factor must be in (0,1]");
   // A blockage that scales achievable flow by `factor` raises the branch
-  // resistance by 1/factor^2. Reuse the valve-position mechanism.
-  loop.net.convert_to_valve(loop.rack_branches[static_cast<std::size_t>(rack_slot)], factor,
-                            0.01);
+  // resistance by 1/factor^2: the branch closes down to `factor`.
+  loop.net.set_position(static_cast<BranchId>(rack_slot), factor);
 }
 
 void CoolingPlantModel::force_cdu_pump_speed(int cdu, double speed) {
@@ -238,11 +206,7 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
   const CoolingConfig& cool = config_.cooling;
 
   for (auto& loop : cdu_loops_) {
-    // Guard on the field pressure_rise actually reads (the old guard
-    // checked branch_flow_m3s and then read node pressures).
-    const double dp = loop.last_solution.node_pressure_pa.empty()
-                          ? cool.cdu.loop_dp_setpoint_pa
-                          : loop.net.pressure_rise(loop.last_solution, loop.pump);
+    const double dp = loop.net.pump_rise_pa();
     if (loop.forced_speed >= 0.0) {
       loop.pump_speed = std::clamp(loop.forced_speed, 0.0, 1.0);
     } else {
@@ -278,36 +242,35 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
   // Fans: hold the basin (cold water supply) temperature at its setpoint.
   const double fan_speed = fan_pid_.update(ct_supply_setpoint_c_, t_ct_supply_c_, dt);
 
-  // Apply to the networks.
+  // Apply to the loops.
   for (auto& loop : cdu_loops_) {
-    loop.net.set_speed(loop.pump, loop.pump_speed);
+    loop.net.set_speed(loop.pump_speed);
   }
   {
-    pri_net_.set_speed(pri_pump_branch_, htwp_speed);
-    pri_net_.set_parallel_units(pri_pump_branch_, htwp_staged);
+    pri_net_.set_speed(htwp_speed);
+    pri_net_.set_units(htwp_staged);
     const double n = static_cast<double>(ehx_staged);
     const double n_design = static_cast<double>(cool.primary.ehx_count);
     const double k_each = 0.25 * cool.primary.pump.design_head_pa * n_design * n_design /
                           (cool.primary.design_flow_m3s * cool.primary.design_flow_m3s);
-    pri_net_.set_k(pri_ehx_branch_, k_each / (n * n));
-    for (int i = 0; i < config_.cdu_count; ++i) {
-      pri_net_.set_position(pri_cdu_branches_[static_cast<std::size_t>(i)],
-                            cdu_loops_[static_cast<std::size_t>(i)].valve_position);
+    pri_net_.set_k(pri_ehx_leg_, k_each / (n * n));
+    for (std::size_t i = 0; i < cdu_loops_.size(); ++i) {
+      pri_net_.set_position(i, cdu_loops_[i].valve_position);
     }
   }
   {
-    ct_net_.set_speed(ct_pump_branch_, ctwp_speed);
-    ct_net_.set_parallel_units(ct_pump_branch_, ctwp_staged);
+    ct_net_.set_speed(ctwp_speed);
+    ct_net_.set_units(ctwp_staged);
     const double n_ehx = static_cast<double>(ehx_staged);
     const double n_design = static_cast<double>(cool.primary.ehx_count);
     const double k_cold_each = 0.35 * cool.ct.pump.design_head_pa * n_design * n_design /
                                (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
-    ct_net_.set_k(ct_ehx_branch_, k_cold_each / (n_ehx * n_ehx));
+    ct_net_.set_k(ct_ehx_leg_, k_cold_each / (n_ehx * n_ehx));
     const int total_cells = tower_bank_.total_cells();
     const double k_cell = 0.65 * cool.ct.pump.design_head_pa * total_cells * total_cells /
                           (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
     const double n_cells = static_cast<double>(cells);
-    ct_net_.set_k(ct_cell_branch_, k_cell / (n_cells * n_cells));
+    ct_net_.set_k(ct_cell_leg_, k_cell / (n_cells * n_cells));
   }
 
   outputs_.htwp_speed = htwp_speed;
@@ -321,80 +284,17 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
 
 // exadigit-hot-begin(plant-hydraulics-thermal)
 void CoolingPlantModel::solve_hydraulics() {
-  const bool dedup = hydraulics_eval_ == HydraulicsEval::kDedup;
-  const double sec_scale = config_.cooling.cdu.secondary_design_flow_m3s;
-  const std::size_t n = cdu_loops_.size();
-
-  // Classify every loop before solving any. Copying loop j's result to
-  // loop i is only exact when both would have started Newton from the same
-  // point — and because no solve of this step has run yet, every network
-  // still holds its pre-step warm state, so the donor scan can compare
-  // live warm vectors directly (no snapshot copies needed).
-  solve_actions_.assign(n, SolveAction::kSolve);
-  solve_donor_.assign(n, 0);
-  for (std::size_t i = 0; dedup && i < n; ++i) {
-    const FlowNetwork& net = cdu_loops_[i].net;
-    if (cdu_loops_[i].has_solution && !net.parameters_changed()) {
-      // Unchanged operating point: a re-solve would warm-start at the
-      // converged pressures and exit after zero iterations with exactly
-      // the stored state, so skip it outright.
-      solve_actions_[i] = SolveAction::kSkipUnchanged;
-      continue;
-    }
-    // A loop ahead of this one at the same exact operating point (branch
-    // parameters and pre-step warm start) converges to the bit-identical
-    // solution: Newton here is a deterministic function of both. Every
-    // loop ends the step holding a solution, so any j < i is an eligible
-    // donor.
-    for (std::size_t j = 0; j < i; ++j) {
-      if (cdu_loops_[j].net.same_operating_point(net)) {
-        solve_actions_[i] = SolveAction::kCopyDonor;
-        solve_donor_[i] = j;
-        break;
-      }
-    }
+  double residual = hydraulics_stats_.max_mass_residual_rel;
+  for (auto& loop : cdu_loops_) {
+    loop.net.evaluate();
+    residual = std::max(residual, loop.net.mass_residual_rel());
   }
-
-  // Apply in ascending loop order: a donor j < i has its solution by the
-  // time loop i copies it.
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& loop = cdu_loops_[i];
-    switch (solve_actions_[i]) {
-      case SolveAction::kSkipUnchanged:
-        ++hydraulics_stats_.reused_unchanged;
-        break;
-      case SolveAction::kCopyDonor:
-        loop.last_solution = cdu_loops_[solve_donor_[i]].last_solution;
-        loop.net.adopt_solution(loop.last_solution);
-        ++hydraulics_stats_.reused_shared;
-        loop.has_solution = true;
-        break;
-      case SolveAction::kSolve:
-        loop.net.solve_into(loop.last_solution, sec_scale);
-        ++hydraulics_stats_.solves_performed;
-        loop.has_solution = true;
-        break;
-    }
-  }
-
-  // Primary and CT loops have unique topologies, so only the unchanged
-  // skip applies to them.
-  if (dedup && pri_has_solution_ && !pri_net_.parameters_changed()) {
-    ++hydraulics_stats_.reused_unchanged;
-  } else {
-    pri_net_.solve_into(pri_solution_, config_.cooling.primary.design_flow_m3s);
-    ++hydraulics_stats_.solves_performed;
-    pri_has_solution_ = true;
-  }
-
-  if (dedup && ct_has_solution_ && !ct_net_.parameters_changed()) {
-    ++hydraulics_stats_.reused_unchanged;
-  } else {
-    ct_net_.solve_into(ct_solution_, config_.cooling.ct.design_flow_m3s);
-    ++hydraulics_stats_.solves_performed;
-    ct_has_solution_ = true;
-  }
-  last_ct_header_pa_ = ct_solution_.node_pressure_pa.at(ct_header_node_);
+  pri_net_.evaluate();
+  ct_net_.evaluate();
+  residual = std::max({residual, pri_net_.mass_residual_rel(), ct_net_.mass_residual_rel()});
+  hydraulics_stats_.max_mass_residual_rel = residual;
+  hydraulics_stats_.solves_performed += static_cast<long long>(cdu_loops_.size()) + 2;
+  last_ct_header_pa_ = ct_net_.inlet_pressure_pa(ct_cell_leg_);
 }
 
 void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt) {
@@ -403,15 +303,20 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
   const int substeps = std::max(1, static_cast<int>(std::lround(dt / sub)));
   const double h = dt / static_cast<double>(substeps);
 
-  const double q_pri_total = pri_net_.flow(pri_solution_, pri_pump_branch_);
-  const double q_ct = ct_net_.flow(ct_solution_, ct_pump_branch_);
+  const double q_pri_total = pri_net_.flow_m3s();
+  const double q_ct = ct_net_.flow_m3s();
   const std::size_t n = cdu_loops_.size();
   const bool batched = thermal_eval_ == ThermalEval::kBatched;
+  // Staging, fan speed and tower flow hold for the step, and so do the
+  // tower's effectiveness and fan power; substeps take only the approach.
+  const TowerOperatingPoint tower =
+      tower_bank_.operating_point(outputs_.ct_cells_staged, outputs_.fan_speed, q_ct);
+  outputs_.fan_power_w = tower.fan_power_w;
 
   if (batched) {
     // Gather the substep-invariant per-CDU inputs once: the loop and
-    // primary-branch flows come from this step's (fixed) hydraulic
-    // solutions and the heat loads from `inputs`, none of which change
+    // primary-branch flows come from this step's (fixed) hydraulics and
+    // the heat loads from `inputs`, none of which change
     // across substeps. The scalar reference path re-reads them per substep;
     // the values are the same doubles either way.
     th_q_sec_.resize(n);
@@ -424,8 +329,8 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
     th_hx_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       auto& loop = cdu_loops_[i];
-      th_q_sec_[i] = loop.net.flow(loop.last_solution, loop.pump);
-      th_q_branch_[i] = pri_net_.flow(pri_solution_, pri_cdu_branches_[i]);
+      th_q_sec_[i] = loop.net.flow_m3s();
+      th_q_branch_[i] = pri_net_.branch_flow_m3s(i);
       th_heat_[i] = inputs.cdu_heat_w.at(i);
     }
   }
@@ -479,8 +384,8 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
       // Scalar reference path: the original PR 4 per-loop structure.
       for (std::size_t i = 0; i < n; ++i) {
         auto& loop = cdu_loops_[i];
-        const double q_sec = loop.net.flow(loop.last_solution, loop.pump);
-        const double q_branch = pri_net_.flow(pri_solution_, pri_cdu_branches_[i]);
+        const double q_sec = loop.net.flow_m3s();
+        const double q_branch = pri_net_.branch_flow_m3s(i);
         const double rho_cp = coolant_rho_cp(Coolant::kWater, loop.t_return_c);
         const double c_sec = rho_cp * q_sec;
         const double c_pri = rho_cp_pri_supply * q_branch;
@@ -520,38 +425,32 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
 
     // --- Cooling-tower loop -------------------------------------------------
     const double ct_half_vol = 0.5 * cool.ct.volume_m3;
-    const TowerResult tower =
-        tower_bank_.evaluate(outputs_.ct_cells_staged, outputs_.fan_speed, q_ct,
-                             t_ct_return_c_, inputs.wetbulb_c);
+    const double basin_c = tower.water_out_c(t_ct_return_c_, inputs.wetbulb_c);
     const double d_cret = q_ct / ct_half_vol * (ehx.cold_out_c - t_ct_return_c_);
-    const double d_csup = q_ct / ct_half_vol * (tower.water_out_c - t_ct_supply_c_);
+    const double d_csup = q_ct / ct_half_vol * (basin_c - t_ct_supply_c_);
     t_ct_return_c_ += h * d_cret;
     t_ct_supply_c_ += h * d_csup;
-
-    if (s == substeps - 1) {
-      outputs_.fan_power_w = tower.fan_power_w;
-    }
   }
 }
 // exadigit-hot-end
 
 void CoolingPlantModel::collect_outputs(const CoolingInputs& inputs) {
-  const double q_pri_total = pri_net_.flow(pri_solution_, pri_pump_branch_);
-  const double q_ct = ct_net_.flow(ct_solution_, ct_pump_branch_);
+  const double q_pri_total = pri_net_.flow_m3s();
+  const double q_ct = ct_net_.flow_m3s();
 
   for (std::size_t i = 0; i < cdu_loops_.size(); ++i) {
     auto& loop = cdu_loops_[i];
     auto& out = outputs_.cdus[i];
-    const double q_sec = loop.net.flow(loop.last_solution, loop.pump);
-    const double rise = loop.net.pressure_rise(loop.last_solution, loop.pump);
+    const double q_sec = loop.net.flow_m3s();
+    const double rise = loop.net.pump_rise_pa();
     out.pump_power_w = cdu_pump_model_.electric_power_w(q_sec, rise);
     out.pump_speed = loop.pump_speed;
     out.sec_flow_m3s = q_sec;
-    out.pri_flow_m3s = pri_net_.flow(pri_solution_, pri_cdu_branches_[i]);
+    out.pri_flow_m3s = pri_net_.branch_flow_m3s(i);
     out.sec_supply_t_c = loop.t_supply_c;
     out.sec_return_t_c = loop.t_return_c;
-    out.sec_supply_p_pa = loop.last_solution.node_pressure_pa.at(loop.supply_node);
-    out.sec_return_p_pa = loop.last_solution.node_pressure_pa.at(loop.return_node);
+    out.sec_supply_p_pa = loop.net.pump_rise_pa();
+    out.sec_return_p_pa = loop.net.inlet_pressure_pa(loop.hex_leg);
     out.valve_position = loop.valve_position;
     out.loop_dp_pa = rise;
   }
@@ -559,7 +458,7 @@ void CoolingPlantModel::collect_outputs(const CoolingInputs& inputs) {
   outputs_.pri_supply_t_c = t_pri_supply_c_;
   outputs_.pri_return_t_c = t_pri_return_c_;
   outputs_.pri_flow_m3s = q_pri_total;
-  outputs_.pri_dp_pa = pri_net_.pressure_rise(pri_solution_, pri_pump_branch_);
+  outputs_.pri_dp_pa = pri_net_.pump_rise_pa();
   {
     const int n = std::max(1, outputs_.htwp_staged);
     const double per_unit = q_pri_total / n;
@@ -569,7 +468,7 @@ void CoolingPlantModel::collect_outputs(const CoolingInputs& inputs) {
   {
     const int n = std::max(1, outputs_.ctwp_staged);
     const double per_unit = q_ct / n;
-    const double rise = ct_net_.pressure_rise(ct_solution_, ct_pump_branch_);
+    const double rise = ct_net_.pump_rise_pa();
     outputs_.ctwp_power_w = n * ctwp_model_.electric_power_w(per_unit, rise);
   }
   outputs_.ct_supply_t_c = t_ct_supply_c_;

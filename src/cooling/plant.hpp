@@ -10,45 +10,24 @@
 ///   - cooling-tower loop: 4 CTWPs -> EHX cold side -> 5x4 tower cells
 ///
 /// Inputs per step (paper Section III-C4): heat extracted per CDU (W) and
-/// the ambient wet-bulb temperature. Hydraulics are solved as steady
-/// networks each step (fast dynamics), temperatures integrate explicit
+/// the ambient wet-bulb temperature. Hydraulics take their steady state
+/// each step (fast dynamics), temperatures integrate explicit
 /// finite volumes (slow dynamics), and the control system (Section III-C5)
 /// regulates pump speeds, valve positions, fan speed, and equipment staging
 /// — including the delay transfer function coupling CT staging to EHX
 /// staging. The model produces 317 outputs per step, mirroring the paper's
 /// FMU: 12 per CDU plus 17 plant-level values.
 ///
-/// Hydraulic-solve deduplication (HydraulicsEval::kDedup, the default):
-/// the controls write every branch parameter through FlowNetwork's setters,
-/// which record whether a network's operating point changed since it last
-/// held a converged state (FlowNetwork::parameters_changed).
-///   - A network with no parameter change skips the re-solve: Newton would
-///     warm-start at the converged pressures and exit after zero iterations
-///     with the same state.
-///   - CDU loops share one solve: a loop at exactly the same operating
-///     point as an earlier loop this step (FlowNetwork::same_operating_point:
-///     topology, every branch parameter and the warm start) copies that
-///     loop's solution, because Newton is a deterministic function of the
-///     branch parameters and the warm start. In an unperturbed Frontier
-///     plant all same-rack-count CDU loops track each other bit-for-bit,
-///     collapsing 25 secondary solves to 2 per step.
-/// Both reuses compare exactly (never within a tolerance), so kDedup is
-/// bit-identical to the HydraulicsEval::kAlwaysSolve reference path —
-/// tests/cooling/plant_dedup_test.cpp asserts this across staging,
-/// blockage, and forced-pump churn. The change tracking runs in both
-/// modes, so switching modes mid-run stays exact, and reset() forces every
-/// network to re-solve.
+/// Hydraulics: every loop is a pump bank in series with resistances and at
+/// most one parallel group (cooling/network.hpp), so each step evaluates the
+/// 27 loops in closed form, with the parameters the controls just set.
+/// Nothing is iterated, skipped or shared, and each node balances its mass
+/// to rounding; HydraulicsStats records the worst residual of a run.
 ///
-/// The references (kAlwaysSolve, ThermalEval::kScalar) are selected only
-/// through set_hydraulics_eval / set_thermal_eval on a plant; the system
-/// descriptor and the scenario API do not name them. A DigitalTwin's plant
-/// is reached through DigitalTwin::cooling().
-///
-/// solve_hydraulics classifies every CDU loop (skip / copy-from-donor /
-/// solve) before it solves any of them. The donor scan can then compare
-/// the networks' live warm-start vectors, which still hold the pre-step
-/// state, with no snapshot copies. The solves and donor copies then run in
-/// ascending loop order, so a donor always finishes before its copies.
+/// The thermal reference (ThermalEval::kScalar) is selected only through
+/// set_thermal_eval on a plant; the system descriptor and the scenario API
+/// do not name it. A DigitalTwin's plant is reached through
+/// DigitalTwin::cooling().
 
 #include <cstddef>
 #include <limits>
@@ -115,26 +94,13 @@ struct PlantOutputs {
   [[nodiscard]] double total_hex_duty_w() const;
 };
 
-/// How CoolingPlantModel::step evaluates the per-step hydraulic solves
-/// (see the dedup semantics in the file header).
-enum class HydraulicsEval {
-  /// Skip a network's re-solve when no branch parameter changed since the
-  /// last solve, and share one solution among identical-topology CDU loops
-  /// at the same operating point. Default; bit-identical to kAlwaysSolve
-  /// because reuse rests on exact (parameter, warm-start) equality, never
-  /// on tolerances.
-  kDedup,
-  /// Reference path: every network re-solved every step.
-  kAlwaysSolve,
-};
-
 /// How CoolingPlantModel::integrate_thermal evaluates the per-substep
 /// counterflow-HX effectiveness kernels (see cooling/heat_exchanger.hpp).
 enum class ThermalEval {
   /// Gather the per-CDU HX inputs into contiguous arrays and evaluate the
   /// NTU/exp math through the batched kernel. Default; bit-identical to
   /// kScalar because the batch kernel runs the exact scalar element math
-  /// in the same order (tests/cooling/plant_dedup_test.cpp asserts it).
+  /// in the same order (tests/cooling/plant_churn_test.cpp asserts it).
   kBatched,
   /// Reference path: one evaluate_counterflow_hx call per CDU inside the
   /// substep loop.
@@ -144,14 +110,15 @@ enum class ThermalEval {
 /// The transient cooling plant model.
 class CoolingPlantModel {
  public:
-  /// Hydraulic-solve accounting since the last reset().
+  /// Hydraulics accounting since the last reset().
   struct HydraulicsStats {
-    long long solves_performed = 0;  ///< Newton solves actually run
-    long long reused_unchanged = 0;  ///< skipped: no parameter change
-    long long reused_shared = 0;     ///< copied from an identical CDU loop
-    [[nodiscard]] long long solves_reused() const {
-      return reused_unchanged + reused_shared;
-    }
+    long long solves_performed = 0;  ///< loops evaluated: cdu_count + 2 per step
+    /// Worst node mass residual over the loop's flow, across every loop
+    /// evaluated.
+    double max_mass_residual_rel = 0.0;
+    /// Every loop is evaluated every step, so none is reused; kept for
+    /// callers that report reuse.
+    [[nodiscard]] long long solves_reused() const { return 0; }
   };
 
   /// CDU heat-exchanger kernel accounting since the last reset()
@@ -189,20 +156,13 @@ class CoolingPlantModel {
   void set_basin_setpoint_offset(double offset_k);
   [[nodiscard]] double basin_setpoint_c() const { return ct_supply_setpoint_c_; }
 
-  /// Hydraulic evaluation strategy, kDedup until set (see the dedup
-  /// semantics in the file header). Switching modes mid-run is allowed and
-  /// stays exact: every solve clears a network's change flag in either
-  /// mode, so the flags are current at the switch.
-  void set_hydraulics_eval(HydraulicsEval eval) { hydraulics_eval_ = eval; }
-  [[nodiscard]] HydraulicsEval hydraulics_eval() const { return hydraulics_eval_; }
-
   /// Thermal HX kernel strategy, kBatched until set. Batched and scalar
   /// are bit-identical (see heat_exchanger.hpp), so switching mid-run is
   /// allowed.
   void set_thermal_eval(ThermalEval eval) { thermal_eval_ = eval; }
   [[nodiscard]] ThermalEval thermal_eval() const { return thermal_eval_; }
 
-  /// Solve/reuse counters since the last reset().
+  /// Loop evaluation counters since the last reset().
   [[nodiscard]] const HydraulicsStats& hydraulics_stats() const {
     return hydraulics_stats_;
   }
@@ -213,12 +173,9 @@ class CoolingPlantModel {
 
  private:
   struct CduLoopState {
-    FlowNetwork net;
-    BranchId pump = 0;
+    /// Pump -> rack branches in parallel (branch r is rack slot r) -> HEX leg.
+    SeriesParallelLoop net;
     BranchId hex_leg = 0;
-    NodeId supply_node = 0;  ///< secondary supply header (station 15 pressure)
-    NodeId return_node = 0;  ///< secondary return header (station 13 pressure)
-    std::vector<BranchId> rack_branches;
     Pid pump_pid;
     Pid valve_pid;
     double t_supply_c = 30.0;
@@ -226,10 +183,7 @@ class CoolingPlantModel {
     double valve_position = 0.7;
     double pump_speed = 0.8;
     double forced_speed = -1.0;
-    NetworkSolution last_solution;
-    /// False until the first solve after construction or reset().
-    bool has_solution = false;
-    CduLoopState(FlowNetwork n, const PidConfig& pump_cfg, const PidConfig& valve_cfg)
+    CduLoopState(SeriesParallelLoop n, const PidConfig& pump_cfg, const PidConfig& valve_cfg)
         : net(std::move(n)), pump_pid(pump_cfg), valve_pid(valve_cfg) {}
   };
 
@@ -241,25 +195,19 @@ class CoolingPlantModel {
 
   std::vector<CduLoopState> cdu_loops_;
 
-  // Primary loop.
-  FlowNetwork pri_net_;
-  BranchId pri_pump_branch_ = 0;
-  BranchId pri_ehx_branch_ = 0;
-  std::vector<BranchId> pri_cdu_branches_;
+  // Primary loop: HTWP bank -> EHX bank -> CDU valves in parallel (branch i
+  // serves CDU i).
+  SeriesParallelLoop pri_net_;
+  BranchId pri_ehx_leg_ = 0;
   Pid htwp_pid_;
   SpeedStagingController htwp_staging_;
   double t_pri_supply_c_ = 30.0;
   double t_pri_return_c_ = 30.0;
 
-  NetworkSolution pri_solution_;
-
-  // Cooling-tower loop.
-  FlowNetwork ct_net_;
-  BranchId ct_pump_branch_ = 0;
-  BranchId ct_ehx_branch_ = 0;
-  BranchId ct_cell_branch_ = 0;
-  NodeId ct_header_node_ = 0;
-  NetworkSolution ct_solution_;
+  // Cooling-tower loop: CTWP bank -> EHX cold side -> tower cells.
+  SeriesParallelLoop ct_net_;
+  BranchId ct_ehx_leg_ = 0;
+  BranchId ct_cell_leg_ = 0;
   double last_ct_header_pa_ = 0.0;
   Pid ctwp_pid_;
   Pid fan_pid_;
@@ -270,18 +218,8 @@ class CoolingPlantModel {
   double t_ct_return_c_ = 27.0;
   double ct_supply_setpoint_c_ = 28.5;
 
-  // Hydraulics evaluation mode + per-network reuse state (primary and CT
-  // loops only skip-unchanged; sharing applies to the CDU loop family).
-  HydraulicsEval hydraulics_eval_ = HydraulicsEval::kDedup;
   HydraulicsStats hydraulics_stats_;
   ThermalStats thermal_stats_;
-  bool pri_has_solution_ = false;
-  bool ct_has_solution_ = false;
-
-  // Classification scratch for solve_hydraulics, reused per step.
-  enum class SolveAction : unsigned char { kSolve, kSkipUnchanged, kCopyDonor };
-  std::vector<SolveAction> solve_actions_;
-  std::vector<std::size_t> solve_donor_;
 
   // Thermal kernel evaluation mode + gather scratch (ThermalEval::kBatched).
   ThermalEval thermal_eval_ = ThermalEval::kBatched;
@@ -298,12 +236,11 @@ class CoolingPlantModel {
   double time_s_ = 0.0;
   long long step_count_ = 0;
 
-  void build_networks();
+  void build_loops();
   void update_controls(const CoolingInputs& inputs, double dt);
   void solve_hydraulics();
   void integrate_thermal(const CoolingInputs& inputs, double dt);
   void collect_outputs(const CoolingInputs& inputs);
-  [[nodiscard]] double ct_header_pressure() const { return last_ct_header_pa_; }
 };
 
 }  // namespace exadigit

@@ -33,7 +33,7 @@ class CoolingFmu final : public CoSimulationSlave {
   void reset() override;
 
   /// Underlying plant for white-box tests, fault injection, and the
-  /// hydraulic solve/reuse counters (CoolingPlantModel::hydraulics_stats).
+  /// hydraulics counters (CoolingPlantModel::hydraulics_stats).
   [[nodiscard]] CoolingPlantModel& plant() { return plant_; }
   [[nodiscard]] const CoolingPlantModel& plant() const { return plant_; }
   [[nodiscard]] const PlantOutputs& outputs() const { return plant_.outputs(); }

@@ -12,6 +12,7 @@
 #include "common/parse.hpp"
 #include "json/json.hpp"
 #include "telemetry/bin_format.hpp"
+#include "telemetry/swf.hpp"
 
 namespace exadigit {
 
@@ -339,6 +340,7 @@ TelemetryReaderRegistry& TelemetryReaderRegistry::instance() {
     TelemetryReaderRegistry r;
     r.register_reader(std::make_shared<ExadigitCsvReader>());
     r.register_reader(std::make_shared<ExadigitBinReader>());
+    r.register_reader(std::make_shared<SwfReader>());
     return r;
   }();
   return registry;

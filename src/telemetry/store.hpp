@@ -121,7 +121,8 @@ class TelemetryReader {
 /// Registry of reader factories keyed by format name.
 class TelemetryReaderRegistry {
  public:
-  /// The process-wide registry, pre-populated with built-in formats.
+  /// The process-wide registry, pre-populated with the built-in formats:
+  /// exadigit-csv, exadigit-bin and swf.
   static TelemetryReaderRegistry& instance();
 
   void register_reader(std::shared_ptr<TelemetryReader> reader);

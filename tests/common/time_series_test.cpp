@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -91,6 +92,22 @@ TEST(TimeSeriesTest, PreviousHold) {
   TimeSeries s({0.0, 10.0}, {7.0, 100.0});
   EXPECT_DOUBLE_EQ(s.at(9.999, SampleHold::kPrevious), 7.0);
   EXPECT_DOUBLE_EQ(s.at(10.0, SampleHold::kPrevious), 100.0);
+}
+
+TEST(TimeSeriesTest, SampleTimeReadsSampleWhateverItsNeighbours) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double neighbour : {nan, inf, -inf}) {
+    const TimeSeries s({0.0, 60.0, 120.0, 180.0}, {16.0, 17.0, neighbour, 18.0});
+    EXPECT_EQ(s.at(60.0), 17.0) << neighbour;   // next sample is non-finite
+    EXPECT_EQ(s.at(180.0), 18.0) << neighbour;  // previous sample is
+    EXPECT_EQ(s.at(0.0), 16.0) << neighbour;
+    const double mid = s.at(120.0);
+    EXPECT_TRUE(std::isnan(neighbour) ? std::isnan(mid) : mid == neighbour) << neighbour;
+    // Between samples the non-finite neighbour still shows.
+    EXPECT_FALSE(std::isfinite(s.at(90.0))) << neighbour;
+    EXPECT_FALSE(std::isfinite(s.at(150.0))) << neighbour;
+  }
 }
 
 TEST(TimeSeriesTest, BoundaryHold) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -121,6 +122,54 @@ TEST(BandStagingTest, GradientDisabled) {
   s.update(29.0, 26.0, 15.0);
   // Falling but still hot: without the gradient rule it stages up.
   EXPECT_EQ(s.update(28.5, 26.0, 15.0), 9);
+}
+
+/// Feeds `value` moving at `rate` per second in 15 s steps for `seconds`,
+/// starting from `start` (one priming sample first); returns the counts.
+std::vector<int> staged_along_ramp(BandStagingController& s, double start, double rate,
+                                   double seconds) {
+  std::vector<int> counts;
+  double value = start;
+  s.update(value, 26.0, 15.0);
+  for (double t = 15.0; t <= seconds; t += 15.0) {
+    value += rate * 15.0;
+    counts.push_back(s.update(value, 26.0, 15.0));
+  }
+  return counts;
+}
+
+TEST(BandStagingTest, SlowDecayAboveBandStagesUpEachInterval) {
+  // Hot and settling slower than the deadband: not a recovery, so the
+  // cells keep staging up, one per minimum interval.
+  BandStagingController s(band_cfg(), 8);
+  const double rate = -0.5 * BandStagingController::kTrendDeadband;
+  const std::vector<int> counts = staged_along_ramp(s, 29.0, rate, 1200.0);
+  EXPECT_EQ(counts.front(), 9);  // first sample after priming
+  EXPECT_EQ(counts[39], 9);      // 585 s after that action: dwell
+  EXPECT_EQ(counts[40], 10);     // 600 s: the next stage
+  EXPECT_EQ(counts.back(), 10);
+}
+
+TEST(BandStagingTest, FastFallAboveBandHolds) {
+  BandStagingController s(band_cfg(), 8);
+  const double rate = -2.0 * BandStagingController::kTrendDeadband;
+  for (const int n : staged_along_ramp(s, 29.0, rate, 1200.0)) EXPECT_EQ(n, 8);
+}
+
+TEST(BandStagingTest, SlowRiseBelowBandStagesDownEachInterval) {
+  BandStagingController s(band_cfg(), 8);
+  const double rate = 0.5 * BandStagingController::kTrendDeadband;
+  const std::vector<int> counts = staged_along_ramp(s, 23.0, rate, 1200.0);
+  EXPECT_EQ(counts.front(), 7);
+  EXPECT_EQ(counts[39], 7);
+  EXPECT_EQ(counts[40], 6);
+  EXPECT_EQ(counts.back(), 6);
+}
+
+TEST(BandStagingTest, FastRiseBelowBandHolds) {
+  BandStagingController s(band_cfg(), 8);
+  const double rate = 2.0 * BandStagingController::kTrendDeadband;
+  for (const int n : staged_along_ramp(s, 23.0, rate, 1200.0)) EXPECT_EQ(n, 8);
 }
 
 TEST(BandStagingTest, Validation) {

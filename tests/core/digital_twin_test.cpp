@@ -351,16 +351,14 @@ TEST(DigitalTwinTest, RecorderMatchesPerSampleFmuCoupling) {
   EXPECT_EQ(a.jobs_completed, b.jobs_completed);
 }
 
-/// A 1 h coupled twin whose plant runs the given evaluation paths, set
+/// A 1 h coupled twin whose plant runs the given thermal kernel, set
 /// through cooling() after construction. The run ends off the 15 s cooling
 /// grid, so the partial plant step is covered.
-std::unique_ptr<DigitalTwin> run_coupled_hour(const SystemConfig& config,
-                                              HydraulicsEval hydraulics, ThermalEval thermal) {
+std::unique_ptr<DigitalTwin> run_coupled_hour(const SystemConfig& config, ThermalEval thermal) {
   WorkloadGenerator gen(config.workload, config, Rng(17));
   std::vector<JobRecord> jobs = gen.generate(0.0, 3000.0);
   jobs.push_back(make_hpl_job(600.0, 1500.0));
   auto twin = std::make_unique<DigitalTwin>(config);
-  twin->cooling().set_hydraulics_eval(hydraulics);
   twin->cooling().set_thermal_eval(thermal);
   twin->set_wetbulb_constant(16.0);
   twin->submit_all(std::move(jobs));
@@ -389,30 +387,13 @@ void expect_same_twin(const DigitalTwin& fast, const DigitalTwin& ref) {
   EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
 }
 
-/// The hydraulics reference is selected on the plant itself: a twin whose
-/// plant re-solves every network every step records the same report and
-/// all 159 series, bit for bit, as a default twin.
-TEST(DigitalTwinTest, PlantAlwaysSolveMatchesDefaultTwin) {
-  const SystemConfig config = frontier_system_config();
-  const auto fast = run_coupled_hour(config, HydraulicsEval::kDedup, ThermalEval::kBatched);
-  const auto ref = run_coupled_hour(config, HydraulicsEval::kAlwaysSolve, ThermalEval::kBatched);
-  expect_same_twin(*fast, *ref);
-  // The reference really ran: every step re-solved all 27 networks (the
-  // construction-time reset ran before the switch).
-  const long long networks = config.cdu_count + 2;
-  EXPECT_LT(fast->cooling().hydraulics_stats().solves_performed,
-            networks * fast->cooling().step_count());
-  EXPECT_GE(ref->cooling().hydraulics_stats().solves_performed,
-            networks * ref->cooling().step_count());
-}
-
 /// The thermal reference is selected on the plant itself: a twin whose
 /// plant runs the scalar HX kernel records the same report and all 159
 /// series, bit for bit, as a default twin.
 TEST(DigitalTwinTest, PlantScalarThermalMatchesDefaultTwin) {
   const SystemConfig config = frontier_system_config();
-  const auto fast = run_coupled_hour(config, HydraulicsEval::kDedup, ThermalEval::kBatched);
-  const auto ref = run_coupled_hour(config, HydraulicsEval::kDedup, ThermalEval::kScalar);
+  const auto fast = run_coupled_hour(config, ThermalEval::kBatched);
+  const auto ref = run_coupled_hour(config, ThermalEval::kScalar);
   expect_same_twin(*fast, *ref);
   // The reference really ran: no HX went through the batched kernel.
   EXPECT_GT(fast->cooling().thermal_stats().hx_evaluated, 0);
@@ -512,11 +493,11 @@ TEST(DigitalTwinTest, PlantFailureKeepsThePlantOfAnInlineRun) {
   auto [inline_twin, inline_error] = run_until_failure(config, jobs, wetbulb, 900.0);
   EXPECT_NE(pipelined_error.find("wetbulb_c"), std::string::npos) << pipelined_error;
   EXPECT_EQ(pipelined_error, inline_error);
-  // The interval before the NaN sample interpolates to NaN from its start
-  // (a zero weight times NaN), so the quantum at 10740 s is the first
-  // rejected and 715 quanta complete.
-  EXPECT_EQ(inline_twin->cooling().step_count(), 715);
-  EXPECT_EQ(inline_twin->pue_series().times().back(), kFailureAt - 75.0);
+  // The quantum at 10740 s reads the finite sample there; the next one
+  // interpolates toward the NaN at 10800 s and is the first rejected, so
+  // 716 quanta complete.
+  EXPECT_EQ(inline_twin->cooling().step_count(), 716);
+  EXPECT_EQ(inline_twin->pue_series().times().back(), kFailureAt - 60.0);
   EXPECT_GE(pipelined->engine().now_s(), inline_twin->engine().now_s());
   expect_same_plant(*pipelined, *inline_twin);
 }

@@ -94,10 +94,8 @@ TEST(DeterminismTest, ChunkedRunMatchesMonolithic) {
   EXPECT_EQ(mono.cooling().step_count(), chunked.cooling().step_count());
   EXPECT_EQ(mono.cooling().hydraulics_stats().solves_performed,
             chunked.cooling().hydraulics_stats().solves_performed);
-  EXPECT_EQ(mono.cooling().hydraulics_stats().reused_unchanged,
-            chunked.cooling().hydraulics_stats().reused_unchanged);
-  EXPECT_EQ(mono.cooling().hydraulics_stats().reused_shared,
-            chunked.cooling().hydraulics_stats().reused_shared);
+  EXPECT_EQ(mono.cooling().hydraulics_stats().max_mass_residual_rel,
+            chunked.cooling().hydraulics_stats().max_mass_residual_rel);
   EXPECT_EQ(mono.cooling().thermal_stats().hx_evaluated,
             chunked.cooling().thermal_stats().hx_evaluated);
   const std::vector<const TimeSeries*> a = recorded_series(mono);

@@ -131,8 +131,8 @@ TEST(SwfTest, ImportedTraceDrivesTheEngine) {
 }
 
 TEST(SwfTest, ReaderRegistryIntegration) {
-  // Register the SWF adapter and load through the generic interface.
-  TelemetryReaderRegistry::instance().register_reader(std::make_shared<SwfReader>());
+  // The default registry resolves "swf", so the CLI and the server load
+  // SWF traces through the generic interface.
   const std::string path = "/tmp/exadigit_swf_test.swf";
   {
     std::ofstream f(path);
