@@ -11,7 +11,7 @@
 ///
 /// `--json <path>` emits BENCH_coupled24h.json: wall_ms, sim_rate,
 /// plant_steps, solves_performed (loops evaluated), max_mass_residual_rel,
-/// energy_mwh, pue.
+/// recording_bytes_per_sample, energy_mwh, pue.
 ///
 /// EXADIGIT_BENCH_HOURS shrinks the replayed window for smoke runs;
 /// EXADIGIT_BENCH_REPS sets the repetitions (min wall time is reported —
@@ -20,6 +20,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
+#include <vector>
 
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -43,7 +45,32 @@ struct CoupledRun {
   double pue_mean = 0.0;
   long long plant_steps = 0;
   CoolingPlantModel::HydraulicsStats stats;
+  double recording_bytes_per_sample = 0.0;
 };
+
+/// Bytes the twin's 155 coupled channels hold per recorded sample: the
+/// capacity of each distinct time vector, counted once, plus every
+/// channel's value capacity, over the channels' summed sizes. One shared
+/// axis puts it just above 8; a times vector per channel near 16.
+double recording_bytes_per_sample(const DigitalTwin& twin) {
+  std::vector<const TimeSeries*> channels = {
+      &twin.pue_series(), &twin.htws_temp_series(), &twin.pri_return_temp_series(),
+      &twin.htw_supply_pressure_series(), &twin.cooling_efficiency_series()};
+  for (const CduSeries& cdu : twin.cdu_series()) {
+    channels.insert(channels.end(), {&cdu.pri_flow_gpm, &cdu.sec_flow_gpm, &cdu.return_temp_c,
+                                     &cdu.supply_temp_c, &cdu.pump_power_w});
+  }
+  for (const TimeSeries& s : twin.cdu_rack_power_series()) channels.push_back(&s);
+  std::set<const double*> axes;
+  std::size_t bytes = 0;
+  std::size_t samples = 0;
+  for (const TimeSeries* s : channels) {
+    if (axes.insert(s->times().data()).second) bytes += s->times().capacity() * sizeof(double);
+    bytes += s->values().capacity() * sizeof(double);
+    samples += s->size();
+  }
+  return samples > 0 ? static_cast<double>(bytes) / static_cast<double>(samples) : 0.0;
+}
 
 /// One coupled replay (RAPS + cooling plant).
 CoupledRun time_coupled_replay_once(const SystemConfig& config, const TelemetryDataset& dataset) {
@@ -62,6 +89,7 @@ CoupledRun time_coupled_replay_once(const SystemConfig& config, const TelemetryD
   r.pue_mean = twin.pue_series().time_weighted_mean();
   r.plant_steps = twin.cooling().step_count();
   r.stats = twin.cooling().hydraulics_stats();
+  r.recording_bytes_per_sample = recording_bytes_per_sample(twin);
   return r;
 }
 
@@ -137,6 +165,8 @@ int main(int argc, char** argv) {
 
   std::printf("coupled replay: %.1f ms; %.0f sim-s/wall-s\n", run.wall_ms, sim_rate);
   std::printf("worst node mass residual: %.3g of the loop flow\n", residual);
+  std::printf("coupled recording: %.3f bytes per channel sample\n",
+              run.recording_bytes_per_sample);
   if (!(residual <= kMaxMassResidualRel)) {
     std::fprintf(stderr, "FAIL: a loop left %.3g of its flow unbalanced at a node (> %g)\n",
                  residual, kMaxMassResidualRel);
@@ -155,6 +185,7 @@ int main(int argc, char** argv) {
     out["plant_steps"] = Json(static_cast<std::int64_t>(run.plant_steps));
     out["solves_performed"] = Json(static_cast<std::int64_t>(run.stats.solves_performed));
     out["max_mass_residual_rel"] = Json(residual);
+    out["recording_bytes_per_sample"] = Json(run.recording_bytes_per_sample);
     out["energy_mwh"] = Json(run.report.total_energy_mwh);
     out["pue"] = Json(run.pue_mean);
     if (!bench::write_perf_json(json_path, out)) return 1;

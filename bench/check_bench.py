@@ -27,7 +27,10 @@ Gates (a failure in any one fails the run):
   * invariants: "sim_rate" > 0, "peak_rss_mb" > 0,
     "chunk_peak_resident_mb" > 0, every "policy_jobs_per_s_*" > 0,
     "max_mass_residual_rel" <= 1e-12 (every node of every cooling loop
-    balances its mass to rounding on every step), and "chunked_identical"
+    balances its mass to rounding on every step),
+    "recording_bytes_per_sample" <= 8.5 (the twin's coupled channels share
+    one time axis: 8 bytes per value plus one axis over 155 channels, about
+    8.05; a times vector per channel reads about 16), and "chunked_identical"
     is true (the streamed chunk replay must stay bit-identical to the
     monolithic path), for whichever of those fields the measured file
     carries.
@@ -65,6 +68,9 @@ SCALE_KEYS = ("hours", "sim_seconds", "dataset_days", "sim_days")
 # Largest node mass residual, relative to the loop flow, that a closed-form
 # loop evaluation may leave.
 MAX_MASS_RESIDUAL_REL = 1e-12
+# Bytes the coupled recording may hold per channel sample: a value each,
+# plus one shared time axis.
+MAX_RECORDING_BYTES_PER_SAMPLE = 8.5
 
 
 def is_wall_key(key: str) -> bool:
@@ -101,6 +107,11 @@ def check_pair(measured_path: str, baseline_path: str, tolerance: float,
         failures.append(f"{name}: max_mass_residual_rel = {residual!r} (must be "
                         f"<= {MAX_MASS_RESIDUAL_REL:g}: a cooling loop left mass "
                         "unbalanced at a node)")
+    recording = measured.get("recording_bytes_per_sample")
+    if recording is not None and not recording <= MAX_RECORDING_BYTES_PER_SAMPLE:
+        failures.append(f"{name}: recording_bytes_per_sample = {recording!r} (must "
+                        f"be <= {MAX_RECORDING_BYTES_PER_SAMPLE:g}: the coupled "
+                        "channels no longer share one time axis)")
     for key, value in sorted(measured.items()):
         # Per-policy scheduling throughput (bench_fig9_replay24h): every
         # policy column must schedule at a positive rate — 0 means the

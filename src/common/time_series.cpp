@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -13,6 +14,27 @@ TimeSeries::TimeSeries(std::vector<double> times, std::vector<double> values)
   for (std::size_t i = 1; i < times_.size(); ++i) {
     require(times_[i] > times_[i - 1], "time series timestamps must increase");
   }
+}
+
+TimeSeries::TimeSeries(const TimeSeries& other) : times_(other.times()), values_(other.values_) {}
+
+TimeSeries::TimeSeries(TimeSeries&& other) noexcept {
+  if (other.axis_ != nullptr) {
+    // The recorder still appends to the source, so it keeps its samples.
+    times_ = *other.axis_;
+    values_ = other.values_;
+  } else {
+    times_ = std::move(other.times_);
+    values_ = std::move(other.values_);
+  }
+}
+
+TimeSeries& TimeSeries::operator=(TimeSeries other) noexcept {
+  // `other` owns its times: it was copied or moved from the right-hand side.
+  axis_ = nullptr;
+  times_ = std::move(other.times_);
+  values_ = std::move(other.values_);
+  return *this;
 }
 
 TimeSeries TimeSeries::uniform(double t0, double dt, std::vector<double> values) {
@@ -34,43 +56,55 @@ void TimeSeries::push_back(double time, double value) {
 void TimeSeries::append(const double* times, const double* values, std::size_t stride,
                         std::size_t n) {
   if (n == 0) return;
-  constexpr const char* kOrder = "time series append must increase timestamps";
-  require(times_.empty() || times[0] > times_.back(), kOrder);
-  for (std::size_t i = 1; i < n; ++i) require(times[i] > times[i - 1], kOrder);
+  check_block(times_, times, n);
   reserve(times_.size() + n);
   times_.insert(times_.end(), times, times + n);
-  for (std::size_t i = 0; i < n; ++i) values_.push_back(values[i * stride]);
+  append_values(values, stride, n);
 }
 
 void TimeSeries::reserve(std::size_t n) {
-  if (n <= times_.capacity()) return;
-  const std::size_t grown = std::max(n, 2 * times_.capacity());
-  times_.reserve(grown);
-  values_.reserve(grown);
+  grow(times_, n);
+  grow(values_, n);
+}
+
+void TimeSeries::check_block(const std::vector<double>& before, const double* times,
+                             std::size_t n) {
+  constexpr const char* kOrder = "time series append must increase timestamps";
+  require(before.empty() || times[0] > before.back(), kOrder);
+  for (std::size_t i = 1; i < n; ++i) require(times[i] > times[i - 1], kOrder);
+}
+
+void TimeSeries::grow(std::vector<double>& column, std::size_t n) {
+  if (n > column.capacity()) column.reserve(std::max(n, 2 * column.capacity()));
+}
+
+void TimeSeries::append_values(const double* values, std::size_t stride, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) values_.push_back(values[i * stride]);
 }
 
 double TimeSeries::start_time() const {
-  require(!times_.empty(), "start_time of empty series");
-  return times_.front();
+  require(!empty(), "start_time of empty series");
+  return times().front();
 }
 
 double TimeSeries::end_time() const {
-  require(!times_.empty(), "end_time of empty series");
-  return times_.back();
+  require(!empty(), "end_time of empty series");
+  return times().back();
 }
 
 double TimeSeries::at(double t, SampleHold hold) const {
-  require(!times_.empty(), "at() on empty series");
-  if (t <= times_.front()) return values_.front();
-  if (t >= times_.back()) return values_.back();
-  const auto it = std::upper_bound(times_.begin(), times_.end(), t);
-  const std::size_t hi = static_cast<std::size_t>(it - times_.begin());
+  require(!empty(), "at() on empty series");
+  const std::vector<double>& times = this->times();
+  if (t <= times.front()) return values_.front();
+  if (t >= times.back()) return values_.back();
+  const auto it = std::upper_bound(times.begin(), times.end(), t);
+  const std::size_t hi = static_cast<std::size_t>(it - times.begin());
   const std::size_t lo = hi - 1;
   // At a sample time the sample itself, never a zero weight times a
   // neighbour that may be NaN or infinite.
-  if (hold == SampleHold::kPrevious || times_[lo] == t) return values_[lo];
-  const double span = times_[hi] - times_[lo];
-  const double u = (t - times_[lo]) / span;
+  if (hold == SampleHold::kPrevious || times[lo] == t) return values_[lo];
+  const double span = times[hi] - times[lo];
+  const double u = (t - times[lo]) / span;
   return values_[lo] + u * (values_[hi] - values_[lo]);
 }
 
@@ -84,20 +118,22 @@ TimeSeries TimeSeries::resample(double t0, double dt, std::size_t n, SampleHold 
 }
 
 TimeSeries TimeSeries::slice(double t_begin, double t_end) const {
+  const std::vector<double>& times = this->times();
   TimeSeries out;
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (times_[i] >= t_begin && times_[i] <= t_end) {
-      out.push_back(times_[i], values_[i]);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (times[i] >= t_begin && times[i] <= t_end) {
+      out.push_back(times[i], values_[i]);
     }
   }
   return out;
 }
 
 double TimeSeries::integral(SampleHold hold) const {
-  if (times_.size() < 2) return 0.0;
+  const std::vector<double>& times = this->times();
+  if (times.size() < 2) return 0.0;
   double acc = 0.0;
-  for (std::size_t i = 1; i < times_.size(); ++i) {
-    const double dt = times_[i] - times_[i - 1];
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    const double dt = times[i] - times[i - 1];
     if (hold == SampleHold::kPrevious) {
       acc += values_[i - 1] * dt;
     } else {
@@ -108,9 +144,9 @@ double TimeSeries::integral(SampleHold hold) const {
 }
 
 double TimeSeries::time_weighted_mean(SampleHold hold) const {
-  if (times_.empty()) return 0.0;
-  if (times_.size() == 1) return values_.front();
-  const double span = times_.back() - times_.front();
+  if (empty()) return 0.0;
+  if (size() == 1) return values_.front();
+  const double span = times().back() - times().front();
   return integral(hold) / span;
 }
 

@@ -43,6 +43,11 @@ PidConfig loop_dp_pid_config(double setpoint_pa, double min_speed) {
   return p;
 }
 
+/// A bank of `units` running units of `pump`, before any leg is added.
+SeriesParallelLoop bare_bank(const PumpModel& pump, int units) {
+  return SeriesParallelLoop(pump.shutoff_head_pa(), pump.curve_coeff(), units);
+}
+
 PidConfig fan_pid_config() {
   PidConfig p;
   p.kp = 0.20;   // per K of basin temperature error
@@ -76,7 +81,7 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
                   config.cooling.ct.design_flow_m3s /
                       (config.cooling.ct.tower.tower_count *
                        config.cooling.ct.tower.cells_per_tower)),
-      pri_net_(config.cooling.primary.pump.shutoff_head_pa, htwp_model_.curve_coeff(), 2),
+      pri_net_(bare_bank(htwp_model_, 2)),
       htwp_pid_(loop_dp_pid_config(config.cooling.primary.dp_setpoint_pa,
                                    config.cooling.primary.pump.min_speed)),
       htwp_staging_({/*min_units=*/1, config.cooling.primary.pump_count,
@@ -84,7 +89,7 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
                      config.cooling.primary.stage_down_speed,
                      config.cooling.primary.stage_min_interval_s},
                     /*initial_units=*/2),
-      ct_net_(config.cooling.ct.pump.shutoff_head_pa, ctwp_model_.curve_coeff(), 2),
+      ct_net_(bare_bank(ctwp_model_, 2)),
       ctwp_pid_(loop_dp_pid_config(config.cooling.ct.header_pressure_setpoint_pa,
                                    config.cooling.ct.pump.min_speed)),
       fan_pid_(fan_pid_config()),
@@ -100,13 +105,14 @@ CoolingPlantModel::CoolingPlantModel(const SystemConfig& config)
           /*initial_units=*/8),
       ehx_stage_lag_(config.cooling.staging_delay_s, 2.0) {
   config_.validate();
-  ct_supply_setpoint_c_ = config_.cooling.primary.htws_setpoint_c - 4.0;
-  build_loops();
   reset();
 }
 
 void CoolingPlantModel::build_loops() {
   const CoolingConfig& cool = config_.cooling;
+  cdu_loops_.clear();
+  pri_net_ = bare_bank(htwp_model_, 2);
+  ct_net_ = bare_bank(ctwp_model_, 2);
 
   // ---- 25 CDU secondary loops ----------------------------------------
   const double q_sec = cool.cdu.secondary_design_flow_m3s;
@@ -114,7 +120,7 @@ void CoolingPlantModel::build_loops() {
   const double k_rack = k_from_design(cool.cdu.rack_branch_dp_pa, q_sec / 3.0);
   const double k_hex_leg = k_from_design(h_sec - cool.cdu.rack_branch_dp_pa, q_sec);
   for (int i = 0; i < config_.cdu_count; ++i) {
-    SeriesParallelLoop net(cool.cdu.pump.shutoff_head_pa, cdu_pump_model_.curve_coeff(), 1);
+    SeriesParallelLoop net = bare_bank(cdu_pump_model_, 1);
     // Rack branches close to their blockage factor (set_rack_blockage),
     // never below 0.01.
     for (int r = 0; r < config_.racks_for_cdu(i); ++r) net.add_parallel(k_rack, 0.01);
@@ -148,6 +154,12 @@ void CoolingPlantModel::build_loops() {
 }
 
 void CoolingPlantModel::reset(double ambient_c) {
+  // Rebuilt loops and the default basin setpoint undo whatever the
+  // controls and callers have set (speeds, staged units, resistances,
+  // valve positions, blockages, forced pump speeds), so a reset plant
+  // equals a fresh one.
+  build_loops();
+  ct_supply_setpoint_c_ = config_.cooling.primary.htws_setpoint_c - 4.0;
   const double start = ambient_c + 5.0;
   for (auto& loop : cdu_loops_) {
     loop.t_supply_c = start;
@@ -156,7 +168,6 @@ void CoolingPlantModel::reset(double ambient_c) {
     loop.valve_position = 0.7;
     loop.pump_pid.reset(loop.pump_speed);
     loop.valve_pid.reset(loop.valve_position);
-    for (BranchId b = 0; b < loop.net.parallel_count(); ++b) loop.net.set_position(b, 1.0);
   }
   hydraulics_stats_ = HydraulicsStats{};
   thermal_stats_ = ThermalStats{};

@@ -130,6 +130,9 @@ class CoolingPlantModel {
   explicit CoolingPlantModel(const SystemConfig& config);
 
   /// Re-initializes all states to a quiescent plant at the given ambient.
+  /// A reset plant equals a fresh one reset to the same ambient: rack
+  /// blockages, forced pump speeds and the basin setpoint offset are
+  /// cleared too. The thermal evaluation strategy stays.
   void reset(double ambient_c = 25.0);
 
   /// Advances the plant by `dt` seconds (typically the 15 s exchange

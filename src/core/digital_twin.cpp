@@ -165,16 +165,16 @@ DigitalTwin::DigitalTwin(const SystemConfig& config, const DigitalTwinOptions& o
     cdu_series_.resize(cdus);
     cdu_power_series_.resize(cdus);
     if (collect_series_) {
-      // Stage-row order; step_plant writes the rows in this order.
-      channels_ = {&pue_series_, &htws_series_, &pri_return_series_, &pri_dp_series_,
-                   &cooling_eff_series_};
+      // Stage-column order; step_plant writes each row in this order.
+      std::vector<TimeSeries*> channels = {&pue_series_, &htws_series_, &pri_return_series_,
+                                           &pri_dp_series_, &cooling_eff_series_};
       for (std::size_t i = 0; i < cdus; ++i) {
         CduSeries& c = cdu_series_[i];
-        channels_.insert(channels_.end(), {&c.pri_flow_gpm, &c.sec_flow_gpm, &c.return_temp_c,
-                                           &c.supply_temp_c, &c.pump_power_w,
-                                           &cdu_power_series_[i]});
+        channels.insert(channels.end(), {&c.pri_flow_gpm, &c.sec_flow_gpm, &c.return_temp_c,
+                                         &c.supply_temp_c, &c.pump_power_w,
+                                         &cdu_power_series_[i]});
       }
-      stage_.resize(kStageRows * channels_.size());
+      recorder_.attach(std::move(channels));
     }
     engine_.set_cooling_callback(
         [this](RapsEngine&, double now_s) { on_cooling_quantum(now_s); });
@@ -258,10 +258,9 @@ void DigitalTwin::step_plant(const double* quantum) {
   const PlantOutputs& out = plant_->step(inputs_, dt);
   cooling_synced_s_ = now_s;
 
-  if (channels_.empty()) return;
+  if (recorder_.channel_count() == 0) return;
   // One stage row, in the channel order the constructor laid out.
-  double* row = stage_.data() + staged_rows_ * channels_.size();
-  stage_times_[staged_rows_] = now_s;
+  double* row = recorder_.stage_row(now_s);
   *row++ = out.pue;
   *row++ = out.pri_supply_t_c;
   *row++ = out.pri_return_t_c;
@@ -279,7 +278,6 @@ void DigitalTwin::step_plant(const double* quantum) {
     *row++ = c.pump_power_w;
     *row++ = cdu_wall[i];
   }
-  if (++staged_rows_ == kStageRows) flush_stage();
 }
 
 void DigitalTwin::run_plant_stage() {
@@ -294,14 +292,6 @@ void DigitalTwin::run_plant_stage() {
   }
 }
 
-void DigitalTwin::flush_stage() {
-  const std::size_t stride = channels_.size();
-  for (std::size_t c = 0; c < stride; ++c) {
-    channels_[c]->append(stage_times_.data(), stage_.data() + c, stride, staged_rows_);
-  }
-  staged_rows_ = 0;
-}
-
 std::size_t DigitalTwin::quanta_until(double t_end_s) const {
   if (!(t_end_s > engine_.now_s())) return 0;
   const double quanta =
@@ -309,16 +299,9 @@ std::size_t DigitalTwin::quanta_until(double t_end_s) const {
   return std::isfinite(quanta) ? static_cast<std::size_t>(quanta) : 0;
 }
 
-void DigitalTwin::reserve_series(double t_end_s) {
-  if (channels_.empty()) return;
-  // One sample per quantum boundary up to t_end, plus the off-grid tail.
-  const std::size_t add = quanta_until(t_end_s);
-  if (add == 0) return;
-  for (TimeSeries* series : channels_) series->reserve(series->size() + staged_rows_ + add + 1);
-}
-
 void DigitalTwin::run_until(double t_end_s) {
-  reserve_series(t_end_s);
+  // One sample per quantum boundary up to t_end, plus the off-grid tail.
+  if (const std::size_t add = quanta_until(t_end_s); add > 0) recorder_.reserve(add + 1);
   std::thread plant_stage;
   if (plant_ != nullptr) {
     ring_->open();
@@ -351,7 +334,7 @@ void DigitalTwin::run_until(double t_end_s) {
     if (plant_error_) error = std::exchange(plant_error_, nullptr);
   }
   // A failed run keeps the samples recorded before the failure.
-  flush_stage();
+  recorder_.flush();
   if (error) std::rethrow_exception(error);
 }
 

@@ -20,15 +20,21 @@
 /// that seam, such as validate_cooling; the twin does not route its inputs
 /// through it.
 ///
-/// Recording: each quantum's values of the 155 coupled channels (5 plant
-/// series, then 6 per CDU for the 25 Frontier CDUs) are staged as one row
-/// of a fixed block of kStageRows rows. A full block, and the partial block
-/// at the end of every run_until, is appended into the series column by
-/// column (TimeSeries::append). run_until reserves each series for the
-/// quanta it will add, so the series are complete, and grown linearly in
-/// the horizon, whenever run_until has returned. With collect_series off
-/// nothing is staged. The engine's four event-sampled series keep their
-/// own time axis (raps/engine.hpp).
+/// Recording: the 155 coupled channels (5 plant series, then 6 per CDU for
+/// the 25 Frontier CDUs) are sampled at the same quantum instants, so they
+/// share one time axis. A SeriesRecorder (common/series_recorder.hpp) owns
+/// the axis and stages each quantum as one row of a fixed block; a full
+/// block, and the partial block at the end of every run_until, appends its
+/// times to the axis once and each column to its channel. Every coupled
+/// series is attached to the recorder: its times() is the shared axis and
+/// its values are its own, about 8 bytes per sample where a series that
+/// owned its times held 16. A copy of one owns its times, so it keeps its
+/// size and bits through later run_until calls and outlives the twin.
+/// run_until reserves the axis and every channel for the quanta it will
+/// add, so the series are complete, and grown linearly in the horizon,
+/// whenever run_until has returned. With collect_series off nothing is
+/// recorded. The engine's four event-sampled series keep their own time
+/// axis (raps/engine.hpp).
 ///
 /// Energy accounting: every run_until(t_end) closes the engine's energy and
 /// utilization integrals exactly at t_end (the final partial interval is
@@ -53,7 +59,7 @@
 ///     from cdu_count at construction.
 ///   - Plant stage, on one worker thread started and joined inside
 ///     run_until: it pops the quanta in order and runs the quantum body
-///     (the heat, CoolingPlantModel::step, the stage row, flush_stage).
+///     (the heat, CoolingPlantModel::step, the recorder's stage row).
 /// A stage that finds the ring full (engine) or empty (plant) sleeps until
 /// the other has moved a batch of quanta, so a 24 h run (5760 quanta)
 /// wakes a stage a few dozen times, not once per quantum. Shorter runs,
@@ -72,11 +78,9 @@
 ///
 /// Independent twins run side by side through ScenarioRunner; sharding a
 /// single quantum loses (README, "Parallelism"). The engine's cooling
-/// callback and the recorder's channel table point into the twin, so a
-/// twin can be neither copied nor moved; hold it in a unique_ptr to hand
-/// it around.
+/// callback and the recorder's channels point into the twin, so a twin can
+/// be neither copied nor moved; hold it in a unique_ptr to hand it around.
 
-#include <array>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -84,6 +88,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/series_recorder.hpp"
 #include "common/time_series.hpp"
 #include "cooling/plant.hpp"
 #include "fmi/cooling_fmu.hpp"  // the FMI facade, for callers beside a twin
@@ -176,9 +181,6 @@ class DigitalTwin {
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
  private:
-  /// Quanta staged before they are appended to the series: 64 rows of the
-  /// 155 Frontier channels is about 80 KB. A constant, not an option.
-  static constexpr std::size_t kStageRows = 64;
   /// A coupled run that adds fewer quanta steps the plant inline: starting
   /// and joining the worker costs more than the overlap saves there.
   /// Measured on fresh Frontier twins (Release, GCC 12, 4 cores, min of 40
@@ -212,6 +214,9 @@ class DigitalTwin {
   double wetbulb_constant_ = 20.0;
   bool collect_series_;
 
+  /// The coupled channels' time axis and stage; declared before the series
+  /// attached to it, so it outlives them.
+  SeriesRecorder recorder_;
   TimeSeries pue_series_;
   TimeSeries htws_series_;
   TimeSeries pri_return_series_;
@@ -219,14 +224,6 @@ class DigitalTwin {
   TimeSeries cooling_eff_series_;
   std::vector<CduSeries> cdu_series_;
   std::vector<TimeSeries> cdu_power_series_;
-
-  /// The recorded series in stage-row order; empty unless cooling and
-  /// collect_series are both on.
-  std::vector<TimeSeries*> channels_;
-  /// Row-major stage: row r holds every channel's value at stage_times_[r].
-  std::vector<double> stage_;
-  std::array<double, kStageRows> stage_times_{};
-  std::size_t staged_rows_ = 0;
 
   /// Plant inputs handed from the engine stage to the plant stage; null
   /// when cooling is off.
@@ -244,12 +241,8 @@ class DigitalTwin {
   void step_plant(const double* quantum);
   /// The plant stage's loop, run on the worker thread.
   void run_plant_stage();
-  /// Appends the staged rows to the series and empties the stage.
-  void flush_stage();
   /// Cooling quanta a run to t_end_s adds (0 when it adds none).
   [[nodiscard]] std::size_t quanta_until(double t_end_s) const;
-  /// Reserves every recorded series for the quanta a run to t_end_s adds.
-  void reserve_series(double t_end_s);
   [[nodiscard]] double wetbulb_at(double t_s) const;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
@@ -137,8 +138,15 @@ PowerReplayResult replay_power(const SystemConfig& config, ChunkedTelemetrySourc
     r.cooling_eff = twin.cooling_efficiency_series();
     r.pue = twin.pue_series();
   }
-  r.power_score = score_series(r.predicted_power_mw, r.measured_power_mw,
-                               config.simulation.cooling_quantum_s);
+  // A jobs-only source (an SWF trace) carries no measured power to score
+  // against.
+  if (r.measured_power_mw.empty()) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    r.power_score = SeriesScore{nan, nan, nan, nan};
+  } else {
+    r.power_score = score_series(r.predicted_power_mw, r.measured_power_mw,
+                                 config.simulation.cooling_quantum_s);
+  }
   r.report = twin.report();
   return r;
 }

@@ -43,6 +43,7 @@ struct PowerReplayResult {
   TimeSeries cooling_eff;      ///< eta_cooling = H / P_system (with cooling)
   TimeSeries utilization;
   TimeSeries pue;              ///< empty when cooling disabled
+  /// Every field NaN when the source carries no measured power.
   SeriesScore power_score;
   Report report;
   /// Wall-clock time of the simulation itself (submit + run_until), for
@@ -51,11 +52,12 @@ struct PowerReplayResult {
 };
 
 /// Replays a telemetry dataset's jobs through the twin and scores the
-/// predicted system power. `with_cooling` enables the coupled plant (the
-/// paper's 9-minute path) or skips it (3-minute path). An adapter: the
-/// header and copies of the system channels (measured power and wet bulb,
-/// the only channels replay reads) go through the chunked overload below
-/// as a single InMemoryChunkSource chunk.
+/// predicted system power, when the dataset measured it. `with_cooling`
+/// enables the coupled plant (the paper's 9-minute path) or skips it
+/// (3-minute path). An adapter: the header and copies of the system
+/// channels (measured power and wet bulb, the only channels replay reads)
+/// go through the chunked overload below as a single InMemoryChunkSource
+/// chunk.
 [[nodiscard]] PowerReplayResult replay_power(const SystemConfig& config,
                                              const TelemetryDataset& dataset,
                                              bool with_cooling);

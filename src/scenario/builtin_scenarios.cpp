@@ -142,10 +142,13 @@ ScenarioResult run_replay_scenario(const ScenarioSpec& spec) {
   }
 
   ScenarioResult r;
-  r.add_metric("power_rmse_mw", pr.power_score.rmse);
-  r.add_metric("power_mae_mw", pr.power_score.mae);
-  r.add_metric("power_mape_pct", pr.power_score.mape_pct);
-  r.add_metric("power_pearson", pr.power_score.pearson);
+  // A jobs-only source (an SWF trace) has no measured power to score.
+  if (!pr.measured_power_mw.empty()) {
+    r.add_metric("power_rmse_mw", pr.power_score.rmse);
+    r.add_metric("power_mae_mw", pr.power_score.mae);
+    r.add_metric("power_mape_pct", pr.power_score.mape_pct);
+    r.add_metric("power_pearson", pr.power_score.pearson);
+  }
   add_report_metrics(r, pr.report);
   r.channels["predicted_power_mw"] = pr.predicted_power_mw;
   r.channels["measured_power_mw"] = pr.measured_power_mw;

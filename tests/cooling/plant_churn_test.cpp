@@ -1,8 +1,9 @@
 /// A churning plant run — staging events, a rack blockage and a forced
-/// pump speed — checked for consistency: counters after reset(), energy and
-/// PUE bookkeeping, and the batched thermal kernel against its scalar
-/// reference bit for bit. The suites keep the names they had when they
-/// also cross-checked a deduplicated hydraulic solver.
+/// pump speed — checked for consistency: a reset plant against a fresh one
+/// and its counters after reset(), energy and PUE bookkeeping, and the
+/// batched thermal kernel against its scalar reference bit for bit. The
+/// suites keep the names they had when they also cross-checked a
+/// deduplicated hydraulic solver.
 
 #include <gtest/gtest.h>
 
@@ -92,19 +93,37 @@ void churn_step(CoolingPlantModel& plant, int step, const SystemConfig& config) 
 TEST(PlantDedupTest, ResetClearsCountersAndStaysExact) {
   const SystemConfig config = frontier_system_config();
   const long long loops = config.cdu_count + 2;
+  // Churned into staging, with the rack blockage and the forced pump both
+  // in force, and the basin setpoint moved.
   CoolingPlantModel plant(config);
-  for (int step = 0; step < 30; ++step) churn_step(plant, step, config);
+  plant.set_basin_setpoint_offset(-6.0);
+  for (int step = 0; step < 400; ++step) churn_step(plant, step, config);
   plant.reset(18.0);
+  CoolingPlantModel fresh(config);
+  fresh.reset(18.0);
   // reset() evaluates every loop once for the quiescent plant.
   EXPECT_EQ(plant.step_count(), 0);
   EXPECT_EQ(plant.hydraulics_stats().solves_performed, loops);
   EXPECT_EQ(plant.hydraulics_stats().solves_reused(), 0);
   EXPECT_EQ(plant.thermal_stats().hx_evaluated, 0);
-  // Afterwards every step evaluates every loop, and each balances its mass.
-  for (int step = 0; step < 60; ++step) churn_step(plant, step, config);
+  EXPECT_EQ(plant.basin_setpoint_c(), fresh.basin_setpoint_c());
+  expect_outputs_bit_identical(plant.outputs(), fresh.outputs(), 0);
+  // Afterwards every step evaluates every loop, each balances its mass, and
+  // the reset plant stays equal to the fresh one.
+  for (int step = 0; step < 60; ++step) {
+    churn_step(plant, step, config);
+    churn_step(fresh, step, config);
+    expect_outputs_bit_identical(plant.outputs(), fresh.outputs(), step + 1);
+  }
   EXPECT_EQ(plant.step_count(), 60);
   EXPECT_EQ(plant.hydraulics_stats().solves_performed, loops * 61);
   EXPECT_LE(plant.hydraulics_stats().max_mass_residual_rel, 1e-12);
+  EXPECT_EQ(plant.hydraulics_stats().max_mass_residual_rel,
+            fresh.hydraulics_stats().max_mass_residual_rel);
+  EXPECT_EQ(plant.hydraulics_stats().solves_performed,
+            fresh.hydraulics_stats().solves_performed);
+  EXPECT_EQ(plant.thermal_stats().hx_evaluated, fresh.thermal_stats().hx_evaluated);
+  EXPECT_EQ(plant.time_s(), fresh.time_s());
 }
 
 /// Energy consistency of the plant outputs: the summed CDU HEX duty tracks

@@ -202,6 +202,57 @@ void expect_same_series(const std::vector<const TimeSeries*>& a,
   }
 }
 
+/// The 155 coupled series (after the engine's four in recorded_series).
+std::vector<const TimeSeries*> coupled_series(const DigitalTwin& twin) {
+  std::vector<const TimeSeries*> all = recorded_series(twin);
+  all.erase(all.begin(), all.begin() + 4);
+  return all;
+}
+
+/// Every coupled series reads one time vector, the quantum grid, while the
+/// engine's event-sampled series keep their own.
+TEST(DigitalTwinTest, CoupledSeriesShareOneTimeAxis) {
+  DigitalTwin twin(frontier_system_config());
+  twin.set_wetbulb_constant(16.0);
+  twin.submit(make_hpl_job(60.0, 1200.0));
+  twin.run_until(1800.0);  // 120 quanta: the plant steps on the worker
+  const std::vector<double>& axis = twin.pue_series().times();
+  ASSERT_EQ(axis.size(), 120u);
+  for (std::size_t i = 0; i < axis.size(); ++i) {
+    EXPECT_EQ(axis[i], 15.0 * static_cast<double>(i + 1)) << i;
+  }
+  const std::vector<const TimeSeries*> coupled = coupled_series(twin);
+  ASSERT_EQ(coupled.size(), 155u);
+  for (const TimeSeries* s : coupled) {
+    EXPECT_EQ(s->times().data(), axis.data());
+    EXPECT_EQ(s->values().size(), axis.size());
+  }
+  EXPECT_NE(twin.engine().power_series_mw().times().data(), axis.data());
+}
+
+/// A series copied between two run_until calls keeps its size and bits
+/// after the second call, and outlives the twin.
+TEST(DigitalTwinTest, CopiedSeriesKeepTheirSamples) {
+  auto twin = std::make_unique<DigitalTwin>(frontier_system_config());
+  twin->set_wetbulb_constant(16.0);
+  twin->submit(make_hpl_job(60.0, 1200.0));
+  twin->run_until(907.0);  // ends off the cooling grid
+  const TimeSeries pue = twin->pue_series();
+  const CduSeries cdu = twin->cdu_series()[3];
+  const std::vector<double> pue_times = twin->pue_series().times();
+  const std::vector<double> pue_values = twin->pue_series().values();
+  const std::vector<double> flow_values = cdu.pri_flow_gpm.values();
+  twin->run_until(2700.0);
+  ASSERT_GT(twin->pue_series().size(), pue.size());
+  EXPECT_NE(pue.times().data(), twin->pue_series().times().data());
+  twin.reset();
+  EXPECT_EQ(pue.size(), 61u);
+  EXPECT_TRUE(same_bits(pue.times(), pue_times));
+  EXPECT_TRUE(same_bits(pue.values(), pue_values));
+  EXPECT_TRUE(same_bits(cdu.pri_flow_gpm.times(), pue_times));
+  EXPECT_TRUE(same_bits(cdu.pri_flow_gpm.values(), flow_values));
+}
+
 /// A wet-bulb batch whose third timestamp goes backwards is rejected whole:
 /// the twin then runs exactly like one that never saw the batch, whether
 /// the batch would have extended a series or started one.
@@ -500,6 +551,37 @@ TEST(DigitalTwinTest, PlantFailureKeepsThePlantOfAnInlineRun) {
   EXPECT_EQ(inline_twin->pue_series().times().back(), kFailureAt - 60.0);
   EXPECT_GE(pipelined->engine().now_s(), inline_twin->engine().now_s());
   expect_same_plant(*pipelined, *inline_twin);
+}
+
+/// Whichever stage fails, a failed run leaves every series with as many
+/// times as values, and the coupled series still on one axis.
+TEST(DigitalTwinTest, FailedRunLeavesEverySeriesWhole) {
+  const SystemConfig config = frontier_system_config();
+  WorkloadGenerator gen(config.workload, config, Rng(31));
+  std::vector<JobRecord> jobs = gen.generate(0.0, kFailingRunEnd);
+  JobRecord stray = make_hpl_job(kFailureAt, 600.0, 64);
+  stray.partition = "no-such-partition";
+  std::vector<double> wetbulb_c(400, 16.0);
+  const TimeSeries steady = TimeSeries::uniform(0.0, 60.0, wetbulb_c);
+  wetbulb_c[static_cast<std::size_t>(kFailureAt / 60.0)] = std::numeric_limits<double>::quiet_NaN();
+  const TimeSeries broken = TimeSeries::uniform(0.0, 60.0, wetbulb_c);
+  std::vector<JobRecord> with_stray = jobs;
+  with_stray.push_back(stray);
+
+  for (const bool engine_fails : {true, false}) {
+    SCOPED_TRACE(engine_fails ? "engine failure" : "plant failure");
+    auto [twin, error] = run_until_failure(config, engine_fails ? with_stray : jobs,
+                                           engine_fails ? steady : broken, kFailingRunEnd);
+    EXPECT_FALSE(error.empty());
+    const std::vector<const TimeSeries*> all = recorded_series(*twin);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i]->times().size(), all[i]->values().size()) << "series " << i;
+    }
+    EXPECT_FALSE(twin->pue_series().empty());
+    for (const TimeSeries* s : coupled_series(*twin)) {
+      EXPECT_EQ(s->times().data(), twin->pue_series().times().data());
+    }
+  }
 }
 
 }  // namespace

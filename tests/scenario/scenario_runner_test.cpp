@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -401,6 +402,38 @@ TEST(ScenarioRunnerTest, DatasetReplayIdenticalAcrossFormatsAndLoaders) {
     }
   }
   fs::remove_all(base);
+}
+
+/// A jobs-only source (an SWF trace) carries no measured power: replay runs
+/// its jobs, with cooling on and off, and reports no power score.
+TEST(ScenarioRunnerTest, SwfReplayRunsWithoutAPowerScore) {
+  namespace fs = std::filesystem;
+  const std::string path = (fs::temp_directory_path() / "exadigit_scn_two_jobs.swf").string();
+  {
+    std::ofstream f(path);
+    f << "; two jobs\n"
+         "1 0  0 1800 128 -1 -1 128 1800 -1 1 1 1 1 -1 -1 -1 -1\n"
+         "2 60 0 1200 256 -1 -1 256 1200 -1 1 1 1 1 -1 -1 -1 -1\n";
+  }
+  for (const bool cooling : {true, false}) {
+    SCOPED_TRACE(cooling ? "cooling on" : "cooling off");
+    ScenarioSpec spec;
+    spec.name = "swf";
+    spec.type = "replay";
+    spec.source.kind = ScenarioSource::Kind::kDataset;
+    spec.source.path = path;
+    spec.source.format = "swf";
+    Json params;
+    params["cooling"] = cooling;
+    spec.params = std::move(params);
+    const ScenarioResult r = ScenarioRegistry::instance().run(spec);
+    for (const ScenarioMetric& m : r.summary) {
+      EXPECT_NE(m.name.rfind("power_", 0), 0u) << m.name;
+    }
+    EXPECT_FALSE(r.channels.at("predicted_power_mw").empty());
+    EXPECT_EQ(r.channels.count("pue"), cooling ? 1u : 0u);
+  }
+  fs::remove(path);
 }
 
 }  // namespace
