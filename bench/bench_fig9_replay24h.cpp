@@ -13,12 +13,18 @@
 /// conversion-layer optimizations, so speedup_vs_legacy understates the
 /// end-to-end gain over the unoptimized seed.
 ///
+/// The two timed replays must agree: the run exits 1 when they differ in
+/// jobs completed, or in energy by more than kEnergyRelBound relative
+/// (the two paths sum the same power in a different order; seeds 11-13
+/// differ by 1.3e-15 to 3.9e-14 over 1 h and 24 h).
+///
 /// EXADIGIT_BENCH_HOURS shrinks the replayed window for smoke runs;
 /// EXADIGIT_BENCH_REPS sets the repetitions per timed configuration (min
 /// wall time is reported — see perf_json.hpp).
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,6 +40,10 @@
 using namespace exadigit;
 
 namespace {
+
+/// Largest relative energy difference allowed between the event-driven
+/// incremental replay and the tick-loop full-recompute reference.
+constexpr double kEnergyRelBound = 1e-12;
 
 struct TimedRun {
   double wall_ms = 0.0;
@@ -154,6 +164,9 @@ int main(int argc, char** argv) {
     const TimedRun legacy = time_power_replay(spec, dataset, EngineMode::kTickLoop,
                                               RapsEngine::PowerEval::kFullRecompute);
     const double sim_rate = fast.wall_ms > 0.0 ? duration / (fast.wall_ms / 1000.0) : 0.0;
+    const double energy_rel_diff =
+        std::abs(fast.report.total_energy_mwh - legacy.report.total_energy_mwh) /
+        std::abs(legacy.report.total_energy_mwh);
     Json out;
     out["bench"] = Json(std::string("replay24h"));
     out["hours"] = Json(hours);
@@ -167,6 +180,7 @@ int main(int argc, char** argv) {
     out["speedup_vs_legacy"] =
         Json(fast.wall_ms > 0.0 ? legacy.wall_ms / fast.wall_ms : 0.0);
     out["energy_mwh"] = Json(fast.report.total_energy_mwh);
+    out["energy_rel_diff_vs_legacy"] = Json(energy_rel_diff);
     out["avg_power_mw"] = Json(fast.report.avg_power_mw);
     out["engine"] = Json(std::string("event"));
 
@@ -209,6 +223,17 @@ int main(int argc, char** argv) {
                 "(%.1fx); JSON -> %s\n",
                 fast.wall_ms, sim_rate, legacy.wall_ms, legacy.wall_ms / fast.wall_ms,
                 json_path.c_str());
+    std::printf("cross-check vs legacy: jobs completed %d / %d, energy %.17g / %.17g MWh "
+                "(relative difference %.3g, bound %.0e)\n",
+                fast.report.jobs_completed, legacy.report.jobs_completed,
+                fast.report.total_energy_mwh, legacy.report.total_energy_mwh, energy_rel_diff,
+                kEnergyRelBound);
+    if (fast.report.jobs_completed != legacy.report.jobs_completed ||
+        !(energy_rel_diff <= kEnergyRelBound)) {
+      std::fprintf(stderr, "bench_fig9_replay24h: the incremental replay diverged from the "
+                           "full-recompute reference\n");
+      return 1;
+    }
   }
   return 0;
 }

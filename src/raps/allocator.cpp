@@ -10,11 +10,14 @@ namespace exadigit {
 NodeAllocator::NodeAllocator(const SystemConfig& config)
     : total_nodes_(config.total_nodes()),
       free_count_(config.total_nodes()),
-      free_words_((static_cast<std::size_t>(config.total_nodes()) + 63) / 64, 0),
+      free_words_((static_cast<std::size_t>(config.total_nodes()) + 63) / 64, ~std::uint64_t{0}),
       nodes_per_rack_(config.rack.nodes_per_rack) {
-  // All nodes start free; tail bits past total_nodes_ stay 0 (busy) so the
-  // word scans never have to special-case the last word.
-  for (int i = 0; i < total_nodes_; ++i) set_bit(i);
+  // All nodes start free, a word at a time; tail bits past total_nodes_
+  // stay 0 (busy) so the word scans never have to special-case the last
+  // word.
+  if (const int tail = total_nodes_ & 63; tail != 0) {
+    free_words_.back() = (std::uint64_t{1} << tail) - 1;
+  }
   int cursor = 0;
   for (const auto& p : config.partitions) {
     PartitionRange r;

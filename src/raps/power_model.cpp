@@ -1,18 +1,37 @@
 #include "raps/power_model.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace exadigit {
 namespace {
 
-/// Appends `index` to a dirty list unless its flag already marks it.
-void mark_dirty(std::vector<char>& flags, std::vector<int>& list, int index) {
-  if (flags[static_cast<std::size_t>(index)] == 0) {
-    flags[static_cast<std::size_t>(index)] = 1;
-    list.push_back(index);
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+void set_bit(std::vector<std::uint64_t>& bits, int index) {
+  bits[static_cast<std::size_t>(index) >> 6] |= std::uint64_t{1} << (index & 63);
+}
+
+void clear_bit(std::vector<std::uint64_t>& bits, int index) {
+  bits[static_cast<std::size_t>(index) >> 6] &= ~(std::uint64_t{1} << (index & 63));
+}
+
+/// Calls `visit(index)` for every set bit in ascending order and clears
+/// the bitmap.
+template <typename Visit>
+void drain_bits(std::vector<std::uint64_t>& bits, Visit&& visit) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    std::uint64_t word = bits[w];
+    bits[w] = 0;
+    while (word != 0) {
+      visit(static_cast<int>(w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+      word &= word - 1;
+    }
   }
 }
 
@@ -23,47 +42,75 @@ RapsPowerModel::RapsPowerModel(const SystemConfig& config)
   config_.validate();
   groups_per_rack_ = rack_model_.groups_per_rack();
   nodes_per_group_ = rack_model_.nodes_per_group();
+  const int total_nodes = config_.total_nodes();
   const int total_groups = config_.rack_count * groups_per_rack_;
+  const std::size_t groups = static_cast<std::size_t>(total_groups);
 
-  // Per-node idle power resolved once: the per-sample partition scan the
-  // old model ran for every node of every running job is now a lookup.
-  idle_node_w_.resize(static_cast<std::size_t>(config_.total_nodes()));
-  std::size_t n = 0;
+  // Partitions own consecutive node ranges; the nodes after them are
+  // default nodes.
+  int cursor = 0;
   for (const auto& p : config_.partitions) {
-    const double idle = p.node.idle_power_w();
-    for (int i = 0; i < p.node_count && n < idle_node_w_.size(); ++i) {
-      idle_node_w_[n++] = idle;
-    }
+    cursor = std::min(cursor + p.node_count, total_nodes);
+    idle_ranges_.push_back(IdleRange{cursor, p.node.idle_power_w()});
   }
-  const double default_idle = config_.node.idle_power_w();
-  for (; n < idle_node_w_.size(); ++n) idle_node_w_[n] = default_idle;
+  idle_ranges_.push_back(IdleRange{total_nodes, config_.node.idle_power_w()});
 
-  idle_group_output_w_.assign(static_cast<std::size_t>(total_groups), 0.0);
-  for (int node = 0; node < config_.total_nodes(); ++node) {
-    idle_group_output_w_[static_cast<std::size_t>(node / nodes_per_group_)] +=
-        idle_node_w_[static_cast<std::size_t>(node)];
-  }
-  // Each group's idle conversion, once: groups of different partitions
-  // idle at different loads.
-  idle_group_conv_.reserve(idle_group_output_w_.size());
-  for (const double load : idle_group_output_w_) {
-    idle_group_conv_.push_back(GroupConversion::of(rack_model_.chain().convert(load)));
+  // Each group's idle load, summed group by group in node order. A group
+  // inside one range holds nodes_per_group copies of one idle power, so
+  // groups of equal idle power share one sum, and each distinct idle load
+  // is converted once.
+  group_node_idle_w_.resize(groups);
+  idle_group_output_w_.resize(groups);
+  idle_group_conv_.resize(groups);
+  std::size_t range = 0;
+  double sum_of = kNaN;  // the node idle power `sum` belongs to
+  double sum = 0.0;
+  GroupConversion conv;
+  conv.output_w = kNaN;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const int first = static_cast<int>(g) * nodes_per_group_;
+    while (idle_ranges_[range].end <= first) ++range;
+    double load = 0.0;
+    if (first + nodes_per_group_ <= idle_ranges_[range].end) {
+      const double idle = idle_ranges_[range].idle_w;
+      group_node_idle_w_[g] = idle;
+      if (idle != sum_of) {
+        sum = 0.0;
+        for (int i = 0; i < nodes_per_group_; ++i) sum += idle;
+        sum_of = idle;
+      }
+      load = sum;
+    } else {
+      group_node_idle_w_[g] = kNaN;
+      for (int node = first; node < first + nodes_per_group_; ++node) load += node_idle_w(node);
+    }
+    idle_group_output_w_[g] = load;
+    if (load != conv.output_w) conv = GroupConversion::of(rack_model_.chain().convert(load));
+    idle_group_conv_[g] = conv;
   }
   group_output_w_ = idle_group_output_w_;
   group_conv_ = idle_group_conv_;
-  group_occupants_.resize(static_cast<std::size_t>(total_groups));
-  group_dirty_.assign(static_cast<std::size_t>(total_groups), 0);
-  // Each group/rack is listed at most once, so marking never reallocates.
-  dirty_groups_.reserve(static_cast<std::size_t>(total_groups));
-  dirty_racks_.reserve(static_cast<std::size_t>(config_.rack_count));
+  group_occupants_.resize(groups);
+  group_owner_.assign(groups, -1);
+  rack_owner_.assign(static_cast<std::size_t>(config_.rack_count), -1);
+  group_dirty_.assign((groups + 63) / 64, 0);
+  rack_dirty_.assign((static_cast<std::size_t>(config_.rack_count) + 63) / 64, 0);
   rack_wall_w_.assign(static_cast<std::size_t>(config_.rack_count), 0.0);
   cdu_wall_w_.assign(static_cast<std::size_t>(config_.cdu_count), 0.0);
   rack_results_.resize(static_cast<std::size_t>(config_.rack_count));
-  rack_dirty_.assign(static_cast<std::size_t>(config_.rack_count), 0);
   for (int r = 0; r < config_.rack_count; ++r) {
     rack_results_[static_cast<std::size_t>(r)] = evaluate_rack(r);
   }
   fold_all_racks();
+}
+
+double RapsPowerModel::node_idle_w(int node) const {
+  const double uniform = group_node_idle_w_[static_cast<std::size_t>(node / nodes_per_group_)];
+  if (!std::isnan(uniform)) return uniform;
+  for (const IdleRange& r : idle_ranges_) {
+    if (node < r.end) return r.idle_w;
+  }
+  return idle_ranges_.back().idle_w;
 }
 
 double RapsPowerModel::projected_job_wall_w(const JobRecord& job) const {
@@ -83,62 +130,136 @@ const NodeConfig& RapsPowerModel::node_config_for(const JobRecord& job) const {
   return config_.node;
 }
 
+int RapsPowerModel::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const int slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  jobs_.emplace_back();
+  state_.push_back(SlotState::kFree);
+  applied_w_.push_back(kNaN);
+  sole_conv_.emplace_back();
+  lead_conv_.emplace_back();
+  shared_rack_.emplace_back();
+  return static_cast<int>(jobs_.size()) - 1;
+}
+
 int RapsPowerModel::on_job_start(const JobRecord& job, const std::vector<int>& nodes,
                                  double start_time_s) {
   const NodeConfig& cfg = node_config_for(job);  // resolved once; throws early
-  int slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<int>(active_.size());
-    active_.emplace_back();
+  // One occupant entry per touched group, entered once per run of nodes in
+  // the group (no divide per node), nodes counted and idle powers summed in
+  // allocation order. A group's newest entry is this job's while it is
+  // being registered, so non-contiguous nodes fold into one entry.
+  const int slot = acquire_slot();
+  touched_.clear();
+  int begin = 0;
+  int end = 0;  // node range of the group being filled
+  double uniform_idle_w = 0.0;
+  GroupOccupant* entry = nullptr;
+  for (const int node : nodes) {
+    if (node < begin || node >= end) {
+      const int group = node >= 0 && node < config_.total_nodes() ? node / nodes_per_group_ : -1;
+      if (group < 0 || group_owner_[static_cast<std::size_t>(group)] >= 0) {
+        // Undo this call's entries, so a rejected start changes nothing.
+        for (const int g : touched_) group_occupants_[static_cast<std::size_t>(g)].pop_back();
+        free_slots_.push_back(slot);
+        throw ConfigError("on_job_start: node " + std::to_string(node) +
+                          (group < 0 ? " is out of range"
+                                     : " is in a group another running job holds whole"));
+      }
+      begin = group * nodes_per_group_;
+      end = begin + nodes_per_group_;
+      uniform_idle_w = group_node_idle_w_[static_cast<std::size_t>(group)];
+      std::vector<GroupOccupant>& occupants = group_occupants_[static_cast<std::size_t>(group)];
+      if (occupants.empty() || occupants.back().slot != slot) {
+        occupants.push_back(GroupOccupant{slot, 0, 0.0});
+        touched_.push_back(group);
+      }
+      entry = &occupants.back();
+    }
+    entry->count += 1;
+    entry->idle_sum_w += std::isnan(uniform_idle_w) ? node_idle_w(node) : uniform_idle_w;
   }
-  ActiveJob& a = active_[static_cast<std::size_t>(slot)];
+
+  // A group whose every node is the job's leaves the occupant lists: the
+  // job writes its load and conversion itself.
+  const std::size_t s = static_cast<std::size_t>(slot);
+  ActiveJob& a = jobs_[s];
+  a.full.clear();
+  a.partial.clear();
+  a.nodes = 0;
+  for (const int group : touched_) {
+    const std::size_t g = static_cast<std::size_t>(group);
+    std::vector<GroupOccupant>& occupants = group_occupants_[g];
+    const GroupOccupant own = occupants.back();
+    a.nodes += own.count;
+    if (own.count != nodes_per_group_ || occupants.size() != 1) {
+      a.partial.push_back(group);
+      set_bit(group_dirty_, group);
+      continue;
+    }
+    occupants.pop_back();
+    group_owner_[g] = slot;
+    // A job stopped earlier in this sample may have marked it; its new
+    // owner writes it at the next advance().
+    clear_bit(group_dirty_, group);
+    const double base_w = idle_group_output_w_[g] - own.idle_sum_w;
+    if (!a.full.empty() && a.full.back().first + a.full.back().count == group &&
+        a.full.back().base_w == base_w) {
+      ++a.full.back().count;
+    } else {
+      a.full.push_back(FullRun{group, 1, base_w});
+    }
+  }
+  for (const FullRun& run : a.full) own_covered_racks(run, slot);
+
   a.job = job;
   a.start_time_s = start_time_s;
-  a.applied_node_w = 0.0;
   a.node_cfg = &cfg;
-  a.sole_conv.output_w = std::numeric_limits<double>::quiet_NaN();  // matches no load
-  a.lead_conv.output_w = std::numeric_limits<double>::quiet_NaN();
-  a.live = true;
-  a.settled = false;
-  // One occupant entry per touched group, nodes counted and idle powers
-  // summed in allocation order. A group's newest entry is this job's while
-  // it is being registered, so non-contiguous nodes fold into one entry.
-  // The loads themselves are recomputed at the next advance().
-  a.groups.clear();
-  for (const int node : nodes) {
-    const int group = node / nodes_per_group_;
-    std::vector<GroupOccupant>& occupants = group_occupants_[static_cast<std::size_t>(group)];
-    if (occupants.empty() || occupants.back().slot != slot) {
-      occupants.push_back(GroupOccupant{slot, 0, 0.0});
-      a.groups.push_back(group);
-      mark_dirty(group_dirty_, dirty_groups_, group);
-    }
-    occupants.back().count += 1;
-    occupants.back().idle_sum_w += idle_node_w_[static_cast<std::size_t>(node)];
-  }
-  active_nodes_ += static_cast<int>(nodes.size());
+  state_[s] = SlotState::kLive;
+  applied_w_[s] = kNaN;           // the first advance() writes every group
+  sole_conv_[s].output_w = kNaN;  // matches no load
+  lead_conv_[s].output_w = kNaN;
+  shared_rack_[s].load_w = kNaN;
+  active_nodes_ += a.nodes;
   return slot;
 }
 
+void RapsPowerModel::own_covered_racks(const FullRun& run, int owner) {
+  // The racks whose every group lies in the run carry one load in every
+  // group, so they can share one rack result.
+  const int first_rack = (run.first + groups_per_rack_ - 1) / groups_per_rack_;
+  const int end_rack = (run.first + run.count) / groups_per_rack_;
+  for (int r = first_rack; r < end_rack; ++r) rack_owner_[static_cast<std::size_t>(r)] = owner;
+}
+
 void RapsPowerModel::on_job_stop(int handle) {
-  require(handle >= 0 && handle < static_cast<int>(active_.size()) &&
-              active_[static_cast<std::size_t>(handle)].live,
+  require(handle >= 0 && handle < static_cast<int>(jobs_.size()) &&
+              state_[static_cast<std::size_t>(handle)] != SlotState::kFree,
           "on_job_stop: invalid or already-stopped job handle");
-  ActiveJob& a = active_[static_cast<std::size_t>(handle)];
-  for (const int group : a.groups) {
+  const std::size_t s = static_cast<std::size_t>(handle);
+  ActiveJob& a = jobs_[s];
+  for (const FullRun& run : a.full) {
+    own_covered_racks(run, -1);
+    for (int group = run.first; group < run.first + run.count; ++group) {
+      group_owner_[static_cast<std::size_t>(group)] = -1;
+      set_bit(group_dirty_, group);
+    }
+  }
+  for (const int group : a.partial) {
     std::vector<GroupOccupant>& occupants = group_occupants_[static_cast<std::size_t>(group)];
     const auto it = std::find_if(occupants.begin(), occupants.end(),
                                  [handle](const GroupOccupant& o) { return o.slot == handle; });
-    active_nodes_ -= it->count;
     occupants.erase(it);  // keeps the other occupants' summation order
-    mark_dirty(group_dirty_, dirty_groups_, group);
+    set_bit(group_dirty_, group);
   }
-  a.live = false;
+  active_nodes_ -= a.nodes;
+  state_[s] = SlotState::kFree;
   a.job = JobRecord{};
-  a.groups.clear();
+  a.full.clear();
+  a.partial.clear();
   a.node_cfg = nullptr;
   free_slots_.push_back(handle);
 }
@@ -146,15 +267,17 @@ void RapsPowerModel::on_job_stop(int handle) {
 // exadigit-hot-begin(power-advance)
 const PowerSample& RapsPowerModel::advance(double now) {
   const double quantum_s = config_.simulation.trace_quantum_s;
-  for (ActiveJob& a : active_) {
-    if (!a.live || a.settled) continue;
+  const double group_nodes = static_cast<double>(nodes_per_group_);
+  for (std::size_t s = 0; s < state_.size(); ++s) {
+    if (state_[s] != SlotState::kLive) continue;
+    const ActiveJob& a = jobs_[s];
     const JobRecord::Utilization u = a.job.utilization_at(now - a.start_time_s, quantum_s);
     const double p = a.node_cfg->power_w(u.cpu, u.gpu);  // Eq. (3)
-    if (p != a.applied_node_w) {
-      a.applied_node_w = p;
-      for (const int group : a.groups) mark_dirty(group_dirty_, dirty_groups_, group);
-    }
-    a.settled = u.settled;
+    if (u.settled) state_[s] = SlotState::kSettled;
+    if (p == applied_w_[s]) continue;
+    applied_w_[s] = p;
+    write_full_groups(s, group_nodes * p);
+    for (const int group : a.partial) set_bit(group_dirty_, group);
   }
   refresh_dirty_groups();
   refresh_dirty_racks();
@@ -162,36 +285,50 @@ const PowerSample& RapsPowerModel::advance(double now) {
   return sample_;
 }
 
-void RapsPowerModel::refresh_dirty_groups() {
-  for (const int g : dirty_groups_) {
-    const std::size_t gi = static_cast<std::size_t>(g);
-    group_dirty_[gi] = 0;
-    double occupied_idle_w = 0.0;
-    double busy_w = 0.0;
-    for (const GroupOccupant& o : group_occupants_[gi]) {
-      occupied_idle_w += o.idle_sum_w;
-      busy_w += static_cast<double>(o.count) *
-                active_[static_cast<std::size_t>(o.slot)].applied_node_w;
+void RapsPowerModel::write_full_groups(std::size_t slot, double busy_w) {
+  // A run's groups carry one load, and so do all runs of one base (every
+  // run of an ascending allocation), so they share one conversion.
+  GroupConversion& conv = sole_conv_[slot];
+  for (const FullRun& run : jobs_[slot].full) {
+    const double load = run.base_w + busy_w;
+    for (int group = run.first; group < run.first + run.count; ++group) {
+      const std::size_t g = static_cast<std::size_t>(group);
+      if (load == group_output_w_[g]) continue;
+      group_output_w_[g] = load;
+      if (conv.output_w != load) conv = GroupConversion::of(rack_model_.chain().convert(load));
+      group_conv_[g] = conv;
+      set_bit(rack_dirty_, group / groups_per_rack_);
     }
-    const double load = (idle_group_output_w_[gi] - occupied_idle_w) + busy_w;
-    // An unchanged load keeps its conversion and leaves the rack as it is.
-    if (load == group_output_w_[gi]) continue;
-    group_output_w_[gi] = load;
-    group_conv_[gi] = conversion_for(gi, load);
-    mark_dirty(rack_dirty_, dirty_racks_, g / groups_per_rack_);
   }
-  dirty_groups_.clear();
 }
 
-GroupConversion RapsPowerModel::conversion_for(std::size_t g, double load) {
-  if (load == idle_group_output_w_[g]) return idle_group_conv_[g];
-  // refresh_dirty_groups() is the only caller, and it gives a group without
-  // occupants exactly its idle load, so a loaded group has a first occupant.
-  const std::vector<GroupOccupant>& occupants = group_occupants_[g];
-  ActiveJob& first = active_[static_cast<std::size_t>(occupants.front().slot)];
-  GroupConversion& shared = occupants.size() == 1 ? first.sole_conv : first.lead_conv;
-  if (shared.output_w != load) shared = GroupConversion::of(rack_model_.chain().convert(load));
-  return shared;
+void RapsPowerModel::refresh_dirty_groups() {
+  drain_bits(group_dirty_, [this](int group) {
+    const std::size_t g = static_cast<std::size_t>(group);
+    const std::vector<GroupOccupant>& occupants = group_occupants_[g];
+    double occupied_idle_w = 0.0;
+    double busy_w = 0.0;
+    for (const GroupOccupant& o : occupants) {
+      occupied_idle_w += o.idle_sum_w;
+      busy_w += static_cast<double>(o.count) * applied_w_[static_cast<std::size_t>(o.slot)];
+    }
+    const double load = (idle_group_output_w_[g] - occupied_idle_w) + busy_w;
+    // An unchanged load keeps its conversion and leaves the rack as it is.
+    if (load == group_output_w_[g]) return;
+    group_output_w_[g] = load;
+    set_bit(rack_dirty_, group / groups_per_rack_);
+    if (load == idle_group_output_w_[g]) {
+      group_conv_[g] = idle_group_conv_[g];
+      return;
+    }
+    // A group without occupants has exactly its idle load, so a loaded
+    // group has a first occupant: it holds the conversion for a group it
+    // occupies alone, or for a shared group it leads.
+    const std::size_t first = static_cast<std::size_t>(occupants.front().slot);
+    GroupConversion& shared = occupants.size() == 1 ? sole_conv_[first] : lead_conv_[first];
+    if (shared.output_w != load) shared = GroupConversion::of(rack_model_.chain().convert(load));
+    group_conv_[g] = shared;
+  });
 }
 
 RackPowerResult RapsPowerModel::evaluate_rack(int r) const {
@@ -200,26 +337,36 @@ RackPowerResult RapsPowerModel::evaluate_rack(int r) const {
       static_cast<std::size_t>(groups_per_rack_)));
 }
 
+const RackPowerResult& RapsPowerModel::shared_rack(std::size_t slot, int r) {
+  SharedRack& shared = shared_rack_[slot];
+  const double load =
+      group_output_w_[static_cast<std::size_t>(r) * static_cast<std::size_t>(groups_per_rack_)];
+  if (shared.load_w != load) {
+    shared.result = evaluate_rack(r);
+    shared.load_w = load;
+  }
+  return shared.result;
+}
+
 void RapsPowerModel::refresh_dirty_racks() {
-  if (dirty_racks_.empty()) return;
-  // Rack order fixes the accumulation (and its rounding) independently of
-  // which job dirtied a rack first, and walks group_conv_ in order.
-  std::sort(dirty_racks_.begin(), dirty_racks_.end());
-  for (const int r : dirty_racks_) {
-    const RackPowerResult fresh = evaluate_rack(r);
-    const RackPowerResult& old = rack_results_[static_cast<std::size_t>(r)];
+  // Ascending rack order fixes the accumulation (and its rounding)
+  // independently of which job dirtied a rack first.
+  drain_bits(rack_dirty_, [this](int r) {
+    const std::size_t ri = static_cast<std::size_t>(r);
+    const int owner = rack_owner_[ri];
+    const RackPowerResult fresh =
+        owner >= 0 ? shared_rack(static_cast<std::size_t>(owner), r) : evaluate_rack(r);
+    const RackPowerResult& old = rack_results_[ri];
     total_input_w_ += fresh.input_w - old.input_w;
     total_output_w_ += fresh.node_output_w - old.node_output_w;
     switch_output_w_ += fresh.switch_output_w - old.switch_output_w;
     rect_loss_w_ += fresh.rectifier_loss_w - old.rectifier_loss_w;
     sivoc_loss_w_ += fresh.sivoc_loss_w - old.sivoc_loss_w;
-    rack_wall_w_[static_cast<std::size_t>(r)] = fresh.input_w;
+    rack_wall_w_[ri] = fresh.input_w;
     cdu_wall_w_[static_cast<std::size_t>(config_.cdu_of_rack(r))] +=
         fresh.input_w - old.input_w;
-    rack_results_[static_cast<std::size_t>(r)] = fresh;
-    rack_dirty_[static_cast<std::size_t>(r)] = 0;
-  }
-  dirty_racks_.clear();
+    rack_results_[ri] = fresh;
+  });
 }
 // exadigit-hot-end
 
@@ -239,9 +386,8 @@ void RapsPowerModel::fold_all_racks() {
     switch_output_w_ += rack.switch_output_w;
     rect_loss_w_ += rack.rectifier_loss_w;
     sivoc_loss_w_ += rack.sivoc_loss_w;
-    rack_dirty_[static_cast<std::size_t>(r)] = 0;
   }
-  dirty_racks_.clear();
+  std::fill(rack_dirty_.begin(), rack_dirty_.end(), 0);
 }
 
 void RapsPowerModel::fill_sample(double now) {
@@ -260,11 +406,17 @@ void RapsPowerModel::fill_sample(double now) {
 const PowerSample& RapsPowerModel::recompute(double now,
                                              std::span<const RunningJobView> running) {
   // Full rebuild; any incrementally registered jobs are dropped.
-  active_.clear();
+  jobs_.clear();
+  state_.clear();
+  applied_w_.clear();
+  sole_conv_.clear();
+  lead_conv_.clear();
+  shared_rack_.clear();
   free_slots_.clear();
   for (std::vector<GroupOccupant>& occupants : group_occupants_) occupants.clear();
+  std::fill(group_owner_.begin(), group_owner_.end(), -1);
+  std::fill(rack_owner_.begin(), rack_owner_.end(), -1);
   std::fill(group_dirty_.begin(), group_dirty_.end(), 0);
-  dirty_groups_.clear();
   group_output_w_ = idle_group_output_w_;
   active_nodes_ = 0;
   for (const auto& view : running) {
@@ -276,7 +428,7 @@ const PowerSample& RapsPowerModel::recompute(double now,
     active_nodes_ += static_cast<int>(view.nodes->size());
     for (const int node : *view.nodes) {
       group_output_w_[static_cast<std::size_t>(node / nodes_per_group_)] +=
-          p_node - idle_node_w_[static_cast<std::size_t>(node)];
+          p_node - node_idle_w(node);
     }
   }
   // Racks by the exact reference, which also stores each group's

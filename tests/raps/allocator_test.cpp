@@ -17,6 +17,25 @@ TEST(AllocatorTest, FrontierCapacity) {
   EXPECT_EQ(alloc.free_nodes(), 9472);
 }
 
+/// A machine whose node count is not a multiple of 64: the last free-map
+/// word holds only real nodes, and the bits past the last node never
+/// count as free.
+TEST(AllocatorTest, PartialLastWordHoldsOnlyRealNodes) {
+  SystemConfig config = frontier_system_config();
+  config.rack_count = 3;
+  config.rack.nodes_per_rack = 40;  // 120 nodes: one full word and 56 bits
+  NodeAllocator alloc(config);
+  EXPECT_EQ(alloc.free_nodes(), 120);
+  EXPECT_TRUE(alloc.is_free(119));
+  EXPECT_FALSE(alloc.allocate(121).has_value());
+  const auto all = alloc.allocate(120);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(all->back(), 119);
+  EXPECT_FALSE(alloc.allocate(1).has_value());
+  alloc.release(*all);
+  EXPECT_EQ(alloc.free_nodes(), 120);
+}
+
 TEST(AllocatorTest, ContiguousFirstFit) {
   NodeAllocator alloc(frontier_system_config());
   const auto nodes = alloc.allocate(128);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -22,6 +23,8 @@ class PowerModelTest : public ::testing::Test {
     std::iota(nodes.begin(), nodes.end(), first);
     return nodes;
   }
+
+  static void expect_job_major_state_matches_fresh_sums(const SystemConfig& config);
 
   /// Exact element-wise equality (EXPECT_EQ on doubles compares bits).
   static void expect_bit_equal(const std::vector<double>& got, const std::vector<double>& want,
@@ -372,6 +375,209 @@ TEST_F(PowerModelTest, StoredGroupConversionsMatchTheChainAfterChurn) {
   model_.on_job_stop(h);
   (void)model_.advance(62 * q);
   expect_consistent(model_, "stop after recompute");
+}
+
+/// Drives `config`'s incremental model through churn that exercises every
+/// job-major path: jobs on whole racks, on whole groups, on groups they hold
+/// in part and on groups they share; scattered and revisited node lists; a
+/// job started and stopped between two samples; stops whose slots later
+/// starts reuse, also within one sample on the same nodes. After every
+/// advance() each group's load must equal the occupancy sum recomputed from
+/// scratch, (idle baseline - sum of occupant idle) + sum of count x p with
+/// occupants in start order; each stored conversion must be the chain's
+/// conversion of that load; and each rack's wall power must be the rack sum
+/// over the stored conversions.
+void PowerModelTest::expect_job_major_state_matches_fresh_sums(const SystemConfig& config) {
+  const RackPowerModel racks(config.rack, config.power);
+  const ConversionChain chain(config.power);
+  const int npg = racks.nodes_per_group();
+  const int gpr = racks.groups_per_rack();
+  const int npr = config.rack.nodes_per_rack;
+  const std::size_t groups = static_cast<std::size_t>(config.rack_count * gpr);
+  const double q = config.simulation.trace_quantum_s;
+  auto node_idle_w = [&](int node) {
+    int end = 0;
+    for (const auto& p : config.partitions) {
+      end += p.node_count;
+      if (node < end) return p.node.idle_power_w();
+    }
+    return config.node.idle_power_w();
+  };
+  auto node_config = [&](const JobRecord& job) -> const NodeConfig& {
+    for (const auto& p : config.partitions) {
+      if (p.name == job.partition) return p.node;
+    }
+    return config.node;
+  };
+  std::vector<double> baseline(groups, 0.0);
+  for (int node = 0; node < config.total_nodes(); ++node) {
+    baseline[static_cast<std::size_t>(node / npg)] += node_idle_w(node);
+  }
+
+  struct Running {
+    JobRecord job;
+    std::vector<int> nodes;
+    double start_s = 0.0;
+    int handle = -1;
+  };
+  RapsPowerModel model(config);
+  std::vector<Running> running;  // start order
+  std::vector<char> busy(static_cast<std::size_t>(config.total_nodes()), 0);
+  Rng rng(4242);
+  auto start = [&](std::vector<int> nodes, double now, bool varying) {
+    JobRecord job = make_constant_job(0.0, 1e6, static_cast<int>(nodes.size()), rng.uniform(),
+                                      rng.uniform());
+    // The partition of the first node, when the job stays inside it.
+    int end = 0;
+    for (const auto& p : config.partitions) {
+      const int begin = end;
+      end += p.node_count;
+      const auto inside = [&](int n) { return n >= begin && n < end; };
+      if (std::all_of(nodes.begin(), nodes.end(), inside)) job.partition = p.name;
+    }
+    if (varying) {
+      for (int k = 0; k < 3 + static_cast<int>(rng.uniform() * 6.0); ++k) {
+        job.cpu_util_trace.push_back(rng.uniform());
+        job.gpu_util_trace.push_back(rng.uniform());
+      }
+    }
+    for (const int n : nodes) {
+      ASSERT_EQ(busy[static_cast<std::size_t>(n)], 0) << "node " << n;
+      busy[static_cast<std::size_t>(n)] = 1;
+    }
+    const int handle = model.on_job_start(job, nodes, now);
+    running.push_back(Running{std::move(job), std::move(nodes), now, handle});
+  };
+  auto stop = [&](std::size_t k) {
+    model.on_job_stop(running[k].handle);
+    for (const int n : running[k].nodes) busy[static_cast<std::size_t>(n)] = 0;
+    running.erase(running.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+  auto expect_fresh_sums = [&](double now, int step) {
+    std::vector<double> occupied_idle(groups, 0.0);
+    std::vector<double> busy_w(groups, 0.0);
+    int active = 0;
+    for (const Running& r : running) {
+      const JobRecord::Utilization u = r.job.utilization_at(now - r.start_s, q);
+      const double p = node_config(r.job).power_w(u.cpu, u.gpu);
+      // The job's count and idle sum per group, in node-list order.
+      std::vector<int> count(groups, 0);
+      std::vector<double> idle(groups, 0.0);
+      std::vector<std::size_t> touched;
+      for (const int n : r.nodes) {
+        const std::size_t g = static_cast<std::size_t>(n / npg);
+        if (count[g] == 0) touched.push_back(g);
+        ++count[g];
+        idle[g] += node_idle_w(n);
+      }
+      for (const std::size_t g : touched) {
+        occupied_idle[g] += idle[g];
+        busy_w[g] += static_cast<double>(count[g]) * p;
+      }
+      active += static_cast<int>(r.nodes.size());
+    }
+    EXPECT_EQ(model.sample().active_nodes, active) << "step " << step;
+    const std::vector<double>& loads = model.group_output_w();
+    const std::vector<GroupConversion>& stored = model.group_conversions();
+    ASSERT_EQ(loads.size(), groups);
+    for (std::size_t g = 0; g < groups; ++g) {
+      const double want = (baseline[g] - occupied_idle[g]) + busy_w[g];
+      ASSERT_EQ(loads[g], want) << "step " << step << " group " << g;
+      const ConversionResult c = chain.convert(want);
+      ASSERT_EQ(stored[g].output_w, c.output_w) << "step " << step << " group " << g;
+      ASSERT_EQ(stored[g].input_w, c.input_w) << "step " << step << " group " << g;
+      ASSERT_EQ(stored[g].rectifier_loss_w, c.rectifier_loss_w) << "step " << step;
+      ASSERT_EQ(stored[g].sivoc_loss_w, c.sivoc_loss_w) << "step " << step;
+      ASSERT_EQ(stored[g].overloaded, c.overloaded) << "step " << step;
+    }
+    for (int r = 0; r < config.rack_count; ++r) {
+      const RackPowerResult want = racks.from_group_conversions(std::span<const GroupConversion>(
+          stored.data() + static_cast<std::size_t>(r * gpr), static_cast<std::size_t>(gpr)));
+      ASSERT_EQ(model.rack_wall_power_w()[static_cast<std::size_t>(r)], want.input_w)
+          << "step " << step << " rack " << r;
+    }
+  };
+
+  // Fixed placements first: two whole racks, whole groups inside a rack,
+  // whole groups with part-held edges, a group held in part alone, a group
+  // three jobs share, a scattered list that revisits a group, and a whole
+  // group listed in descending node order.
+  const std::vector<int> whole_racks = node_range(0, 2 * npr);
+  start(whole_racks, 0.0, true);
+  start(node_range(2 * npr + npg, 3 * npg), 0.0, true);
+  start(node_range(3 * npr + 5, 3 * npg), 0.0, true);
+  start(node_range(4 * npr + 3, 5), 0.0, true);
+  start(node_range(5 * npr, 4), 0.0, true);
+  start(node_range(5 * npr + 4, 7), 0.0, false);
+  start(node_range(5 * npr + 11, 5), 0.0, true);
+  start({6 * npr + 1, 6 * npr + 2, 6 * npr + 3 * npg, 6 * npr + 3, 6 * npr + 3 * npg + 1}, 0.0,
+        true);
+  std::vector<int> descending = node_range(7 * npr, npg);
+  std::reverse(descending.begin(), descending.end());
+  start(descending, 0.0, true);
+  // Started and stopped between two samples: its groups stay idle.
+  start(node_range(8 * npr, npg + 3), 0.0, true);
+  stop(running.size() - 1);
+
+  const int total = config.total_nodes();
+  for (int step = 0; step < 80; ++step) {
+    const double now = step * q;
+    if (step == 3) {
+      // The whole-rack job stops and a new job takes the same racks within
+      // the sample: it reuses the freed slot and the racks' groups.
+      stop(0);
+      start(whole_racks, now, true);
+    }
+    if (!running.empty() && rng.uniform() < 0.35) {
+      stop(static_cast<std::size_t>(rng.uniform() * static_cast<double>(running.size())));
+    }
+    // A start on the free nodes of a random window: rack- or group-aligned
+    // now and then, so whole racks and groups keep appearing.
+    const double kind = rng.uniform();
+    const int align = kind < 0.2 ? npr : (kind < 0.5 ? npg : 1);
+    const int first = static_cast<int>(rng.uniform() * (total - 2 * npr)) / align * align;
+    const int span = align == npr ? npr * (1 + static_cast<int>(rng.uniform() * 2.0))
+                                  : 1 + static_cast<int>(rng.uniform() * 3.0 * npg);
+    std::vector<int> nodes;
+    for (int n = first; n < first + span && n < total; ++n) {
+      if (busy[static_cast<std::size_t>(n)] == 0) nodes.push_back(n);
+    }
+    if (!nodes.empty()) start(std::move(nodes), now, rng.uniform() < 0.8);
+    (void)model.advance(now);
+    expect_fresh_sums(now, step);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_F(PowerModelTest, JobMajorStateMatchesFreshSumsAfterChurn) {
+  expect_job_major_state_matches_fresh_sums(config_);
+}
+
+/// Two partitions that idle at different powers, and a layout whose
+/// partition boundary splits a group, so group baselines differ and one
+/// group mixes idle powers.
+TEST_F(PowerModelTest, JobMajorStateMatchesFreshSumsOnTwoPartitions) {
+  expect_job_major_state_matches_fresh_sums(setonix_like_config());
+  SystemConfig split = setonix_like_config();
+  split.partitions[0].node_count = 1000;
+  split.partitions[1].node_count = 536;
+  expect_job_major_state_matches_fresh_sums(split);
+}
+
+/// A node in a group another running job holds whole is refused, and the
+/// refused start leaves the model as it was.
+TEST_F(PowerModelTest, StartInAWhollyHeldGroupThrowsAndChangesNothing) {
+  const JobRecord whole = make_constant_job(0.0, 1000.0, 32, 0.7, 0.4);
+  (void)model_.on_job_start(whole, node_range(0, 32), 0.0);
+  const JobRecord other = make_constant_job(0.0, 1000.0, 3, 0.2, 0.9);
+  EXPECT_THROW((void)model_.on_job_start(other, {40, 41, 5}, 0.0), ConfigError);
+  EXPECT_THROW((void)model_.on_job_start(other, {40, 41, 9472}, 0.0), ConfigError);
+  const PowerSample& s = model_.advance(15.0);
+  RapsPowerModel fresh(config_);
+  (void)fresh.on_job_start(whole, node_range(0, 32), 0.0);
+  EXPECT_EQ(s.system_power_w, fresh.advance(15.0).system_power_w);
+  EXPECT_EQ(s.active_nodes, 32);
+  expect_bit_equal(model_.group_output_w(), fresh.group_output_w(), "group");
 }
 
 /// A job whose traces have both reached their last sample is settled:
