@@ -2,8 +2,7 @@
 /// resident twin serving many experiments).
 ///
 ///   exadigit_server [--host H] [--port P] [--jobs N] [--cache-entries N]
-///                   [--dataset-entries N] [--dataset-resident-mb M]
-///                   [--max-frame-mb N]
+///                   [--dataset-resident-mb M] [--max-frame-mb N]
 ///
 /// Accepts framed JSON requests over TCP (framing and envelopes documented
 /// in src/server/framing.hpp and src/server/scenario_service.hpp) and keeps
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   int port = 0;
   int jobs = 0;
   int cache_entries = 256;
-  int dataset_entries = 8;
   double dataset_resident_mb = 512.0;
   int max_frame_mb = 64;
   ArgParser parser;
@@ -46,7 +44,6 @@ int main(int argc, char** argv) {
       .add_int("--port", &port)
       .add_int("--jobs", &jobs)
       .add_int("--cache-entries", &cache_entries)
-      .add_int("--dataset-entries", &dataset_entries)
       .add_double("--dataset-resident-mb", &dataset_resident_mb)
       .add_int("--max-frame-mb", &max_frame_mb);
   try {
@@ -54,7 +51,6 @@ int main(int argc, char** argv) {
             "exadigit_server takes no positional arguments");
     require(port >= 0 && port <= 65535, "--port must be in [0, 65535]");
     require(cache_entries >= 0, "--cache-entries must be >= 0");
-    require(dataset_entries >= 0, "--dataset-entries must be >= 0");
     require(dataset_resident_mb >= 0.0, "--dataset-resident-mb must be >= 0");
     require(max_frame_mb > 0, "--max-frame-mb must be positive");
 
@@ -63,7 +59,6 @@ int main(int argc, char** argv) {
     options.port = static_cast<std::uint16_t>(port);
     options.jobs = jobs;
     options.cache_entries = static_cast<std::size_t>(cache_entries);
-    options.dataset_entries = static_cast<std::size_t>(dataset_entries);
     options.dataset_resident_mb = dataset_resident_mb;
     options.max_frame_bytes = static_cast<std::size_t>(max_frame_mb) << 20;
 

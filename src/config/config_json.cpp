@@ -193,7 +193,6 @@ Json cooling_to_json(const CoolingConfig& c) {
 
   j["cooling_efficiency"] = Json(c.cooling_efficiency);
   j["staging_delay_s"] = Json(c.staging_delay_s);
-  j["step_s"] = Json(c.step_s);
   j["thermal_substep_s"] = Json(c.thermal_substep_s);
   return j;
 }
@@ -258,7 +257,6 @@ CoolingConfig cooling_from_json(const Json& j, const CoolingConfig& d) {
   }
   c.cooling_efficiency = j.number_or("cooling_efficiency", c.cooling_efficiency);
   c.staging_delay_s = j.number_or("staging_delay_s", c.staging_delay_s);
-  c.step_s = j.number_or("step_s", c.step_s);
   c.thermal_substep_s = j.number_or("thermal_substep_s", c.thermal_substep_s);
   return c;
 }

@@ -8,7 +8,11 @@
 /// and the power system". These functions define that exchange format. A
 /// round-trip (`system_config_from_json(system_config_to_json(c))`) is
 /// lossless; missing optional fields take the Frontier defaults, and keys
-/// the descriptor does not define are ignored.
+/// the descriptor does not define are ignored. That includes the retired
+/// keys older descriptors carry: the evaluation strategies
+/// (simulation.engine, cooling.hydraulics, cooling.thermal) and
+/// cooling.step_s, a second exchange quantum (every plant caller steps at
+/// simulation.cooling_quantum_s).
 
 #include "config/system_config.hpp"
 #include "json/json.hpp"

@@ -122,7 +122,6 @@ SystemConfig frontier_system_config() {
 
   cool.cooling_efficiency = 0.945;
   cool.staging_delay_s = 120.0;
-  cool.step_s = 15.0;
   cool.thermal_substep_s = 3.0;
 
   c.simulation = SimulationConfig{};

@@ -83,13 +83,12 @@ void SystemConfig::validate() const {
           "dc feed efficiency must be in (0,1]");
   require(cooling.cooling_efficiency > 0.0 && cooling.cooling_efficiency <= 1.0,
           "cooling efficiency must be in (0,1]");
-  require(cooling.step_s > 0.0, "cooling step must be positive");
-  require(cooling.thermal_substep_s > 0.0 &&
-              cooling.thermal_substep_s <= cooling.step_s,
-          "thermal substep must be in (0, step]");
   require(simulation.tick_s > 0.0, "tick must be positive");
   require(simulation.cooling_quantum_s >= simulation.tick_s,
           "cooling quantum must be >= tick");
+  require(cooling.thermal_substep_s > 0.0 &&
+              cooling.thermal_substep_s <= simulation.cooling_quantum_s,
+          "cooling.thermal_substep_s must be in (0, simulation.cooling_quantum_s]");
   // Utilization traces are indexed by time / trace quantum.
   require(std::isfinite(simulation.trace_quantum_s) && simulation.trace_quantum_s > 0.0,
           "trace quantum must be finite and positive");
@@ -110,6 +109,13 @@ void SystemConfig::validate() const {
   require(cooling.cdu.pump.design_flow_m3s > 0, "cdu pump design flow missing");
   require(cooling.primary.pump.design_flow_m3s > 0, "htwp design flow missing");
   require(cooling.ct.pump.design_flow_m3s > 0, "ctwp design flow missing");
+  // The thermal integrator divides each loop's flow by half its volume.
+  require(std::isfinite(cooling.cdu.secondary_volume_m3) && cooling.cdu.secondary_volume_m3 > 0.0,
+          "cooling.cdu.secondary_volume_m3 must be finite and positive");
+  require(std::isfinite(cooling.primary.volume_m3) && cooling.primary.volume_m3 > 0.0,
+          "cooling.primary.volume_m3 must be finite and positive");
+  require(std::isfinite(cooling.ct.volume_m3) && cooling.ct.volume_m3 > 0.0,
+          "cooling.ct.volume_m3 must be finite and positive");
   require(cooling.ct.tower.tower_count > 0 && cooling.ct.tower.cells_per_tower > 0,
           "cooling tower layout missing");
   require(!cooling.ct.tower.effectiveness.empty(), "cooling tower effectiveness curve missing");

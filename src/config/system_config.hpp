@@ -224,16 +224,20 @@ struct CoolingConfig {
   /// First-order lag (s) of the CT-loop / primary-loop staging interaction
   /// (the paper's "delay transfer function", Section III-C5).
   double staging_delay_s = 120.0;
-  /// Cooling model exchange quantum with RAPS (paper: 15 s).
-  double step_s = 15.0;
-  /// Internal thermal substep for the finite-volume integrator.
+  /// Internal thermal substep for the finite-volume integrator, in
+  /// (0, simulation.cooling_quantum_s]: every plant caller steps the plant
+  /// at that one exchange quantum. A step is split further when its flows
+  /// need it, so that no substep moves a half-volume's worth of coolant
+  /// through any volume (CoolingPlantModel::step).
   double thermal_substep_s = 3.0;
 };
 
 /// Simulation clocking (paper Algorithm 1).
 struct SimulationConfig {
   double tick_s = 1.0;            ///< scheduler/power tick (event-time grid)
-  double cooling_quantum_s = 15.0;  ///< FMU call cadence
+  /// The RAPS <-> plant exchange quantum (paper: 15 s); every plant caller
+  /// steps the plant by it.
+  double cooling_quantum_s = 15.0;
   double trace_quantum_s = 15.0;    ///< CPU/GPU utilization trace resolution
 };
 

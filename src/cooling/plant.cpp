@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "cooling/fluid.hpp"
 #include "cooling/heat_exchanger.hpp"
 
@@ -293,6 +294,51 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
   outputs_.fan_speed = fan_speed;
 }
 
+int CoolingPlantModel::thermal_substeps(double dt) const {
+  const CoolingConfig& cool = config_.cooling;
+  double q_cdu = 0.0;
+  for (const auto& loop : cdu_loops_) {
+    if (!(loop.net.flow_m3s() <= q_cdu)) q_cdu = loop.net.flow_m3s();
+  }
+  struct Volume {
+    const char* key;
+    double volume_m3;
+    double flow_m3s;
+  };
+  const Volume volumes[] = {
+      {"cooling.cdu.secondary_volume_m3", cool.cdu.secondary_volume_m3, q_cdu},
+      {"cooling.primary.volume_m3", cool.primary.volume_m3, pri_net_.flow_m3s()},
+      {"cooling.ct.volume_m3", cool.ct.volume_m3, ct_net_.flow_m3s()},
+  };
+  // The fastest volume (largest q / V_half) sets the stability bound. A NaN
+  // flow or rate wins each comparison, so it ends in the error below.
+  const Volume* fastest = &volumes[0];
+  double rate = 0.0;
+  for (const Volume& v : volumes) {
+    const double r = v.flow_m3s / (0.5 * v.volume_m3);
+    if (!(r <= rate)) {
+      rate = r;
+      fastest = &v;
+    }
+  }
+  // Counted in double, so a huge or NaN count throws instead of wrapping.
+  const double requested = std::round(dt / cool.thermal_substep_s);
+  const double stable = std::floor(dt * rate) + 1.0;
+  const double substeps = stable < requested ? requested : stable;
+  if (!(substeps <= kMaxThermalSubsteps)) {
+    const std::string what = "a " + format_double(dt) + " s plant step needs " +
+                             format_double(substeps) + " thermal substeps, more than " +
+                             std::to_string(kMaxThermalSubsteps) + ": ";
+    if (stable < requested) {
+      throw ConfigError(what + "cooling.thermal_substep_s is " +
+                        format_double(cool.thermal_substep_s) + " s");
+    }
+    throw ConfigError(what + fastest->key + " is " + format_double(fastest->volume_m3) +
+                      " m3 at a flow of " + format_double(fastest->flow_m3s) + " m3/s");
+  }
+  return static_cast<int>(substeps);
+}
+
 // exadigit-hot-begin(plant-hydraulics-thermal)
 void CoolingPlantModel::solve_hydraulics() {
   double residual = hydraulics_stats_.max_mass_residual_rel;
@@ -310,8 +356,8 @@ void CoolingPlantModel::solve_hydraulics() {
 
 void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt) {
   const CoolingConfig& cool = config_.cooling;
-  const double sub = cool.thermal_substep_s;
-  const int substeps = std::max(1, static_cast<int>(std::lround(dt / sub)));
+  // One count for both thermal paths, so they stay bit-identical.
+  const int substeps = thermal_substeps(dt);
   const double h = dt / static_cast<double>(substeps);
 
   const double q_pri_total = pri_net_.flow_m3s();

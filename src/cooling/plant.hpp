@@ -135,8 +135,24 @@ class CoolingPlantModel {
   /// cleared too. The thermal evaluation strategy stays.
   void reset(double ambient_c = 25.0);
 
-  /// Advances the plant by `dt` seconds (typically the 15 s exchange
-  /// quantum) under the given boundary conditions and returns the outputs.
+  /// Most thermal substeps one step may take. At Frontier's defaults a 15 s
+  /// step takes 5; a step that would need more than this throws.
+  static constexpr int kMaxThermalSubsteps = 4096;
+
+  /// Advances the plant by `dt` seconds (simulation.cooling_quantum_s for
+  /// every caller in the library; the twin's final partial step is shorter)
+  /// under the given boundary conditions and returns the outputs.
+  ///
+  /// Controls and hydraulics update once, then the finite volumes integrate
+  /// with explicit Euler over n equal substeps,
+  ///   n = max(round(dt / thermal_substep_s), floor(dt * r) + 1),
+  /// where r is the step's largest q / V_half: the largest CDU secondary
+  /// flow over half the CDU volume, the primary flow over half its volume
+  /// and the tower flow over half its volume. Flows hold for the step, so no
+  /// substep reaches h * q / V_half = 1, where the update stops being
+  /// monotone (it is unstable from 2). A step that needs more than
+  /// kMaxThermalSubsteps throws a ConfigError naming the volume (or
+  /// thermal_substep_s) that asks for them.
   const PlantOutputs& step(const CoolingInputs& inputs, double dt);
 
   [[nodiscard]] const PlantOutputs& outputs() const { return outputs_; }
@@ -242,6 +258,8 @@ class CoolingPlantModel {
   void build_loops();
   void update_controls(const CoolingInputs& inputs, double dt);
   void solve_hydraulics();
+  /// The substep count of a step of `dt` under the current flows (see step()).
+  [[nodiscard]] int thermal_substeps(double dt) const;
   void integrate_thermal(const CoolingInputs& inputs, double dt);
   void collect_outputs(const CoolingInputs& inputs);
 };

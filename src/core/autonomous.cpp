@@ -23,7 +23,7 @@ SetpointCandidate evaluate_offset(const SystemConfig& config, double system_powe
                            config.cdu_count);
   in.wetbulb_c = wetbulb_c;
   in.system_power_w = system_power_w;
-  const double dt = config.cooling.step_s;
+  const double dt = config.simulation.cooling_quantum_s;
   const int steps =
       static_cast<int>(optimizer.settle_hours * units::kSecondsPerHour / dt);
   for (int i = 0; i < steps; ++i) plant.step(in, dt);

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/statistics.hpp"
 #include "common/units.hpp"
 
@@ -82,6 +83,15 @@ PowerReplayResult replay_power(const SystemConfig& config, const TelemetryDatase
 PowerReplayResult replay_power(const SystemConfig& config, ChunkedTelemetrySource& source,
                                bool with_cooling) {
   const DatasetHeader& header = source.header();
+  // The engine and the power model index every job trace by the config's
+  // trace quantum, so a dataset recorded at another one would replay its
+  // traces at the wrong speed.
+  if (header.trace_quantum_s != config.simulation.trace_quantum_s) {
+    throw ConfigError("dataset recorded at a trace quantum of " +
+                      format_double(header.trace_quantum_s) +
+                      " s cannot replay under simulation.trace_quantum_s = " +
+                      format_double(config.simulation.trace_quantum_s) + " s");
+  }
   DigitalTwinOptions options;
   options.enable_cooling = with_cooling;
   options.start_time_s = header.start_time_s;
@@ -167,7 +177,7 @@ CoolingValidationResult validate_cooling(const SystemConfig& config,
   CoolingFmu fmu(config);
   fmu.setup_experiment(dataset.start_time_s);
 
-  const double dt = config.cooling.step_s;
+  const double dt = config.simulation.cooling_quantum_s;
   const double t0 = dataset.start_time_s;
   const std::size_t steps = static_cast<std::size_t>(dataset.duration_s / dt);
 

@@ -92,7 +92,7 @@ CoolingExtensionResult run_cooling_extension_whatif(const SystemConfig& config,
     in.wetbulb_c = wetbulb_c;
     in.system_power_w = base_system_power_w + extra_w;
     // Six simulated hours is ample for the plant to settle.
-    const double dt = config.cooling.step_s;
+    const double dt = config.simulation.cooling_quantum_s;
     const int steps = static_cast<int>(6.0 * 3600.0 / dt);
     for (int i = 0; i < steps; ++i) plant.step(in, dt);
     return plant.outputs();

@@ -56,8 +56,8 @@ std::vector<ScenarioResult> ScenarioRunner::run(const std::vector<ScenarioSpec>&
       result.status = ScenarioResult::Status::kFailed;
       result.error = e.what();
     } catch (...) {
-      // User-registered factories may throw anything; an escape would
-      // std::terminate the pool and take the whole batch down.
+      // User-registered factories may throw anything; an escape would stop
+      // its lane and take the whole batch down.
       result.name = effective[i].name;
       result.type = effective[i].type;
       result.status = ScenarioResult::Status::kFailed;
@@ -74,8 +74,7 @@ std::vector<ScenarioResult> ScenarioRunner::run(const std::vector<ScenarioSpec>&
                                         : static_cast<std::size_t>(
                                               std::thread::hardware_concurrency());
   width = std::clamp<std::size_t>(width, 1, effective.size());
-  ThreadPool pool(static_cast<int>(width));
-  pool.parallel_for_dynamic(effective.size(), run_one);
+  parallel_for_dynamic(static_cast<int>(width), effective.size(), run_one);
   return results;
 }
 

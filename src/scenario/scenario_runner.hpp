@@ -1,15 +1,16 @@
 #pragma once
 
 /// @file scenario_runner.hpp
-/// Concurrent batch execution of scenarios over a worker pool.
+/// Concurrent batch execution of scenarios on parallel lanes.
 ///
 /// The paper runs whole families of experiments at once — 183 replay days
 /// "in parallel on a single Frontier node" — and the service view of the
 /// twin evaluates many policies concurrently. The runner reproduces that
-/// shape for declarative batches: N workers pull specs from a shared
-/// queue, every spec gets a deterministic seed (its own, or one derived
-/// from the batch seed and its position), per-scenario status is reported
-/// through a callback, and one failed scenario never takes down the batch.
+/// shape for declarative batches: N lanes take specs from a shared cursor
+/// (parallel_for_dynamic, common/thread_pool.hpp), every spec gets a
+/// deterministic seed (its own, or one derived from the batch seed and its
+/// position), per-scenario status is reported through a callback, and one
+/// failed scenario never takes down the batch.
 
 #include <cstdint>
 #include <functional>
@@ -30,8 +31,8 @@ namespace exadigit {
 class ScenarioRunner {
  public:
   struct Options {
-    /// Worker cap; <= 0 means hardware concurrency. The pool never exceeds
-    /// the number of scenarios.
+    /// Lane cap; <= 0 means hardware concurrency. A batch never runs on
+    /// more lanes than it has scenarios.
     int jobs = 0;
     /// Base seed for specs without one (see derive_scenario_seed).
     std::uint64_t batch_seed = 42;
@@ -54,7 +55,7 @@ class ScenarioRunner {
   ScenarioRunner() = default;
   explicit ScenarioRunner(Options options) : options_(std::move(options)) {}
 
-  /// Runs every spec through `registry` on the worker pool and returns the
+  /// Runs every spec through `registry` on up to `jobs` lanes and returns the
   /// results in spec order. A factory throw marks that scenario kFailed
   /// (result.error holds the message) and the batch continues.
   [[nodiscard]] std::vector<ScenarioResult> run(

@@ -83,21 +83,16 @@ ScenarioService::ScenarioService(Options options)
   if (jobs <= 0) jobs = 1;
   workers_.reserve(static_cast<std::size_t>(jobs));
   for (int i = 0; i < jobs; ++i) workers_.emplace_back([this] { worker_loop(); });
-  if (options_.dataset_entries > 0) {
-    set_scenario_dataset_loader(
-        [this](const ScenarioSource& source) { return load_resident_dataset(source); });
-    set_scenario_chunk_source_opener([this](const ScenarioSource& source) {
-      return open_resident_chunk_source(source);
-    });
-  }
+  set_scenario_dataset_loader(
+      [this](const ScenarioSource& source) { return load_resident_dataset(source); });
+  set_scenario_chunk_source_opener(
+      [this](const ScenarioSource& source) { return open_resident_chunk_source(source); });
 }
 
 ScenarioService::~ScenarioService() {
   // Uninstall the seams before anything they capture is torn down.
-  if (options_.dataset_entries > 0) {
-    set_scenario_dataset_loader({});
-    set_scenario_chunk_source_opener({});
-  }
+  set_scenario_dataset_loader({});
+  set_scenario_chunk_source_opener({});
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     stop_ = true;

@@ -73,16 +73,13 @@ class ScenarioService {
     int jobs = 0;
     /// Result-cache capacity in entries (0 disables result caching).
     std::size_t cache_entries = 256;
-    /// Enables dataset residency when > 0 (0 leaves the process-wide
-    /// dataset loader and chunk-source opener untouched). No longer an
-    /// eviction cap: the LRU evicts by resident *bytes*, not entry count
-    /// (dataset_resident_mb), because datasets vary by orders of magnitude
-    /// — a 183-day replay dataset is not one of eight equal slots.
-    std::size_t dataset_entries = 8;
     /// Resident-dataset byte budget in MiB (sample payload accounting, the
-    /// same dataset_payload_bytes() measure the chunk gauges use). The LRU
-    /// evicts from the cold end while over budget, always keeping the most
-    /// recently used dataset. 0 = unlimited.
+    /// same dataset_payload_bytes() measure the chunk gauges use). The
+    /// service installs the process-wide dataset loader and chunk-source
+    /// opener for its lifetime, and their LRU evicts by resident bytes, not
+    /// entry count, because datasets vary by orders of magnitude: it evicts
+    /// from the cold end while over budget, always keeping the most recently
+    /// used dataset. 0 = unlimited.
     double dataset_resident_mb = 512.0;
   };
 

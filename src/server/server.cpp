@@ -44,7 +44,6 @@ ScenarioServer::ScenarioServer(ServerOptions options)
     : options_(std::move(options)),
       listener_(options_.host, options_.port),
       service_(ScenarioService::Options{options_.jobs, options_.cache_entries,
-                                        options_.dataset_entries,
                                         options_.dataset_resident_mb}) {
   listener_.set_nonblocking(true);
   service_.set_wakeup([fd = wake_.write_fd] {

@@ -39,9 +39,8 @@ struct ServerOptions {
   std::uint16_t port = 0;  ///< 0 = kernel-assigned ephemeral port
   int jobs = 0;            ///< executor width; 0 = hardware concurrency
   std::size_t cache_entries = 256;
-  std::size_t dataset_entries = 8;
-  /// Resident-dataset byte budget in MiB (0 = unlimited); see
-  /// ScenarioService::Options::dataset_resident_mb.
+  /// Loaded telemetry datasets stay resident up to this many MiB
+  /// (0 = unlimited); see ScenarioService::Options::dataset_resident_mb.
   double dataset_resident_mb = 512.0;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "common/stable_hash.hpp"
 
 namespace exadigit {
 namespace {
@@ -64,6 +69,57 @@ TEST(ConfigJsonTest, RetiredEvaluationKeysAreIgnored) {
   EXPECT_FALSE(out.at("simulation").contains("engine"));
   EXPECT_FALSE(out.at("cooling").contains("hydraulics"));
   EXPECT_FALSE(out.at("cooling").contains("thermal"));
+}
+
+/// The canonical Frontier descriptor, byte for byte: the FNV-1a 64 digest
+/// of its dump. The pinned value is the digest of the descriptor as it was
+/// while it still carried cooling.step_s, with that one member deleted, so
+/// retiring the key removed it and changed nothing else.
+TEST(ConfigJsonTest, FrontierDescriptorDigest) {
+  const std::string dump = frontier_descriptor_json().dump();
+  EXPECT_EQ(fnv1a64(dump), 0x78f30d073874ed41ULL) << dump;
+  EXPECT_FALSE(frontier_descriptor_json().at("cooling").contains("step_s"));
+}
+
+/// cooling.step_s was a second exchange quantum beside
+/// simulation.cooling_quantum_s; every plant caller now steps at the latter.
+/// A descriptor that still carries the key loads as if it did not, whatever
+/// the value.
+TEST(ConfigJsonTest, StaleCoolingStepKeyIsIgnored) {
+  const std::string plain_dump =
+      system_config_to_json(system_config_from_json(Json::parse(R"({"cooling": {}})"))).dump();
+  for (const Json& value : {Json(15.0), Json(60.0), Json(0.0), Json(-3.0), Json("fast")}) {
+    Json stale = Json::parse(R"({"cooling": {}})");
+    stale["cooling"]["step_s"] = value;
+    EXPECT_EQ(system_config_to_json(system_config_from_json(stale)).dump(), plain_dump)
+        << value.dump();
+  }
+}
+
+/// A thermal substep longer than the exchange quantum, or not positive, is
+/// refused by name.
+TEST(ConfigJsonTest, ThermalSubstepMustLieWithinTheCoolingQuantum) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> bad[] = {
+      {0.0, 15.0}, {-3.0, 15.0}, {15.5, 15.0}, {nan, 15.0}, {61.0, 60.0}, {3.0, 2.0}};
+  for (const auto& [substep, quantum] : bad) {
+    Json j;
+    j["cooling"]["thermal_substep_s"] = Json(substep);
+    j["simulation"]["cooling_quantum_s"] = Json(quantum);
+    try {
+      (void)system_config_from_json(j);
+      ADD_FAILURE() << "substep " << substep << " s accepted at quantum " << quantum << " s";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("thermal_substep_s"), std::string::npos) << e.what();
+    }
+  }
+  for (const auto& [substep, quantum] :
+       {std::pair{15.0, 15.0}, std::pair{60.0, 60.0}, std::pair{0.1875, 15.0}}) {
+    Json j;
+    j["cooling"]["thermal_substep_s"] = Json(substep);
+    j["simulation"]["cooling_quantum_s"] = Json(quantum);
+    EXPECT_NO_THROW((void)system_config_from_json(j)) << substep << " / " << quantum;
+  }
 }
 
 TEST(ConfigJsonTest, MultiPartitionRoundTrip) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -121,6 +123,33 @@ TEST(ConfigValidationTest, TraceQuantumMustBeFiniteAndPositive) {
     SystemConfig c = frontier_system_config();
     c.simulation.trace_quantum_s = bad;
     EXPECT_THROW(c.validate(), ConfigError) << bad;
+  }
+}
+
+/// The thermal integrator divides each loop's flow by half its volume, so
+/// each of the three volumes must be finite and positive, and the error
+/// names the key.
+TEST(ConfigValidationTest, LoopVolumesMustBeFiniteAndPositive) {
+  using Field = double& (*)(SystemConfig&);
+  const std::pair<const char*, Field> volumes[] = {
+      {"cooling.cdu.secondary_volume_m3",
+       [](SystemConfig& c) -> double& { return c.cooling.cdu.secondary_volume_m3; }},
+      {"cooling.primary.volume_m3",
+       [](SystemConfig& c) -> double& { return c.cooling.primary.volume_m3; }},
+      {"cooling.ct.volume_m3", [](SystemConfig& c) -> double& { return c.cooling.ct.volume_m3; }},
+  };
+  for (const auto& [key, field] : volumes) {
+    for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      SystemConfig c = frontier_system_config();
+      field(c) = bad;
+      try {
+        c.validate();
+        ADD_FAILURE() << key << " = " << bad << " accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+      }
+    }
   }
 }
 

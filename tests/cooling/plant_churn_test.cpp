@@ -87,7 +87,7 @@ void churn_step(CoolingPlantModel& plant, int step, const SystemConfig& config) 
   if (step == 320) plant.force_cdu_pump_speed(7, 0.55);
   if (step == 640) plant.force_cdu_pump_speed(7, -1.0);  // back to PID
 
-  plant.step(in, config.cooling.step_s);
+  plant.step(in, config.simulation.cooling_quantum_s);
 }
 
 TEST(PlantDedupTest, ResetClearsCountersAndStaysExact) {
@@ -140,8 +140,9 @@ TEST(PlantDedupTest, EnergyAndPueConsistentUnderDedup) {
   in.cdu_heat_w.assign(static_cast<std::size_t>(config.cdu_count), heat_per_cdu);
   in.wetbulb_c = 16.0;
   in.system_power_w = units::watts_from_mw(17.0);
-  const int settle_steps = static_cast<int>(5.0 * 3600.0 / config.cooling.step_s);
-  for (int i = 0; i < settle_steps; ++i) plant.step(in, config.cooling.step_s);
+  const double dt = config.simulation.cooling_quantum_s;
+  const int settle_steps = static_cast<int>(5.0 * 3600.0 / dt);
+  for (int i = 0; i < settle_steps; ++i) plant.step(in, dt);
 
   const PlantOutputs& out = plant.outputs();
   const double heat_in = heat_per_cdu * config.cdu_count;
@@ -185,6 +186,27 @@ TEST(PlantThermalEvalTest, BatchedKernelBitIdenticalToScalarReference) {
   // Only the batched path counts kernel evaluations; the reference leaves 0.
   EXPECT_GT(batched.thermal_stats().hx_evaluated, 0);
   EXPECT_EQ(scalar.thermal_stats().hx_evaluated, 0);
+}
+
+/// With a 0.1 m3 CDU loop the stability guard splits each step into more
+/// substeps than thermal_substep_s asks for; both thermal paths take the
+/// same count, so they stay bit-identical.
+TEST(PlantThermalEvalTest, BatchedMatchesScalarWhenTheGuardSplitsSteps) {
+  SystemConfig config = frontier_system_config();
+  config.cooling.cdu.secondary_volume_m3 = 0.1;
+  CoolingPlantModel batched(config);
+  CoolingPlantModel scalar(config);
+  scalar.set_thermal_eval(ThermalEval::kScalar);
+  for (int step = 0; step < 400; ++step) {
+    churn_step(batched, step, config);
+    churn_step(scalar, step, config);
+    if (step % 50 == 0) {
+      expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), step);
+    }
+  }
+  expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), 400);
+  // More than the 5 substeps of 3 s per 15 s step, over 25 CDUs.
+  EXPECT_GT(batched.thermal_stats().hx_evaluated, 400LL * 5 * config.cdu_count);
 }
 
 }  // namespace

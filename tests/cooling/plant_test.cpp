@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -25,8 +28,9 @@ class PlantTest : public ::testing::Test {
     in.cdu_heat_w.assign(static_cast<std::size_t>(config_.cdu_count), heat);
     in.wetbulb_c = wetbulb_c;
     in.system_power_w = units::watts_from_mw(system_mw);
-    const int steps = static_cast<int>(hours * 3600.0 / config_.cooling.step_s);
-    for (int i = 0; i < steps; ++i) plant.step(in, config_.cooling.step_s);
+    const double dt = config_.simulation.cooling_quantum_s;
+    const int steps = static_cast<int>(hours * 3600.0 / dt);
+    for (int i = 0; i < steps; ++i) plant.step(in, dt);
     return plant.outputs();
   }
 };
@@ -225,6 +229,78 @@ TEST_F(PlantTest, InputValidation) {
   }
   plant.step(ok, 15.0);
   EXPECT_EQ(plant.step_count(), 1);
+}
+
+/// A step takes max(round(dt / thermal_substep_s), floor(dt * r) + 1)
+/// substeps, r the largest q / V_half of the step. At Frontier's defaults
+/// dt * r is below 1, so a 15 s step keeps its 5 substeps of 3 s; with a
+/// CDU loop holding 0.1 m3 the CDU flows set the count.
+TEST_F(PlantTest, SubstepsFollowTheFastestVolume) {
+  const double dt = config_.simulation.cooling_quantum_s;
+  auto hx_per_step = [&](const SystemConfig& config) {
+    CoolingPlantModel plant(config);
+    plant.reset(20.0);
+    CoolingInputs in;
+    in.cdu_heat_w.assign(static_cast<std::size_t>(config.cdu_count),
+                         units::watts_from_mw(17.0) * config.cooling.cooling_efficiency /
+                             config.cdu_count);
+    in.wetbulb_c = 16.0;
+    in.system_power_w = units::watts_from_mw(17.0);
+    long long before = 0;
+    double q_max = 0.0;
+    for (int i = 0; i < 40; ++i) {
+      before = plant.thermal_stats().hx_evaluated;
+      plant.step(in, dt);
+    }
+    for (const CduOutputs& c : plant.outputs().cdus) q_max = std::max(q_max, c.sec_flow_m3s);
+    const long long per_step = plant.thermal_stats().hx_evaluated - before;
+    return std::pair{per_step / config.cdu_count, q_max};
+  };
+  const auto [frontier_substeps, frontier_q] = hx_per_step(config_);
+  EXPECT_EQ(frontier_substeps, 5);
+  EXPECT_LT(dt * frontier_q / (0.5 * config_.cooling.cdu.secondary_volume_m3), 1.0);
+
+  SystemConfig small = config_;
+  small.cooling.cdu.secondary_volume_m3 = 0.1;
+  const auto [small_substeps, small_q] = hx_per_step(small);
+  const long long expected =
+      static_cast<long long>(std::floor(dt * small_q / (0.5 * 0.1))) + 1;
+  EXPECT_GT(expected, 5);
+  EXPECT_EQ(small_substeps, expected);
+  EXPECT_LT(dt / static_cast<double>(small_substeps) * small_q / (0.5 * 0.1), 1.0);
+}
+
+/// A step that needs more than kMaxThermalSubsteps ends in a ConfigError
+/// that names the volume, computed without overflow even for an absurd one.
+TEST_F(PlantTest, StepNeedingTooManySubstepsNamesTheVolume) {
+  for (const double volume : {1e-6, 1e-300}) {
+    SystemConfig config = config_;
+    config.cooling.cdu.secondary_volume_m3 = volume;
+    CoolingPlantModel plant(config);
+    CoolingInputs in;
+    in.cdu_heat_w.assign(static_cast<std::size_t>(config.cdu_count), 5e5);
+    in.system_power_w = 20e6;
+    try {
+      plant.step(in, config.simulation.cooling_quantum_s);
+      ADD_FAILURE() << "volume " << volume << " m3 stepped";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("cooling.cdu.secondary_volume_m3"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A step asked for more substeps than the limit names thermal_substep_s.
+  CoolingPlantModel plant(config_);
+  CoolingInputs in;
+  in.cdu_heat_w.assign(static_cast<std::size_t>(config_.cdu_count), 5e5);
+  const double dt =
+      config_.cooling.thermal_substep_s * (CoolingPlantModel::kMaxThermalSubsteps + 1);
+  try {
+    plant.step(in, dt);
+    ADD_FAILURE() << "a " << dt << " s step ran";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("thermal_substep_s"), std::string::npos) << e.what();
+  }
 }
 
 /// Property sweep: the plant settles to a physical steady state across the

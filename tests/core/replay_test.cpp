@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "core/physical_twin.hpp"
 #include "raps/workload.hpp"
@@ -132,6 +136,38 @@ TEST_F(ReplayTest, CoolingValidationReproducesFig7Bounds) {
   EXPECT_LT(r.pue_max_rel_error, 0.014);
   EXPECT_FALSE(r.predicted_flow_gpm.empty());
   EXPECT_EQ(r.predicted_flow_gpm.size(), r.measured_flow_gpm.size());
+}
+
+/// Job traces are indexed by simulation.trace_quantum_s, so a dataset
+/// recorded at a 30 s trace quantum would replay under Frontier's 15 s at
+/// twice its speed; every replay overload refuses it, naming both values.
+TEST_F(ReplayTest, DatasetFromAnotherTraceQuantumRejected) {
+  SystemConfig recorded_under = *spec_;
+  recorded_under.simulation.trace_quantum_s = 30.0;
+  SyntheticPhysicalTwin twin(recorded_under, PhysicalTwinOptions{});
+  WorkloadGenerator gen(recorded_under.workload, recorded_under, Rng(7));
+  const TelemetryDataset dataset =
+      twin.record(gen.generate(0.0, 3600.0),
+                  TimeSeries::uniform(0.0, 60.0, std::vector<double>(62, 16.0)), 3600.0);
+  ASSERT_EQ(dataset.trace_quantum_s, 30.0);
+  auto expect_rejected = [](auto&& replay) {
+    try {
+      replay();
+      ADD_FAILURE() << "replayed a 30 s dataset under a 15 s trace quantum";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("30 s"), std::string::npos) << what;
+      EXPECT_NE(what.find("simulation.trace_quantum_s = 15 s"), std::string::npos) << what;
+    }
+  };
+  expect_rejected([&] { (void)replay_power(*spec_, dataset, false); });
+  expect_rejected([&] { (void)replay_power(*spec_, dataset, true); });
+  expect_rejected([&] {
+    (void)replay_power(*spec_, DatasetFrame{DatasetHeader::copy_from(dataset), TelemetryFrame{}},
+                       false);
+  });
+  // Under the quantum it was recorded at, it replays.
+  EXPECT_NO_THROW((void)replay_power(recorded_under, dataset, false));
 }
 
 TEST_F(ReplayTest, CduCountMismatchRejected) {

@@ -231,7 +231,7 @@ TEST(CoupledBitsTest, SeventeenMegawattSettle) {
   CoolingPlantModel plant(config);
   plant.reset(20.0);
   const CoolingInputs in = uniform_load(config, 17.0, 16.0);
-  const double dt = config.cooling.step_s;
+  const double dt = config.simulation.cooling_quantum_s;
   const int steps = static_cast<int>(5.0 * 3600.0 / dt);
   expect_bits(run_plant(plant, steps, dt, [&](int) -> const CoolingInputs& { return in; }),
               0xa2ac208fc08db88cULL,
@@ -264,7 +264,8 @@ TEST(CoupledBitsTest, StagingBlockageAndForcedPumpChurn) {
     if (step == 640) plant.force_cdu_pump_speed(7, -1.0);
     return in;
   };
-  expect_bits(run_plant(plant, 800, config.cooling.step_s, churn), 0x2d81d9b4e9bf3544ULL,
+  expect_bits(run_plant(plant, 800, config.simulation.cooling_quantum_s, churn),
+              0x2d81d9b4e9bf3544ULL,
               {1.0324224334673087, 30.16424460547104, 28.944194592374984, 1.0138011046603634,
                8482});
 }

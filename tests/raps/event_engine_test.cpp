@@ -122,6 +122,7 @@ TEST(EventEngineTest, BitIdenticalWithOffQuantumEnd) {
 TEST(EventEngineTest, BitIdenticalWithNonIntegerQuantumRatio) {
   SystemConfig config = small_system();
   config.simulation.cooling_quantum_s = 2.5;  // not a float multiple of tick_s
+  config.cooling.thermal_substep_s = 2.5;     // a substep never exceeds the quantum
   expect_bit_identical(run_mode(config, EngineMode::kEventDriven, 600.0),
                        run_mode(config, EngineMode::kTickLoop, 600.0));
 }
@@ -140,6 +141,7 @@ TEST(EventEngineTest, BitIdenticalWithFineTraceQuantum) {
 TEST(EventEngineTest, QuantumBoundariesExactWithNonIntegerRatio) {
   SystemConfig config = small_system();
   config.simulation.cooling_quantum_s = 2.5;
+  config.cooling.thermal_substep_s = 2.5;
   RapsEngine engine(config);
   std::vector<double> calls;
   engine.set_cooling_callback([&](RapsEngine&, double now) { calls.push_back(now); });

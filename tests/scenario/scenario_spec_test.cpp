@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "config/config_json.hpp"
 #include "config/system_config.hpp"
 #include "scenario/scenario_registry.hpp"
 
@@ -219,6 +220,17 @@ TEST(ScenarioSpecTest, ResolveConfigAppliesDelta) {
                    frontier.economics.emission_lbs_per_mwh);
   EXPECT_EQ(resolved.rack_count, frontier.rack_count);
   EXPECT_EQ(resolved.cdu_count, frontier.cdu_count);
+}
+
+/// cooling.step_s is no longer a descriptor key (every plant caller steps
+/// at simulation.cooling_quantum_s), so a delta that still sets it resolves
+/// to the plain Frontier descriptor.
+TEST(ScenarioSpecTest, StaleCoolingStepDeltaIsIgnored) {
+  ScenarioSpec spec;
+  spec.type = "optimize_setpoint";
+  spec.config_delta = Json::parse(R"({"cooling": {"step_s": 60}})");
+  EXPECT_EQ(system_config_to_json(spec.resolve_config()).dump(),
+            frontier_descriptor_json().dump());
 }
 
 TEST(ScenarioSpecTest, UnknownTypeListsKnownTypes) {

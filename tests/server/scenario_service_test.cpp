@@ -251,8 +251,7 @@ TEST(ScenarioServiceTest, DatasetResidencyEvictsByBytesAndReportsThem) {
   save_dataset(second, base + "/b");
 
   ScenarioService::Options options = small_options();
-  options.dataset_entries = 8;          // well above what we load
-  options.dataset_resident_mb = 1e-4;   // ~105 bytes: every load evicts the rest
+  options.dataset_resident_mb = 1e-4;  // ~105 bytes: every load evicts the rest
   ScenarioService service(options);
   // The explicit format routes replay through resolve_dataset and therefore
   // through the service's resident-dataset loader.
