@@ -9,9 +9,15 @@
 /// diverges from the first, or when any node of any loop leaves more than
 /// 1e-12 of its loop flow unbalanced on any step.
 ///
-/// `--json <path>` emits BENCH_coupled24h.json: wall_ms, sim_rate,
-/// plant_steps, solves_performed (loops evaluated), max_mass_residual_rel,
-/// recording_bytes_per_sample, energy_mwh, pue.
+/// The plant stage is also timed alone: the run's plant inputs (time, per-CDU
+/// heat, P_system, wet bulb), captured from the engine as the twin captures
+/// them, step a fresh CoolingPlantModel. Its final outputs must equal the
+/// twin's plant, so the number times the same work the twin's plant stage
+/// does.
+///
+/// `--json <path>` emits BENCH_coupled24h.json: wall_ms, wall_ms_plant,
+/// sim_rate, plant_steps, solves_performed (loops evaluated),
+/// max_mass_residual_rel, recording_bytes_per_sample, energy_mwh, pue.
 ///
 /// EXADIGIT_BENCH_HOURS shrinks the replayed window for smoke runs;
 /// EXADIGIT_BENCH_REPS sets the repetitions (min wall time is reported —
@@ -28,6 +34,7 @@
 #include "core/digital_twin.hpp"
 #include "core/physical_twin.hpp"
 #include "perf_json.hpp"
+#include "raps/engine.hpp"
 #include "raps/workload.hpp"
 #include "telemetry/weather.hpp"
 
@@ -44,6 +51,7 @@ struct CoupledRun {
   Report report;
   double pue_mean = 0.0;
   long long plant_steps = 0;
+  PlantOutputs plant_outputs;  ///< after the last step
   CoolingPlantModel::HydraulicsStats stats;
   double recording_bytes_per_sample = 0.0;
 };
@@ -88,6 +96,7 @@ CoupledRun time_coupled_replay_once(const SystemConfig& config, const TelemetryD
   r.report = twin.report();
   r.pue_mean = twin.pue_series().time_weighted_mean();
   r.plant_steps = twin.cooling().step_count();
+  r.plant_outputs = twin.cooling().outputs();
   r.stats = twin.cooling().hydraulics_stats();
   r.recording_bytes_per_sample = recording_bytes_per_sample(twin);
   return r;
@@ -109,6 +118,92 @@ CoupledRun time_coupled_replay(const SystemConfig& config, const TelemetryDatase
     if (r.wall_ms < best.wall_ms) best.wall_ms = r.wall_ms;
   }
   return best;
+}
+
+/// One quantum's plant inputs, as the twin's engine stage captures them.
+struct PlantQuantum {
+  double time_s = 0.0;
+  double system_power_w = 0.0;
+  double wetbulb_c = 0.0;
+  std::vector<double> cdu_heat_w;
+};
+
+/// The replay's plant inputs: the twin's engine, run alone, captures each
+/// cooling quantum as DigitalTwin::on_cooling_quantum does, plus the twin's
+/// closing flush at the engine's end time.
+std::vector<PlantQuantum> capture_plant_inputs(const SystemConfig& config,
+                                               const TelemetryDataset& dataset) {
+  const double ambient_c = DigitalTwinOptions{}.ambient_c;
+  RapsEngine engine(config, RapsEngine::Options{dataset.start_time_s});
+  std::vector<PlantQuantum> quanta;
+  auto capture = [&](const RapsEngine& e, double now_s) {
+    PlantQuantum q;
+    q.time_s = now_s;
+    q.system_power_w = e.power().system_power_w;
+    q.wetbulb_c = dataset.wetbulb_c.empty() ? ambient_c : dataset.wetbulb_c.at(now_s);
+    for (const double wall_w : e.power_model().cdu_wall_power_w()) {
+      q.cdu_heat_w.push_back(wall_w * config.cooling.cooling_efficiency);
+    }
+    quanta.push_back(std::move(q));
+  };
+  engine.set_cooling_callback([&](RapsEngine& e, double now_s) { capture(e, now_s); });
+  engine.submit_all(dataset.jobs);
+  engine.run_until(dataset.start_time_s + dataset.duration_s);
+  capture(engine, engine.now_s());
+  return quanta;
+}
+
+struct PlantStageRun {
+  double wall_ms = 0.0;
+  long long steps = 0;
+  PlantOutputs outputs;  ///< after the last step
+};
+
+/// Steps a fresh plant over the captured quanta as the twin's plant stage
+/// does: a step covers the time since the last one, and a repeat of the
+/// same time is skipped.
+PlantStageRun time_plant_stage_once(const SystemConfig& config,
+                                    const std::vector<PlantQuantum>& quanta, double start_s) {
+  CoolingPlantModel plant(config);
+  plant.reset(DigitalTwinOptions{}.ambient_c);
+  CoolingInputs in;
+  double synced_s = start_s;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const PlantQuantum& q : quanta) {
+    const double dt = q.time_s - synced_s;
+    if (dt <= 1e-9) continue;
+    in.cdu_heat_w = q.cdu_heat_w;
+    in.wetbulb_c = q.wetbulb_c;
+    in.system_power_w = q.system_power_w;
+    plant.step(in, dt);
+    synced_s = q.time_s;
+  }
+  PlantStageRun r;
+  r.wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                  .count();
+  r.steps = plant.step_count();
+  r.outputs = plant.outputs();
+  return r;
+}
+
+/// True when the plant stepped alone ended where the twin's plant did, to
+/// the bit: same step count, PUE and HTW supply, and each CDU's return
+/// temperature and HEX duty. Any difference in the captured inputs shows
+/// in these.
+bool same_plant_end(const PlantStageRun& alone, const CoupledRun& twin) {
+  const PlantOutputs& a = alone.outputs;
+  const PlantOutputs& b = twin.plant_outputs;
+  if (alone.steps != twin.plant_steps || a.pue != b.pue ||
+      a.pri_supply_t_c != b.pri_supply_t_c || a.cdus.size() != b.cdus.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.cdus.size(); ++i) {
+    if (a.cdus[i].sec_return_t_c != b.cdus[i].sec_return_t_c ||
+        a.cdus[i].hex_duty_w != b.cdus[i].hex_duty_w) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -151,11 +246,24 @@ int main(int argc, char** argv) {
   const int reps = bench::bench_reps();
 
   const CoupledRun run = time_coupled_replay(spec, dataset, reps);
+
+  // The plant stage alone, min of the same reps.
+  const std::vector<PlantQuantum> quanta = capture_plant_inputs(spec, dataset);
+  double plant_ms = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const PlantStageRun stage = time_plant_stage_once(spec, quanta, dataset.start_time_s);
+    if (!same_plant_end(stage, run)) {
+      std::fprintf(stderr, "FAIL: the plant stepped alone ended apart from the twin's plant\n");
+      return 1;
+    }
+    if (rep == 0 || stage.wall_ms < plant_ms) plant_ms = stage.wall_ms;
+  }
   const double sim_rate = run.wall_ms > 0.0 ? duration / (run.wall_ms / 1000.0) : 0.0;
   const double residual = run.stats.max_mass_residual_rel;
 
   AsciiTable t({"Coupled replay", "value"});
   t.add_row({"wall (ms)", AsciiTable::num(run.wall_ms, 1)});
+  t.add_row({"plant stage alone (ms)", AsciiTable::num(plant_ms, 1)});
   t.add_row({"plant steps", AsciiTable::num(static_cast<double>(run.plant_steps), 0)});
   t.add_row({"loops evaluated",
              AsciiTable::num(static_cast<double>(run.stats.solves_performed), 0)});
@@ -181,6 +289,7 @@ int main(int argc, char** argv) {
     out["sim_seconds"] = Json(duration);
     out["jobs"] = Json(static_cast<std::int64_t>(dataset.jobs.size()));
     out["wall_ms"] = Json(run.wall_ms);
+    out["wall_ms_plant"] = Json(plant_ms);
     out["sim_rate"] = Json(sim_rate);  // simulated seconds per wall second
     out["plant_steps"] = Json(static_cast<std::int64_t>(run.plant_steps));
     out["solves_performed"] = Json(static_cast<std::int64_t>(run.stats.solves_performed));

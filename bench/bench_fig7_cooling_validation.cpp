@@ -61,6 +61,13 @@ int main() {
   std::printf("physical twin recorded %zu jobs, wet bulb %.1f..%.1f C\n\n",
               dataset.jobs.size(), wetbulb.min_value(), wetbulb.max_value());
 
+  if (!cooling_validation_scores(spec, dataset)) {
+    std::fprintf(stderr,
+                 "the Fig. 7 score needs more than 1 h: its first hour is the plant's "
+                 "spin-up from rest (EXADIGIT_BENCH_HOURS = %g)\n",
+                 hours);
+    return 2;
+  }
   const CoolingValidationResult r = validate_cooling(spec, dataset);
 
   AsciiTable t({"Channel (Fig. 7 panel)", "RMSE", "MAE", "MAPE", "r"});

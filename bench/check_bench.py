@@ -11,7 +11,8 @@ same basename.
 
 Gates (a failure in any one fails the run):
   * wall-time regression: every min-of-reps wall-clock field present in
-    both files (wall_ms*) must satisfy
+    both files (wall_ms*, e.g. BENCH_coupled24h.json's wall_ms and its
+    plant stage alone, wall_ms_plant) must satisfy
     measured <= baseline * (1 + tol) + slack, tol = 25 % by default
     (--tolerance, or CHECK_BENCH_TOLERANCE env) and slack = 0.5 ms
     (--abs-slack-ms) so sub-millisecond benches are not gated on

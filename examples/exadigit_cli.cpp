@@ -217,7 +217,12 @@ int cmd_replay(const Args& args) {
   std::printf("power: RMSE %.3f MW | MAE %.3f MW | MAPE %.2f %% | r %.4f\n",
               r.power_score.rmse, r.power_score.mae, r.power_score.mape_pct,
               r.power_score.pearson);
-  if (args.cooling) {
+  if (args.cooling && !cooling_validation_scores(config, dataset)) {
+    std::printf("cooling: not scored; the cooling score needs more than 1 h of telemetry "
+                "(the plant's first hour from rest is discarded), and this dataset spans "
+                "%.2f h\n",
+                dataset.duration_s / 3600.0);
+  } else if (args.cooling) {
     const CoolingValidationResult cv = validate_cooling(config, dataset);
     std::printf("cooling: flow RMSE %.1f gpm | return RMSE %.2f C | PUE within %.2f %%\n",
                 cv.cdu_pri_flow.rmse, cv.cdu_return_temp.rmse,

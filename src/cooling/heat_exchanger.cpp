@@ -44,18 +44,4 @@ HxResult evaluate_counterflow_hx(double ua_w_per_k, double hot_in_c, double c_ho
   return r;
 }
 
-void evaluate_counterflow_hx_batch(std::size_t n, double ua_w_per_k,
-                                   const double* hot_in_c, const double* c_hot_w_per_k,
-                                   double cold_in_c, const double* c_cold_w_per_k,
-                                   HxResult* out) {
-  // One pass over packed arrays; the element body is the scalar kernel in
-  // this same TU, so the compiler inlines it and can vectorize the min/max/
-  // NTU arithmetic while every element still computes the exact scalar
-  // expression sequence (bit-identity by construction; no fast-math).
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = evaluate_counterflow_hx(ua_w_per_k, hot_in_c[i], c_hot_w_per_k[i],
-                                     cold_in_c, c_cold_w_per_k[i]);
-  }
-}
-
 }  // namespace exadigit

@@ -8,17 +8,10 @@
 /// (paper Fig. 5). System-level models resolve these with ε-NTU rather
 /// than discretized cores, exactly like the paper's Modelica components.
 ///
-/// The batched entry point (`evaluate_counterflow_hx_batch`) services the
-/// plant's per-substep evaluation of all 25 CDU HX units from contiguous
-/// input arrays. Its element math is the scalar kernel itself — same
-/// expressions, same order, same TU and flags — so batched results are
-/// bit-identical to per-call scalar results on any compiler: inlining and
-/// autovectorization may change the schedule but not the per-element IEEE
-/// arithmetic, and no fast-math/reassociation flags are used in this
-/// build. The gain is locality (one pass over packed arrays, the shared
-/// conductance hoisted) rather than lane tricks that would break identity.
-
-#include <cstddef>
+/// The plant evaluates its 25 CDU HEX units two at a time in
+/// cooling/cdu_thermal.hpp, with the operations of
+/// evaluate_counterflow_hx in the same order. A unit outside the general
+/// ε-NTU branch calls evaluate_counterflow_hx itself.
 
 namespace exadigit {
 
@@ -40,16 +33,5 @@ struct HxResult {
 [[nodiscard]] HxResult evaluate_counterflow_hx(double ua_w_per_k, double hot_in_c,
                                                double c_hot_w_per_k, double cold_in_c,
                                                double c_cold_w_per_k);
-
-/// Evaluates `n` counterflow HX units sharing one conductance `ua_w_per_k`
-/// and one cold-side inlet temperature `cold_in_c` (the plant's primary
-/// supply header feeding every CDU HX). Reads hot_in_c[i], c_hot[i],
-/// c_cold[i]; writes out[i]. Bit-identical to calling
-/// evaluate_counterflow_hx per element in ascending order — see the file
-/// header for why that holds.
-void evaluate_counterflow_hx_batch(std::size_t n, double ua_w_per_k,
-                                   const double* hot_in_c, const double* c_hot_w_per_k,
-                                   double cold_in_c, const double* c_cold_w_per_k,
-                                   HxResult* out);
 
 }  // namespace exadigit

@@ -162,9 +162,10 @@ void CoolingPlantModel::reset(double ambient_c) {
   build_loops();
   ct_supply_setpoint_c_ = config_.cooling.primary.htws_setpoint_c - 4.0;
   const double start = ambient_c + 5.0;
+  cdu_ = CduColumns(cdu_loops_.size());
+  std::fill(cdu_.t_supply_c.begin(), cdu_.t_supply_c.end(), start);
+  std::fill(cdu_.t_return_c.begin(), cdu_.t_return_c.end(), start + 4.0);
   for (auto& loop : cdu_loops_) {
-    loop.t_supply_c = start;
-    loop.t_return_c = start + 4.0;
     loop.pump_speed = 0.8;
     loop.valve_position = 0.7;
     loop.pump_pid.reset(loop.pump_speed);
@@ -217,7 +218,8 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
   (void)inputs;
   const CoolingConfig& cool = config_.cooling;
 
-  for (auto& loop : cdu_loops_) {
+  for (std::size_t i = 0; i < cdu_loops_.size(); ++i) {
+    auto& loop = cdu_loops_[i];
     const double dp = loop.net.pump_rise_pa();
     if (loop.forced_speed >= 0.0) {
       loop.pump_speed = std::clamp(loop.forced_speed, 0.0, 1.0);
@@ -225,7 +227,7 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
       loop.pump_speed = loop.pump_pid.update(cool.cdu.loop_dp_setpoint_pa, dp, dt);
     }
     loop.valve_position =
-        loop.valve_pid.update(cool.cdu.supply_setpoint_c, loop.t_supply_c, dt);
+        loop.valve_pid.update(cool.cdu.supply_setpoint_c, cdu_.t_supply_c[i], dt);
   }
 
   // HTWPs: speed regulates loop differential pressure; staging follows the
@@ -364,99 +366,60 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
   const double q_ct = ct_net_.flow_m3s();
   const std::size_t n = cdu_loops_.size();
   const bool batched = thermal_eval_ == ThermalEval::kBatched;
+  const double half_vol = 0.5 * cool.cdu.secondary_volume_m3;
   // Staging, fan speed and tower flow hold for the step, and so do the
   // tower's effectiveness and fan power; substeps take only the approach.
   const TowerOperatingPoint tower =
       tower_bank_.operating_point(outputs_.ct_cells_staged, outputs_.fan_speed, q_ct);
   outputs_.fan_power_w = tower.fan_power_w;
 
+  // The flows hold for the step and the heats come from `inputs`, so the
+  // columns take them once; the branch flows' ascending sum is the same
+  // mix_flow that the scalar path adds up in every substep.
+  double step_mix_flow = 0.0;
   if (batched) {
-    // Gather the substep-invariant per-CDU inputs once: the loop and
-    // primary-branch flows come from this step's (fixed) hydraulics and
-    // the heat loads from `inputs`, none of which change
-    // across substeps. The scalar reference path re-reads them per substep;
-    // the values are the same doubles either way.
-    th_q_sec_.resize(n);
-    th_q_branch_.resize(n);
-    th_heat_.resize(n);
-    th_hot_in_.resize(n);
-    th_rho_cp_.resize(n);
-    th_c_sec_.resize(n);
-    th_c_pri_.resize(n);
-    th_hx_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      auto& loop = cdu_loops_[i];
-      th_q_sec_[i] = loop.net.flow_m3s();
-      th_q_branch_[i] = pri_net_.branch_flow_m3s(i);
-      th_heat_[i] = inputs.cdu_heat_w.at(i);
+      const double q_sec = cdu_loops_[i].net.flow_m3s();
+      const double q_branch = pri_net_.branch_flow_m3s(i);
+      cdu_.q_sec_m3s[i] = q_sec;
+      cdu_.q_branch_m3s[i] = q_branch;
+      cdu_.heat_w[i] = inputs.cdu_heat_w[i];
+      cdu_.sec_rate[i] = q_sec / half_vol;
+      step_mix_flow += q_branch;
     }
   }
 
   for (int s = 0; s < substeps; ++s) {
     // --- CDU loops + primary branch mixing --------------------------------
-    // The primary supply temperature is loop-invariant within a substep, so
-    // its property evaluation is hoisted; capacity_rate(t, q) is exactly
-    // coolant_rho_cp(t) * q, so these common-subexpression hoists leave the
-    // arithmetic (and results) bit-identical.
-    const double rho_cp_pri_supply = coolant_rho_cp(Coolant::kWater, t_pri_supply_c_);
     double mix_accum = 0.0;
     double mix_flow = 0.0;
     if (batched) {
-      // Batched fast path: pack this substep's HX inputs, evaluate all 25
-      // HX units through the contiguous-array kernel, then apply the same
-      // per-loop update expressions in the same ascending order as the
-      // scalar path (bit-identical; see heat_exchanger.hpp).
-      for (std::size_t i = 0; i < n; ++i) {
-        auto& loop = cdu_loops_[i];
-        const double rho_cp = coolant_rho_cp(Coolant::kWater, loop.t_return_c);
-        th_hot_in_[i] = loop.t_return_c;
-        th_rho_cp_[i] = rho_cp;
-        th_c_sec_[i] = rho_cp * th_q_sec_[i];
-        th_c_pri_[i] = rho_cp_pri_supply * th_q_branch_[i];
-      }
+      mix_accum = cdu_.substep(cool.cdu.hex.ua_w_per_k, half_vol, t_pri_supply_c_, h);
+      mix_flow = step_mix_flow;
       thermal_stats_.hx_evaluated += static_cast<long long>(n);
-      evaluate_counterflow_hx_batch(n, cool.cdu.hex.ua_w_per_k, th_hot_in_.data(),
-                                    th_c_sec_.data(), t_pri_supply_c_, th_c_pri_.data(),
-                                    th_hx_.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        auto& loop = cdu_loops_[i];
-        const HxResult& hx = th_hx_[i];
-        const double q_sec = th_q_sec_[i];
-        const double q_branch = th_q_branch_[i];
-        const double half_vol = 0.5 * cool.cdu.secondary_volume_m3;
-        const double d_supply = q_sec / half_vol * (hx.hot_out_c - loop.t_supply_c);
-        const double d_return = q_sec / half_vol * (loop.t_supply_c - loop.t_return_c) +
-                                th_heat_[i] / (th_rho_cp_[i] * half_vol);
-        loop.t_supply_c += h * d_supply;
-        loop.t_return_c += h * d_return;
-        mix_accum += q_branch * hx.cold_out_c;
-        mix_flow += q_branch;
-        if (s == substeps - 1) {
-          auto& out = outputs_.cdus[i];
-          out.hex_duty_w = hx.duty_w;
-          out.pri_return_t_c = hx.cold_out_c;
-        }
-      }
     } else {
-      // Scalar reference path: the original PR 4 per-loop structure.
+      // Scalar reference path, CDU by CDU. The primary supply's property
+      // evaluation is hoisted; capacity_rate(t, q) is exactly
+      // coolant_rho_cp(t) * q, so the hoist keeps the bits.
+      const double rho_cp_pri_supply = coolant_rho_cp(Coolant::kWater, t_pri_supply_c_);
       for (std::size_t i = 0; i < n; ++i) {
-        auto& loop = cdu_loops_[i];
-        const double q_sec = loop.net.flow_m3s();
+        double& t_supply = cdu_.t_supply_c[i];
+        double& t_return = cdu_.t_return_c[i];
+        const double q_sec = cdu_loops_[i].net.flow_m3s();
         const double q_branch = pri_net_.branch_flow_m3s(i);
-        const double rho_cp = coolant_rho_cp(Coolant::kWater, loop.t_return_c);
+        const double rho_cp = coolant_rho_cp(Coolant::kWater, t_return);
         const double c_sec = rho_cp * q_sec;
         const double c_pri = rho_cp_pri_supply * q_branch;
-        const HxResult hx = evaluate_counterflow_hx(cool.cdu.hex.ua_w_per_k, loop.t_return_c,
-                                                    c_sec, t_pri_supply_c_, c_pri);
+        const HxResult hx = evaluate_counterflow_hx(cool.cdu.hex.ua_w_per_k, t_return, c_sec,
+                                                    t_pri_supply_c_, c_pri);
         const double heat = inputs.cdu_heat_w.at(i);
-        const double half_vol = 0.5 * cool.cdu.secondary_volume_m3;
         // Supply volume: fed by the HEX hot-side outlet.
-        const double d_supply = q_sec / half_vol * (hx.hot_out_c - loop.t_supply_c);
+        const double d_supply = q_sec / half_vol * (hx.hot_out_c - t_supply);
         // Return volume: fed by the supply volume plus the rack heat load.
-        const double d_return = q_sec / half_vol * (loop.t_supply_c - loop.t_return_c) +
-                                heat / (rho_cp * half_vol);
-        loop.t_supply_c += h * d_supply;
-        loop.t_return_c += h * d_return;
+        const double d_return =
+            q_sec / half_vol * (t_supply - t_return) + heat / (rho_cp * half_vol);
+        t_supply += h * d_supply;
+        t_return += h * d_return;
         mix_accum += q_branch * hx.cold_out_c;
         mix_flow += q_branch;
         if (s == substeps - 1) {
@@ -488,6 +451,14 @@ void CoolingPlantModel::integrate_thermal(const CoolingInputs& inputs, double dt
     t_ct_return_c_ += h * d_cret;
     t_ct_supply_c_ += h * d_csup;
   }
+
+  if (batched) {
+    // The columns hold the last substep's HEX, as the scalar path records it.
+    for (std::size_t i = 0; i < n; ++i) {
+      outputs_.cdus[i].hex_duty_w = cdu_.duty_w[i];
+      outputs_.cdus[i].pri_return_t_c = cdu_.pri_return_c[i];
+    }
+  }
 }
 // exadigit-hot-end
 
@@ -504,8 +475,8 @@ void CoolingPlantModel::collect_outputs(const CoolingInputs& inputs) {
     out.pump_speed = loop.pump_speed;
     out.sec_flow_m3s = q_sec;
     out.pri_flow_m3s = pri_net_.branch_flow_m3s(i);
-    out.sec_supply_t_c = loop.t_supply_c;
-    out.sec_return_t_c = loop.t_return_c;
+    out.sec_supply_t_c = cdu_.t_supply_c[i];
+    out.sec_return_t_c = cdu_.t_return_c[i];
     out.sec_supply_p_pa = loop.net.pump_rise_pa();
     out.sec_return_p_pa = loop.net.inlet_pressure_pa(loop.hex_leg);
     out.valve_position = loop.valve_position;

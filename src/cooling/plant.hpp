@@ -36,8 +36,8 @@
 #include "config/system_config.hpp"
 #include "controls/pid.hpp"
 #include "controls/staging.hpp"
+#include "cooling/cdu_thermal.hpp"
 #include "cooling/cooling_tower.hpp"
-#include "cooling/heat_exchanger.hpp"
 #include "cooling/network.hpp"
 #include "cooling/pump.hpp"
 
@@ -94,16 +94,16 @@ struct PlantOutputs {
   [[nodiscard]] double total_hex_duty_w() const;
 };
 
-/// How CoolingPlantModel::integrate_thermal evaluates the per-substep
-/// counterflow-HX effectiveness kernels (see cooling/heat_exchanger.hpp).
+/// How CoolingPlantModel::integrate_thermal evaluates the CDU loops in each
+/// thermal substep.
 enum class ThermalEval {
-  /// Gather the per-CDU HX inputs into contiguous arrays and evaluate the
-  /// NTU/exp math through the batched kernel. Default; bit-identical to
-  /// kScalar because the batch kernel runs the exact scalar element math
-  /// in the same order (tests/cooling/plant_churn_test.cpp asserts it).
+  /// Default: CduColumns::substep (cooling/cdu_thermal.hpp), two CDUs per
+  /// packed operation over structure-of-arrays columns, with one scalar
+  /// std::exp per CDU. Bit-identical to kScalar, which
+  /// tests/cooling/plant_churn_test.cpp asserts on every output and counter.
   kBatched,
-  /// Reference path: one evaluate_counterflow_hx call per CDU inside the
-  /// substep loop.
+  /// Reference path: one evaluate_counterflow_hx call and one volume update
+  /// per CDU inside the substep loop.
   kScalar,
 };
 
@@ -121,10 +121,11 @@ class CoolingPlantModel {
     [[nodiscard]] long long solves_reused() const { return 0; }
   };
 
-  /// CDU heat-exchanger kernel accounting since the last reset()
-  /// (batched thermal path only; the scalar reference path leaves it 0).
+  /// CDU heat-exchanger accounting since the last reset(): the default
+  /// (kBatched) path counts cdu_count per substep, the scalar reference
+  /// path leaves it 0.
   struct ThermalStats {
-    long long hx_evaluated = 0;  ///< elements run through the batch kernel
+    long long hx_evaluated = 0;  ///< CDU HEX evaluations by CduColumns::substep
   };
 
   explicit CoolingPlantModel(const SystemConfig& config);
@@ -175,9 +176,8 @@ class CoolingPlantModel {
   void set_basin_setpoint_offset(double offset_k);
   [[nodiscard]] double basin_setpoint_c() const { return ct_supply_setpoint_c_; }
 
-  /// Thermal HX kernel strategy, kBatched until set. Batched and scalar
-  /// are bit-identical (see heat_exchanger.hpp), so switching mid-run is
-  /// allowed.
+  /// Thermal evaluation strategy, kBatched until set. Both paths are
+  /// bit-identical (see cdu_thermal.hpp), so switching mid-run is allowed.
   void set_thermal_eval(ThermalEval eval) { thermal_eval_ = eval; }
   [[nodiscard]] ThermalEval thermal_eval() const { return thermal_eval_; }
 
@@ -197,8 +197,6 @@ class CoolingPlantModel {
     BranchId hex_leg = 0;
     Pid pump_pid;
     Pid valve_pid;
-    double t_supply_c = 30.0;
-    double t_return_c = 30.0;
     double valve_position = 0.7;
     double pump_speed = 0.8;
     double forced_speed = -1.0;
@@ -213,6 +211,9 @@ class CoolingPlantModel {
   CoolingTowerBank tower_bank_;
 
   std::vector<CduLoopState> cdu_loops_;
+  /// The CDU loops' temperatures, and each step's flows and heats, in
+  /// columns (element i is cdu_loops_[i]).
+  CduColumns cdu_;
 
   // Primary loop: HTWP bank -> EHX bank -> CDU valves in parallel (branch i
   // serves CDU i).
@@ -240,16 +241,7 @@ class CoolingPlantModel {
   HydraulicsStats hydraulics_stats_;
   ThermalStats thermal_stats_;
 
-  // Thermal kernel evaluation mode + gather scratch (ThermalEval::kBatched).
   ThermalEval thermal_eval_ = ThermalEval::kBatched;
-  std::vector<double> th_q_sec_;
-  std::vector<double> th_q_branch_;
-  std::vector<double> th_heat_;
-  std::vector<double> th_hot_in_;
-  std::vector<double> th_rho_cp_;
-  std::vector<double> th_c_sec_;
-  std::vector<double> th_c_pri_;
-  std::vector<HxResult> th_hx_;
 
   PlantOutputs outputs_;
   double time_s_ = 0.0;

@@ -39,6 +39,11 @@ SeriesScore score_series(const TimeSeries& predicted, const TimeSeries& measured
 
 namespace {
 
+/// validate_cooling's scores start this long after the dataset does: the
+/// paper's model is initialized from plant state, ours from rest, so the
+/// spin-up transient is not a modeling error.
+constexpr double kCoolingSpinUpS = units::kSecondsPerHour;
+
 /// The latest time <= `horizon` where the engine fires a cooling-quantum
 /// boundary, or `start` when no boundary fires by then. Quantum boundary m
 /// fires at the first tick k with k*tick >= m*quantum - 1e-9 (the
@@ -169,11 +174,24 @@ PowerReplayResult replay_power(const SystemConfig& config, DatasetFrame&& data,
   return replay_power(config, source, with_cooling);
 }
 
+bool cooling_validation_scores(const SystemConfig& config, const TelemetryDataset& dataset) {
+  // validate_cooling's last step ends at t0 + steps * dt.
+  const double dt = config.simulation.cooling_quantum_s;
+  const double steps = std::floor(dataset.duration_s / dt);
+  return dataset.start_time_s + steps * dt > dataset.start_time_s + kCoolingSpinUpS;
+}
+
 CoolingValidationResult validate_cooling(const SystemConfig& config,
                                          const TelemetryDataset& dataset) {
   dataset.validate();
   require(static_cast<int>(dataset.cdus.size()) == config.cdu_count,
           "dataset CDU count mismatch");
+  if (!cooling_validation_scores(config, dataset)) {
+    throw ConfigError("cooling validation needs more than 1 h of telemetry: it discards the "
+                      "first 1 h (" + format_double(kCoolingSpinUpS) +
+                      " s), the plant's spin-up from rest, and the dataset spans " +
+                      format_double(dataset.duration_s) + " s");
+  }
   CoolingFmu fmu(config);
   fmu.setup_experiment(dataset.start_time_s);
 
@@ -233,10 +251,9 @@ CoolingValidationResult validate_cooling(const SystemConfig& config,
   r.predicted_pue = std::move(pred_pue);
   r.measured_pue = dataset.facility.pue;
 
-  // Discard the first simulated hour from scoring: the paper's model is
-  // initialized from plant state, ours from rest, so the spin-up transient
-  // is not a modeling error.
-  const double score_from = t0 + 3600.0;
+  // Discard the spin-up from scoring. The predicted series run past it (see
+  // the check above); a measured channel that ends earlier is kept whole.
+  const double score_from = t0 + kCoolingSpinUpS;
   auto trimmed = [&](const TimeSeries& s) {
     return s.end_time() > score_from ? s.slice(score_from, s.end_time()) : s;
   };

@@ -106,7 +106,17 @@ struct CoolingValidationResult {
 /// only (paper: "the only inputs to the model is the power supplied to the
 /// 25 CDUs ... and the wet-bulb temperature") and scores stations 10/12 and
 /// the PUE against telemetry.
+///
+/// The plant starts from rest, so the scores leave out the first simulated
+/// hour. A dataset whose last plant step ends within that hour has nothing
+/// to score: it is a ConfigError naming the dataset's span.
 [[nodiscard]] CoolingValidationResult validate_cooling(const SystemConfig& config,
                                                        const TelemetryDataset& dataset);
+
+/// Whether validate_cooling has samples to score on `dataset`: its last
+/// plant step under `config`'s cooling quantum ends after the discarded
+/// first hour.
+[[nodiscard]] bool cooling_validation_scores(const SystemConfig& config,
+                                             const TelemetryDataset& dataset);
 
 }  // namespace exadigit

@@ -253,8 +253,8 @@ class HotPathAllocRule final : public Rule {
         if (after > i + 1 && mentions_value(toks, after)) {
           report(file, toks[i].line,
                  "by-value std::vector construction/return allocates; reuse a "
-                 "workspace buffer or an out-parameter (see the gather "
-                 "buffers of CoolingPlantModel::integrate_thermal)",
+                 "workspace buffer or an out-parameter (see the columns "
+                 "of CduColumns in cooling/cdu_thermal.hpp)",
                  out);
         }
       }

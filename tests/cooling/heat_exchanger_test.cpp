@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -130,39 +129,6 @@ TEST_P(HxProperty, DutyBoundedByThermodynamicLimit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HxProperty, ::testing::Range(1, 7));
-
-/// The batched kernel must be bit-identical to per-call scalar evaluation
-/// — same expressions in the same order (see the heat_exchanger.hpp file
-/// header) — across random operating points including dry sides and
-/// equal-capacity streams (the NTU special case).
-TEST(HeatExchangerTest, BatchedKernelBitIdenticalToScalar) {
-  Rng rng(9001);
-  constexpr std::size_t kN = 64;
-  std::vector<double> hot_in(kN), c_hot(kN), c_cold(kN);
-  std::vector<HxResult> batch(kN);
-  const double ua = 450000.0;
-  const double cold_in = 21.5;
-  for (std::size_t i = 0; i < kN; ++i) {
-    hot_in[i] = rng.uniform(22.0, 55.0);
-    c_hot[i] = rng.uniform(1e4, 2e5);
-    c_cold[i] = rng.uniform(1e4, 2e5);
-  }
-  // Edge cases in-band: a dry hot side, a dry cold side, and exactly
-  // balanced capacity rates.
-  c_hot[10] = 0.0;
-  c_cold[20] = -1.0;
-  c_cold[30] = c_hot[30];
-  evaluate_counterflow_hx_batch(kN, ua, hot_in.data(), c_hot.data(), cold_in,
-                                c_cold.data(), batch.data());
-  for (std::size_t i = 0; i < kN; ++i) {
-    const HxResult scalar =
-        evaluate_counterflow_hx(ua, hot_in[i], c_hot[i], cold_in, c_cold[i]);
-    EXPECT_EQ(batch[i].duty_w, scalar.duty_w) << "unit " << i;
-    EXPECT_EQ(batch[i].hot_out_c, scalar.hot_out_c) << "unit " << i;
-    EXPECT_EQ(batch[i].cold_out_c, scalar.cold_out_c) << "unit " << i;
-    EXPECT_EQ(batch[i].effectiveness, scalar.effectiveness) << "unit " << i;
-  }
-}
 
 }  // namespace
 }  // namespace exadigit

@@ -1,16 +1,22 @@
 /// A churning plant run — staging events, a rack blockage and a forced
 /// pump speed — checked for consistency: a reset plant against a fresh one
 /// and its counters after reset(), energy and PUE bookkeeping, and the
-/// batched thermal kernel against its scalar reference bit for bit. The
-/// suites keep the names they had when they also cross-checked a
-/// deduplicated hydraulic solver.
+/// lane-parallel CDU thermal kernel against its scalar reference bit for
+/// bit. The suites keep the names they had when they also cross-checked a
+/// deduplicated hydraulic solver and a gathered HX batch.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
+#include "cooling/cdu_thermal.hpp"
+#include "cooling/fluid.hpp"
+#include "cooling/heat_exchanger.hpp"
 #include "cooling/plant.hpp"
 
 namespace exadigit {
@@ -61,6 +67,20 @@ void expect_outputs_bit_identical(const PlantOutputs& a, const PlantOutputs& b, 
   compare_outputs(a, b, step, [step](double x, double y, const std::string& what) {
     EXPECT_EQ(x, y) << what << " differs at step " << step;
   });
+}
+
+/// The counters of a default-path plant and a kScalar one after the same
+/// steps: every hydraulic counter, the clock and the step count agree, and
+/// hx_evaluated counts cdu_count per substep on the default path only.
+void expect_counters_identical(const CoolingPlantModel& fast, const CoolingPlantModel& ref,
+                               long long substeps) {
+  EXPECT_EQ(fast.step_count(), ref.step_count());
+  EXPECT_EQ(fast.time_s(), ref.time_s());
+  EXPECT_EQ(fast.hydraulics_stats().solves_performed, ref.hydraulics_stats().solves_performed);
+  EXPECT_EQ(fast.hydraulics_stats().max_mass_residual_rel,
+            ref.hydraulics_stats().max_mass_residual_rel);
+  EXPECT_EQ(fast.thermal_stats().hx_evaluated, substeps * fast.cdu_count());
+  EXPECT_EQ(ref.thermal_stats().hx_evaluated, 0);
 }
 
 /// One step of the churn script: per-CDU load imbalance, a weather ramp
@@ -168,9 +188,9 @@ TEST(PlantDedupTest, EnergyAndPueConsistentUnderDedup) {
 }
 
 TEST(PlantThermalEvalTest, BatchedKernelBitIdenticalToScalarReference) {
-  // ThermalEval::kScalar is the per-CDU reference path for the gathered/
-  // batched HX kernel; a churning run must match it to the last bit (the
-  // batch performs the same operations in the same order per element).
+  // ThermalEval::kScalar is the per-CDU reference path for the lane-parallel
+  // kernel; a churning run must match it to the last bit (each lane performs
+  // the same operations in the same order).
   const SystemConfig config = frontier_system_config();
   CoolingPlantModel batched(config);  // kBatched is the default
   CoolingPlantModel scalar(config);
@@ -183,9 +203,8 @@ TEST(PlantThermalEvalTest, BatchedKernelBitIdenticalToScalarReference) {
     }
   }
   expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), 800);
-  // Only the batched path counts kernel evaluations; the reference leaves 0.
-  EXPECT_GT(batched.thermal_stats().hx_evaluated, 0);
-  EXPECT_EQ(scalar.thermal_stats().hx_evaluated, 0);
+  // Five 3 s substeps per 15 s step.
+  expect_counters_identical(batched, scalar, 800LL * 5);
 }
 
 /// With a 0.1 m3 CDU loop the stability guard splits each step into more
@@ -207,6 +226,184 @@ TEST(PlantThermalEvalTest, BatchedMatchesScalarWhenTheGuardSplitsSteps) {
   expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), 400);
   // More than the 5 substeps of 3 s per 15 s step, over 25 CDUs.
   EXPECT_GT(batched.thermal_stats().hx_evaluated, 400LL * 5 * config.cdu_count);
+}
+
+/// A CDU pump held at 0 leaves that CDU's HEX with a dry hot side, so its
+/// pair of lanes takes the scalar evaluate_counterflow_hx while the other
+/// pairs run packed; the run still matches the reference bit for bit.
+TEST(PlantThermalEvalTest, DefaultMatchesScalarThroughAStoppedCduPump) {
+  const SystemConfig config = frontier_system_config();
+  CoolingPlantModel batched(config);
+  CoolingPlantModel scalar(config);
+  scalar.set_thermal_eval(ThermalEval::kScalar);
+  int dry_steps = 0;
+  for (int step = 0; step < 300; ++step) {
+    for (CoolingPlantModel* plant : {&batched, &scalar}) {
+      if (step == 100) plant->force_cdu_pump_speed(12, 0.0);
+      if (step == 130) plant->force_cdu_pump_speed(12, -1.0);
+      churn_step(*plant, step, config);
+    }
+    expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), step);
+    if (batched.outputs().cdus[12].sec_flow_m3s == 0.0) {
+      ++dry_steps;
+      EXPECT_EQ(batched.outputs().cdus[12].hex_duty_w, 0.0) << "step " << step;
+    }
+  }
+  EXPECT_EQ(dry_steps, 30);
+  expect_counters_identical(batched, scalar, 300LL * 5);
+}
+
+/// Frontier's per-CDU load on a plant of `config.cdu_count` CDUs, with a
+/// load swing, a per-CDU imbalance and a weather ramp that stages tower
+/// cells.
+void per_cdu_load_step(CoolingPlantModel& plant, int step, const SystemConfig& config) {
+  const int n = config.cdu_count;
+  const double sys_mw = 17.0 + 9.0 * std::sin(step * 0.01);
+  CoolingInputs in;
+  in.cdu_heat_w.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const double weight = 1.0 + 0.3 * std::sin(0.7 * i + 0.05 * step);
+    in.cdu_heat_w[static_cast<std::size_t>(i)] =
+        units::watts_from_mw(sys_mw) * config.cooling.cooling_efficiency * weight / 25.0;
+  }
+  in.wetbulb_c = 12.0 + 10.0 * std::sin(step * 0.004);
+  in.system_power_w = units::watts_from_mw(sys_mw) * n / 25.0;
+  plant.step(in, config.simulation.cooling_quantum_s);
+}
+
+/// Lanes come in pairs: one CDU is a lone tail lane, two fill one pair, 25
+/// are twelve pairs and a tail. Each count matches the reference.
+TEST(PlantThermalEvalTest, DefaultMatchesScalarAtEveryLaneCount) {
+  for (const int cdus : {1, 2, 25}) {
+    SCOPED_TRACE("cdu_count " + std::to_string(cdus));
+    SystemConfig config = frontier_system_config();
+    if (cdus != config.cdu_count) {
+      config.cdu_count = cdus;
+      config.rack_count = cdus * config.racks_per_cdu;
+    }
+    CoolingPlantModel batched(config);
+    CoolingPlantModel scalar(config);
+    scalar.set_thermal_eval(ThermalEval::kScalar);
+    for (int step = 0; step < 300; ++step) {
+      per_cdu_load_step(batched, step, config);
+      per_cdu_load_step(scalar, step, config);
+      if (step % 25 == 0) {
+        expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), step);
+      }
+    }
+    expect_outputs_bit_identical(batched.outputs(), scalar.outputs(), 300);
+    expect_counters_identical(batched, scalar, 300LL * 5);
+  }
+}
+
+/// The plant's kScalar body for one substep over the same columns:
+/// evaluate_counterflow_hx and the volume update, CDU by CDU.
+double reference_substep(CduColumns& c, double ua, double half_vol, double t_pri_supply_c,
+                         double h) {
+  const double rho_cp_pri = coolant_rho_cp(Coolant::kWater, t_pri_supply_c);
+  double mix = 0.0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const double rho_cp = coolant_rho_cp(Coolant::kWater, c.t_return_c[i]);
+    const HxResult hx = evaluate_counterflow_hx(ua, c.t_return_c[i], rho_cp * c.q_sec_m3s[i],
+                                                t_pri_supply_c, rho_cp_pri * c.q_branch_m3s[i]);
+    const double d_supply = c.q_sec_m3s[i] / half_vol * (hx.hot_out_c - c.t_supply_c[i]);
+    const double d_return = c.q_sec_m3s[i] / half_vol * (c.t_supply_c[i] - c.t_return_c[i]) +
+                            c.heat_w[i] / (rho_cp * half_vol);
+    c.t_supply_c[i] += h * d_supply;
+    c.t_return_c[i] += h * d_return;
+    c.duty_w[i] = hx.duty_w;
+    c.pri_return_c[i] = hx.cold_out_c;
+    mix += c.q_branch_m3s[i] * hx.cold_out_c;
+  }
+  return mix;
+}
+
+void expect_columns_bit_identical(const CduColumns& a, const CduColumns& b, int substep) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.t_supply_c[i], b.t_supply_c[i]) << "CDU " << i << ", substep " << substep;
+    EXPECT_EQ(a.t_return_c[i], b.t_return_c[i]) << "CDU " << i << ", substep " << substep;
+    EXPECT_EQ(a.duty_w[i], b.duty_w[i]) << "CDU " << i << ", substep " << substep;
+    EXPECT_EQ(a.pri_return_c[i], b.pri_return_c[i]) << "CDU " << i << ", substep " << substep;
+  }
+}
+
+/// The HEX edge cases straight through the kernel, each sharing a pair with
+/// a general lane: a dry hot side, a dry cold side, balanced capacity rates
+/// (equal to rounding, and exactly equal), a near-isothermal cold side
+/// (C_r < 1e-12), NTU = 0 (UA = 0), and the failed checks, which must throw
+/// the reference's message. 65 lanes leave a tail.
+TEST(PlantThermalEvalTest, LanesMatchScalarOnHxEdgeInputs) {
+  constexpr std::size_t kN = 65;
+  constexpr double kUa = 450000.0;
+  constexpr double kHalfVol = 0.6;
+  constexpr double kPriSupplyC = 21.5;
+  constexpr double kH = 3.0;
+  const double rho_cp_pri = coolant_rho_cp(Coolant::kWater, kPriSupplyC);
+  Rng rng(9001);
+  CduColumns lanes(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    lanes.t_return_c[i] = rng.uniform(22.0, 55.0);
+    lanes.t_supply_c[i] = rng.uniform(20.0, 50.0);
+    const double rho_cp = coolant_rho_cp(Coolant::kWater, lanes.t_return_c[i]);
+    lanes.q_sec_m3s[i] = rng.uniform(1e4, 2e5) / rho_cp;
+    lanes.q_branch_m3s[i] = rng.uniform(1e4, 2e5) / rho_cp_pri;
+    lanes.heat_w[i] = rng.uniform(0.0, 1e6);
+  }
+  lanes.q_sec_m3s[10] = 0.0;     // dry hot side
+  lanes.q_branch_m3s[21] = -1.0;  // dry cold side
+  // Capacity rates equal to rounding: the balanced limit.
+  lanes.q_branch_m3s[30] = lanes.q_sec_m3s[30] *
+                           coolant_rho_cp(Coolant::kWater, lanes.t_return_c[30]) / rho_cp_pri;
+  // Exactly equal rates: the same flow at the primary supply temperature.
+  lanes.t_return_c[33] = kPriSupplyC;
+  lanes.q_branch_m3s[33] = lanes.q_sec_m3s[33];
+  lanes.q_branch_m3s[41] = lanes.q_sec_m3s[41] * 1e-14;  // C_r < 1e-12
+  {
+    const double c_sec = coolant_rho_cp(Coolant::kWater, lanes.t_return_c[30]) *
+                         lanes.q_sec_m3s[30];
+    const double c_pri = rho_cp_pri * lanes.q_branch_m3s[30];
+    ASSERT_LT(std::abs(1.0 - std::min(c_sec, c_pri) / std::max(c_sec, c_pri)), 1e-9);
+  }
+  for (std::size_t i = 0; i < kN; ++i) lanes.sec_rate[i] = lanes.q_sec_m3s[i] / kHalfVol;
+
+  CduColumns ref = lanes;
+  for (int s = 0; s < 3; ++s) {
+    const double mix = lanes.substep(kUa, kHalfVol, kPriSupplyC, kH);
+    const double ref_mix = reference_substep(ref, kUa, kHalfVol, kPriSupplyC, kH);
+    EXPECT_EQ(mix, ref_mix) << "substep " << s;
+    expect_columns_bit_identical(lanes, ref, s);
+  }
+  EXPECT_EQ(lanes.duty_w[10], 0.0);
+  EXPECT_EQ(lanes.duty_w[21], 0.0);
+  // NTU = 0 in every lane: no duty, and the same bits.
+  const double mix = lanes.substep(0.0, kHalfVol, kPriSupplyC, kH);
+  EXPECT_EQ(mix, reference_substep(ref, 0.0, kHalfVol, kPriSupplyC, kH));
+  expect_columns_bit_identical(lanes, ref, 3);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(lanes.duty_w[i], 0.0) << "CDU " << i;
+
+  // A failed check throws the reference's error.
+  auto message = [](auto&& run) {
+    try {
+      run();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  CduColumns bad_ua = lanes;
+  CduColumns bad_ua_ref = lanes;
+  const std::string ua_error = message([&] { bad_ua.substep(-1.0, kHalfVol, kPriSupplyC, kH); });
+  EXPECT_EQ(ua_error, "config error: UA must be non-negative");
+  EXPECT_EQ(ua_error,
+            message([&] { reference_substep(bad_ua_ref, -1.0, kHalfVol, kPriSupplyC, kH); }));
+  CduColumns bad_t = lanes;
+  bad_t.t_return_c[5] = std::numeric_limits<double>::quiet_NaN();
+  CduColumns bad_t_ref = bad_t;
+  const std::string ntu_error = message([&] { bad_t.substep(kUa, kHalfVol, kPriSupplyC, kH); });
+  EXPECT_EQ(ntu_error, "config error: NTU must be non-negative");
+  EXPECT_EQ(ntu_error,
+            message([&] { reference_substep(bad_t_ref, kUa, kHalfVol, kPriSupplyC, kH); }));
 }
 
 }  // namespace

@@ -184,6 +184,25 @@ TEST(ScenarioRunnerTest, FailedScenarioDoesNotSinkTheBatch) {
   EXPECT_GT(results[1].metric("extended_pue"), 1.0);
 }
 
+/// validate_cooling scores only what follows the plant's first hour from
+/// rest, so a 1 h source has nothing to score: the scenario fails naming
+/// the span instead of reporting the spin-up as model error.
+TEST(ScenarioRunnerTest, CoolingValidationOfAnHourFailsNamingTheSpan) {
+  ScenarioSpec spec;
+  spec.name = "short-validation";
+  spec.type = "cooling_validation";
+  spec.source.kind = ScenarioSource::Kind::kSynthetic;
+  spec.source.hours = 1.0;
+  spec.source.seed = 2024;
+  const auto results = ScenarioRunner().run({spec});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, ScenarioResult::Status::kFailed);
+  EXPECT_NE(results[0].error.find("needs more than 1 h of telemetry"), std::string::npos)
+      << results[0].error;
+  EXPECT_NE(results[0].error.find("the dataset spans 3600 s"), std::string::npos)
+      << results[0].error;
+}
+
 TEST(ScenarioRunnerTest, NonStandardExceptionIsContained) {
   // User factories may throw anything; the pool must never std::terminate.
   ScenarioRegistry registry;
