@@ -18,6 +18,7 @@
 #include "core/whatif.hpp"
 #include "raps/workload.hpp"
 #include "scenario/scenario_registry.hpp"
+#include "telemetry/chunk.hpp"
 #include "telemetry/store.hpp"
 
 namespace exadigit {
@@ -124,19 +125,19 @@ ScenarioResult run_replay_scenario(const ScenarioSpec& spec) {
   check_params(spec, {"cooling"});
   const SystemConfig config = spec.resolve_config();
   const bool cooling = param_bool(spec, "cooling", true);
-  // Streaming knobs route through a ChunkedTelemetrySource (exadigit-bin
-  // datasets never fully materialize); otherwise native saved datasets feed
-  // the replay columnar (single-pass load, no channel copies), and
-  // synthetic recordings and bespoke registry formats go through the
-  // materialized-dataset path.
-  const bool columnar =
-      spec.source.kind == ScenarioSource::Kind::kDataset && spec.source.format.empty();
+  // The one place a replay decides how its telemetry arrives: an
+  // exadigit-bin dataset (so named, or so by its manifest) streams off
+  // disk, decoding only the channels replay reads, one chunk resident at a
+  // time; every other source is resolved whole, through the dataset loader
+  // a long-lived service keeps resident.
+  const ScenarioSource& source = spec.source;
+  const bool streams = source.kind == ScenarioSource::Kind::kDataset &&
+                       (source.format.empty() ? read_manifest(source.path).format
+                                              : source.format) == kExadigitBinFormat;
   PowerReplayResult pr;
-  if (spec.source.chunked()) {
-    const std::unique_ptr<ChunkedTelemetrySource> source = spec.resolve_chunk_source(config);
-    pr = replay_power(config, *source, cooling);
-  } else if (columnar) {
-    pr = replay_power(config, load_dataset_frame(spec.source.path), cooling);
+  if (streams) {
+    BinChunkSource chunks(source.path);
+    pr = replay_power(config, chunks, cooling);
   } else {
     pr = replay_power(config, spec.resolve_dataset(config), cooling);
   }

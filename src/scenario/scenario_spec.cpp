@@ -29,17 +29,11 @@ void check_keys(const Json& j, const std::set<std::string>& allowed,
 }
 
 std::mutex dataset_loader_mutex;
-ScenarioDatasetLoader dataset_loader;  // empty = default filesystem resolution
-ScenarioChunkSourceOpener chunk_source_opener;  // empty = default resolution
+ScenarioDatasetLoader dataset_loader;  // empty = load_source_dataset
 
 ScenarioDatasetLoader current_dataset_loader() {
   const std::lock_guard<std::mutex> lock(dataset_loader_mutex);
   return dataset_loader;
-}
-
-ScenarioChunkSourceOpener current_chunk_source_opener() {
-  const std::lock_guard<std::mutex> lock(dataset_loader_mutex);
-  return chunk_source_opener;
 }
 
 }  // namespace
@@ -49,9 +43,14 @@ void set_scenario_dataset_loader(ScenarioDatasetLoader loader) {
   dataset_loader = std::move(loader);
 }
 
-void set_scenario_chunk_source_opener(ScenarioChunkSourceOpener opener) {
-  const std::lock_guard<std::mutex> lock(dataset_loader_mutex);
-  chunk_source_opener = std::move(opener);
+TelemetryDataset load_source_dataset(const ScenarioSource& source) {
+  // Explicit formats go through the reader registry (so bespoke adapters
+  // like "swf" work); otherwise the single-pass columnar loader
+  // auto-detects the native format from the manifest.
+  if (!source.format.empty()) {
+    return TelemetryReaderRegistry::instance().load(source.format, source.path);
+  }
+  return load_dataset(source.path);
 }
 
 TimeSeries synthetic_wetbulb_series(double duration_s, std::uint64_t seed) {
@@ -66,8 +65,7 @@ TimeSeries synthetic_wetbulb_series(double duration_s, std::uint64_t seed) {
 
 ScenarioSource ScenarioSource::from_json(const Json& j) {
   if (!j.is_object()) throw ConfigError("scenario source must be an object");
-  check_keys(j, {"kind", "path", "format", "hours", "seed", "chunk_seconds", "max_resident_mb"},
-             "scenario source");
+  check_keys(j, {"kind", "path", "format", "hours", "seed"}, "scenario source");
   ScenarioSource s;
   s.path = j.string_or("path", "");
   s.format = j.string_or("format", "");
@@ -84,13 +82,7 @@ ScenarioSource ScenarioSource::from_json(const Json& j) {
   }
   s.hours = j.number_or("hours", s.hours);
   s.seed = static_cast<std::uint64_t>(j.int_or("seed", static_cast<std::int64_t>(s.seed)));
-  s.chunk_seconds = j.number_or("chunk_seconds", 0.0);
-  s.max_resident_mb = j.number_or("max_resident_mb", 0.0);
   require(s.hours > 0.0, "scenario source hours must be positive");
-  require(s.chunk_seconds >= 0.0, "scenario source chunk_seconds must be >= 0");
-  require(s.max_resident_mb >= 0.0, "scenario source max_resident_mb must be >= 0");
-  require(s.kind != Kind::kSynthetic || s.max_resident_mb == 0.0,
-          "synthetic scenario source does not take max_resident_mb (it is in memory)");
   require(s.kind != Kind::kDataset || !s.path.empty(),
           "dataset scenario source requires a path");
   require(s.kind != Kind::kSynthetic || s.path.empty(),
@@ -107,8 +99,6 @@ Json ScenarioSource::to_json() const {
   if (!format.empty()) j["format"] = format;
   j["hours"] = hours;
   j["seed"] = static_cast<std::int64_t>(seed);
-  if (chunk_seconds > 0.0) j["chunk_seconds"] = chunk_seconds;
-  if (max_resident_mb > 0.0) j["max_resident_mb"] = max_resident_mb;
   return j;
 }
 
@@ -126,13 +116,7 @@ TelemetryDataset ScenarioSpec::resolve_dataset(const SystemConfig& config) const
     if (const ScenarioDatasetLoader loader = current_dataset_loader(); loader) {
       return loader(source);
     }
-    // Explicit formats go through the reader registry (so bespoke adapters
-    // like "swf" work); otherwise the single-pass columnar loader
-    // auto-detects the native format from the manifest.
-    if (!source.format.empty()) {
-      return TelemetryReaderRegistry::instance().load(source.format, source.path);
-    }
-    return load_dataset(source.path);
+    return load_source_dataset(source);
   }
   // Same recording path as `exadigit_cli record`: a perturbed physical twin
   // runs the workload and samples every Table II channel.
@@ -141,31 +125,6 @@ TelemetryDataset ScenarioSpec::resolve_dataset(const SystemConfig& config) const
   SyntheticPhysicalTwin physical(config, PhysicalTwinOptions{});
   return physical.record(gen.generate(0.0, duration),
                          synthetic_wetbulb_series(duration, source.seed + 1), duration);
-}
-
-std::unique_ptr<ChunkedTelemetrySource> ScenarioSpec::resolve_chunk_source(
-    const SystemConfig& config) const {
-  if (source.kind == ScenarioSource::Kind::kDataset) {
-    // A long-lived service may have installed a residency-aware opener.
-    if (const ScenarioChunkSourceOpener opener = current_chunk_source_opener(); opener) {
-      return opener(source);
-    }
-    BinChunkSource::Options options;
-    options.max_resident_mb = source.max_resident_mb;
-    if (source.format.empty()) {
-      return open_chunk_source(source.path, source.chunk_seconds, options);
-    }
-    if (source.format == kExadigitBinFormat) {
-      return std::make_unique<BinChunkSource>(source.path, options);
-    }
-    // Bespoke registry formats only produce materialized datasets; slice
-    // the loaded dataset in memory.
-    return std::make_unique<InMemoryChunkSource>(
-        dataset_to_frame(TelemetryReaderRegistry::instance().load(source.format, source.path)),
-        source.chunk_seconds);
-  }
-  return std::make_unique<InMemoryChunkSource>(dataset_to_frame(resolve_dataset(config)),
-                                               source.chunk_seconds);
 }
 
 ScenarioSpec ScenarioSpec::from_json(const Json& j) {

@@ -12,6 +12,12 @@
 /// and a seed. A ScenarioBatch is a list of specs plus runner settings;
 /// both round-trip through JSON so a batch file is the single entry point
 /// to every twin workflow.
+///
+/// A dataset source reaches a workflow through resolve_dataset, which asks
+/// the one process-wide seam (set_scenario_dataset_loader) and otherwise
+/// load_source_dataset, the one format dispatch. The replay workflow is
+/// the one exception: it streams an exadigit-bin source off disk chunk by
+/// chunk (telemetry/chunk.hpp) rather than loading it.
 
 #include <cstdint>
 #include <functional>
@@ -21,7 +27,6 @@
 
 #include "config/system_config.hpp"
 #include "json/json.hpp"
-#include "telemetry/chunk.hpp"
 #include "telemetry/schema.hpp"
 
 namespace exadigit {
@@ -40,17 +45,6 @@ struct ScenarioSource {
   std::string format;
   double hours = 1.0;         ///< recorded window length (kSynthetic)
   std::uint64_t seed = 2024;  ///< workload/recording seed (kSynthetic)
-  /// Streaming knobs (see telemetry/chunk.hpp). chunk_seconds > 0 slices
-  /// the telemetry into windows of that many seconds and replays it through
-  /// a ChunkedTelemetrySource; max_resident_mb > 0 additionally bounds the
-  /// decoded chunk bytes resident at once (exadigit-bin datasets only —
-  /// other sources are in memory regardless). Either knob being set routes
-  /// replay through the chunked path; both zero = monolithic load.
-  double chunk_seconds = 0.0;
-  double max_resident_mb = 0.0;
-
-  /// True when either streaming knob is set.
-  [[nodiscard]] bool chunked() const { return chunk_seconds > 0.0 || max_resident_mb > 0.0; }
 
   static ScenarioSource from_json(const Json& j);
   [[nodiscard]] Json to_json() const;
@@ -82,16 +76,11 @@ struct ScenarioSpec {
   /// round-trip so delta-free scenarios match direct-call paths exactly.
   [[nodiscard]] SystemConfig resolve_config() const;
 
-  /// Materializes the telemetry source: loads `source.path`, or records a
-  /// synthetic dataset under `config` (same path as `exadigit_cli record`).
+  /// Materializes the telemetry source: loads `source.path` through the
+  /// installed dataset loader (load_source_dataset by default), or records
+  /// a synthetic dataset under `config` (same path as `exadigit_cli
+  /// record`).
   [[nodiscard]] TelemetryDataset resolve_dataset(const SystemConfig& config) const;
-
-  /// Streaming counterpart of resolve_dataset, honoring the source's
-  /// chunk_seconds/max_resident_mb knobs: exadigit-bin datasets stream off
-  /// disk chunk by chunk, everything else (csv, bespoke registry formats,
-  /// synthetic recordings) loads fully and is sliced in memory.
-  [[nodiscard]] std::unique_ptr<ChunkedTelemetrySource> resolve_chunk_source(
-      const SystemConfig& config) const;
 
   /// Parses a spec object; unknown keys are ConfigErrors so typos in batch
   /// files fail loudly rather than silently running defaults.
@@ -116,25 +105,24 @@ struct ScenarioBatch {
   }
 };
 
-/// Process-wide override of dataset-source resolution. When installed,
+/// Loads a kDataset source from disk: the reader registry for a named
+/// `format`, the manifest's format otherwise. The one format dispatch of a
+/// scenario's dataset: resolve_dataset's default and the scenario
+/// service's resident loader both call it.
+[[nodiscard]] TelemetryDataset load_source_dataset(const ScenarioSource& source);
+
+/// The one process-wide seam of dataset-source resolution. When installed,
 /// ScenarioSpec::resolve_dataset routes every kDataset source through
-/// `loader` instead of hitting the filesystem directly — this is how the
-/// long-lived scenario service keeps loaded datasets resident across
-/// requests (keyed by path/format/mtime; see server/scenario_service.hpp)
-/// without the workflow factories knowing a cache exists. Synthetic sources
-/// are unaffected. Pass an empty function to restore the default. Install
-/// before serving: the setter is thread-safe, but swapping loaders while
-/// scenarios run gives an arbitrary mix of old and new resolution.
+/// `loader` instead of load_source_dataset — this is how the long-lived
+/// scenario service keeps loaded datasets resident across requests (keyed
+/// by path/format/mtime; see server/scenario_service.hpp) without the
+/// workflow factories knowing a cache exists. Synthetic sources are
+/// unaffected, and so is a replay of an exadigit-bin source, which streams
+/// off disk. Pass an empty function to restore the default. Install before
+/// serving: the setter is thread-safe, but swapping loaders while scenarios
+/// run gives an arbitrary mix of old and new resolution.
 using ScenarioDatasetLoader = std::function<TelemetryDataset(const ScenarioSource&)>;
 void set_scenario_dataset_loader(ScenarioDatasetLoader loader);
-
-/// Chunked twin of the loader seam: when installed, resolve_chunk_source
-/// routes every kDataset source through `opener` (the scenario service uses
-/// this for residency accounting of streamed datasets). Same thread-safety
-/// contract as set_scenario_dataset_loader.
-using ScenarioChunkSourceOpener =
-    std::function<std::unique_ptr<ChunkedTelemetrySource>(const ScenarioSource&)>;
-void set_scenario_chunk_source_opener(ScenarioChunkSourceOpener opener);
 
 /// The paper-style synthetic wet-bulb boundary series used by workload
 /// scenarios: 60 s samples over `duration_s`, deterministic in `seed`.

@@ -10,7 +10,6 @@
 #include "scenario/scenario_result.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "telemetry/chunk.hpp"
-#include "telemetry/store.hpp"
 
 namespace exadigit {
 
@@ -85,14 +84,11 @@ ScenarioService::ScenarioService(Options options)
   for (int i = 0; i < jobs; ++i) workers_.emplace_back([this] { worker_loop(); });
   set_scenario_dataset_loader(
       [this](const ScenarioSource& source) { return load_resident_dataset(source); });
-  set_scenario_chunk_source_opener(
-      [this](const ScenarioSource& source) { return open_resident_chunk_source(source); });
 }
 
 ScenarioService::~ScenarioService() {
-  // Uninstall the seams before anything they capture is torn down.
+  // Uninstall the seam before anything it captures is torn down.
   set_scenario_dataset_loader({});
-  set_scenario_chunk_source_opener({});
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     stop_ = true;
@@ -503,12 +499,8 @@ TelemetryDataset ScenarioService::load_resident_dataset(const ScenarioSource& so
   }
   // Loading under the lock serializes concurrent first-touches of the same
   // dataset — exactly the duplicate work residency exists to avoid.
-  TelemetryDataset loaded =
-      source.format.empty()
-          ? load_dataset(source.path)
-          : TelemetryReaderRegistry::instance().load(source.format, source.path);
+  auto resident = std::make_shared<const TelemetryDataset>(load_source_dataset(source));
   ++dataset_loads_;
-  auto resident = std::make_shared<const TelemetryDataset>(std::move(loaded));
   const std::size_t bytes = dataset_payload_bytes(*resident);
   dataset_order_.push_front(ResidentDataset{key, resident, bytes});
   dataset_index_[key] = dataset_order_.begin();
@@ -524,27 +516,6 @@ TelemetryDataset ScenarioService::load_resident_dataset(const ScenarioSource& so
     dataset_order_.pop_back();
   }
   return *resident;
-}
-
-std::unique_ptr<ChunkedTelemetrySource> ScenarioService::open_resident_chunk_source(
-    const ScenarioSource& source) {
-  BinChunkSource::Options bin_options;
-  bin_options.max_resident_mb = source.max_resident_mb;
-  if (source.format == kExadigitBinFormat) {
-    return std::make_unique<BinChunkSource>(source.path, bin_options);
-  }
-  if (source.format.empty()) {
-    // Auto-detect: binary datasets stream off disk, bypassing the resident
-    // LRU on purpose — a chunked request asked for bounded memory, and the
-    // stream's working set is one chunk, not one dataset.
-    if (read_manifest(source.path).format == kExadigitBinFormat) {
-      return std::make_unique<BinChunkSource>(source.path, bin_options);
-    }
-  }
-  // Non-binary formats must materialize anyway; share that copy through the
-  // resident LRU and slice it in memory.
-  return std::make_unique<InMemoryChunkSource>(
-      dataset_to_frame(load_resident_dataset(source)), source.chunk_seconds);
 }
 
 }  // namespace exadigit

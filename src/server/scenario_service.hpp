@@ -4,12 +4,18 @@
 /// The warm, transport-agnostic core of the scenario server.
 ///
 /// ScenarioService owns everything that makes a long-lived twin process
-/// faster than a fresh CLI run (ISSUE PR 7's tentpole): an executor pool of
-/// worker threads that run registry workflows, a content-addressed LRU of
-/// finished results (result_cache.hpp), resident telemetry datasets keyed
-/// (path, format, mtime) and injected via set_scenario_dataset_loader, a
-/// memo of resolved-config hashes, and per-scenario-type latency
-/// histograms. It speaks parsed JSON request/response envelopes — no
+/// faster than a fresh CLI run: an executor pool of worker threads that
+/// run registry workflows, a content-addressed LRU of finished results
+/// (result_cache.hpp), resident telemetry datasets keyed (path, format,
+/// mtime), a memo of resolved-config hashes, and per-scenario-type latency
+/// histograms.
+///
+/// The one seam it installs is the process-wide dataset loader
+/// (set_scenario_dataset_loader, scenario_spec.hpp), for its lifetime: every
+/// dataset a scenario resolves goes through load_source_dataset once and
+/// then stays resident, whatever its format. A replay of an exadigit-bin
+/// dataset never asks the loader; it streams off disk and decodes only the
+/// channels it reads. It speaks parsed JSON request/response envelopes — no
 /// sockets — so the protocol surface is testable without a network and the
 /// poll(2) loop in server.hpp stays purely transport.
 ///
@@ -75,11 +81,11 @@ class ScenarioService {
     std::size_t cache_entries = 256;
     /// Resident-dataset byte budget in MiB (sample payload accounting, the
     /// same dataset_payload_bytes() measure the chunk gauges use). The
-    /// service installs the process-wide dataset loader and chunk-source
-    /// opener for its lifetime, and their LRU evicts by resident bytes, not
-    /// entry count, because datasets vary by orders of magnitude: it evicts
-    /// from the cold end while over budget, always keeping the most recently
-    /// used dataset. 0 = unlimited.
+    /// service installs the process-wide dataset loader for its lifetime,
+    /// and its LRU evicts by resident bytes, not entry count, because
+    /// datasets vary by orders of magnitude: it evicts from the cold end
+    /// while over budget, always keeping the most recently used dataset.
+    /// 0 = unlimited.
     double dataset_resident_mb = 512.0;
   };
 
@@ -200,13 +206,9 @@ class ScenarioService {
   void account_scenario(std::uint64_t batch, bool failed, bool cached,
                         std::vector<Json>* out);
   void record_latency(const std::string& type, double elapsed_ms);
+  /// The installed dataset loader: load_source_dataset behind the
+  /// resident LRU.
   TelemetryDataset load_resident_dataset(const ScenarioSource& source);
-  /// The chunk-source twin of load_resident_dataset: exadigit-bin datasets
-  /// stream straight off disk (they are out-of-core by design — residency
-  /// caching them would defeat the point), everything else goes through the
-  /// resident LRU and is sliced in memory.
-  [[nodiscard]] std::unique_ptr<ChunkedTelemetrySource> open_resident_chunk_source(
-      const ScenarioSource& source);
   [[nodiscard]] static Json batch_done_envelope(const BatchState& state);
 
   Options options_;

@@ -1,9 +1,9 @@
 #pragma once
 
 /// @file bin_format.hpp
-/// Internal exadigit-bin wire helpers shared by store.cpp (whole-file v1/v2
-/// reads and writes) and chunk.cpp (per-chunk streaming reads and the
-/// chunked writer). Not installed as public API.
+/// Internal exadigit-bin wire helpers shared by store.cpp (the v1 writer)
+/// and chunk.cpp (the one chunk-block reader and the chunked writer). Not
+/// installed as public API.
 ///
 /// On-disk layout (everything little-endian):
 ///   v1: magic "EXDGBIN\x01" | u64 channel_count | channel blocks
@@ -13,7 +13,8 @@
 ///   u32 tag_len | tag bytes | u32 channel_len | channel bytes |
 ///   u64 sample_count | double times[n] | double values[n]
 /// v2 files additionally carry a manifest "chunks" index with per-chunk
-/// time ranges and byte offsets, so a reader can seek to any window.
+/// time ranges and byte offsets, whose entries tile the file after the
+/// magic, so a reader can seek to any window.
 
 #include <bit>
 #include <cstdint>
@@ -139,15 +140,9 @@ inline ChannelBlock read_channel_samples(std::istream& is, ChannelBlockHeader he
   return block;
 }
 
-inline ChannelBlock read_channel_block(std::istream& is, std::uintmax_t file_size,
-                                       const std::string& path) {
-  return read_channel_samples(is, read_channel_header(is, file_size), path);
-}
-
-/// Bump the process-wide binary I/O counters (defined in store.cpp) so
-/// chunked reads show up in dataset_io_stats() like whole-file reads do:
-/// note_binary_read per batch of adopted samples, note_binary_file_read once
-/// per channels.bin a reader opens.
+/// Bump the process-wide binary I/O counters (defined in store.cpp) behind
+/// dataset_io_stats(): note_binary_read per batch of decoded samples,
+/// note_binary_file_read once per channels.bin a reader opens.
 void note_binary_read(std::uint64_t samples);
 void note_binary_file_read();
 

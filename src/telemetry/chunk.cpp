@@ -42,12 +42,12 @@ void write_chunk_block(std::ostream& os, const TelemetryFrame& frame) {
 }
 
 /// Reads the chunk block `entry` points at (the stream is positioned
-/// there) into a fresh frame, decoding the channels `chunk` selects and
-/// seeking past the samples of every other one.
-TelemetryFrame read_chunk_block(std::istream& is, const ChunkIndexEntry& entry,
-                                std::uintmax_t file_size, const std::string& path,
-                                const TelemetryChunk& chunk) {
-  TelemetryFrame frame;
+/// there) into `frame`, appending to channels it already holds, decoding
+/// the channels `selection` selects and seeking past the samples of every
+/// other one.
+void read_chunk_block(std::istream& is, const ChunkIndexEntry& entry, std::uintmax_t file_size,
+                      const std::string& path, const TelemetryChunk& selection,
+                      TelemetryFrame& frame) {
   const auto count = binfmt::read_pod<std::uint64_t>(is, "chunk channel count");
   const std::uint64_t entry_end = entry.offset + entry.bytes;
   std::uint64_t offset = entry.offset + sizeof(std::uint64_t);  // of the next block
@@ -55,26 +55,25 @@ TelemetryFrame read_chunk_block(std::istream& is, const ChunkIndexEntry& entry,
   for (std::uint64_t c = 0; c < count; ++c) {
     binfmt::ChannelBlockHeader header = binfmt::read_channel_header(is, file_size);
     offset += header.bytes();
+    // The samples must end inside the chunk's index entry, which lies
+    // inside the file (read_manifest checks the index tiles it), so a
+    // corrupt count can neither read nor seek into another chunk.
+    if (offset > entry_end || header.samples > (entry_end - offset) / (2 * sizeof(double))) {
+      throw binfmt::truncated_samples(path);
+    }
     const std::uint64_t sample_bytes = header.samples * 2 * sizeof(double);
-    if (chunk.selects(header.tag, header.channel)) {
+    if (selection.selects(header.tag, header.channel)) {
       samples += header.samples;
       binfmt::ChannelBlock block = binfmt::read_channel_samples(is, std::move(header), path);
-      frame.adopt_channel(std::move(block.tag), std::move(block.channel),
-                          std::move(block.times), std::move(block.values));
+      frame.append_channel(std::move(block.tag), std::move(block.channel),
+                           std::move(block.times), std::move(block.values));
     } else {
-      // The samples must end inside the chunk's index entry, which lies
-      // inside the file (read_manifest checks every entry against its
-      // size), so a corrupt count cannot seek anywhere else.
-      if (offset > entry_end || header.samples > (entry_end - offset) / (2 * sizeof(double))) {
-        throw binfmt::truncated_samples(path);
-      }
       is.seekg(static_cast<std::streamoff>(offset + sample_bytes));
       if (!is.good()) throw binfmt::truncated_samples(path);
     }
     offset += sample_bytes;
   }
   binfmt::note_binary_read(samples);
-  return frame;
 }
 
 }  // namespace
@@ -240,14 +239,28 @@ bool BinChunkSource::next(TelemetryChunk& out) {
           std::to_string(options_.max_resident_mb) + " — release chunks before pulling more");
     }
   }
-  file_.clear();
-  file_.seekg(static_cast<std::streamoff>(entry.offset));
-  require(file_.good(), "cannot seek in channels.bin: " + path_);
-  TelemetryFrame frame = read_chunk_block(file_, entry, file_size_, path_, out);
+  TelemetryFrame frame;
+  decode(entry, out, frame);
   out = TelemetryChunk(next_chunk_, entry.start_time_s, entry.end_time_s, std::move(frame),
                        gauge_);
   ++next_chunk_;
   return true;
+}
+
+void BinChunkSource::decode(const ChunkIndexEntry& entry, const TelemetryChunk& selection,
+                            TelemetryFrame& frame) {
+  file_.clear();
+  file_.seekg(static_cast<std::streamoff>(entry.offset));
+  require(file_.good(), "cannot seek in channels.bin: " + path_);
+  read_chunk_block(file_, entry, file_size_, path_, selection, frame);
+}
+
+DatasetFrame BinChunkSource::load(const std::string& directory) {
+  BinChunkSource source(directory);
+  const TelemetryChunk every_channel;
+  TelemetryFrame frame;
+  for (const ChunkIndexEntry& entry : source.index_) source.decode(entry, every_channel, frame);
+  return DatasetFrame{std::move(source.header_), std::move(frame)};
 }
 
 // --------------------------------------------------------- LiveAppendSource
@@ -357,15 +370,6 @@ void save_dataset_binary_chunked(const TelemetryDataset& dataset, const std::str
     chunk.release();
   }
   writer.finish();
-}
-
-std::unique_ptr<ChunkedTelemetrySource> open_chunk_source(const std::string& directory,
-                                                          double chunk_seconds,
-                                                          BinChunkSource::Options options) {
-  if (read_manifest(directory).format == kExadigitBinFormat) {
-    return std::make_unique<BinChunkSource>(directory, options);
-  }
-  return std::make_unique<InMemoryChunkSource>(load_dataset_frame(directory), chunk_seconds);
 }
 
 std::size_t dataset_payload_bytes(const TelemetryDataset& dataset) {

@@ -18,7 +18,9 @@
 ///    every in-memory replay_power overload reaches the chunked loop.
 ///  - BinChunkSource: streams exadigit-bin chunks straight off disk using
 ///    the manifest's chunk index (format v2); legacy single-block v1 files
-///    read as one chunk. Enforces an optional resident-bytes budget.
+///    read as one chunk. Enforces an optional resident-bytes budget. Its
+///    chunk-block decoder is the one exadigit-bin reader: a replay streams
+///    through it, and load_dataset_frame drains it whole (load()).
 ///  - LiveAppendSource: a thread-safe bounded ring with producer-side
 ///    backpressure and a clean end-of-stream, for future network ingest.
 ///
@@ -182,16 +184,15 @@ class InMemoryChunkSource final : public ChunkedTelemetrySource {
 };
 
 /// Streams exadigit-bin chunks off disk one window at a time. v2 files are
-/// read through the manifest chunk index (validated against channels.bin
-/// by read_manifest); legacy v1 single-block files are served as one chunk.
-/// Every channel block's name and count are read; the samples of a block
-/// the chunk does not select are seeked past, after checking that they end
-/// inside the chunk's index entry and the file. Never holds more than one
-/// decoded window itself; with a
-/// max_resident_mb budget, refuses to decode a chunk that would push
-/// gauge residency past the budget while a previous chunk is still live
-/// (a single chunk is always allowed, so the budget cannot deadlock the
-/// stream — it only forces release-before-next discipline).
+/// read through the manifest chunk index (which read_manifest checks tiles
+/// channels.bin); legacy v1 single-block files are served as one chunk.
+/// Every channel block's name and count are read, and its samples must end
+/// inside the chunk's index entry; the samples of a block the chunk does
+/// not select are seeked past. Never holds more than one decoded window
+/// itself; with a max_resident_mb budget, refuses to decode a chunk that
+/// would push gauge residency past the budget while a previous chunk is
+/// still live (a single chunk is always allowed, so the budget cannot
+/// deadlock the stream — it only forces release-before-next discipline).
 class BinChunkSource final : public ChunkedTelemetrySource {
  public:
   struct Options {
@@ -204,8 +205,16 @@ class BinChunkSource final : public ChunkedTelemetrySource {
   [[nodiscard]] bool next(TelemetryChunk& out) override;
   [[nodiscard]] const std::vector<ChunkIndexEntry>& chunk_index() const { return index_; }
 
+  /// Decodes every channel of every chunk, in index order, into one frame
+  /// whose columns concatenate the windows (load_dataset_frame's
+  /// exadigit-bin read). The residency gauge is not involved.
+  [[nodiscard]] static DatasetFrame load(const std::string& directory);
+
  private:
   BinChunkSource(const std::string& directory, Options options, DatasetManifest manifest);
+  /// Seeks to `entry` and appends its block's selected channels to `frame`.
+  void decode(const ChunkIndexEntry& entry, const TelemetryChunk& selection,
+              TelemetryFrame& frame);
 
   std::string path_;
   std::ifstream file_;
@@ -273,12 +282,6 @@ class ChunkedBinWriter {
 /// chunk_seconds <= 0 the whole span is one chunk.
 void save_dataset_binary_chunked(const TelemetryDataset& dataset, const std::string& directory,
                                  double chunk_seconds);
-
-/// Opens the right chunk source for a dataset directory: exadigit-bin
-/// datasets stream off disk (BinChunkSource, honoring `options`), other
-/// formats load fully and slice in memory with chunk_seconds windows.
-[[nodiscard]] std::unique_ptr<ChunkedTelemetrySource> open_chunk_source(
-    const std::string& directory, double chunk_seconds, BinChunkSource::Options options = {});
 
 /// Rewraps a materialized dataset as a columnar DatasetFrame (copying the
 /// header and the channel arrays), so it can be sliced through an

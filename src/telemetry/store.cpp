@@ -1,9 +1,7 @@
 #include "telemetry/store.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -12,6 +10,7 @@
 #include "common/parse.hpp"
 #include "json/json.hpp"
 #include "telemetry/bin_format.hpp"
+#include "telemetry/chunk.hpp"
 #include "telemetry/swf.hpp"
 
 namespace exadigit {
@@ -109,9 +108,12 @@ std::uint64_t manifest_integer(const Json& object, const std::string& where, con
 }
 
 /// Decodes the v2 chunk index, checking every entry against the size of
-/// the channels.bin it points into.
+/// the channels.bin it points into: the entries must tile the file, the
+/// first starting just past the magic, each next one where the previous
+/// ends, and the last ending at the file's end.
 std::vector<ChunkIndexEntry> chunk_index_from_json(const Json& arr, std::uint64_t file_bytes) {
   std::vector<ChunkIndexEntry> index;
+  std::uint64_t end = sizeof binfmt::kMagicV2;  // where the next entry must start
   for (const Json& entry : arr.as_array()) {
     const std::string where = "chunks[" + std::to_string(index.size()) + "].";
     ChunkIndexEntry e;
@@ -133,7 +135,20 @@ std::vector<ChunkIndexEntry> chunk_index_from_json(const Json& arr, std::uint64_
       throw TelemetryError("manifest " + where + "offset + bytes runs past the " +
                            std::to_string(file_bytes) + "-byte channels.bin");
     }
+    if (e.offset != end) {
+      throw TelemetryError("manifest " + where + "offset " + std::to_string(e.offset) +
+                           " must be " + std::to_string(end) +
+                           ", where the previous chunk (or the magic) ends: the index must "
+                           "tile channels.bin");
+    }
+    end = e.offset + e.bytes;
     index.push_back(e);
+  }
+  if (!index.empty() && end != file_bytes) {
+    throw TelemetryError("manifest chunks[" + std::to_string(index.size() - 1) +
+                         "] ends at byte " + std::to_string(end) + " of the " +
+                         std::to_string(file_bytes) +
+                         "-byte channels.bin: the index must tile channels.bin");
   }
   return index;
 }
@@ -197,35 +212,6 @@ void stream_channel_csv(const std::string& path, TelemetryFrame& frame) {
   }
   g_csv_file_parses.fetch_add(1, std::memory_order_relaxed);
   g_csv_rows.fetch_add(rows, std::memory_order_relaxed);
-}
-
-// --------------------------------------------------------- binary format
-//
-// Wire helpers live in bin_format.hpp, shared with the chunked reader and
-// writer in chunk.cpp. This whole-file reader accepts both versions: v1 is
-// one channel-block sequence, v2 is chunk blocks back-to-back (each u64
-// channel_count + blocks) that get appended per (tag, channel) key.
-
-void read_channels_bin(const std::string& path, TelemetryFrame& frame) {
-  binfmt::require_little_endian();
-  std::error_code size_ec;
-  auto file_size = std::filesystem::file_size(path, size_ec);
-  if (size_ec) file_size = 0;
-  std::ifstream f(path, std::ios::binary);
-  require(f.good(), "cannot open channels.bin for reading: " + path);
-  const int version = binfmt::read_magic(f, path);
-  std::uint64_t samples = 0;
-  do {
-    const auto channel_count = binfmt::read_pod<std::uint64_t>(f, "channel count");
-    for (std::uint64_t c = 0; c < channel_count; ++c) {
-      binfmt::ChannelBlock block = binfmt::read_channel_block(f, file_size, path);
-      samples += block.times.size();
-      frame.append_channel(std::move(block.tag), std::move(block.channel),
-                           std::move(block.times), std::move(block.values));
-    }
-  } while (version == 2 && f.peek() != std::char_traits<char>::eof());
-  g_binary_file_reads.fetch_add(1, std::memory_order_relaxed);
-  g_binary_samples.fetch_add(samples, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------- registry built-ins
@@ -416,17 +402,17 @@ DatasetFrame load_dataset_frame(const std::string& directory,
     throw TelemetryError("dataset manifest format is '" + format + "', expected '" +
                          expected_format + "'");
   }
-  DatasetFrame out{std::move(manifest.header), TelemetryFrame{}};
-  out.header.jobs = read_jobs(directory);
-  if (format == kExadigitCsvFormat) {
-    stream_channel_csv(directory + "/system.csv", out.frame);
-    stream_channel_csv(directory + "/cdu.csv", out.frame);
-    stream_channel_csv(directory + "/facility.csv", out.frame);
-  } else if (format == kExadigitBinFormat) {
-    read_channels_bin(directory + "/channels.bin", out.frame);
-  } else {
+  // exadigit-bin goes through the streaming reader's decoder, along the
+  // manifest's chunk index.
+  if (format == kExadigitBinFormat) return BinChunkSource::load(directory);
+  if (format != kExadigitCsvFormat) {
     throw TelemetryError("unexpected dataset format in manifest: '" + format + "'");
   }
+  DatasetFrame out{std::move(manifest.header), TelemetryFrame{}};
+  out.header.jobs = read_jobs(directory);
+  stream_channel_csv(directory + "/system.csv", out.frame);
+  stream_channel_csv(directory + "/cdu.csv", out.frame);
+  stream_channel_csv(directory + "/facility.csv", out.frame);
   return out;
 }
 

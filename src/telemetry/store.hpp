@@ -27,7 +27,13 @@
 /// field before anything is sized from it. A loaded dataset is a
 /// DatasetFrame: a DatasetHeader plus a columnar TelemetryFrame (see
 /// frame.hpp), each channel file parsed exactly once. to_dataset() moves
-/// the frame's arrays into the TelemetryDataset schema slots. The original
+/// the frame's arrays into the TelemetryDataset schema slots.
+///
+/// The read path: load_dataset_frame dispatches on the manifest's format.
+/// exadigit-csv streams each channel CSV once; exadigit-bin goes through
+/// BinChunkSource's chunk-block decoder (chunk.hpp) along the manifest's
+/// chunk index, the same decoder a streamed replay pulls windows through,
+/// so both reads accept and refuse the same files. The original
 /// per-channel-rescan CSV loader survives as load_dataset_reference(), the
 /// correctness reference the columnar and binary paths are validated
 /// against.
@@ -98,7 +104,10 @@ struct DatasetManifest {
 /// cdu_count is an integer in [0, kMaxDatasetCdus] and every chunk index
 /// entry has integer offset >= 8 and bytes >= 0 lying inside channels.bin,
 /// start_time_s <= end_time_s, and a start time no earlier than the
-/// previous entry's.
+/// previous entry's. The entries must also tile channels.bin, or the error
+/// names chunks[i]: the first offset is 8 (just past the magic), each
+/// later offset is the previous entry's offset plus its bytes, and the
+/// last entry ends at the file size.
 [[nodiscard]] DatasetManifest read_manifest(const std::string& directory);
 
 /// Reads jobs.json.
@@ -145,8 +154,10 @@ void save_dataset(const TelemetryDataset& dataset, const std::string& directory)
 void save_dataset_binary(const TelemetryDataset& dataset, const std::string& directory);
 
 /// Single-pass columnar load of either native layout, dispatching on the
-/// manifest "format". When `expected_format` is non-empty the manifest must
-/// name exactly that format (used by the per-format registry readers).
+/// manifest "format"; exadigit-bin follows the manifest's chunk index (a
+/// v1 file reads as one chunk). When `expected_format` is non-empty the
+/// manifest must name exactly that format (used by the per-format registry
+/// readers).
 [[nodiscard]] DatasetFrame load_dataset_frame(const std::string& directory,
                                               const std::string& expected_format = "");
 

@@ -102,35 +102,23 @@ TEST(ScenarioSpecTest, SourceKindInferredFromPath) {
   EXPECT_TRUE(inferred.format.empty());
 }
 
-TEST(ScenarioSpecTest, SourceChunkKnobsRoundTrip) {
-  const ScenarioSource s = ScenarioSource::from_json(Json::parse(
-      R"({"kind": "dataset", "path": "/data/day1", "chunk_seconds": 3600,
-          "max_resident_mb": 64})"));
-  EXPECT_EQ(s.chunk_seconds, 3600.0);
-  EXPECT_EQ(s.max_resident_mb, 64.0);
-  EXPECT_TRUE(s.chunked());
-  const ScenarioSource back = ScenarioSource::from_json(s.to_json());
-  EXPECT_EQ(back.chunk_seconds, 3600.0);
-  EXPECT_EQ(back.max_resident_mb, 64.0);
-  // Defaults stay monolithic and the knobs are elided from the JSON.
-  const ScenarioSource plain = ScenarioSource::from_json(Json::parse(R"({"path": "/d"})"));
-  EXPECT_FALSE(plain.chunked());
-  EXPECT_EQ(plain.to_json().as_object().count("chunk_seconds"), 0u);
-  EXPECT_EQ(plain.to_json().as_object().count("max_resident_mb"), 0u);
-}
-
-TEST(ScenarioSpecTest, SourceChunkKnobsValidated) {
-  // A synthetic recording is in memory by construction: a residency budget
-  // on it is a configuration error, not a no-op.
-  EXPECT_THROW(ScenarioSource::from_json(
-                   Json::parse(R"({"kind": "synthetic", "max_resident_mb": 8})")),
-               ConfigError);
-  EXPECT_THROW(ScenarioSource::from_json(
-                   Json::parse(R"({"path": "/d", "chunk_seconds": -1})")),
-               ConfigError);
-  EXPECT_THROW(ScenarioSource::from_json(
-                   Json::parse(R"({"path": "/d", "max_resident_mb": -0.5})")),
-               ConfigError);
+TEST(ScenarioSpecTest, SourceRejectsTheRemovedChunkKeys) {
+  // A replay streams an exadigit-bin source and resolves every other one
+  // whole; a source has no streaming keys, so these are unknown fields,
+  // like any typo.
+  for (const char* key : {"chunk_seconds", "max_resident_mb"}) {
+    Json source = Json::parse(R"({"kind": "dataset", "path": "/data/day1"})");
+    source[key] = Json(8.0);
+    try {
+      (void)ScenarioSource::from_json(source);
+      FAIL() << key << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("unknown scenario source field: \"") +
+                                           key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioSpecTest, BareArrayBatch) {

@@ -278,6 +278,57 @@ TEST(ScenarioServiceTest, DatasetResidencyEvictsByBytesAndReportsThem) {
   fs::remove_all(base);
 }
 
+TEST(ScenarioServiceTest, ReplaysKeepWhatTheyLoadAndStreamExadigitBin) {
+  namespace fs = std::filesystem;
+  const std::string base =
+      (fs::temp_directory_path() / "exadigit_service_replay_load_test").string();
+  fs::remove_all(base);
+  const SystemConfig config = frontier_system_config();
+  SyntheticPhysicalTwin physical(config, PhysicalTwinOptions{});
+  const TimeSeries wetbulb = TimeSeries::uniform(0.0, 60.0, std::vector<double>(12, 15.0));
+  const TelemetryDataset recorded =
+      physical.record({make_constant_job(60.0, 300.0, 512, 0.5, 0.5)}, wetbulb, 600.0);
+  save_dataset(recorded, base + "/csv");
+  save_dataset_binary_chunked(recorded, base + "/bin", 240.0);
+
+  ScenarioService service(small_options());
+  auto replay = [&](const std::string& dir, const std::string& format, int seed) {
+    const std::string format_field =
+        format.empty() ? "" : R"(, "format": ")" + format + "\"";
+    (void)service.handle_request(
+        kClient, run_request(R"([{"name": "r", "type": "replay", "seed": )" +
+                             std::to_string(seed) + R"(, "params": {"cooling": false},
+          "source": {"path": ")" + base + "/" + dir + "\"" + format_field + "}}]"));
+    const std::vector<Json> results = of_type(drain_for(service, kClient), "result");
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].at("cached").as_bool());
+    EXPECT_EQ(results[0].at("result").string_or("status", ""), "done");
+  };
+  auto dataset_stat = [&](const char* key) {
+    return service.stats_json().at("datasets").at(key).as_int();
+  };
+
+  // A format-less CSV replay is parsed once per service, then served
+  // resident.
+  reset_dataset_io_stats();
+  replay("csv", "", 1);
+  replay("csv", "", 2);
+  EXPECT_EQ(dataset_stat("loads"), 1);
+  EXPECT_EQ(dataset_stat("hits"), 1);
+  EXPECT_EQ(dataset_io_stats().csv_file_parses, 3u);
+
+  // exadigit-bin streams in either spelling: nothing is loaded, and only
+  // the measured-power and wet-bulb samples are decoded.
+  reset_dataset_io_stats();
+  replay("bin", "", 3);
+  replay("bin", kExadigitBinFormat, 4);
+  EXPECT_EQ(dataset_stat("loads"), 1);
+  EXPECT_EQ(dataset_stat("hits"), 1);
+  EXPECT_EQ(dataset_io_stats().binary_samples,
+            2 * (recorded.measured_system_power_w.size() + recorded.wetbulb_c.size()));
+  fs::remove_all(base);
+}
+
 /// Acceptance (PR 8): the policy_sweep scenario runs end to end through the
 /// server submit path — the registry-driven service needs no sweep-specific
 /// code, and the wire result round-trips every per-policy metric and series.

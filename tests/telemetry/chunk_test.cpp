@@ -299,18 +299,6 @@ TEST_F(ChunkFileTest, V2ManifestWithoutChunkIndexThrows) {
   EXPECT_THROW(BinChunkSource{dir_}, TelemetryError);
 }
 
-TEST_F(ChunkFileTest, OpenChunkSourceDispatchesOnManifestFormat) {
-  const TelemetryDataset d = small_dataset();
-  save_dataset_binary_chunked(d, dir_ + "/bin", 40.0);
-  save_dataset(d, dir_ + "/csv");
-
-  const auto bin = open_chunk_source(dir_ + "/bin", 40.0);
-  EXPECT_NE(dynamic_cast<BinChunkSource*>(bin.get()), nullptr);
-  const auto csv = open_chunk_source(dir_ + "/csv", 40.0);
-  EXPECT_NE(dynamic_cast<InMemoryChunkSource*>(csv.get()), nullptr);
-  EXPECT_EQ(bin->header().system_name, csv->header().system_name);
-}
-
 // --- manifest validation ---------------------------------------------------
 
 /// Saves small_dataset() in three 40 s chunks under `dir`, applies `edit` to
@@ -379,6 +367,44 @@ TEST_F(ChunkFileTest, ManifestChunkStartsMustNotDecrease) {
     chunk_entry(m, 2)["start_time_s"] = Json(previous_start - 1.0);
   });
   EXPECT_NE(error.find("chunks[2].start_time_s"), std::string::npos) << error;
+}
+
+// The index must tile channels.bin: an index that skips, overlaps or stops
+// short of a block would hand a reader other samples than the file holds.
+TEST_F(ChunkFileTest, ManifestChunkIndexMustCoverTheLastBlock) {
+  const std::string error = open_error_after(dir_, [](Json& m) {
+    m["chunks"].as_array().pop_back();
+  });
+  EXPECT_NE(error.find("chunks[1]"), std::string::npos) << error;
+  EXPECT_THROW((void)load_dataset(dir_), TelemetryError);
+}
+
+TEST_F(ChunkFileTest, ManifestChunksMustNotLeaveAGap) {
+  const std::string error = open_error_after(dir_, [](Json& m) {
+    Json& entry = chunk_entry(m, 1);
+    entry["offset"] = Json(entry.at("offset").as_number() + 8.0);
+    entry["bytes"] = Json(entry.at("bytes").as_number() - 8.0);
+  });
+  EXPECT_NE(error.find("chunks[1].offset"), std::string::npos) << error;
+}
+
+TEST_F(ChunkFileTest, ManifestChunksMustNotOverlap) {
+  const std::string error = open_error_after(dir_, [](Json& m) {
+    Json& entry = chunk_entry(m, 2);
+    entry["offset"] = Json(entry.at("offset").as_number() - 8.0);
+    entry["bytes"] = Json(entry.at("bytes").as_number() + 8.0);
+  });
+  EXPECT_NE(error.find("chunks[2].offset"), std::string::npos) << error;
+}
+
+TEST_F(ChunkFileTest, ManifestChunkIndexMustEndAtTheFileEnd) {
+  const std::string error = open_error_after(dir_, [this](Json&) {
+    std::ofstream f(dir_ + "/channels.bin", std::ios::binary | std::ios::app);
+    const std::uint64_t trailing = 0;
+    f.write(reinterpret_cast<const char*>(&trailing), sizeof trailing);
+  });
+  EXPECT_NE(error.find("chunks[2]"), std::string::npos) << error;
+  EXPECT_THROW((void)load_dataset(dir_), TelemetryError);
 }
 
 TEST_F(ChunkFileTest, ManifestCduCountIsBounded) {
@@ -549,16 +575,20 @@ TEST_F(ChunkFileTest, SkippedBlockRunningPastItsChunkThrows) {
     }
     ASSERT_TRUE(f.good());
   }
-  BinChunkSource source(dir_);
-  TelemetryChunk chunk;
-  chunk.select({{"system", "measured_power_w"}, {"system", "wetbulb_c"}});
-  try {
-    (void)source.next(chunk);
-    FAIL() << "a skipped block running past its chunk must throw";
-  } catch (const TelemetryError& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated channels.bin samples"), std::string::npos)
-        << e.what();
+  // Skipped or decoded, the block may not run into the next chunk.
+  for (const bool decoded : {false, true}) {
+    BinChunkSource source(dir_);
+    TelemetryChunk chunk;
+    if (!decoded) chunk.select({{"system", "measured_power_w"}, {"system", "wetbulb_c"}});
+    try {
+      (void)source.next(chunk);
+      FAIL() << "a block running past its chunk must throw (decoded: " << decoded << ")";
+    } catch (const TelemetryError& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated channels.bin samples"), std::string::npos)
+          << e.what();
+    }
   }
+  EXPECT_THROW((void)load_dataset(dir_), TelemetryError);
 }
 
 TEST_F(ChunkFileTest, SelectionSurvivesReleaseAndAForwardingDecorator) {

@@ -271,22 +271,56 @@ TEST_F(StoreTest, ColumnarLoaderMatchesReferenceLoader) {
 TEST_F(StoreTest, BinaryRoundTripIsValueIdenticalToCsv) {
   const TelemetryDataset d = synthetic_multi_cdu_dataset(25, 6);
   const std::string csv_dir = dir_ + "/csv";
-  const std::string bin_dir = dir_ + "/bin";
   save_dataset(d, csv_dir);
-  save_dataset_binary(d, bin_dir);
+  const TelemetryDataset from_csv = load_dataset(csv_dir);
+  const TelemetryDataset reference = load_dataset_reference(csv_dir);
 
-  reset_dataset_io_stats();
-  const TelemetryDataset from_bin = load_dataset(bin_dir);
-  const DatasetIoStats stats = dataset_io_stats();
-  EXPECT_EQ(stats.binary_file_reads, 1u);
-  EXPECT_EQ(stats.binary_samples, channel_count_of(d) * 6u);
-  EXPECT_EQ(stats.csv_file_parses, 0u);
+  // The v1 writer, then v2 as one chunk and as three 30 s chunks. Every
+  // layout loads through BinChunkSource's decoder, so each load equals the
+  // source and its own stream's chunks concatenated.
+  struct Layout {
+    const char* name;
+    double chunk_seconds;  ///< < 0: the v1 writer
+    std::size_t chunks;
+  };
+  for (const Layout& layout : {Layout{"v1", -1.0, 1}, Layout{"v2-one", 0.0, 1},
+                               Layout{"v2-three", 30.0, 3}}) {
+    SCOPED_TRACE(layout.name);
+    const std::string bin_dir = dir_ + "/" + layout.name;
+    if (layout.chunk_seconds < 0.0) {
+      save_dataset_binary(d, bin_dir);
+    } else {
+      save_dataset_binary_chunked(d, bin_dir, layout.chunk_seconds);
+    }
 
-  // Binary stores the exact doubles; CSV stores shortest round-trip text.
-  // Both must reproduce the original bit-for-bit.
-  expect_datasets_identical(from_bin, d);
-  expect_datasets_identical(from_bin, load_dataset(csv_dir));
-  expect_datasets_identical(from_bin, load_dataset_reference(csv_dir));
+    reset_dataset_io_stats();
+    const TelemetryDataset from_bin = load_dataset(bin_dir);
+    const DatasetIoStats stats = dataset_io_stats();
+    EXPECT_EQ(stats.binary_file_reads, 1u);
+    EXPECT_EQ(stats.binary_samples, channel_count_of(d) * 6u);
+    EXPECT_EQ(stats.csv_file_parses, 0u);
+
+    // Binary stores the exact doubles; CSV stores shortest round-trip text.
+    // Both must reproduce the original bit-for-bit.
+    expect_datasets_identical(from_bin, d);
+    expect_datasets_identical(from_bin, from_csv);
+    expect_datasets_identical(from_bin, reference);
+
+    BinChunkSource source(bin_dir);
+    TelemetryFrame concatenated;
+    TelemetryChunk chunk;
+    std::size_t pulled = 0;
+    while (source.next(chunk)) {
+      ++pulled;
+      for (const TelemetryChannel& ch : chunk.frame().channels()) {
+        concatenated.append_channel(ch.tag, ch.channel, ch.times, ch.values);
+      }
+      chunk.release();
+    }
+    EXPECT_EQ(pulled, layout.chunks);
+    expect_datasets_identical(
+        from_bin, DatasetFrame{source.header(), std::move(concatenated)}.to_dataset());
+  }
 }
 
 TEST_F(StoreTest, SaveLoadSaveIsBitIdentical) {
