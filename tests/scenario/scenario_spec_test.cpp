@@ -102,21 +102,47 @@ TEST(ScenarioSpecTest, SourceKindInferredFromPath) {
   EXPECT_TRUE(inferred.format.empty());
 }
 
-TEST(ScenarioSpecTest, SourceRejectsTheRemovedChunkKeys) {
-  // A replay streams an exadigit-bin source and resolves every other one
-  // whole; a source has no streaming keys, so these are unknown fields,
-  // like any typo.
+// A replay streams an exadigit-bin source and resolves every other one
+// whole; a source has no streaming keys, so chunk_seconds and
+// max_resident_mb are unknown fields, like any typo.
+void expect_unknown_source_field(const Json& source, const std::string& key) {
+  try {
+    (void)ScenarioSource::from_json(source);
+    ADD_FAILURE() << key << " was accepted in " << source.dump();
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown scenario source field: \"" + key + "\""),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioSpecTest, SourceChunkKnobsRoundTrip) {
+  // A source round-trips without the chunk knobs: to_json writes neither,
+  // and a source carrying either cannot be read back.
+  const ScenarioSource s = ScenarioSource::from_json(
+      Json::parse(R"({"kind": "dataset", "path": "/data/day1", "format": "exadigit-bin"})"));
+  const Json j = s.to_json();
+  EXPECT_EQ(j.as_object().count("chunk_seconds"), 0u);
+  EXPECT_EQ(j.as_object().count("max_resident_mb"), 0u);
+  EXPECT_TRUE(ScenarioSource::from_json(j).to_json() == j);
   for (const char* key : {"chunk_seconds", "max_resident_mb"}) {
-    Json source = Json::parse(R"({"kind": "dataset", "path": "/data/day1"})");
-    source[key] = Json(8.0);
-    try {
-      (void)ScenarioSource::from_json(source);
-      FAIL() << key << " was accepted";
-    } catch (const ConfigError& e) {
-      EXPECT_NE(std::string(e.what()).find(std::string("unknown scenario source field: \"") +
-                                           key + "\""),
-                std::string::npos)
-          << e.what();
+    Json with_knob = j;
+    with_knob[key] = Json(key == std::string("chunk_seconds") ? 3600.0 : 64.0);
+    expect_unknown_source_field(with_knob, key);
+  }
+}
+
+TEST(ScenarioSpecTest, SourceChunkKnobsValidated) {
+  // No value of a removed key is read: one the old range checks accepted,
+  // one they rejected, and either on a synthetic source.
+  for (const char* key : {"chunk_seconds", "max_resident_mb"}) {
+    for (const char* base : {R"({"kind": "dataset", "path": "/data/day1"})",
+                             R"({"kind": "synthetic"})"}) {
+      for (const double value : {8.0, 0.0, -0.5}) {
+        Json source = Json::parse(base);
+        source[key] = Json(value);
+        expect_unknown_source_field(source, key);
+      }
     }
   }
 }
