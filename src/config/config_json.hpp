@@ -5,12 +5,21 @@
 ///
 /// The generalized twin (paper Section V) is driven by JSON input files
 /// describing "the system architecture, the cooling system, the scheduler,
-/// and the power system". These functions define that exchange format. A
-/// round-trip (`system_config_from_json(system_config_to_json(c))`) is
-/// lossless; missing optional fields take the Frontier defaults, and keys
-/// the descriptor does not define are ignored. That includes the retired
-/// keys older descriptors carry: the evaluation strategies
-/// (simulation.engine, cooling.hydraulics, cooling.thermal) and
+/// and the power system". These functions define that exchange format.
+///
+/// config_json.cpp keeps one field list per descriptor struct, naming each
+/// key once beside its member; the writer and the reader are two walks over
+/// those lists, so a round trip (`system_config_from_json(
+/// system_config_to_json(c))`) is lossless. The writer emits every field.
+/// The reader starts from Frontier's values and overwrites a field only when
+/// its key is present; a curve is replaced whole, and a partition's node
+/// block starts from the parsed top-level node. An integer key holding a
+/// value outside `int` is a ConfigError naming the key, never a wrapped
+/// value, and so is a value of the wrong JSON type or an unknown
+/// `load_sharing` or `feed` name; an unknown scheduler policy is one listing
+/// the valid names. Keys the descriptor does not define are ignored. That
+/// includes the retired keys older descriptors carry: the evaluation
+/// strategies (simulation.engine, cooling.hydraulics, cooling.thermal) and
 /// cooling.step_s, a second exchange quantum (every plant caller steps at
 /// simulation.cooling_quantum_s).
 

@@ -21,36 +21,6 @@ double NodeConfig::power_w(double cpu_util, double gpu_util) const {
   return cpu + gpu + nic + ram_avg_w + nvme;
 }
 
-double PowerChainConfig::chain_efficiency(double group_output_w) const {
-  require(group_output_w >= 0.0, "chain_efficiency requires non-negative load");
-  if (group_output_w == 0.0) return 1.0;
-  // SIVOC stage: load fraction of the blades' converters. A group feeds
-  // `blades_per_group` blades with two SIVOCs each.
-  const double sivoc_count = 2.0 * blades_per_group;
-  const double sivoc_frac =
-      std::clamp(group_output_w / (sivoc_count * sivoc_rated_w), 0.0, 1.5);
-  const double eta_s = sivoc_efficiency(sivoc_frac);
-  const double rectifier_output_w = group_output_w / eta_s;
-  double eta_r = 1.0;
-  if (feed == PowerFeed::kDC380) {
-    eta_r = dc_feed_efficiency;
-  } else if (load_sharing == LoadSharingPolicy::kSharedBus) {
-    const double per_rect = rectifier_output_w / rectifiers_per_group;
-    eta_r = rectifier_efficiency(per_rect);
-  } else {
-    // Smart staging: the unit count whose per-unit load maximizes the
-    // efficiency curve (same selection as ConversionChain::staged_for).
-    double best_eta = -1.0;
-    for (int n = 1; n <= rectifiers_per_group; ++n) {
-      const double per_unit = rectifier_output_w / n;
-      if (per_unit > rectifier_rated_w && n < rectifiers_per_group) continue;
-      best_eta = std::max(best_eta, rectifier_efficiency(per_unit));
-    }
-    eta_r = best_eta;
-  }
-  return eta_r * eta_s;
-}
-
 int SystemConfig::racks_for_cdu(int cdu) const {
   require(cdu >= 0 && cdu < cdu_count, "cdu index out of range");
   const int first = cdu * racks_per_cdu;

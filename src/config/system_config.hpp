@@ -69,7 +69,8 @@ enum class PowerFeed {
   kDC380,  ///< direct 380 V DC feed; rectification losses removed
 };
 
-/// Power conversion chain (paper Fig. 3, Eqs. (1)-(2), Section III-B1).
+/// Power conversion chain (paper Fig. 3, Eqs. (1)-(2), Section III-B1);
+/// ConversionChain (power/conversion.hpp) evaluates it.
 struct PowerChainConfig {
   /// Rectifier efficiency vs per-rectifier output power (W). Peak 96.3 %
   /// near 7.5 kW, 1-2 % droop near idle (paper Section IV-3).
@@ -84,10 +85,6 @@ struct PowerChainConfig {
   PowerFeed feed = PowerFeed::kAC;
   /// Residual distribution efficiency in kDC380 mode (protection, buswork).
   double dc_feed_efficiency = 0.993;
-
-  /// Conversion efficiency of the whole chain for one rectifier group
-  /// delivering `group_output_w` at the node side (Eq. (1)).
-  [[nodiscard]] double chain_efficiency(double group_output_w) const;
 };
 
 /// A schedulable partition (Section V generalization: e.g. Setonix has

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "common/error.hpp"
 #include "common/csv.hpp"
@@ -122,90 +124,73 @@ std::vector<SweepRow> DaySweepResult::table_rows() const {
 }
 
 namespace {
-constexpr const char* kReportColumns[] = {
-    "duration_s",    "jobs_submitted",   "jobs_completed",  "jobs_rejected",
-    "max_queue_depth", "avg_wait_s",     "makespan_s",
-    "throughput",    "avg_power_mw",     "min_power_mw",    "max_power_mw",
-    "energy_mwh",    "avg_loss_mw",      "max_loss_mw",     "loss_fraction",
-    "avg_eta",       "avg_utilization",  "avg_arrival_s",   "avg_nodes",
-    "avg_runtime_m", "carbon_tons",      "cost_usd",
+
+/// One daily-report CSV column: its header, the Report member it holds and
+/// the decimals it is written with (counts are written with none).
+struct ReportColumn {
+  const char* name;
+  std::variant<int Report::*, double Report::*> member;
+  int decimals;
 };
+
+const ReportColumn kReportColumns[] = {
+    {"duration_s", &Report::duration_s, 1},
+    {"jobs_submitted", &Report::jobs_submitted, 0},
+    {"jobs_completed", &Report::jobs_completed, 0},
+    {"jobs_rejected", &Report::jobs_rejected, 0},
+    {"max_queue_depth", &Report::max_queue_depth, 0},
+    {"avg_wait_s", &Report::avg_wait_s, 4},
+    {"makespan_s", &Report::makespan_s, 4},
+    {"throughput", &Report::throughput_jobs_per_hour, 4},
+    {"avg_power_mw", &Report::avg_power_mw, 6},
+    {"min_power_mw", &Report::min_power_mw, 6},
+    {"max_power_mw", &Report::max_power_mw, 6},
+    {"energy_mwh", &Report::total_energy_mwh, 6},
+    {"avg_loss_mw", &Report::avg_loss_mw, 6},
+    {"max_loss_mw", &Report::max_loss_mw, 6},
+    {"loss_fraction", &Report::loss_fraction, 8},
+    {"avg_eta", &Report::avg_eta_system, 8},
+    {"avg_utilization", &Report::avg_utilization, 6},
+    {"avg_arrival_s", &Report::avg_arrival_s, 4},
+    {"avg_nodes", &Report::avg_nodes_per_job, 4},
+    {"avg_runtime_m", &Report::avg_runtime_min, 4},
+    {"carbon_tons", &Report::carbon_tons, 4},
+    {"cost_usd", &Report::energy_cost_usd, 2},
+};
+
 }  // namespace
 
 void save_daily_reports_csv(const std::vector<Report>& daily, const std::string& path) {
   std::vector<std::string> header = {"day"};
-  for (const char* c : kReportColumns) header.emplace_back(c);
+  for (const ReportColumn& c : kReportColumns) header.emplace_back(c.name);
   CsvDocument doc(std::move(header));
   for (std::size_t d = 0; d < daily.size(); ++d) {
-    const Report& r = daily[d];
-    doc.add_row({AsciiTable::integer(static_cast<long long>(d)),
-                 AsciiTable::num(r.duration_s, 1), AsciiTable::integer(r.jobs_submitted),
-                 AsciiTable::integer(r.jobs_completed), AsciiTable::integer(r.jobs_rejected),
-                 AsciiTable::integer(r.max_queue_depth), AsciiTable::num(r.avg_wait_s, 4),
-                 AsciiTable::num(r.makespan_s, 4),
-                 AsciiTable::num(r.throughput_jobs_per_hour, 4),
-                 AsciiTable::num(r.avg_power_mw, 6), AsciiTable::num(r.min_power_mw, 6),
-                 AsciiTable::num(r.max_power_mw, 6), AsciiTable::num(r.total_energy_mwh, 6),
-                 AsciiTable::num(r.avg_loss_mw, 6), AsciiTable::num(r.max_loss_mw, 6),
-                 AsciiTable::num(r.loss_fraction, 8), AsciiTable::num(r.avg_eta_system, 8),
-                 AsciiTable::num(r.avg_utilization, 6), AsciiTable::num(r.avg_arrival_s, 4),
-                 AsciiTable::num(r.avg_nodes_per_job, 4),
-                 AsciiTable::num(r.avg_runtime_min, 4), AsciiTable::num(r.carbon_tons, 4),
-                 AsciiTable::num(r.energy_cost_usd, 2)});
+    std::vector<std::string> row = {AsciiTable::integer(static_cast<long long>(d))};
+    for (const ReportColumn& c : kReportColumns) {
+      // "%.0f" of an int's exact double spells it as "%lld" does.
+      const double value =
+          std::visit([&](auto m) { return static_cast<double>(daily[d].*m); }, c.member);
+      row.push_back(AsciiTable::num(value, c.decimals));
+    }
+    doc.add_row(std::move(row));
   }
   doc.save(path);
 }
 
 std::vector<Report> load_daily_reports_csv(const std::string& path) {
   const CsvDocument doc = CsvDocument::load(path);
-  auto col = [&doc](const char* name) { return doc.numeric_column(name); };
-  const auto duration = col("duration_s");
-  const auto submitted = col("jobs_submitted");
-  const auto completed = col("jobs_completed");
-  const auto rejected = col("jobs_rejected");
-  const auto max_queue = col("max_queue_depth");
-  const auto wait = col("avg_wait_s");
-  const auto makespan = col("makespan_s");
-  const auto throughput = col("throughput");
-  const auto avg_p = col("avg_power_mw");
-  const auto min_p = col("min_power_mw");
-  const auto max_p = col("max_power_mw");
-  const auto energy = col("energy_mwh");
-  const auto loss = col("avg_loss_mw");
-  const auto max_loss = col("max_loss_mw");
-  const auto loss_frac = col("loss_fraction");
-  const auto eta = col("avg_eta");
-  const auto util = col("avg_utilization");
-  const auto arrival = col("avg_arrival_s");
-  const auto nodes = col("avg_nodes");
-  const auto runtime = col("avg_runtime_m");
-  const auto carbon = col("carbon_tons");
-  const auto cost = col("cost_usd");
-  std::vector<Report> daily(duration.size());
-  for (std::size_t i = 0; i < daily.size(); ++i) {
-    Report& r = daily[i];
-    r.duration_s = duration[i];
-    r.jobs_submitted = static_cast<int>(submitted[i]);
-    r.jobs_completed = static_cast<int>(completed[i]);
-    r.jobs_rejected = static_cast<int>(rejected[i]);
-    r.max_queue_depth = static_cast<int>(max_queue[i]);
-    r.avg_wait_s = wait[i];
-    r.makespan_s = makespan[i];
-    r.throughput_jobs_per_hour = throughput[i];
-    r.avg_power_mw = avg_p[i];
-    r.min_power_mw = min_p[i];
-    r.max_power_mw = max_p[i];
-    r.total_energy_mwh = energy[i];
-    r.avg_loss_mw = loss[i];
-    r.max_loss_mw = max_loss[i];
-    r.loss_fraction = loss_frac[i];
-    r.avg_eta_system = eta[i];
-    r.avg_utilization = util[i];
-    r.avg_arrival_s = arrival[i];
-    r.avg_nodes_per_job = nodes[i];
-    r.avg_runtime_min = runtime[i];
-    r.carbon_tons = carbon[i];
-    r.energy_cost_usd = cost[i];
+  std::vector<Report> daily;
+  for (const ReportColumn& c : kReportColumns) {
+    const std::vector<double> values = doc.numeric_column(c.name);
+    daily.resize(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      std::visit(
+          [&](auto m) {
+            Report& r = daily[i];
+            r.*m = static_cast<std::remove_reference_t<decltype(r.*m)>>(values[i]);
+          },
+          c.member);
+    }
   }
   return daily;
 }

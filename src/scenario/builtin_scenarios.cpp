@@ -4,7 +4,9 @@
 /// exactly the way the legacy CLI entry points did, so a registry run is
 /// bit-identical to the corresponding direct call under the same seed.
 
+#include <cstdint>
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -51,10 +53,15 @@ double param_number(const ScenarioSpec& spec, const std::string& key, double fal
   return spec.params.is_object() ? spec.params.number_or(key, fallback) : fallback;
 }
 
+/// Refuses what int cannot hold rather than wrapping it.
 int param_int(const ScenarioSpec& spec, const std::string& key, int fallback) {
-  return spec.params.is_object()
-             ? static_cast<int>(spec.params.int_or(key, fallback))
-             : fallback;
+  if (!spec.params.is_object() || !spec.params.contains(key)) return fallback;
+  const std::int64_t n = spec.params.at(key).as_int();
+  if (!std::in_range<int>(n)) {
+    throw ConfigError("scenario \"" + spec.name + "\" (" + spec.type + "): params." + key +
+                      " = " + std::to_string(n) + " is outside the int range");
+  }
+  return static_cast<int>(n);
 }
 
 /// The workload the legacy CLI paths drew: Rng(seed) over the horizon.
@@ -139,7 +146,7 @@ ScenarioResult run_replay_scenario(const ScenarioSpec& spec) {
     BinChunkSource chunks(source.path);
     pr = replay_power(config, chunks, cooling);
   } else {
-    pr = replay_power(config, spec.resolve_dataset(config), cooling);
+    pr = replay_power(config, *spec.resolve_dataset(config), cooling);
   }
 
   ScenarioResult r;
@@ -167,8 +174,7 @@ ScenarioResult run_replay_scenario(const ScenarioSpec& spec) {
 ScenarioResult run_cooling_validation_scenario(const ScenarioSpec& spec) {
   check_params(spec, {});
   const SystemConfig config = spec.resolve_config();
-  const TelemetryDataset dataset = spec.resolve_dataset(config);
-  const CoolingValidationResult cv = validate_cooling(config, dataset);
+  const CoolingValidationResult cv = validate_cooling(config, *spec.resolve_dataset(config));
 
   ScenarioResult r;
   r.add_metric("pue_max_rel_error_pct", 100.0 * cv.pue_max_rel_error);

@@ -9,6 +9,7 @@
 #include "config/config_json.hpp"
 #include "core/physical_twin.hpp"
 #include "raps/workload.hpp"
+#include "scenario/scenario_key.hpp"
 #include "scenario/scenario_result.hpp"
 #include "telemetry/store.hpp"
 #include "telemetry/weather.hpp"
@@ -104,27 +105,26 @@ Json ScenarioSource::to_json() const {
 
 SystemConfig ScenarioSpec::resolve_config() const {
   if (config_path.empty() && config_delta.is_null()) return frontier_system_config();
-  Json base = config_path.empty() ? system_config_to_json(frontier_system_config())
-                                  : Json::load_file(config_path);
-  if (!config_delta.is_null()) base = Json::merge_patch(base, config_delta);
-  return system_config_from_json(base);
+  return system_config_from_json(resolved_config_json(*this));
 }
 
-TelemetryDataset ScenarioSpec::resolve_dataset(const SystemConfig& config) const {
+std::shared_ptr<const TelemetryDataset> ScenarioSpec::resolve_dataset(
+    const SystemConfig& config) const {
   if (source.kind == ScenarioSource::Kind::kDataset) {
     // A long-lived service may have installed a residency cache.
     if (const ScenarioDatasetLoader loader = current_dataset_loader(); loader) {
       return loader(source);
     }
-    return load_source_dataset(source);
+    return std::make_shared<const TelemetryDataset>(load_source_dataset(source));
   }
   // Same recording path as `exadigit_cli record`: a perturbed physical twin
   // runs the workload and samples every Table II channel.
   const double duration = source.hours * units::kSecondsPerHour;
   WorkloadGenerator gen(config.workload, config, Rng(source.seed));
   SyntheticPhysicalTwin physical(config, PhysicalTwinOptions{});
-  return physical.record(gen.generate(0.0, duration),
-                         synthetic_wetbulb_series(duration, source.seed + 1), duration);
+  return std::make_shared<const TelemetryDataset>(physical.record(
+      gen.generate(0.0, duration), synthetic_wetbulb_series(duration, source.seed + 1),
+      duration));
 }
 
 ScenarioSpec ScenarioSpec::from_json(const Json& j) {

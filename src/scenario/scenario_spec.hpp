@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,8 +80,10 @@ struct ScenarioSpec {
   /// Materializes the telemetry source: loads `source.path` through the
   /// installed dataset loader (load_source_dataset by default), or records
   /// a synthetic dataset under `config` (same path as `exadigit_cli
-  /// record`).
-  [[nodiscard]] TelemetryDataset resolve_dataset(const SystemConfig& config) const;
+  /// record`). Shared and immutable: a loader that keeps datasets resident
+  /// hands every caller the one resident copy.
+  [[nodiscard]] std::shared_ptr<const TelemetryDataset> resolve_dataset(
+      const SystemConfig& config) const;
 
   /// Parses a spec object; unknown keys are ConfigErrors so typos in batch
   /// files fail loudly rather than silently running defaults.
@@ -114,14 +117,15 @@ struct ScenarioBatch {
 /// The one process-wide seam of dataset-source resolution. When installed,
 /// ScenarioSpec::resolve_dataset routes every kDataset source through
 /// `loader` instead of load_source_dataset — this is how the long-lived
-/// scenario service keeps loaded datasets resident across requests (keyed
-/// by path/format/mtime; see server/scenario_service.hpp) without the
-/// workflow factories knowing a cache exists. Synthetic sources are
+/// scenario service keeps loaded datasets resident across requests (one per
+/// directory, format and mtime; see server/scenario_service.hpp) without
+/// the workflow factories knowing a cache exists. Synthetic sources are
 /// unaffected, and so is a replay of an exadigit-bin source, which streams
 /// off disk. Pass an empty function to restore the default. Install before
 /// serving: the setter is thread-safe, but swapping loaders while scenarios
 /// run gives an arbitrary mix of old and new resolution.
-using ScenarioDatasetLoader = std::function<TelemetryDataset(const ScenarioSource&)>;
+using ScenarioDatasetLoader =
+    std::function<std::shared_ptr<const TelemetryDataset>(const ScenarioSource&)>;
 void set_scenario_dataset_loader(ScenarioDatasetLoader loader);
 
 /// The paper-style synthetic wet-bulb boundary series used by workload

@@ -10,6 +10,7 @@
 #include "scenario/scenario_result.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "telemetry/chunk.hpp"
+#include "telemetry/store.hpp"
 
 namespace exadigit {
 
@@ -488,14 +489,19 @@ Json ScenarioService::stats_json() const {
   return j;
 }
 
-TelemetryDataset ScenarioService::load_resident_dataset(const ScenarioSource& source) {
-  const DatasetKey key{source.path, source.format, dataset_mtime_ticks(source.path)};
+std::shared_ptr<const TelemetryDataset> ScenarioService::load_resident_dataset(
+    const ScenarioSource& source) {
+  // Keyed by the format the load resolves to, so a format-less source and
+  // one naming its manifest's format share one resident copy.
+  const std::string format =
+      source.format.empty() ? read_manifest(source.path).format : source.format;
+  const DatasetKey key{source.path, format, dataset_mtime_ticks(source.path)};
   const std::lock_guard<std::mutex> lock(dataset_mutex_);
   const auto it = dataset_index_.find(key);
   if (it != dataset_index_.end()) {
     ++dataset_hits_;
     dataset_order_.splice(dataset_order_.begin(), dataset_order_, it->second);
-    return *it->second->dataset;
+    return it->second->dataset;
   }
   // Loading under the lock serializes concurrent first-touches of the same
   // dataset — exactly the duplicate work residency exists to avoid.
@@ -515,7 +521,7 @@ TelemetryDataset ScenarioService::load_resident_dataset(const ScenarioSource& so
     dataset_index_.erase(dataset_order_.back().key);
     dataset_order_.pop_back();
   }
-  return *resident;
+  return resident;
 }
 
 }  // namespace exadigit

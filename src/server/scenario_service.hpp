@@ -6,18 +6,21 @@
 /// ScenarioService owns everything that makes a long-lived twin process
 /// faster than a fresh CLI run: an executor pool of worker threads that
 /// run registry workflows, a content-addressed LRU of finished results
-/// (result_cache.hpp), resident telemetry datasets keyed (path, format,
-/// mtime), a memo of resolved-config hashes, and per-scenario-type latency
-/// histograms.
+/// (result_cache.hpp), resident telemetry datasets keyed (path, resolved
+/// format, mtime), a memo of resolved-config hashes, and per-scenario-type
+/// latency histograms.
 ///
 /// The one seam it installs is the process-wide dataset loader
 /// (set_scenario_dataset_loader, scenario_spec.hpp), for its lifetime: every
 /// dataset a scenario resolves goes through load_source_dataset once and
-/// then stays resident, whatever its format. A replay of an exadigit-bin
-/// dataset never asks the loader; it streams off disk and decodes only the
-/// channels it reads. It speaks parsed JSON request/response envelopes — no
-/// sockets — so the protocol surface is testable without a network and the
-/// poll(2) loop in server.hpp stays purely transport.
+/// then stays resident, whatever its format, and every scenario that
+/// resolves it shares that one copy. A format-less source resolves to its
+/// manifest's format, so it shares the copy of a source naming that format.
+/// A replay of an exadigit-bin dataset never asks the loader; it streams
+/// off disk and decodes only the channels it reads. It speaks parsed JSON
+/// request/response envelopes — no sockets — so the protocol surface is
+/// testable without a network and the poll(2) loop in server.hpp stays
+/// purely transport.
 ///
 /// Threading contract: handle_payload/handle_request, drain_completions,
 /// and forget_client are called from one dispatch thread (the poll loop);
@@ -180,7 +183,7 @@ class ScenarioService {
 
   struct DatasetKey {
     std::string path;
-    std::string format;
+    std::string format;  ///< the source's, or its manifest's when empty
     std::int64_t mtime_ticks = 0;
     [[nodiscard]] auto operator<=>(const DatasetKey&) const = default;
   };
@@ -207,8 +210,8 @@ class ScenarioService {
                         std::vector<Json>* out);
   void record_latency(const std::string& type, double elapsed_ms);
   /// The installed dataset loader: load_source_dataset behind the
-  /// resident LRU.
-  TelemetryDataset load_resident_dataset(const ScenarioSource& source);
+  /// resident LRU. Every caller shares the resident copy.
+  std::shared_ptr<const TelemetryDataset> load_resident_dataset(const ScenarioSource& source);
   [[nodiscard]] static Json batch_done_envelope(const BatchState& state);
 
   Options options_;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/stable_hash.hpp"
 
@@ -198,6 +202,131 @@ TEST(ConfigJsonTest, BadEnumValuesThrow) {
   Json j2;
   j2["power"]["load_sharing"] = Json("round_robin");
   EXPECT_THROW(system_config_from_json(j2), ConfigError);
+}
+
+/// An integer key takes what int holds and refuses the rest by name; it
+/// never wraps a value modulo 2^32 into a valid-looking descriptor. A leaf
+/// of the wrong JSON type is refused by name too.
+TEST(ConfigJsonTest, BadLeavesAreRefusedByKey) {
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"cdu_count": 4294967321})", "cdu_count"},  // wrapped to 25
+      {R"({"cooling": {"primary": {"pump_count": 4294967300}}})",
+       "cooling.primary.pump_count"},  // wrapped to 4
+      {R"({"rack": {"nodes_per_rack": 4294967424}})", "rack.nodes_per_rack"},  // to 128
+      {R"({"scheduler": {"max_queue_depth": 2147483648}})", "scheduler.max_queue_depth"},
+      {R"({"scheduler": {"max_queue_depth": -2147483649}})", "scheduler.max_queue_depth"},
+      {R"({"partitions": [{"name": "p", "node_count": 4294967297}]})",
+       "partitions[0].node_count"},
+      {R"({"cdu_count": 2.5})", "cdu_count"},
+      {R"({"cooling": {"primary": {"volume_m3": "40"}}})", "cooling.primary.volume_m3"},
+      {R"({"power": {"feed": 380}})", "power.feed"},
+      {R"({"partitions": {"name": "p"}})", "partitions"},
+  };
+  for (const auto& [text, key] : refused) {
+    try {
+      (void)system_config_from_json(Json::parse(text));
+      ADD_FAILURE() << text << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  for (const char* text : {R"({"scheduler": {"max_queue_depth": 2147483647}})",
+                           R"({"scheduler": {"max_queue_depth": -2147483648}})"}) {
+    EXPECT_NO_THROW((void)system_config_from_json(Json::parse(text))) << text;
+  }
+}
+
+/// Object keys and array indices from a document's root to one leaf.
+using LeafPath = std::vector<std::variant<std::string, std::size_t>>;
+
+void collect_leaves(const Json& j, LeafPath& path, std::vector<LeafPath>& out) {
+  if (j.is_object()) {
+    for (const auto& [key, value] : j.as_object()) {
+      path.emplace_back(key);
+      collect_leaves(value, path, out);
+      path.pop_back();
+    }
+  } else if (j.is_array()) {
+    for (std::size_t i = 0; i < j.as_array().size(); ++i) {
+      path.emplace_back(i);
+      collect_leaves(j.as_array()[i], path, out);
+      path.pop_back();
+    }
+  } else {
+    out.push_back(path);
+  }
+}
+
+Json& leaf_at(Json& doc, const LeafPath& path) {
+  Json* j = &doc;
+  for (const auto& step : path) {
+    j = std::holds_alternative<std::string>(step)
+            ? &j->as_object().at(std::get<std::string>(step))
+            : &j->as_array().at(std::get<std::size_t>(step));
+  }
+  return *j;
+}
+
+std::string leaf_name(const LeafPath& path) {
+  std::string name;
+  for (const auto& step : path) {
+    if (const auto* key = std::get_if<std::string>(&step)) {
+      name.append(".").append(*key);
+    } else {
+      name.append("[").append(std::to_string(std::get<std::size_t>(step))).append("]");
+    }
+  }
+  return name;
+}
+
+/// A leaf's changed value: a named value becomes another name it may take,
+/// a curve knot moves by less than the knot spacing (so it passes no other
+/// knot), and an integral number elsewhere stays integral.
+Json changed_leaf(const Json& leaf, bool in_curve) {
+  static const std::map<std::string, std::string> other_name = {
+      {"shared_bus", "smart_staging"}, {"ac", "dc380"}, {"fcfs", "sjf"}};
+  if (leaf.is_bool()) return Json(!leaf.as_bool());
+  if (leaf.is_string()) {
+    const auto it = other_name.find(leaf.as_string());
+    return Json(it != other_name.end() ? it->second : leaf.as_string() + "-changed");
+  }
+  const double v = leaf.as_number();
+  return Json(!in_curve && v == std::floor(v) ? v + 1.0 : v + 0x1p-10);
+}
+
+/// Every number, string and bool leaf of the Frontier and Setonix-like
+/// descriptors, curve knots included, changed alone, must survive the
+/// reader and come back out of the writer, with nothing else changed. The
+/// leaf and skip counts pin the key set: a key either direction drops
+/// fails here.
+TEST(ConfigJsonTest, EveryLeafSurvivesARoundTrip) {
+  int checked = 0;
+  int skipped = 0;
+  for (const SystemConfig& config : {frontier_system_config(), setonix_like_config()}) {
+    const Json doc = system_config_to_json(config);
+    std::vector<LeafPath> leaves;
+    LeafPath root;
+    collect_leaves(doc, root, leaves);
+    for (const LeafPath& path : leaves) {
+      Json edited = doc;
+      Json& leaf = leaf_at(edited, path);
+      leaf = changed_leaf(leaf, std::holds_alternative<std::size_t>(path.back()));
+      try {
+        EXPECT_EQ(system_config_to_json(system_config_from_json(edited)).dump(), edited.dump())
+            << config.name << leaf_name(path);
+        ++checked;
+      } catch (const ConfigError&) {
+        ++skipped;  // validate() refuses the changed value
+      }
+    }
+  }
+  // Frontier has 139 leaves (42 of them curve knot coordinates); one more
+  // rectifiers_per_rack, blades_per_rack, nodes_per_rack or
+  // rectifiers_per_group fails validation. Setonix-like adds two partitions
+  // of 13 leaves each, and also refuses a 13th rack and either partition
+  // growing past the machine's 1,536 nodes.
+  EXPECT_EQ(checked, 139 - 4 + 165 - 7);
+  EXPECT_EQ(skipped, 4 + 7);
 }
 
 TEST(ConfigJsonTest, InvalidDescriptorFailsValidation) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "power/conversion.hpp"
 
 namespace exadigit {
 namespace {
@@ -75,10 +76,11 @@ TEST(FrontierConfigTest, ChainEfficiencyNearPaperValues) {
   const SystemConfig c = frontier_system_config();
   // Paper Section III-B1: eta_R ~ 0.96, eta_S ~ 0.98, total ~ 0.94 near
   // the rectifier optimum.
+  const ConversionChain chain(c.power);
   const double group_at_optimum = 4 * 7500.0 * 0.976;  // DC bus at 4 x 7.5 kW
-  const double eta = c.power.chain_efficiency(group_at_optimum);
+  const double eta = chain.system_efficiency(group_at_optimum);
   EXPECT_NEAR(eta, 0.94, 0.01);
-  EXPECT_DOUBLE_EQ(c.power.chain_efficiency(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(chain.system_efficiency(0.0), 1.0);
 }
 
 TEST(FrontierConfigTest, ValidatesCleanly) {
@@ -177,26 +179,28 @@ TEST(SetonixConfigTest, MultiPartitionLayout) {
 
 TEST(PowerChainTest, SmartStagingNeverWorseAtLightLoad) {
   SystemConfig c = frontier_system_config();
-  PowerChainConfig shared = c.power;
-  PowerChainConfig smart = c.power;
-  smart.load_sharing = LoadSharingPolicy::kSmartStaging;
+  PowerChainConfig smart_config = c.power;
+  smart_config.load_sharing = LoadSharingPolicy::kSmartStaging;
+  const ConversionChain shared(c.power);
+  const ConversionChain smart(smart_config);
   // Light group loads: staging should match or beat the shared bus.
   for (double load_w : {2000.0, 5000.0, 8000.0, 12000.0, 20000.0}) {
-    EXPECT_GE(smart.chain_efficiency(load_w) + 1e-12, shared.chain_efficiency(load_w))
+    EXPECT_GE(smart.system_efficiency(load_w) + 1e-12, shared.system_efficiency(load_w))
         << "at " << load_w << " W";
   }
 }
 
 TEST(PowerChainTest, Dc380BeatsAcEverywhere) {
   SystemConfig c = frontier_system_config();
-  PowerChainConfig ac = c.power;
-  PowerChainConfig dc = c.power;
-  dc.feed = PowerFeed::kDC380;
+  PowerChainConfig dc_config = c.power;
+  dc_config.feed = PowerFeed::kDC380;
+  const ConversionChain ac(c.power);
+  const ConversionChain dc(dc_config);
   for (double load_w = 1000.0; load_w <= 45000.0; load_w += 2000.0) {
-    EXPECT_GT(dc.chain_efficiency(load_w), ac.chain_efficiency(load_w));
+    EXPECT_GT(dc.system_efficiency(load_w), ac.system_efficiency(load_w));
   }
   // Paper: 380 V DC raises system efficiency to ~97.3 %.
-  EXPECT_NEAR(dc.chain_efficiency(16 * 1591.0), 0.973, 0.003);
+  EXPECT_NEAR(dc.system_efficiency(16 * 1591.0), 0.973, 0.003);
 }
 
 }  // namespace

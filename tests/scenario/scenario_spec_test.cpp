@@ -217,6 +217,24 @@ TEST(ScenarioSpecTest, UnknownParamsFieldThrows) {
   EXPECT_THROW((void)ScenarioRegistry::instance().run(rect), ConfigError);
 }
 
+/// An integer param takes what int holds and refuses the rest by name,
+/// rather than wrapping 2^32 + 1 days to a valid one-day sweep.
+TEST(ScenarioSpecTest, IntParamOutsideIntIsRefused) {
+  ScenarioSpec sweep;
+  sweep.name = "sweep";
+  sweep.type = "day_sweep";
+  for (const char* params : {R"({"days": 4294967297, "cooling": false})",
+                             R"({"days": -4294967295, "cooling": false})"}) {
+    sweep.params = Json::parse(params);
+    try {
+      (void)ScenarioRegistry::instance().run(sweep);
+      ADD_FAILURE() << params << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("params.days"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(ScenarioRegistryTest, RequireTypeValidatesWithoutRunning) {
   ScenarioRegistry::instance().require_type("simulate");  // no throw, no work
   EXPECT_THROW(ScenarioRegistry::instance().require_type("warp_drive"), ConfigError);

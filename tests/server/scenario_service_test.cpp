@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -309,21 +310,23 @@ TEST(ScenarioServiceTest, ReplaysKeepWhatTheyLoadAndStreamExadigitBin) {
   };
 
   // A format-less CSV replay is parsed once per service, then served
-  // resident.
+  // resident, also to a replay naming the manifest's format.
   reset_dataset_io_stats();
   replay("csv", "", 1);
   replay("csv", "", 2);
+  replay("csv", kExadigitCsvFormat, 3);
   EXPECT_EQ(dataset_stat("loads"), 1);
-  EXPECT_EQ(dataset_stat("hits"), 1);
+  EXPECT_EQ(dataset_stat("hits"), 2);
+  EXPECT_EQ(dataset_stat("resident"), 1);
   EXPECT_EQ(dataset_io_stats().csv_file_parses, 3u);
 
   // exadigit-bin streams in either spelling: nothing is loaded, and only
   // the measured-power and wet-bulb samples are decoded.
   reset_dataset_io_stats();
-  replay("bin", "", 3);
-  replay("bin", kExadigitBinFormat, 4);
+  replay("bin", "", 4);
+  replay("bin", kExadigitBinFormat, 5);
   EXPECT_EQ(dataset_stat("loads"), 1);
-  EXPECT_EQ(dataset_stat("hits"), 1);
+  EXPECT_EQ(dataset_stat("hits"), 2);
   EXPECT_EQ(dataset_io_stats().binary_samples,
             2 * (recorded.measured_system_power_w.size() + recorded.wetbulb_c.size()));
   fs::remove_all(base);
@@ -332,6 +335,33 @@ TEST(ScenarioServiceTest, ReplaysKeepWhatTheyLoadAndStreamExadigitBin) {
 /// Acceptance (PR 8): the policy_sweep scenario runs end to end through the
 /// server submit path — the registry-driven service needs no sweep-specific
 /// code, and the wire result round-trips every per-policy metric and series.
+/// Every resolve of a resident dataset shares the one copy the service
+/// holds, rather than copying it per scenario.
+TEST(ScenarioServiceTest, ResolvesShareTheResidentDataset) {
+  namespace fs = std::filesystem;
+  const std::string dir = (fs::temp_directory_path() / "exadigit_service_shared_test").string();
+  fs::remove_all(dir);
+  const SystemConfig config = frontier_system_config();
+  SyntheticPhysicalTwin physical(config, PhysicalTwinOptions{});
+  const TimeSeries wetbulb = TimeSeries::uniform(0.0, 60.0, std::vector<double>(12, 15.0));
+  save_dataset(physical.record({make_constant_job(60.0, 300.0, 512, 0.5, 0.5)}, wetbulb, 600.0),
+               dir);
+
+  ScenarioSpec spec;
+  spec.type = "cooling_validation";
+  spec.source = ScenarioSource::from_json(Json::parse(R"({"path": ")" + dir + "\"}"));
+  {
+    const ScenarioService service(small_options());
+    const std::shared_ptr<const TelemetryDataset> first = spec.resolve_dataset(config);
+    spec.source.format = kExadigitCsvFormat;
+    EXPECT_EQ(spec.resolve_dataset(config).get(), first.get());
+    EXPECT_EQ(service.stats_json().at("datasets").at("loads").as_int(), 1);
+  }
+  // Without a service, each resolve loads its own copy.
+  EXPECT_NE(spec.resolve_dataset(config).get(), spec.resolve_dataset(config).get());
+  fs::remove_all(dir);
+}
+
 TEST(ScenarioServiceTest, PolicySweepRunsThroughTheSubmitPath) {
   ScenarioService service(small_options());
   const std::string batch = R"({"scenarios": [
