@@ -51,6 +51,27 @@ void BM_ConversionChain(benchmark::State& state) {
 }
 BENCHMARK(BM_ConversionChain);
 
+/// The same loads as BM_ConversionChain, one system's worth of groups (592)
+/// per convert_batch call; items are conversions, so the per-item time
+/// compares with BM_ConversionChain's per-iteration time.
+void BM_ConversionBatch(benchmark::State& state) {
+  ConversionChain chain(frontier().power);
+  std::vector<double> loads(592);
+  double load = 1000.0;
+  for (double& l : loads) {
+    load = load > 42000.0 ? 1000.0 : load + 77.0;
+    l = load;
+  }
+  std::vector<GroupConversion> out(loads.size());
+  for (auto _ : state) {
+    chain.convert_batch(loads, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(loads.size()));
+}
+BENCHMARK(BM_ConversionBatch);
+
 void BM_PlantStep15s(benchmark::State& state) {
   CoolingPlantModel plant(frontier());
   plant.reset(20.0);

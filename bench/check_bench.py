@@ -12,7 +12,8 @@ same basename.
 Gates (a failure in any one fails the run):
   * wall-time regression: every min-of-reps wall-clock field present in
     both files (wall_ms*, e.g. BENCH_coupled24h.json's wall_ms and its
-    plant stage alone, wall_ms_plant) must satisfy
+    engine and plant stages alone, wall_ms_engine and wall_ms_plant) must
+    satisfy
     measured <= baseline * (1 + tol) + slack, tol = 25 % by default
     (--tolerance, or CHECK_BENCH_TOLERANCE env) and slack = 0.5 ms
     (--abs-slack-ms) so sub-millisecond benches are not gated on
@@ -27,6 +28,7 @@ Gates (a failure in any one fails the run):
     paths must never lose to the reference/legacy paths they replace.
   * invariants: "sim_rate" > 0, "peak_rss_mb" > 0,
     "chunk_peak_resident_mb" > 0, every "policy_jobs_per_s_*" > 0,
+    "wall_ms_engine" > 0 (a coupled24h record must carry it),
     "max_mass_residual_rel" <= 1e-12 (every node of every cooling loop
     balances its mass to rounding on every step),
     "recording_bytes_per_sample" <= 8.5 (the twin's coupled channels share
@@ -103,6 +105,10 @@ def check_pair(measured_path: str, baseline_path: str, tolerance: float,
     for key in ("sim_rate", "peak_rss_mb", "chunk_peak_resident_mb"):
         if key in measured and not measured[key] > 0:
             failures.append(f"{name}: {key} = {measured[key]!r} (must be > 0)")
+    if measured.get("bench") == "coupled24h":
+        engine = measured.get("wall_ms_engine")
+        if not isinstance(engine, (int, float)) or not engine > 0:
+            failures.append(f"{name}: wall_ms_engine = {engine!r} (must be present and > 0)")
     residual = measured.get("max_mass_residual_rel")
     if residual is not None and not residual <= MAX_MASS_RESIDUAL_REL:
         failures.append(f"{name}: max_mass_residual_rel = {residual!r} (must be "

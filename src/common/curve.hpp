@@ -79,6 +79,7 @@ class PiecewiseLinearCurve {
   [[nodiscard]] double x_max() const;
   [[nodiscard]] const std::vector<double>& xs() const { return xs_; }
   [[nodiscard]] const std::vector<double>& ys() const { return ys_; }
+  [[nodiscard]] Extrapolation extrapolation() const { return extrapolation_; }
 
   /// Returns a new curve with every y multiplied by `factor`.
   [[nodiscard]] PiecewiseLinearCurve scaled_y(double factor) const;

@@ -192,9 +192,13 @@ class DigitalTwin {
   /// Quanta the engine may run ahead of the plant, about 57 KB of inputs
   /// at 25 CDUs. The engine stage sleeps when the ring is full and resumes
   /// when half of it is free, so a 24 h run (5760 quanta) wakes it at most
-  /// about 45 times (14-24 measured on perfbench's Frontier day, where the
-  /// engine is not always a full ring ahead), and the 128 quanta still
-  /// queued (about 1 ms of plant work) cover its wake-up latency.
+  /// about 45 times, and the 128 quanta still queued (about 0.2 ms of plant
+  /// work at 1.5 us a step) cover its wake-up latency. The size barely
+  /// matters on perfbench's Frontier day: the engine is the slower stage
+  /// for the day's first 14 h, so the ring fills only in the HPL hours.
+  /// Per-quantum stage costs (seed 7, Release, GCC 12, a shared 4-core
+  /// host) bound a two-stage run at 10.93 ms with 256 slots, 11.17 ms with
+  /// 128 and 10.82 ms unbounded, so a larger ring would save under 0.2 ms.
   static constexpr std::size_t kRingQuanta = 256;
 
   class QuantumRing;

@@ -69,8 +69,7 @@ double quantum_fire_time(double start, double tick, double quantum, double horiz
 
 }  // namespace
 
-PowerReplayResult replay_power(const SystemConfig& config, const TelemetryDataset& dataset,
-                               bool with_cooling) {
+InMemoryChunkSource system_channel_source(const TelemetryDataset& dataset) {
   // Replay reads only the system channels (measured power and wet bulb), so
   // the one chunk carries copies of just those.
   TelemetryFrame system;
@@ -80,8 +79,13 @@ PowerReplayResult replay_power(const SystemConfig& config, const TelemetryDatase
       system.adopt_channel(kSystemTag, def.name, series.times(), series.values());
     }
   }
-  InMemoryChunkSource source(DatasetFrame{DatasetHeader::copy_from(dataset), std::move(system)},
+  return InMemoryChunkSource(DatasetFrame{DatasetHeader::copy_from(dataset), std::move(system)},
                              0.0);
+}
+
+PowerReplayResult replay_power(const SystemConfig& config, const TelemetryDataset& dataset,
+                               bool with_cooling) {
+  InMemoryChunkSource source = system_channel_source(dataset);
   return replay_power(config, source, with_cooling);
 }
 

@@ -54,13 +54,18 @@ struct PowerReplayResult {
 /// Replays a telemetry dataset's jobs through the twin and scores the
 /// predicted system power, when the dataset measured it. `with_cooling`
 /// enables the coupled plant (the paper's 9-minute path) or skips it
-/// (3-minute path). An adapter: the header and copies of the system
-/// channels (measured power and wet bulb, the only channels replay reads)
-/// go through the chunked overload below as a single InMemoryChunkSource
-/// chunk.
+/// (3-minute path). An adapter: system_channel_source(dataset) through the
+/// chunked overload below.
 [[nodiscard]] PowerReplayResult replay_power(const SystemConfig& config,
                                              const TelemetryDataset& dataset,
                                              bool with_cooling);
+
+/// The single chunk a dataset replays as: its header and copies of its
+/// system channels (measured power and wet bulb, the only channels replay
+/// reads). A caller that holds a dataset only to replay it builds this
+/// source in a statement of its own, so the dataset can be released before
+/// the replay steps.
+[[nodiscard]] InMemoryChunkSource system_channel_source(const TelemetryDataset& dataset);
 
 /// The replay loop every overload runs: pulls telemetry chunk by chunk off
 /// `source` and advances the twin incrementally, so peak telemetry

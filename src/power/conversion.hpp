@@ -12,6 +12,16 @@
 ///  - shared-bus load sharing (baseline) and smart staging (what-if 1),
 ///  - direct 380 V DC feed (what-if 2),
 ///  - rectifier-failure ride-through on the shared DC bus.
+///
+/// convert() is the reference for one group. convert_batch() converts many
+/// groups' loads two per packed operation (GCC vector extensions, SSE2
+/// baseline, no FMA) with convert()'s operations in convert()'s order, so
+/// every field it writes has convert()'s bits. Its segment search is
+/// branch free: the segment of x is the count of interior knots <= x,
+/// which is the index the curve's linear scan stops at.
+
+#include <span>
+#include <vector>
 
 #include "config/system_config.hpp"
 
@@ -31,6 +41,23 @@ struct ConversionResult {
   bool overloaded = false;          ///< per-unit load exceeded nameplate
 };
 
+/// The part of one rectifier group's ConversionResult that a rack sum
+/// reads. The incremental RAPS power model keeps one per group, for the
+/// group's current load, and re-converts a group only when its load
+/// changes.
+struct GroupConversion {
+  double output_w = 0.0;  ///< the group's 48 V load (ConversionResult::output_w)
+  double input_w = 0.0;
+  double rectifier_loss_w = 0.0;
+  double sivoc_loss_w = 0.0;
+  bool overloaded = false;
+
+  [[nodiscard]] static GroupConversion of(const ConversionResult& c) {
+    return GroupConversion{c.output_w, c.input_w, c.rectifier_loss_w, c.sivoc_loss_w,
+                           c.overloaded};
+  }
+};
+
 /// Conversion model for one rectifier group (4 rectifiers + 16 SIVOCs).
 class ConversionChain {
  public:
@@ -43,6 +70,16 @@ class ConversionChain {
   [[nodiscard]] ConversionResult convert(double group_output_w,
                                          int failed_rectifiers = 0) const;
 
+  /// Converts every load of `group_outputs_w` into the same slot of `out`
+  /// (equal sizes) with no failed rectifiers: slot i receives
+  /// GroupConversion::of(convert(group_outputs_w[i])), bit for bit. Loads
+  /// go two per packed operation when the chain is a shared bus or a DC
+  /// feed whose curves clamp and have two knots or more; otherwise, and
+  /// for any pair holding a load convert() rejects (negative or NaN), each
+  /// load goes through convert(), so such a load throws convert()'s error.
+  void convert_batch(std::span<const double> group_outputs_w,
+                     std::span<GroupConversion> out) const;
+
   /// Eq. (1): total conversion efficiency at this operating point.
   [[nodiscard]] double system_efficiency(double group_output_w) const;
 
@@ -52,7 +89,30 @@ class ConversionChain {
   [[nodiscard]] const PowerChainConfig& config() const { return config_; }
 
  private:
+  /// One segment of a curve: x_lo, x_hi - x_lo, y_lo and y_hi - y_lo (the
+  /// differences the scalar curve forms on each call).
+  struct LaneSegment {
+    double x_lo = 0.0, dx = 0.0, y_lo = 0.0, dy = 0.0;
+  };
+  /// A curve laid out for the packed kernel: its segments (the x_lo of
+  /// every segment after the first is an interior knot) and its clamp
+  /// bounds.
+  struct LaneCurve {
+    std::vector<LaneSegment> segments;
+    double x_first = 0.0, x_last = 0.0, y_first = 0.0, y_last = 0.0;
+
+    explicit LaneCurve(const PiecewiseLinearCurve& curve);
+  };
+
   PowerChainConfig config_;
+  /// True when convert_batch runs the packed kernel (see convert_batch).
+  bool packed_ = false;
+  LaneCurve sivoc_lanes_;
+  LaneCurve rectifier_lanes_;
+  double sivoc_capacity_w_ = 0.0;  ///< 2 x blades_per_group x sivoc_rated_w
+  /// 1 / rectifiers_per_group when that is a power of two (dividing by it
+  /// and multiplying by this give the same bits), else 0: divide.
+  double per_unit_scale_ = 0.0;
 
   [[nodiscard]] int staged_for(double rectifier_output_w, int available) const;
 };

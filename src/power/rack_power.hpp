@@ -51,23 +51,6 @@ struct PowerBreakdown {
   }
 };
 
-/// The part of one rectifier group's ConversionResult that a rack sum
-/// reads. The incremental RAPS power model keeps one per group, for the
-/// group's current load, and re-converts a group only when its load
-/// changes.
-struct GroupConversion {
-  double output_w = 0.0;  ///< the group's 48 V load (ConversionResult::output_w)
-  double input_w = 0.0;
-  double rectifier_loss_w = 0.0;
-  double sivoc_loss_w = 0.0;
-  bool overloaded = false;
-
-  [[nodiscard]] static GroupConversion of(const ConversionResult& c) {
-    return GroupConversion{c.output_w, c.input_w, c.rectifier_loss_w, c.sivoc_loss_w,
-                           c.overloaded};
-  }
-};
-
 /// Conversion-aware rack power model.
 class RackPowerModel {
  public:

@@ -94,6 +94,10 @@ RapsPowerModel::RapsPowerModel(const SystemConfig& config)
   group_owner_.assign(groups, -1);
   rack_owner_.assign(static_cast<std::size_t>(config_.rack_count), -1);
   group_dirty_.assign((groups + 63) / 64, 0);
+  pending_group_.resize(groups);
+  pending_load_.resize(groups);
+  pending_cache_.resize(groups);
+  pending_conv_.resize(groups);
   rack_dirty_.assign((static_cast<std::size_t>(config_.rack_count) + 63) / 64, 0);
   rack_wall_w_.assign(static_cast<std::size_t>(config_.rack_count), 0.0);
   cdu_wall_w_.assign(static_cast<std::size_t>(config_.cdu_count), 0.0);
@@ -138,6 +142,7 @@ int RapsPowerModel::acquire_slot() {
   }
   jobs_.emplace_back();
   state_.push_back(SlotState::kFree);
+  if (jobs_.size() > live_.size() * 64) live_.push_back(0);
   applied_w_.push_back(kNaN);
   sole_conv_.emplace_back();
   lead_conv_.emplace_back();
@@ -218,7 +223,8 @@ int RapsPowerModel::on_job_start(const JobRecord& job, const std::vector<int>& n
   a.job = job;
   a.start_time_s = start_time_s;
   a.node_cfg = &cfg;
-  state_[s] = SlotState::kLive;
+  state_[s] = SlotState::kHeld;
+  set_bit(live_, slot);
   applied_w_[s] = kNaN;           // the first advance() writes every group
   sole_conv_[s].output_w = kNaN;  // matches no load
   lead_conv_[s].output_w = kNaN;
@@ -257,6 +263,7 @@ void RapsPowerModel::on_job_stop(int handle) {
   }
   active_nodes_ -= a.nodes;
   state_[s] = SlotState::kFree;
+  clear_bit(live_, handle);
   a.job = JobRecord{};
   a.full.clear();
   a.partial.clear();
@@ -268,16 +275,19 @@ void RapsPowerModel::on_job_stop(int handle) {
 const PowerSample& RapsPowerModel::advance(double now) {
   const double quantum_s = config_.simulation.trace_quantum_s;
   const double group_nodes = static_cast<double>(nodes_per_group_);
-  for (std::size_t s = 0; s < state_.size(); ++s) {
-    if (state_[s] != SlotState::kLive) continue;
-    const ActiveJob& a = jobs_[s];
-    const JobRecord::Utilization u = a.job.utilization_at(now - a.start_time_s, quantum_s);
-    const double p = a.node_cfg->power_w(u.cpu, u.gpu);  // Eq. (3)
-    if (u.settled) state_[s] = SlotState::kSettled;
-    if (p == applied_w_[s]) continue;
-    applied_w_[s] = p;
-    write_full_groups(s, group_nodes * p);
-    for (const int group : a.partial) set_bit(group_dirty_, group);
+  // The live slots in ascending order, as a walk of every slot visits them.
+  for (std::size_t w = 0; w < live_.size(); ++w) {
+    for (std::uint64_t word = live_[w]; word != 0; word &= word - 1) {
+      const std::size_t s = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      const ActiveJob& a = jobs_[s];
+      const JobRecord::Utilization u = a.job.utilization_at(now - a.start_time_s, quantum_s);
+      const double p = a.node_cfg->power_w(u.cpu, u.gpu);  // Eq. (3)
+      if (u.settled) clear_bit(live_, static_cast<int>(s));
+      if (p == applied_w_[s]) continue;
+      applied_w_[s] = p;
+      write_full_groups(s, group_nodes * p);
+      for (const int group : a.partial) set_bit(group_dirty_, group);
+    }
   }
   refresh_dirty_groups();
   refresh_dirty_racks();
@@ -303,7 +313,10 @@ void RapsPowerModel::write_full_groups(std::size_t slot, double busy_w) {
 }
 
 void RapsPowerModel::refresh_dirty_groups() {
-  drain_bits(group_dirty_, [this](int group) {
+  // 1. Re-sum each dirty group and resolve the loads a stored conversion
+  //    covers; queue the rest.
+  std::size_t pending = 0;
+  drain_bits(group_dirty_, [this, &pending](int group) {
     const std::size_t g = static_cast<std::size_t>(group);
     const std::vector<GroupOccupant>& occupants = group_occupants_[g];
     double occupied_idle_w = 0.0;
@@ -326,9 +339,27 @@ void RapsPowerModel::refresh_dirty_groups() {
     // occupies alone, or for a shared group it leads.
     const std::size_t first = static_cast<std::size_t>(occupants.front().slot);
     GroupConversion& shared = occupants.size() == 1 ? sole_conv_[first] : lead_conv_[first];
-    if (shared.output_w != load) shared = GroupConversion::of(rack_model_.chain().convert(load));
-    group_conv_[g] = shared;
+    if (shared.output_w == load) {
+      group_conv_[g] = shared;
+      return;
+    }
+    pending_group_[pending] = group;
+    pending_load_[pending] = load;
+    pending_cache_[pending] = &shared;
+    ++pending;
   });
+  if (pending == 0) return;
+  // 2. Convert the queued loads, two per packed operation.
+  rack_model_.chain().convert_batch(
+      std::span<const double>(pending_load_.data(), pending),
+      std::span<GroupConversion>(pending_conv_.data(), pending));
+  // 3. Store them in ascending group order, as the conversions of their
+  //    groups and of the caches they were queued for.
+  for (std::size_t i = 0; i < pending; ++i) {
+    const GroupConversion& conv = pending_conv_[i];
+    group_conv_[static_cast<std::size_t>(pending_group_[i])] = conv;
+    *pending_cache_[i] = conv;
+  }
 }
 
 RackPowerResult RapsPowerModel::evaluate_rack(int r) const {
@@ -408,6 +439,7 @@ const PowerSample& RapsPowerModel::recompute(double now,
   // Full rebuild; any incrementally registered jobs are dropped.
   jobs_.clear();
   state_.clear();
+  live_.clear();
   applied_w_.clear();
   sole_conv_.clear();
   lead_conv_.clear();

@@ -136,7 +136,9 @@ ScenarioResult run_replay_scenario(const ScenarioSpec& spec) {
   // exadigit-bin dataset (so named, or so by its manifest) streams off
   // disk, decoding only the channels replay reads, one chunk resident at a
   // time; every other source is resolved whole, through the dataset loader
-  // a long-lived service keeps resident.
+  // a long-lived service keeps resident, and only its system channels are
+  // kept: the resolved dataset is released (unless a service holds it)
+  // before the replay steps.
   const ScenarioSource& source = spec.source;
   const bool streams = source.kind == ScenarioSource::Kind::kDataset &&
                        (source.format.empty() ? read_manifest(source.path).format
@@ -146,7 +148,8 @@ ScenarioResult run_replay_scenario(const ScenarioSpec& spec) {
     BinChunkSource chunks(source.path);
     pr = replay_power(config, chunks, cooling);
   } else {
-    pr = replay_power(config, *spec.resolve_dataset(config), cooling);
+    InMemoryChunkSource system = system_channel_source(*spec.resolve_dataset(config));
+    pr = replay_power(config, system, cooling);
   }
 
   ScenarioResult r;

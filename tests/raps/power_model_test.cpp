@@ -632,6 +632,58 @@ TEST_F(PowerModelTest, SettledJobKeepsItsLastEvaluatedSamples) {
   EXPECT_EQ(model_.advance(2e5).system_power_w, both.system_power_w);
 }
 
+/// More jobs than one word of the live-slot bitmap, each alone in part of
+/// its own group, with traces that settle at different samples: every
+/// group carries its job's current load on every sample, and a slot freed
+/// and taken again (past the first word) is evaluated again.
+TEST_F(PowerModelTest, LiveSlotsPastOneBitmapWordAreEvaluated) {
+  const int npg = config_.rack.nodes_per_rack / (config_.rack.rectifiers_per_rack /
+                                                 config_.power.rectifiers_per_group);
+  const double q = config_.simulation.trace_quantum_s;
+  const std::vector<double> baseline = model_.group_output_w();
+  const double idle_w = config_.node.idle_power_w();
+  const double idle3_w = (idle_w + idle_w) + idle_w;
+  Rng rng(64);
+  auto make_job = [&](int k) {
+    JobRecord job = make_constant_job(0.0, 1e6, 3, 0.0, 0.0);
+    for (int i = 0; i < 1 + k % 7; ++i) {
+      job.cpu_util_trace.push_back(rng.uniform());
+      job.gpu_util_trace.push_back(rng.uniform());
+    }
+    return job;
+  };
+  constexpr int kJobs = 150;
+  std::vector<JobRecord> jobs;
+  std::vector<int> handles;
+  std::vector<double> starts(kJobs, 0.0);
+  for (int k = 0; k < kJobs; ++k) {
+    jobs.push_back(make_job(k));
+    handles.push_back(model_.on_job_start(jobs.back(), node_range(k * npg, 3), 0.0));
+  }
+  for (int step = 0; step < 10; ++step) {
+    const double now = step * q;
+    if (step == 4) {
+      // Free two slots past the first bitmap word and one inside it, then
+      // fill them again in the same groups with new traces.
+      for (const int k : {130, 70, 5}) {
+        model_.on_job_stop(handles[static_cast<std::size_t>(k)]);
+        jobs[static_cast<std::size_t>(k)] = make_job(k + 3);
+        handles[static_cast<std::size_t>(k)] =
+            model_.on_job_start(jobs[static_cast<std::size_t>(k)], node_range(k * npg, 3), now);
+        starts[static_cast<std::size_t>(k)] = now;
+      }
+    }
+    (void)model_.advance(now);
+    for (int k = 0; k < kJobs; ++k) {
+      const std::size_t i = static_cast<std::size_t>(k);
+      const JobRecord::Utilization u = jobs[i].utilization_at(now - starts[i], q);
+      const double p = config_.node.power_w(u.cpu, u.gpu);
+      ASSERT_EQ(model_.group_output_w()[i], (baseline[i] - (0.0 + idle3_w)) + (0.0 + 3.0 * p))
+          << "step " << step << " job " << k;
+    }
+  }
+}
+
 /// Property: system power is monotone in the number of active nodes.
 class PowerMonotoneProperty : public ::testing::TestWithParam<double> {};
 
