@@ -1,7 +1,6 @@
 #include "power/conversion.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -28,6 +27,7 @@ ConversionChain::LaneCurve::LaneCurve(const PiecewiseLinearCurve& curve) {
   if (curve.size() < 2) return;  // the kernel never evaluates it
   const std::vector<double>& xs = curve.xs();
   const std::vector<double>& ys = curve.ys();
+  segments.reserve(xs.size() - 1);
   for (std::size_t lo = 0; lo + 1 < xs.size(); ++lo) {
     segments.push_back(LaneSegment{xs[lo], xs[lo + 1] - xs[lo], ys[lo], ys[lo + 1] - ys[lo]});
   }
@@ -50,8 +50,6 @@ ConversionChain::ConversionChain(const PowerChainConfig& config)
             (dc_feed || (config_.load_sharing == LoadSharingPolicy::kSharedBus &&
                          lane_curve_ok(config_.rectifier_efficiency)));
   sivoc_capacity_w_ = 2.0 * config_.blades_per_group * config_.sivoc_rated_w;
-  const auto units = static_cast<unsigned>(config_.rectifiers_per_group);
-  if (std::has_single_bit(units)) per_unit_scale_ = 1.0 / static_cast<double>(units);
 }
 
 int ConversionChain::staged_for(double rectifier_output_w, int available) const {
@@ -152,10 +150,7 @@ void ConversionChain::convert_batch(std::span<const double> group_outputs_w,
     f64x2 eta_r = splat(config_.dc_feed_efficiency);
     i64x2 overloaded = {0, 0};
     if (!dc_feed) {
-      const f64x2 per_unit =
-          per_unit_scale_ != 0.0
-              ? rect_out * splat(per_unit_scale_)
-              : rect_out / splat(static_cast<double>(config_.rectifiers_per_group));
+      const f64x2 per_unit = rect_out / splat(static_cast<double>(config_.rectifiers_per_group));
       overloaded = per_unit > splat(config_.rectifier_rated_w);
       eta_r = curve_at(rectifier_lanes_, per_unit);
     }

@@ -110,9 +110,6 @@ class ConversionChain {
   LaneCurve sivoc_lanes_;
   LaneCurve rectifier_lanes_;
   double sivoc_capacity_w_ = 0.0;  ///< 2 x blades_per_group x sivoc_rated_w
-  /// 1 / rectifiers_per_group when that is a power of two (dividing by it
-  /// and multiplying by this give the same bits), else 0: divide.
-  double per_unit_scale_ = 0.0;
 
   [[nodiscard]] int staged_for(double rectifier_output_w, int available) const;
 };

@@ -94,10 +94,10 @@ RapsPowerModel::RapsPowerModel(const SystemConfig& config)
   group_owner_.assign(groups, -1);
   rack_owner_.assign(static_cast<std::size_t>(config_.rack_count), -1);
   group_dirty_.assign((groups + 63) / 64, 0);
-  pending_group_.resize(groups);
-  pending_load_.resize(groups);
-  pending_cache_.resize(groups);
-  pending_conv_.resize(groups);
+  queued_.resize(groups);
+  batch_load_.resize(groups);
+  batch_kept_.resize(groups);
+  batch_conv_.resize(groups);
   rack_dirty_.assign((static_cast<std::size_t>(config_.rack_count) + 63) / 64, 0);
   rack_wall_w_.assign(static_cast<std::size_t>(config_.rack_count), 0.0);
   cdu_wall_w_.assign(static_cast<std::size_t>(config_.cdu_count), 0.0);
@@ -225,9 +225,9 @@ int RapsPowerModel::on_job_start(const JobRecord& job, const std::vector<int>& n
   a.node_cfg = &cfg;
   state_[s] = SlotState::kHeld;
   set_bit(live_, slot);
-  applied_w_[s] = kNaN;           // the first advance() writes every group
-  sole_conv_[s].output_w = kNaN;  // matches no load
-  lead_conv_[s].output_w = kNaN;
+  applied_w_[s] = kNaN;                // the first advance() writes every group
+  sole_conv_[s].conv.output_w = kNaN;  // matches no load
+  lead_conv_[s].conv.output_w = kNaN;
   shared_rack_[s].load_w = kNaN;
   active_nodes_ += a.nodes;
   return slot;
@@ -298,7 +298,7 @@ const PowerSample& RapsPowerModel::advance(double now) {
 void RapsPowerModel::write_full_groups(std::size_t slot, double busy_w) {
   // A run's groups carry one load, and so do all runs of one base (every
   // run of an ascending allocation), so they share one conversion.
-  GroupConversion& conv = sole_conv_[slot];
+  GroupConversion& conv = sole_conv_[slot].conv;
   for (const FullRun& run : jobs_[slot].full) {
     const double load = run.base_w + busy_w;
     for (int group = run.first; group < run.first + run.count; ++group) {
@@ -313,10 +313,11 @@ void RapsPowerModel::write_full_groups(std::size_t slot, double busy_w) {
 }
 
 void RapsPowerModel::refresh_dirty_groups() {
-  // 1. Re-sum each dirty group and resolve the loads a stored conversion
+  // 1. Re-sum each dirty group and resolve the loads a kept conversion
   //    covers; queue the rest.
-  std::size_t pending = 0;
-  drain_bits(group_dirty_, [this, &pending](int group) {
+  std::size_t queued = 0;   // groups waiting for a conversion
+  std::size_t entries = 0;  // the loads they wait for
+  drain_bits(group_dirty_, [&](int group) {
     const std::size_t g = static_cast<std::size_t>(group);
     const std::vector<GroupOccupant>& occupants = group_occupants_[g];
     double occupied_idle_w = 0.0;
@@ -335,30 +336,33 @@ void RapsPowerModel::refresh_dirty_groups() {
       return;
     }
     // A group without occupants has exactly its idle load, so a loaded
-    // group has a first occupant: it holds the conversion for a group it
-    // occupies alone, or for a shared group it leads.
+    // group has a first occupant: it keeps the conversion for a group it
+    // occupies alone, or for a shared group it leads. A queued refill names
+    // its load at once, as a group-by-group pass would have stored it, so a
+    // later group of that load waits for the same entry.
     const std::size_t first = static_cast<std::size_t>(occupants.front().slot);
-    GroupConversion& shared = occupants.size() == 1 ? sole_conv_[first] : lead_conv_[first];
-    if (shared.output_w == load) {
-      group_conv_[g] = shared;
+    KeptConversion& kept = occupants.size() == 1 ? sole_conv_[first] : lead_conv_[first];
+    if (kept.conv.output_w != load) {
+      kept.conv.output_w = load;
+      kept.entry = entries;
+      batch_load_[entries] = load;
+      batch_kept_[entries] = &kept;
+      ++entries;
+    } else if (kept.entry >= entries || batch_kept_[kept.entry] != &kept) {
+      group_conv_[g] = kept.conv;  // stored before this pass
       return;
     }
-    pending_group_[pending] = group;
-    pending_load_[pending] = load;
-    pending_cache_[pending] = &shared;
-    ++pending;
+    queued_[queued++] = QueuedGroup{group, kept.entry};
   });
-  if (pending == 0) return;
+  if (queued == 0) return;
   // 2. Convert the queued loads, two per packed operation.
-  rack_model_.chain().convert_batch(
-      std::span<const double>(pending_load_.data(), pending),
-      std::span<GroupConversion>(pending_conv_.data(), pending));
-  // 3. Store them in ascending group order, as the conversions of their
-  //    groups and of the caches they were queued for.
-  for (std::size_t i = 0; i < pending; ++i) {
-    const GroupConversion& conv = pending_conv_[i];
-    group_conv_[static_cast<std::size_t>(pending_group_[i])] = conv;
-    *pending_cache_[i] = conv;
+  rack_model_.chain().convert_batch(std::span<const double>(batch_load_.data(), entries),
+                                    std::span<GroupConversion>(batch_conv_.data(), entries));
+  // 3. Store them in queue (ascending group) order, in the kept conversions
+  //    they refill and in their groups.
+  for (std::size_t e = 0; e < entries; ++e) batch_kept_[e]->conv = batch_conv_[e];
+  for (std::size_t q = 0; q < queued; ++q) {
+    group_conv_[static_cast<std::size_t>(queued_[q].group)] = batch_conv_[queued_[q].entry];
   }
 }
 

@@ -47,14 +47,13 @@
 /// shared one has the bits a fresh one would.
 ///
 /// The dirty-group pass runs in three steps: it re-sums each dirty group
-/// and resolves the idle, sole and lead reuse above; it converts every load
-/// left in one ConversionChain::convert_batch call, two groups per packed
+/// and resolves the idle, sole and lead reuse above; it converts the loads
+/// left in one ConversionChain::convert_batch call, two loads per packed
 /// operation; and it stores those conversions in ascending group order, in
-/// the groups and in the caches they missed. A cache holds the conversion
-/// of the load it names, so a group the pass queues because an earlier
-/// group had queued the same cache is converted twice to the same bits
-/// (2.07 M conversions where a group-by-group pass ran 2.02 M, on the
-/// ooc_replay week at seed 7).
+/// the groups and in the sole and lead conversions they refill. A refill
+/// counts as stored from the moment it is queued, so a later group of the
+/// same load waits for it, and the pass converts exactly the loads a
+/// group-by-group pass would.
 ///
 /// Live job slots, dirty groups and dirty racks are bitmaps walked in
 /// ascending order, so advance() visits only the jobs it evaluates and
@@ -220,6 +219,23 @@ class RapsPowerModel {
 
   enum class SlotState : unsigned char { kFree, kHeld };
 
+  /// A conversion a job keeps for reuse: its output_w is the load it
+  /// belongs to (NaN: none yet). A dirty-group pass that queues a refill
+  /// sets output_w to the refill's load and `entry` to its batch entry at
+  /// once, and stores the other fields after the batch; `entry` names a
+  /// queued refill only while that entry of the current batch points back
+  /// here.
+  struct KeptConversion {
+    GroupConversion conv;
+    std::size_t entry = 0;
+  };
+
+  /// A dirty group waiting for the conversion of batch entry `entry`.
+  struct QueuedGroup {
+    int group = 0;
+    std::size_t entry = 0;
+  };
+
   SystemConfig config_;
   RackPowerModel rack_model_;
   int groups_per_rack_;
@@ -246,10 +262,9 @@ class RapsPowerModel {
   /// until its first advance()).
   std::vector<double> applied_w_;
   /// The conversions last computed for a group the job occupies alone and
-  /// for a shared group whose oldest occupant it is. Each one's output_w is
-  /// the load it belongs to (NaN: none yet).
-  std::vector<GroupConversion> sole_conv_;
-  std::vector<GroupConversion> lead_conv_;
+  /// for a shared group whose oldest occupant it is.
+  std::vector<KeptConversion> sole_conv_;
+  std::vector<KeptConversion> lead_conv_;
   std::vector<SharedRack> shared_rack_;
   std::vector<int> free_slots_;
   std::vector<int> touched_;  ///< on_job_start scratch: groups in first-touch order
@@ -261,13 +276,13 @@ class RapsPowerModel {
   std::vector<std::uint64_t> group_dirty_;  ///< bitmap: re-sum from occupants
   std::vector<std::uint64_t> rack_dirty_;   ///< bitmap: re-sum from conversions
   std::vector<RackPowerResult> rack_results_;
-  /// refresh_dirty_groups scratch, one entry per group at most, sized at
-  /// construction: the groups left to convert, their loads, the cache
-  /// (sole_conv_ or lead_conv_ entry) each one fills, and the conversions.
-  std::vector<int> pending_group_;
-  std::vector<double> pending_load_;
-  std::vector<GroupConversion*> pending_cache_;
-  std::vector<GroupConversion> pending_conv_;
+  /// refresh_dirty_groups scratch, sized at construction: the queued
+  /// groups and, per batch entry, the load to convert, the kept conversion
+  /// it refills and its conversion.
+  std::vector<QueuedGroup> queued_;
+  std::vector<double> batch_load_;
+  std::vector<KeptConversion*> batch_kept_;
+  std::vector<GroupConversion> batch_conv_;
   double total_input_w_ = 0.0;
   double total_output_w_ = 0.0;
   double switch_output_w_ = 0.0;
@@ -290,7 +305,7 @@ class RapsPowerModel {
   /// load changed marks its rack dirty and takes the conversion of its new
   /// load: the idle baseline's, or its first occupant's sole_conv /
   /// lead_conv where that one's load matches, else freshly converted and
-  /// kept there. The fresh conversions run as one batch
+  /// kept there. The fresh conversions run in batches
   /// (ConversionChain::convert_batch) and are written back in ascending
   /// group order.
   void refresh_dirty_groups();

@@ -205,7 +205,7 @@ TEST(ConversionBatchTest, MatchesConvertInEveryConfiguration) {
                                                      linear.rectifier_efficiency.ys(),
                                                      Extrapolation::kLinear);
   configs.push_back(linear);
-  PowerChainConfig three_units = frontier_chain();  // no power-of-two divide
+  PowerChainConfig three_units = frontier_chain();  // not Frontier's rectifier count
   three_units.rectifiers_per_group = 3;
   configs.push_back(three_units);
   // Curves whose knots the edge loads hit exactly (the SIVOC knots are

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -680,6 +682,61 @@ TEST_F(PowerModelTest, LiveSlotsPastOneBitmapWordAreEvaluated) {
       const double p = config_.node.power_w(u.cpu, u.gpu);
       ASSERT_EQ(model_.group_output_w()[i], (baseline[i] - (0.0 + idle3_w)) + (0.0 + 3.0 * p))
           << "step " << step << " job " << k;
+    }
+  }
+}
+
+/// One sample asks a job's kept conversion for several loads: a job alone
+/// in part of four groups, with 3, 3, 5 and 3 nodes in them, and two jobs
+/// that split two groups alike. Groups of one load take the conversion
+/// queued for the first of them, a group of another load queues its own,
+/// and every group stores the chain's conversion of its load.
+TEST_F(PowerModelTest, GroupsOfOneJobShareOneQueuedConversionPerLoad) {
+  const int npg = config_.rack.nodes_per_rack / (config_.rack.rectifiers_per_rack /
+                                                 config_.power.rectifiers_per_group);
+  const ConversionChain chain(config_.power);
+  auto part_of = [&](std::initializer_list<std::pair<int, int>> groups_and_counts) {
+    std::vector<int> nodes;
+    for (const auto& [group, count] : groups_and_counts) {
+      for (int i = 0; i < count; ++i) nodes.push_back(group * npg + i);
+    }
+    return nodes;
+  };
+  auto traced_job = [](int nodes, int samples, Rng& rng) {
+    JobRecord job = make_constant_job(0.0, 1e6, nodes, 0.0, 0.0);
+    for (int i = 0; i < samples; ++i) {
+      job.cpu_util_trace.push_back(rng.uniform());
+      job.gpu_util_trace.push_back(rng.uniform());
+    }
+    return job;
+  };
+  Rng rng(28);
+  const std::vector<int> sole_nodes = part_of({{10, 3}, {12, 3}, {14, 5}, {16, 3}});
+  const std::vector<int> lead_nodes = part_of({{20, 4}, {22, 4}});
+  std::vector<int> second_nodes;
+  for (const int n : lead_nodes) second_nodes.push_back(n + 4);
+  const JobRecord sole = traced_job(14, 6, rng);
+  const JobRecord lead = traced_job(8, 6, rng);
+  const JobRecord second = traced_job(8, 3, rng);
+  (void)model_.on_job_start(sole, sole_nodes, 0.0);
+  (void)model_.on_job_start(lead, lead_nodes, 0.0);
+  (void)model_.on_job_start(second, second_nodes, 0.0);
+  const double q = config_.simulation.trace_quantum_s;
+  for (int step = 0; step < 8; ++step) {
+    (void)model_.advance(step * q);
+    const std::vector<double>& loads = model_.group_output_w();
+    ASSERT_EQ(loads[10], loads[12]) << "step " << step;
+    ASSERT_EQ(loads[10], loads[16]) << "step " << step;
+    ASSERT_NE(loads[10], loads[14]) << "step " << step;
+    ASSERT_EQ(loads[20], loads[22]) << "step " << step;
+    for (const int g : {10, 12, 14, 16, 20, 22}) {
+      const GroupConversion& got = model_.group_conversions()[static_cast<std::size_t>(g)];
+      const ConversionResult want = chain.convert(loads[static_cast<std::size_t>(g)]);
+      EXPECT_EQ(got.output_w, want.output_w) << "step " << step << " group " << g;
+      EXPECT_EQ(got.input_w, want.input_w) << "step " << step << " group " << g;
+      EXPECT_EQ(got.rectifier_loss_w, want.rectifier_loss_w) << "step " << step << " group " << g;
+      EXPECT_EQ(got.sivoc_loss_w, want.sivoc_loss_w) << "step " << step << " group " << g;
+      EXPECT_EQ(got.overloaded, want.overloaded) << "step " << step << " group " << g;
     }
   }
 }
