@@ -1,5 +1,6 @@
 /// Regenerates paper Fig. 4: "Frontier power utilization breakdown based on
-/// peak CPU/GPU utilization of its 9472 nodes" as a bar chart on stdout.
+/// peak CPU/GPU utilization of its 9472 nodes" as a bar chart on stdout,
+/// from the power model the twin runs (uniform_load_power).
 
 #include <algorithm>
 #include <cstdio>
@@ -8,14 +9,13 @@
 
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "power/rack_power.hpp"
+#include "raps/power_model.hpp"
 
 using namespace exadigit;
 
 int main() {
   const SystemConfig config = frontier_system_config();
-  const SystemPowerModel model(config);
-  const PowerBreakdown b = model.breakdown(1.0, 1.0);
+  const PowerBreakdown b = uniform_load_power(config, 1.0, 1.0).breakdown;
 
   struct Item {
     const char* name;

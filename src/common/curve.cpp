@@ -116,9 +116,10 @@ double PiecewiseLinearCurve::x_max() const {
   return xs_.back();
 }
 
-PiecewiseLinearCurve PiecewiseLinearCurve::scaled_y(double factor) const {
+PiecewiseLinearCurve PiecewiseLinearCurve::scaled_y(double factor, double lo,
+                                                    double hi) const {
   std::vector<double> ys = ys_;
-  for (double& y : ys) y *= factor;
+  for (double& y : ys) y = std::clamp(y * factor, lo, hi);
   return PiecewiseLinearCurve(xs_, std::move(ys), extrapolation_);
 }
 

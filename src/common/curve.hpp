@@ -81,8 +81,9 @@ class PiecewiseLinearCurve {
   [[nodiscard]] const std::vector<double>& ys() const { return ys_; }
   [[nodiscard]] Extrapolation extrapolation() const { return extrapolation_; }
 
-  /// Returns a new curve with every y multiplied by `factor`.
-  [[nodiscard]] PiecewiseLinearCurve scaled_y(double factor) const;
+  /// Returns a new curve, with this one's knots and extrapolation, whose
+  /// every y is multiplied by `factor` and clamped to [lo, hi].
+  [[nodiscard]] PiecewiseLinearCurve scaled_y(double factor, double lo, double hi) const;
 
  private:
   std::vector<double> xs_;

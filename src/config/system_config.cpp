@@ -11,14 +11,21 @@ double NodeConfig::idle_power_w() const { return power_w(0.0, 0.0); }
 
 double NodeConfig::peak_power_w() const { return power_w(1.0, 1.0); }
 
-double NodeConfig::power_w(double cpu_util, double gpu_util) const {
+NodePowerSplit NodeConfig::power_split(double cpu_util, double gpu_util) const {
   const double cu = std::clamp(cpu_util, 0.0, 1.0);
   const double gu = std::clamp(gpu_util, 0.0, 1.0);
-  const double cpu = cpus_per_node * (cpu_idle_w + cu * (cpu_peak_w - cpu_idle_w));
-  const double gpu = gpus_per_node * (gpu_idle_w + gu * (gpu_peak_w - gpu_idle_w));
-  const double nic = nics_per_node * nic_w;
-  const double nvme = nvme_per_node * nvme_w;
-  return cpu + gpu + nic + ram_avg_w + nvme;
+  NodePowerSplit s;
+  s.cpus_w = cpus_per_node * (cpu_idle_w + cu * (cpu_peak_w - cpu_idle_w));
+  s.gpus_w = gpus_per_node * (gpu_idle_w + gu * (gpu_peak_w - gpu_idle_w));
+  s.nics_w = nics_per_node * nic_w;
+  s.ram_w = ram_avg_w;
+  s.nvme_w = nvme_per_node * nvme_w;
+  return s;
+}
+
+double NodeConfig::power_w(double cpu_util, double gpu_util) const {
+  const NodePowerSplit s = power_split(cpu_util, gpu_util);
+  return s.cpus_w + s.gpus_w + s.nics_w + s.ram_w + s.nvme_w;
 }
 
 int SystemConfig::racks_for_cdu(int cdu) const {

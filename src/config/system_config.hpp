@@ -24,6 +24,15 @@
 
 namespace exadigit {
 
+/// One node's power by component at given utilizations: Eq. (3)'s terms.
+struct NodePowerSplit {
+  double cpus_w = 0.0;
+  double gpus_w = 0.0;
+  double nics_w = 0.0;
+  double ram_w = 0.0;
+  double nvme_w = 0.0;
+};
+
 /// Per-node component power model (paper Eq. (3) constants, Table I).
 struct NodeConfig {
   int cpus_per_node = 1;
@@ -41,8 +50,11 @@ struct NodeConfig {
   /// Idle / peak node power from Eq. (3) at 0% / 100% utilization.
   [[nodiscard]] double idle_power_w() const;
   [[nodiscard]] double peak_power_w() const;
-  /// Eq. (3) at the given utilizations in [0,1] (linear interpolation
-  /// between idle and peak, per paper Section III-B2).
+  /// Eq. (3)'s terms at the given utilizations, clamped to [0,1]: each
+  /// CPU and GPU interpolates linearly between idle and peak (paper Section
+  /// III-B2); NICs, RAM and NVMe draw their averages.
+  [[nodiscard]] NodePowerSplit power_split(double cpu_util, double gpu_util) const;
+  /// Eq. (3): the sum of power_split's terms, in their declared order.
   [[nodiscard]] double power_w(double cpu_util, double gpu_util) const;
 };
 
@@ -260,6 +272,11 @@ struct SystemConfig {
   [[nodiscard]] int total_blades() const { return rack_count * rack.blades_per_rack; }
   [[nodiscard]] int total_rectifiers() const { return rack_count * rack.rectifiers_per_rack; }
   [[nodiscard]] int total_switches() const { return rack_count * rack.switches_per_rack; }
+  /// The CDU pumps' constant draw, Eq. (4)'s last term (paper Section
+  /// III-B2: 8.7 kW x 25 CDUs = 217.5 kW).
+  [[nodiscard]] double cdu_pump_power_w() const {
+    return cooling.cdu.pump_avg_w * static_cast<double>(cdu_count);
+  }
 
   /// Number of racks served by CDU `cdu` (the last Frontier CDU serves 2).
   [[nodiscard]] int racks_for_cdu(int cdu) const;

@@ -49,6 +49,36 @@ SeriesParallelLoop bare_bank(const PumpModel& pump, int units) {
   return SeriesParallelLoop(pump.shutoff_head_pa(), pump.curve_coeff(), units);
 }
 
+/// EHX hot-side bank resistance with `staged` exchangers in parallel: 25 %
+/// of the HTWP design head at design flow with all of them staged.
+double ehx_hot_leg_k(const CoolingConfig& cool, int staged) {
+  const double n_design = static_cast<double>(cool.primary.ehx_count);
+  const double k_each = 0.25 * cool.primary.pump.design_head_pa * n_design * n_design /
+                        (cool.primary.design_flow_m3s * cool.primary.design_flow_m3s);
+  const double n = static_cast<double>(staged);
+  return k_each / (n * n);
+}
+
+/// EHX cold-side bank resistance with `staged` exchangers in parallel: 35 %
+/// of the CTWP design head at design flow with all of them staged.
+double ehx_cold_leg_k(const CoolingConfig& cool, int staged) {
+  const double n_design = static_cast<double>(cool.primary.ehx_count);
+  const double k_each = 0.35 * cool.ct.pump.design_head_pa * n_design * n_design /
+                        (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
+  const double n = static_cast<double>(staged);
+  return k_each / (n * n);
+}
+
+/// Tower-cell bank resistance with `staged` of `total_cells` cells in
+/// parallel: 65 % of the CTWP design head at design flow with every cell
+/// staged.
+double tower_cell_leg_k(const CoolingConfig& cool, int total_cells, int staged) {
+  const double k_cell = 0.65 * cool.ct.pump.design_head_pa * total_cells * total_cells /
+                        (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
+  const double n = static_cast<double>(staged);
+  return k_cell / (n * n);
+}
+
 PidConfig fan_pid_config() {
   PidConfig p;
   p.kp = 0.20;   // per K of basin temperature error
@@ -134,24 +164,16 @@ void CoolingPlantModel::build_loops() {
   // ---- Primary HTW loop ------------------------------------------------
   const double q_pri = cool.primary.design_flow_m3s;
   const double h_pri = cool.primary.pump.design_head_pa;
-  // EHX hot-side bank: 25 % of design head at 5 staged units.
-  const double n_ehx = static_cast<double>(cool.primary.ehx_count);
-  const double k_ehx_each = 0.25 * h_pri * n_ehx * n_ehx / (q_pri * q_pri);
-  pri_ehx_leg_ = pri_net_.add_series(k_ehx_each / (n_ehx * n_ehx));
+  pri_ehx_leg_ = pri_net_.add_series(ehx_hot_leg_k(cool, cool.primary.ehx_count));
   // CDU HEX branches: 75 % of design head at valve position 0.7.
   const double q_branch = q_pri / static_cast<double>(config_.cdu_count);
   const double k_open = 0.7 * 0.7 * 0.75 * h_pri / (q_branch * q_branch);
   for (int i = 0; i < config_.cdu_count; ++i) pri_net_.add_parallel(k_open);
 
   // ---- Cooling-tower loop ----------------------------------------------
-  const double q_ct = cool.ct.design_flow_m3s;
-  const double h_ct = cool.ct.pump.design_head_pa;
-  const double k_ehx_cold_each = 0.35 * h_ct * n_ehx * n_ehx / (q_ct * q_ct);
-  ct_ehx_leg_ = ct_net_.add_series(k_ehx_cold_each / (n_ehx * n_ehx));
+  ct_ehx_leg_ = ct_net_.add_series(ehx_cold_leg_k(cool, cool.primary.ehx_count));
   const int cells = tower_bank_.total_cells();
-  const double k_cell =
-      0.65 * h_ct * static_cast<double>(cells) * static_cast<double>(cells) / (q_ct * q_ct);
-  ct_cell_leg_ = ct_net_.add_series(k_cell / (cells * cells));
+  ct_cell_leg_ = ct_net_.add_series(tower_cell_leg_k(cool, cells, cells));
 }
 
 void CoolingPlantModel::reset(double ambient_c) {
@@ -260,32 +282,16 @@ void CoolingPlantModel::update_controls(const CoolingInputs& inputs, double dt) 
   for (auto& loop : cdu_loops_) {
     loop.net.set_speed(loop.pump_speed);
   }
-  {
-    pri_net_.set_speed(htwp_speed);
-    pri_net_.set_units(htwp_staged);
-    const double n = static_cast<double>(ehx_staged);
-    const double n_design = static_cast<double>(cool.primary.ehx_count);
-    const double k_each = 0.25 * cool.primary.pump.design_head_pa * n_design * n_design /
-                          (cool.primary.design_flow_m3s * cool.primary.design_flow_m3s);
-    pri_net_.set_k(pri_ehx_leg_, k_each / (n * n));
-    for (std::size_t i = 0; i < cdu_loops_.size(); ++i) {
-      pri_net_.set_position(i, cdu_loops_[i].valve_position);
-    }
+  pri_net_.set_speed(htwp_speed);
+  pri_net_.set_units(htwp_staged);
+  pri_net_.set_k(pri_ehx_leg_, ehx_hot_leg_k(cool, ehx_staged));
+  for (std::size_t i = 0; i < cdu_loops_.size(); ++i) {
+    pri_net_.set_position(i, cdu_loops_[i].valve_position);
   }
-  {
-    ct_net_.set_speed(ctwp_speed);
-    ct_net_.set_units(ctwp_staged);
-    const double n_ehx = static_cast<double>(ehx_staged);
-    const double n_design = static_cast<double>(cool.primary.ehx_count);
-    const double k_cold_each = 0.35 * cool.ct.pump.design_head_pa * n_design * n_design /
-                               (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
-    ct_net_.set_k(ct_ehx_leg_, k_cold_each / (n_ehx * n_ehx));
-    const int total_cells = tower_bank_.total_cells();
-    const double k_cell = 0.65 * cool.ct.pump.design_head_pa * total_cells * total_cells /
-                          (cool.ct.design_flow_m3s * cool.ct.design_flow_m3s);
-    const double n_cells = static_cast<double>(cells);
-    ct_net_.set_k(ct_cell_leg_, k_cell / (n_cells * n_cells));
-  }
+  ct_net_.set_speed(ctwp_speed);
+  ct_net_.set_units(ctwp_staged);
+  ct_net_.set_k(ct_ehx_leg_, ehx_cold_leg_k(cool, ehx_staged));
+  ct_net_.set_k(ct_cell_leg_, tower_cell_leg_k(cool, tower_bank_.total_cells(), cells));
 
   outputs_.htwp_speed = htwp_speed;
   outputs_.htwp_staged = htwp_staged;

@@ -244,8 +244,8 @@ void DigitalTwin::step_plant(const double* quantum) {
   const double now_s = quantum[kQuantumTime];
   const double dt = now_s - cooling_synced_s_;
   if (dt <= 1e-9) return;
-  // Per-CDU heat = wall power * cooling efficiency (the same product
-  // RapsPowerModel::cdu_heat_w returns), written into the plant inputs in
+  // Per-CDU heat = wall power * cooling efficiency, the one place the twin
+  // turns RAPS power into plant heat, written into the plant inputs in
   // place so the quantum does not allocate. The plant checks its inputs.
   const double* cdu_wall = quantum + kQuantumCduWall;
   std::vector<double>& heat = inputs_.cdu_heat_w;

@@ -1,27 +1,19 @@
 #include "core/physical_twin.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace exadigit {
 
-namespace {
-PiecewiseLinearCurve scale_curve(const PiecewiseLinearCurve& curve, double factor) {
-  std::vector<double> ys = curve.ys();
-  for (double& y : ys) y = std::clamp(y * factor, 0.01, 1.0);
-  return PiecewiseLinearCurve(curve.xs(), std::move(ys));
-}
-}  // namespace
-
 SystemConfig perturb_physical_config(const SystemConfig& config,
                                      const PhysicalTwinOptions& options) {
   SystemConfig c = config;
   const double eff = 1.0 + options.efficiency_bias;
-  c.power.rectifier_efficiency = scale_curve(c.power.rectifier_efficiency, eff);
-  c.power.sivoc_efficiency = scale_curve(c.power.sivoc_efficiency, eff);
+  c.power.rectifier_efficiency = c.power.rectifier_efficiency.scaled_y(eff, 0.01, 1.0);
+  c.power.sivoc_efficiency = c.power.sivoc_efficiency.scaled_y(eff, 0.01, 1.0);
   c.cooling.cdu.hex.ua_w_per_k *= 1.0 + options.hex_ua_bias;
   c.cooling.primary.ehx.ua_w_per_k *= 1.0 + options.hex_ua_bias;
   const double head = 1.0 + options.pump_head_bias;

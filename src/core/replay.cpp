@@ -44,29 +44,6 @@ namespace {
 /// spin-up transient is not a modeling error.
 constexpr double kCoolingSpinUpS = units::kSecondsPerHour;
 
-/// The latest time <= `horizon` where the engine fires a cooling-quantum
-/// boundary, or `start` when no boundary fires by then. Quantum boundary m
-/// fires at the first tick k with k*tick >= m*quantum - 1e-9 (the
-/// RapsEngine::tick_body predicate, epsilon included); a run_until landing
-/// exactly on such a tick takes its observation sample there and both the
-/// engine tail-flush and the twin's partial plant step are no-ops — so an
-/// intermediate stop at this time is a pure prefix of a longer run.
-double quantum_fire_time(double start, double tick, double quantum, double horizon) {
-  if (horizon <= start) return start;
-  auto fire_tick = [&](long long m) {
-    const double boundary = static_cast<double>(m) * quantum - 1e-9;
-    const double est = std::ceil(boundary / tick);
-    long long k = est > 0.0 && est < 9.0e18 ? static_cast<long long>(est) : 0;
-    while (k > 0 && static_cast<double>(k - 1) * tick >= boundary) --k;
-    while (static_cast<double>(k) * tick < boundary) ++k;
-    return k;
-  };
-  long long m = static_cast<long long>(std::floor((horizon - start) / quantum)) + 1;
-  while (m >= 1 && start + static_cast<double>(fire_tick(m)) * tick > horizon) --m;
-  if (m < 1) return start;
-  return start + static_cast<double>(fire_tick(m)) * tick;
-}
-
 }  // namespace
 
 InMemoryChunkSource system_channel_source(const TelemetryDataset& dataset) {
@@ -136,9 +113,7 @@ PowerReplayResult replay_power(const SystemConfig& config, ChunkedTelemetrySourc
       }
     }
     chunk.release();
-    const double target =
-        quantum_fire_time(header.start_time_s, config.simulation.tick_s,
-                          config.simulation.cooling_quantum_s, std::min(wetbulb_horizon, t_end));
+    const double target = twin.engine().last_quantum_fire_s(std::min(wetbulb_horizon, t_end));
     if (target > twin.engine().now_s()) twin.run_until(target);
   }
   // exadigit-hot-end

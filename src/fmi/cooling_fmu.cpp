@@ -1,56 +1,86 @@
 #include "fmi/cooling_fmu.hpp"
 
+#include <iterator>
+
 namespace exadigit {
 
-// Field tables; order defines the value-reference layout and must match
-// cdu_field() / plant_field().
-static constexpr struct {
+namespace {
+
+/// One FMU output: its name, unit and description, and the getter that
+/// reads its value from the plant's outputs.
+template <class Outputs>
+struct OutputField {
   const char* name;
   const char* unit;
   const char* description;
-} kCduFieldDefs[] = {
-    {"pump_power_w", "W", "CDU pump electric power (station 14)"},
-    {"pump_speed", "1", "CDU pump relative speed"},
-    {"sec_flow_m3s", "m3/s", "secondary loop flow (station 14)"},
-    {"pri_flow_m3s", "m3/s", "primary branch flow (station 12)"},
-    {"sec_supply_t_c", "degC", "secondary supply temperature (station 15)"},
-    {"sec_return_t_c", "degC", "secondary return temperature (station 13)"},
-    {"sec_supply_p_pa", "Pa", "secondary supply pressure"},
-    {"sec_return_p_pa", "Pa", "secondary return pressure"},
-    {"valve_position", "1", "primary-side control valve position"},
-    {"hex_duty_w", "W", "HEX-1600 heat transfer"},
-    {"pri_return_t_c", "degC", "primary branch return temperature (station 12)"},
-    {"loop_dp_pa", "Pa", "secondary loop differential pressure"},
+  double (*get)(const Outputs&);
 };
 
-static constexpr struct {
-  const char* name;
-  const char* unit;
-  const char* description;
-} kPlantFieldDefs[] = {
-    {"htwp_staged", "1", "hot temperature water pumps staged"},
-    {"htwp_speed", "1", "HTWP relative speed"},
-    {"htwp_power_w", "W", "total HTWP electric power"},
-    {"ehx_staged", "1", "intermediate heat exchangers staged"},
-    {"pri_supply_t_c", "degC", "HTW supply temperature (station 10)"},
-    {"pri_return_t_c", "degC", "HTW return temperature"},
-    {"pri_flow_m3s", "m3/s", "primary loop flow"},
-    {"pri_dp_pa", "Pa", "primary loop differential pressure"},
-    {"ct_cells_staged", "1", "cooling tower cells staged"},
-    {"ctwp_staged", "1", "cooling tower water pumps staged"},
-    {"ctwp_speed", "1", "CTWP relative speed"},
-    {"ctwp_power_w", "W", "total CTWP electric power"},
-    {"fan_speed", "1", "cooling tower fan relative speed"},
-    {"fan_power_w", "W", "total cooling tower fan power"},
-    {"ct_supply_t_c", "degC", "cold water supply (basin) temperature"},
-    {"ct_return_t_c", "degC", "cold water return temperature"},
-    {"pue", "1", "power usage effectiveness"},
+/// The getter of one member of an outputs struct (staging counts are ints).
+template <auto Member, class Outputs>
+double real_of(const Outputs& o) {
+  return static_cast<double>(o.*Member);
+}
+
+// Field tables; order defines the value-reference layout.
+constexpr OutputField<CduOutputs> kCduFields[] = {
+    {"pump_power_w", "W", "CDU pump electric power (station 14)",
+     real_of<&CduOutputs::pump_power_w>},
+    {"pump_speed", "1", "CDU pump relative speed", real_of<&CduOutputs::pump_speed>},
+    {"sec_flow_m3s", "m3/s", "secondary loop flow (station 14)",
+     real_of<&CduOutputs::sec_flow_m3s>},
+    {"pri_flow_m3s", "m3/s", "primary branch flow (station 12)",
+     real_of<&CduOutputs::pri_flow_m3s>},
+    {"sec_supply_t_c", "degC", "secondary supply temperature (station 15)",
+     real_of<&CduOutputs::sec_supply_t_c>},
+    {"sec_return_t_c", "degC", "secondary return temperature (station 13)",
+     real_of<&CduOutputs::sec_return_t_c>},
+    {"sec_supply_p_pa", "Pa", "secondary supply pressure",
+     real_of<&CduOutputs::sec_supply_p_pa>},
+    {"sec_return_p_pa", "Pa", "secondary return pressure",
+     real_of<&CduOutputs::sec_return_p_pa>},
+    {"valve_position", "1", "primary-side control valve position",
+     real_of<&CduOutputs::valve_position>},
+    {"hex_duty_w", "W", "HEX-1600 heat transfer", real_of<&CduOutputs::hex_duty_w>},
+    {"pri_return_t_c", "degC", "primary branch return temperature (station 12)",
+     real_of<&CduOutputs::pri_return_t_c>},
+    {"loop_dp_pa", "Pa", "secondary loop differential pressure",
+     real_of<&CduOutputs::loop_dp_pa>},
 };
 
-static_assert(sizeof(kCduFieldDefs) / sizeof(kCduFieldDefs[0]) == 12,
-              "CDU field table must list 12 outputs");
-static_assert(sizeof(kPlantFieldDefs) / sizeof(kPlantFieldDefs[0]) == 17,
-              "plant field table must list 17 outputs");
+constexpr OutputField<PlantOutputs> kPlantFields[] = {
+    {"htwp_staged", "1", "hot temperature water pumps staged",
+     real_of<&PlantOutputs::htwp_staged>},
+    {"htwp_speed", "1", "HTWP relative speed", real_of<&PlantOutputs::htwp_speed>},
+    {"htwp_power_w", "W", "total HTWP electric power", real_of<&PlantOutputs::htwp_power_w>},
+    {"ehx_staged", "1", "intermediate heat exchangers staged",
+     real_of<&PlantOutputs::ehx_staged>},
+    {"pri_supply_t_c", "degC", "HTW supply temperature (station 10)",
+     real_of<&PlantOutputs::pri_supply_t_c>},
+    {"pri_return_t_c", "degC", "HTW return temperature", real_of<&PlantOutputs::pri_return_t_c>},
+    {"pri_flow_m3s", "m3/s", "primary loop flow", real_of<&PlantOutputs::pri_flow_m3s>},
+    {"pri_dp_pa", "Pa", "primary loop differential pressure", real_of<&PlantOutputs::pri_dp_pa>},
+    {"ct_cells_staged", "1", "cooling tower cells staged",
+     real_of<&PlantOutputs::ct_cells_staged>},
+    {"ctwp_staged", "1", "cooling tower water pumps staged",
+     real_of<&PlantOutputs::ctwp_staged>},
+    {"ctwp_speed", "1", "CTWP relative speed", real_of<&PlantOutputs::ctwp_speed>},
+    {"ctwp_power_w", "W", "total CTWP electric power", real_of<&PlantOutputs::ctwp_power_w>},
+    {"fan_speed", "1", "cooling tower fan relative speed", real_of<&PlantOutputs::fan_speed>},
+    {"fan_power_w", "W", "total cooling tower fan power", real_of<&PlantOutputs::fan_power_w>},
+    {"ct_supply_t_c", "degC", "cold water supply (basin) temperature",
+     real_of<&PlantOutputs::ct_supply_t_c>},
+    {"ct_return_t_c", "degC", "cold water return temperature",
+     real_of<&PlantOutputs::ct_return_t_c>},
+    {"pue", "1", "power usage effectiveness", real_of<&PlantOutputs::pue>},
+};
+
+constexpr int kCduFieldCount = static_cast<int>(std::size(kCduFields));
+constexpr int kPlantFieldCount = static_cast<int>(std::size(kPlantFields));
+static_assert(kCduFieldCount == 12, "CDU field table must list 12 outputs");
+static_assert(kPlantFieldCount == 17, "plant field table must list 17 outputs");
+
+}  // namespace
 
 CoolingFmu::CoolingFmu(const SystemConfig& config) : config_(config), plant_(config) {
   pending_inputs_.cdu_heat_w.assign(static_cast<std::size_t>(config_.cdu_count), 0.0);
@@ -75,17 +105,17 @@ void CoolingFmu::build_variable_table() {
     for (int f = 0; f < kCduFieldCount; ++f) {
       variables_.push_back(VariableInfo{
           static_cast<ValueRef>(kOutputBase + k * kCduFieldCount + f),
-          "cdu[" + std::to_string(k) + "]." + kCduFieldDefs[f].name, kCduFieldDefs[f].unit,
-          Causality::kOutput, kCduFieldDefs[f].description});
+          "cdu[" + std::to_string(k) + "]." + kCduFields[f].name, kCduFields[f].unit,
+          Causality::kOutput, kCduFields[f].description});
     }
   }
   const ValueRef plant_base =
       kOutputBase + static_cast<ValueRef>(config_.cdu_count * kCduFieldCount);
   for (int f = 0; f < kPlantFieldCount; ++f) {
     variables_.push_back(VariableInfo{plant_base + static_cast<ValueRef>(f),
-                                      std::string("plant.") + kPlantFieldDefs[f].name,
-                                      kPlantFieldDefs[f].unit, Causality::kOutput,
-                                      kPlantFieldDefs[f].description});
+                                      std::string("plant.") + kPlantFields[f].name,
+                                      kPlantFields[f].unit, Causality::kOutput,
+                                      kPlantFields[f].description});
   }
 }
 
@@ -115,49 +145,6 @@ void CoolingFmu::set_real(ValueRef ref, double value) {
   throw ConfigError("set_real on non-input value reference " + std::to_string(ref));
 }
 
-double CoolingFmu::cdu_field(int cdu, int field) const {
-  const CduOutputs& o = plant_.outputs().cdus.at(static_cast<std::size_t>(cdu));
-  switch (field) {
-    case 0: return o.pump_power_w;
-    case 1: return o.pump_speed;
-    case 2: return o.sec_flow_m3s;
-    case 3: return o.pri_flow_m3s;
-    case 4: return o.sec_supply_t_c;
-    case 5: return o.sec_return_t_c;
-    case 6: return o.sec_supply_p_pa;
-    case 7: return o.sec_return_p_pa;
-    case 8: return o.valve_position;
-    case 9: return o.hex_duty_w;
-    case 10: return o.pri_return_t_c;
-    case 11: return o.loop_dp_pa;
-    default: throw ConfigError("cdu field index out of range");
-  }
-}
-
-double CoolingFmu::plant_field(int field) const {
-  const PlantOutputs& o = plant_.outputs();
-  switch (field) {
-    case 0: return static_cast<double>(o.htwp_staged);
-    case 1: return o.htwp_speed;
-    case 2: return o.htwp_power_w;
-    case 3: return static_cast<double>(o.ehx_staged);
-    case 4: return o.pri_supply_t_c;
-    case 5: return o.pri_return_t_c;
-    case 6: return o.pri_flow_m3s;
-    case 7: return o.pri_dp_pa;
-    case 8: return static_cast<double>(o.ct_cells_staged);
-    case 9: return static_cast<double>(o.ctwp_staged);
-    case 10: return o.ctwp_speed;
-    case 11: return o.ctwp_power_w;
-    case 12: return o.fan_speed;
-    case 13: return o.fan_power_w;
-    case 14: return o.ct_supply_t_c;
-    case 15: return o.ct_return_t_c;
-    case 16: return o.pue;
-    default: throw ConfigError("plant field index out of range");
-  }
-}
-
 double CoolingFmu::get_real(ValueRef ref) const {
   if (ref < static_cast<ValueRef>(config_.cdu_count)) {
     return pending_inputs_.cdu_heat_w[ref];
@@ -168,11 +155,12 @@ double CoolingFmu::get_real(ValueRef ref) const {
   const int idx = static_cast<int>(ref - kOutputBase);
   const int cdu_span = config_.cdu_count * kCduFieldCount;
   if (idx < cdu_span) {
-    return cdu_field(idx / kCduFieldCount, idx % kCduFieldCount);
+    const CduOutputs& o = plant_.outputs().cdus.at(static_cast<std::size_t>(idx / kCduFieldCount));
+    return kCduFields[idx % kCduFieldCount].get(o);
   }
   const int plant_idx = idx - cdu_span;
   require(plant_idx < kPlantFieldCount, "value reference out of range");
-  return plant_field(plant_idx);
+  return kPlantFields[plant_idx].get(plant_.outputs());
 }
 
 void CoolingFmu::do_step(double current_time_s, double step_s) {

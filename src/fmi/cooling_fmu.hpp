@@ -57,12 +57,8 @@ class CoolingFmu final : public CoSimulationSlave {
   static constexpr ValueRef kWetbulbRef = 1000;
   static constexpr ValueRef kSystemPowerRef = 1001;
   static constexpr ValueRef kOutputBase = 2000;
-  static constexpr int kCduFieldCount = 12;
-  static constexpr int kPlantFieldCount = 17;
 
   void build_variable_table();
-  [[nodiscard]] double cdu_field(int cdu, int field) const;
-  [[nodiscard]] double plant_field(int field) const;
 };
 
 }  // namespace exadigit

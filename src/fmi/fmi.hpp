@@ -8,9 +8,10 @@
 /// deployment scenario which has implemented the FMI" (Section III-C6).
 /// This header reproduces that seam natively: models expose value-reference
 /// addressed real variables with causality metadata, and a master steps
-/// them with set_real / do_step / get_real. RAPS talks to the cooling model
-/// only through this interface, so alternative plant models (or a real FMU
-/// binding) can be swapped in without touching the engine.
+/// them with set_real / do_step / get_real. CoolingFmu puts the cooling plant
+/// behind it for callers that drive a model through that seam, such as
+/// validate_cooling. The twin itself binds CoolingPlantModel directly
+/// (core/digital_twin.hpp) and does not route its inputs through here.
 
 #include <cstdint>
 #include <string>

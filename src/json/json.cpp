@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "common/parse.hpp"
 
@@ -112,6 +113,14 @@ double Json::number_or(const std::string& key, double fallback) const {
 
 std::int64_t Json::int_or(const std::string& key, std::int64_t fallback) const {
   return contains(key) ? at(key).as_int() : fallback;
+}
+
+int Json::int32_or(const std::string& key, int fallback) const {
+  const std::int64_t n = int_or(key, fallback);
+  if (!std::in_range<int>(n)) {
+    throw JsonTypeError(key + " = " + std::to_string(n) + " is outside the int range");
+  }
+  return static_cast<int>(n);
 }
 
 bool Json::bool_or(const std::string& key, bool fallback) const {

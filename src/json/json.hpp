@@ -92,6 +92,9 @@ class Json {
   /// descriptor fields with defaults.
   [[nodiscard]] double number_or(const std::string& key, double fallback) const;
   [[nodiscard]] std::int64_t int_or(const std::string& key, std::int64_t fallback) const;
+  /// int_or for an int: a value int cannot hold is a JsonTypeError naming
+  /// `key`, never a wrapped int.
+  [[nodiscard]] int int32_or(const std::string& key, int fallback) const;
   [[nodiscard]] bool bool_or(const std::string& key, bool fallback) const;
   [[nodiscard]] std::string string_or(const std::string& key, std::string fallback) const;
 

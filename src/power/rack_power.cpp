@@ -1,8 +1,5 @@
 #include "power/rack_power.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace exadigit {
@@ -82,73 +79,6 @@ RackPowerResult RackPowerModel::from_group_conversions(
   }
   add_switches(result);
   return result;
-}
-
-RackPowerResult RackPowerModel::from_uniform_node_power(double node_output_w,
-                                                        int active_nodes) const {
-  require(active_nodes >= 0 && active_nodes <= rack_.nodes_per_rack,
-          "active node count out of range for rack");
-  RackPowerResult result;
-  // Full groups running `node_output_w` per node, plus one partial group.
-  const int full_groups = active_nodes / nodes_per_group_;
-  const int remainder_nodes = active_nodes % nodes_per_group_;
-  if (full_groups > 0) {
-    const ConversionResult c =
-        chain_.convert(node_output_w * static_cast<double>(nodes_per_group_));
-    result.node_output_w += full_groups * c.output_w;
-    result.input_w += full_groups * c.input_w;
-    result.rectifier_loss_w += full_groups * c.rectifier_loss_w;
-    result.sivoc_loss_w += full_groups * c.sivoc_loss_w;
-    result.any_overload = result.any_overload || c.overloaded;
-  }
-  if (remainder_nodes > 0) {
-    const ConversionResult c =
-        chain_.convert(node_output_w * static_cast<double>(remainder_nodes));
-    result.node_output_w += c.output_w;
-    result.input_w += c.input_w;
-    result.rectifier_loss_w += c.rectifier_loss_w;
-    result.sivoc_loss_w += c.sivoc_loss_w;
-    result.any_overload = result.any_overload || c.overloaded;
-  }
-  add_switches(result);
-  return result;
-}
-
-SystemPowerModel::SystemPowerModel(const SystemConfig& config)
-    : config_(config), rack_model_(config.rack, config.power) {
-  config_.validate();
-}
-
-double SystemPowerModel::cdu_pump_power_w() const {
-  return config_.cooling.cdu.pump_avg_w * static_cast<double>(config_.cdu_count);
-}
-
-double SystemPowerModel::uniform_system_power_w(double cpu_util, double gpu_util) const {
-  const double node_w = config_.node.power_w(cpu_util, gpu_util);
-  const RackPowerResult rack =
-      rack_model_.from_uniform_node_power(node_w, config_.rack.nodes_per_rack);
-  return rack.input_w * static_cast<double>(config_.rack_count) + cdu_pump_power_w();
-}
-
-PowerBreakdown SystemPowerModel::breakdown(double cpu_util, double gpu_util) const {
-  const NodeConfig& n = config_.node;
-  const double nodes = static_cast<double>(config_.total_nodes());
-  PowerBreakdown b;
-  const double cu = std::clamp(cpu_util, 0.0, 1.0);
-  const double gu = std::clamp(gpu_util, 0.0, 1.0);
-  b.cpus_w = nodes * n.cpus_per_node * (n.cpu_idle_w + cu * (n.cpu_peak_w - n.cpu_idle_w));
-  b.gpus_w = nodes * n.gpus_per_node * (n.gpu_idle_w + gu * (n.gpu_peak_w - n.gpu_idle_w));
-  b.ram_w = nodes * n.ram_avg_w;
-  b.nvme_w = nodes * n.nvme_per_node * n.nvme_w;
-  b.nics_w = nodes * n.nics_per_node * n.nic_w;
-  const double node_w = n.power_w(cpu_util, gpu_util);
-  const RackPowerResult rack =
-      rack_model_.from_uniform_node_power(node_w, config_.rack.nodes_per_rack);
-  b.switches_w = rack.switch_output_w * config_.rack_count;
-  b.rectifier_loss_w = rack.rectifier_loss_w * config_.rack_count;
-  b.sivoc_loss_w = rack.sivoc_loss_w * config_.rack_count;
-  b.cdu_pumps_w = cdu_pump_power_w();
-  return b;
 }
 
 }  // namespace exadigit

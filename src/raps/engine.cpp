@@ -197,9 +197,7 @@ void RapsEngine::integrate_and_sample(bool fire_cooling) {
     energy_j_ += prev.system_power_w * span;
     loss_j_ += prev.loss_w() * span;
     output_energy_j_ += prev.node_output_w * span;
-    input_energy_j_ += (prev.system_power_w -
-                        config_.cooling.cdu.pump_avg_w * config_.cdu_count) *
-                       span;
+    input_energy_j_ += (prev.system_power_w - config_.cdu_pump_power_w()) * span;
     utilization_integral_ += sampled_utilization_ * span;
     stats_time_s_ += span;
   }
@@ -231,14 +229,13 @@ void RapsEngine::tick_body() {
   process_completions();
   process_arrivals();
 
-  const double quantum = config_.simulation.cooling_quantum_s;
-  const double rel = static_cast<double>(tick_count_) * config_.simulation.tick_s;
-  // A boundary m*quantum fires on the first tick at or past it. Integer
-  // boundary bookkeeping stays exact when the quantum is not a float
-  // multiple of tick_s — the old `fmod(t, quantum) < dt/2` test drifted
-  // and skipped boundaries in that case (e.g. dt=1, quantum=2.5).
-  const bool on_quantum = rel >= static_cast<double>(next_quantum_) * quantum - 1e-9;
+  // Integer boundary bookkeeping stays exact when the quantum is not a
+  // float multiple of tick_s — the old `fmod(t, quantum) < dt/2` test
+  // drifted and skipped boundaries in that case (e.g. dt=1, quantum=2.5).
+  const bool on_quantum = quantum_due(tick_count_, next_quantum_);
   if (on_quantum) {
+    const double rel = static_cast<double>(tick_count_) * config_.simulation.tick_s;
+    const double quantum = config_.simulation.cooling_quantum_s;
     next_quantum_ = static_cast<long long>(std::floor(rel / quantum + 1e-9)) + 1;
   }
 
@@ -302,10 +299,8 @@ long long RapsEngine::next_event_tick(long long k_end) {
   // Next cooling-quantum boundary (relative to run_begin_s_, like the tick
   // counter itself).
   const double quantum = config_.simulation.cooling_quantum_s;
-  const double boundary_rel = static_cast<double>(next_quantum_) * quantum;
-  settle(std::ceil((boundary_rel - 1e-9) / dt), [&](long long k) {
-    return static_cast<double>(k) * dt >= boundary_rel - 1e-9;
-  });
+  settle(std::ceil(static_cast<double>(next_quantum_) * quantum / dt),
+         [&](long long k) { return quantum_due(k, next_quantum_); });
 
   // Earliest completion / arrival / trace boundary are absolute times with
   // the processing predicate `t <= now`.
@@ -335,6 +330,22 @@ long long RapsEngine::next_event_tick(long long k_end) {
   }
 
   return best;
+}
+
+double RapsEngine::last_quantum_fire_s(double t_s) const {
+  if (t_s <= run_begin_s_) return run_begin_s_;
+  const double dt = config_.simulation.tick_s;
+  const double quantum = config_.simulation.cooling_quantum_s;
+  const auto fire_s = [&](long long m) {
+    const double est = std::ceil(static_cast<double>(m) * quantum / dt);
+    long long k = est > 0.0 && est < 9.0e18 ? static_cast<long long>(est) : 0;
+    while (k > 0 && quantum_due(k - 1, m)) --k;
+    while (!quantum_due(k, m)) ++k;
+    return run_begin_s_ + static_cast<double>(k) * dt;
+  };
+  long long m = static_cast<long long>(std::floor((t_s - run_begin_s_) / quantum)) + 1;
+  while (m >= 1 && fire_s(m) > t_s) --m;
+  return m >= 1 ? fire_s(m) : run_begin_s_;
 }
 
 void RapsEngine::flush_tail(double t_end_s) {

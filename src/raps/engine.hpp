@@ -109,13 +109,18 @@ class RapsEngine {
 
   // --- observers ---------------------------------------------------------
   [[nodiscard]] double now_s() const { return now_s_; }
+  /// The latest time at or before `t_s` where a cooling-quantum boundary
+  /// fires, or the run's start when none fires by then. A run_until that
+  /// stops there takes that quantum's sample on its last tick, so its
+  /// tail flush is a no-op and a longer run continues from it exactly as
+  /// an uninterrupted run would: a chunked replay may pause there.
+  [[nodiscard]] double last_quantum_fire_s(double t_s) const;
   [[nodiscard]] int running_count() const { return static_cast<int>(running_.size()); }
   [[nodiscard]] std::size_t queued_count() const { return scheduler_.queue_depth(); }
   [[nodiscard]] const std::vector<RunningJob>& running_jobs() const { return running_; }
   [[nodiscard]] const RapsPowerModel& power_model() const { return power_; }
   [[nodiscard]] const NodeAllocator& allocator() const { return allocator_; }
   [[nodiscard]] const PowerSample& power() const { return power_.sample(); }
-  [[nodiscard]] std::vector<double> cdu_heat_w() const { return power_.cdu_heat_w(); }
   [[nodiscard]] double utilization() const;
   [[nodiscard]] int jobs_completed() const { return jobs_completed_; }
   [[nodiscard]] int jobs_submitted() const { return jobs_submitted_; }
@@ -196,6 +201,14 @@ class RapsEngine {
   /// Arrivals, completions, scheduling, quantum/trace-triggered sampling at
   /// the current (already-advanced) clock.
   void tick_body();
+  /// True when tick `k` is at or past cooling-quantum boundary `m`, which
+  /// sits m * cooling_quantum_s after run_begin_s_: the boundary fires on
+  /// the first such tick. The 1e-9 s slack absorbs the rounding of k * tick_s
+  /// when the quantum is not a float multiple of it.
+  [[nodiscard]] bool quantum_due(long long k, long long m) const {
+    return static_cast<double>(k) * config_.simulation.tick_s >=
+           static_cast<double>(m) * config_.simulation.cooling_quantum_s - 1e-9;
+  }
   /// Last tick index the run loop executes for a run_until(t_end_s).
   [[nodiscard]] long long last_tick_for(double t_end_s) const;
   /// Earliest upcoming event tick (arrival, completion, cooling-quantum or

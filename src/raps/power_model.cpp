@@ -7,6 +7,8 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "raps/allocator.hpp"
+#include "raps/workload.hpp"
 
 namespace exadigit {
 namespace {
@@ -430,9 +432,8 @@ void RapsPowerModel::fill_sample(double now) {
   sample_.node_output_w = total_output_w_;
   sample_.rectifier_loss_w = rect_loss_w_;
   sample_.sivoc_loss_w = sivoc_loss_w_;
-  sample_.system_power_w =
-      total_input_w_ +
-      config_.cooling.cdu.pump_avg_w * static_cast<double>(config_.cdu_count);
+  sample_.switch_output_w = switch_output_w_;
+  sample_.system_power_w = total_input_w_ + config_.cdu_pump_power_w();
   sample_.eta_system =
       total_input_w_ > 0.0 ? (total_output_w_ + switch_output_w_) / total_input_w_ : 1.0;
   sample_.active_nodes = active_nodes_;
@@ -482,12 +483,27 @@ const PowerSample& RapsPowerModel::recompute(double now,
   return sample_;
 }
 
-std::vector<double> RapsPowerModel::cdu_heat_w() const {
-  std::vector<double> heat(cdu_wall_w_.size());
-  for (std::size_t i = 0; i < heat.size(); ++i) {
-    heat[i] = cdu_wall_w_[i] * config_.cooling.cooling_efficiency;
-  }
-  return heat;
+UniformLoadPower uniform_load_power(const SystemConfig& config, double cpu_util,
+                                    double gpu_util) {
+  RapsPowerModel model(config);
+  NodeAllocator allocator(config);
+  const int nodes = config.total_nodes();
+  model.on_job_start(make_constant_job(0.0, 1.0, nodes, cpu_util, gpu_util),
+                     *allocator.allocate(nodes), 0.0);
+  UniformLoadPower p{model.advance(0.0), PowerBreakdown{}};
+  const NodePowerSplit split = config.node.power_split(cpu_util, gpu_util);
+  const double n = static_cast<double>(nodes);
+  PowerBreakdown& b = p.breakdown;
+  b.cpus_w = n * split.cpus_w;
+  b.gpus_w = n * split.gpus_w;
+  b.nics_w = n * split.nics_w;
+  b.ram_w = n * split.ram_w;
+  b.nvme_w = n * split.nvme_w;
+  b.switches_w = p.sample.switch_output_w;
+  b.rectifier_loss_w = p.sample.rectifier_loss_w;
+  b.sivoc_loss_w = p.sample.sivoc_loss_w;
+  b.cdu_pumps_w = config.cdu_pump_power_w();
+  return p;
 }
 
 }  // namespace exadigit

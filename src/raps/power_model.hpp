@@ -9,8 +9,14 @@
 /// job's current trace utilization), each group runs through the
 /// conversion chain (load-dependent rectifier + SIVOC efficiencies), rack
 /// switch power is added through the rectifier stage, and the constant CDU
-/// pump cost closes Eq. (4) into P_system. Per-CDU wall power times the
-/// cooling efficiency (0.945) becomes the heat fed to the cooling model.
+/// pump cost closes Eq. (4) into P_system. The per-CDU wall power
+/// (cdu_wall_power_w) is what the twin hands the cooling model, as heat
+/// times the cooling efficiency (0.945, DigitalTwin::step_plant).
+///
+/// The paper's verification of this model (Table III's idle, HPL and peak
+/// power, the Fig. 4 breakdown and Finding 9's losses) runs on this model
+/// too: uniform_load_power registers one job on every node and samples it
+/// through the incremental path below.
 ///
 /// The model is *incremental*, and its cost follows the jobs whose power
 /// changes, not the groups they touch. Idle power is resolved once per
@@ -115,10 +121,34 @@ struct PowerSample {
   double node_output_w = 0.0;       ///< total 48 V delivered to nodes
   double rectifier_loss_w = 0.0;
   double sivoc_loss_w = 0.0;
+  double switch_output_w = 0.0;     ///< total switch load (DC side)
   double eta_system = 1.0;          ///< Eq. (1) aggregate
   int active_nodes = 0;
 
   [[nodiscard]] double loss_w() const { return rectifier_loss_w + sivoc_loss_w; }
+};
+
+/// Per-component system power breakdown at one instant (paper Fig. 4).
+struct PowerBreakdown {
+  double gpus_w = 0.0;
+  double cpus_w = 0.0;
+  double ram_w = 0.0;
+  double nvme_w = 0.0;
+  double nics_w = 0.0;
+  double switches_w = 0.0;
+  double rectifier_loss_w = 0.0;
+  double sivoc_loss_w = 0.0;
+  double cdu_pumps_w = 0.0;
+  [[nodiscard]] double total_w() const {
+    return gpus_w + cpus_w + ram_w + nvme_w + nics_w + switches_w + rectifier_loss_w +
+           sivoc_loss_w + cdu_pumps_w;
+  }
+};
+
+/// P_system and its breakdown with every node running at one load.
+struct UniformLoadPower {
+  PowerSample sample;        ///< RapsPowerModel's sample: P_system, losses, eta
+  PowerBreakdown breakdown;  ///< its components (paper Fig. 4)
 };
 
 /// Aggregates job power into rack/CDU/system wall power.
@@ -158,8 +188,6 @@ class RapsPowerModel {
   [[nodiscard]] double projected_job_wall_w(const JobRecord& job) const;
   /// Wall power per CDU (rack inputs summed; excludes the CDU pump).
   [[nodiscard]] const std::vector<double>& cdu_wall_power_w() const { return cdu_wall_w_; }
-  /// Heat per CDU handed to the cooling model (wall power x cooling eff).
-  [[nodiscard]] std::vector<double> cdu_heat_w() const;
   /// Wall power per rack.
   [[nodiscard]] const std::vector<double>& rack_wall_power_w() const { return rack_wall_w_; }
   /// 48 V node-side output per rectifier group (viz / diagnostics).
@@ -321,5 +349,15 @@ class RapsPowerModel {
   void fold_all_racks();
   void fill_sample(double now);
 };
+
+/// The machine with one job on every node at constant utilizations
+/// `cpu_util` and `gpu_util`, as RapsEngine evaluates it: the job starts on
+/// the nodes NodeAllocator hands it (on_job_start), then one advance()
+/// samples it. The job names no partition, so its nodes draw the default
+/// NodeConfig. The breakdown scales that node's power_split by the node
+/// count and takes the switch load, the losses and the CDU pumps from the
+/// sample.
+[[nodiscard]] UniformLoadPower uniform_load_power(const SystemConfig& config, double cpu_util,
+                                                  double gpu_util);
 
 }  // namespace exadigit

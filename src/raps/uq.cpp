@@ -8,22 +8,12 @@
 
 namespace exadigit {
 
-namespace {
-
-PiecewiseLinearCurve perturb_curve(const PiecewiseLinearCurve& curve, double factor) {
-  std::vector<double> ys = curve.ys();
-  for (double& y : ys) y = std::clamp(y * factor, 0.01, 1.0);
-  return PiecewiseLinearCurve(curve.xs(), std::move(ys));
-}
-
-}  // namespace
-
 SystemConfig perturb_config(const SystemConfig& config, const UqConfig& uq, Rng& rng) {
   SystemConfig c = config;
   const double f_rect = 1.0 + rng.normal(0.0, uq.efficiency_sigma);
   const double f_sivoc = 1.0 + rng.normal(0.0, uq.efficiency_sigma);
-  c.power.rectifier_efficiency = perturb_curve(c.power.rectifier_efficiency, f_rect);
-  c.power.sivoc_efficiency = perturb_curve(c.power.sivoc_efficiency, f_sivoc);
+  c.power.rectifier_efficiency = c.power.rectifier_efficiency.scaled_y(f_rect, 0.01, 1.0);
+  c.power.sivoc_efficiency = c.power.sivoc_efficiency.scaled_y(f_sivoc, 0.01, 1.0);
   const double f_idle = 1.0 + rng.normal(0.0, uq.idle_power_sigma);
   c.node.ram_avg_w *= f_idle;
   c.node.nic_w *= f_idle;

@@ -175,7 +175,7 @@ ScenarioBatch ScenarioBatch::from_json(const Json& j) {
     check_keys(j, {"scenarios", "jobs", "seed"}, "scenario batch");
     require(j.contains("scenarios"), "scenario batch requires a \"scenarios\" array");
     scenarios = &j.at("scenarios");
-    batch.jobs = static_cast<int>(j.int_or("jobs", batch.jobs));
+    batch.jobs = j.int32_or("jobs", batch.jobs);
     require(batch.jobs >= 0, "scenario batch jobs must be >= 0");
     batch.seed = static_cast<std::uint64_t>(
         j.int_or("seed", static_cast<std::int64_t>(batch.seed)));

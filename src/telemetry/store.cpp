@@ -56,7 +56,7 @@ JobRecord job_from_json(const Json& o) {
   JobRecord j;
   j.name = o.string_or("name", "");
   j.id = o.int_or("id", 0);
-  j.node_count = static_cast<int>(o.int_or("node_count", 0));
+  j.node_count = o.int32_or("node_count", 0);
   j.submit_time_s = o.number_or("submit_time_s", 0.0);
   j.wall_time_s = o.number_or("wall_time_s", 0.0);
   j.mean_cpu_util = o.number_or("mean_cpu_util", 0.0);

@@ -88,9 +88,10 @@ TEST(CurveTest, InverseRejectsNonMonotone) {
 
 TEST(CurveTest, ScaledYMultipliesValues) {
   PiecewiseLinearCurve c{{0.0, 1.0}, {1.0, 2.0}};
-  PiecewiseLinearCurve s = c.scaled_y(3.0);
+  PiecewiseLinearCurve s = c.scaled_y(3.0, 0.0, 10.0);
   EXPECT_DOUBLE_EQ(s(0.0), 3.0);
   EXPECT_DOUBLE_EQ(s(1.0), 6.0);
+  EXPECT_DOUBLE_EQ(c.scaled_y(3.0, 0.0, 5.0)(1.0), 5.0);
 }
 
 TEST(CurveTest, SlopeInsideSegments) {

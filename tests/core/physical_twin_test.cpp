@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.hpp"
+#include "raps/uq.hpp"
 #include "raps/workload.hpp"
 
 namespace exadigit {
@@ -27,6 +28,17 @@ TEST_F(PhysicalTwinTest, PerturbationChangesPlantNotSchema) {
   EXPECT_LT(physical.cooling.cdu.hex.ua_w_per_k, spec_.cooling.cdu.hex.ua_w_per_k);
   EXPECT_GT(physical.cooling.cdu.pump.design_head_pa, spec_.cooling.cdu.pump.design_head_pa);
   EXPECT_NO_THROW(physical.validate());
+}
+
+TEST_F(PhysicalTwinTest, PerturbationsKeepCurveExtrapolation) {
+  const PiecewiseLinearCurve& rect = spec_.power.rectifier_efficiency;
+  spec_.power.rectifier_efficiency =
+      PiecewiseLinearCurve(rect.xs(), rect.ys(), Extrapolation::kLinear);
+  EXPECT_EQ(perturb_physical_config(spec_, options_).power.rectifier_efficiency.extrapolation(),
+            Extrapolation::kLinear);
+  Rng rng(7);
+  EXPECT_EQ(perturb_config(spec_, UqConfig{}, rng).power.rectifier_efficiency.extrapolation(),
+            Extrapolation::kLinear);
 }
 
 TEST_F(PhysicalTwinTest, RecordedDatasetFollowsTableII) {

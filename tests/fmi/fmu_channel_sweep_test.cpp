@@ -1,9 +1,12 @@
-/// Parameterized sweep over every CDU block of the cooling FMU: the
-/// value-reference arithmetic, the name table, and the PlantOutputs struct
-/// must agree for all 25 x 12 channels — a regression fence for the 317-
-/// output contract (paper Section III-C4).
+/// Sweeps over every output of the cooling FMU: the value-reference
+/// arithmetic, the name table, and the PlantOutputs struct must agree for
+/// all 25 x 12 CDU channels and the 17 plant channels — a regression fence
+/// for the 317-output contract (paper Section III-C4).
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "common/units.hpp"
 #include "fmi/cooling_fmu.hpp"
@@ -11,28 +14,28 @@
 namespace exadigit {
 namespace {
 
+/// The Frontier FMU after 600 steps under a non-uniform load, so per-CDU
+/// channels differ: CDU k carries (400 + 20k) kW of heat.
+std::unique_ptr<CoolingFmu> stepped_fmu() {
+  auto fmu = std::make_unique<CoolingFmu>(frontier_system_config());
+  fmu->setup_experiment(0.0);
+  for (int i = 0; i < 25; ++i) {
+    fmu->set_real(static_cast<ValueRef>(i), 400e3 + 20e3 * i);
+  }
+  fmu->set_by_name("wetbulb_c", 15.0);
+  fmu->set_by_name("system_power_w", 14.0e6);
+  for (int s = 0; s < 600; ++s) fmu->do_step(s * 15.0, 15.0);
+  return fmu;
+}
+
 class FmuCduChannelSweep : public ::testing::TestWithParam<int> {
  protected:
-  static void SetUpTestSuite() {
-    fmu_ = new CoolingFmu(frontier_system_config());
-    fmu_->setup_experiment(0.0);
-    // Non-uniform load so per-CDU channels differ: CDU k carries
-    // (400 + 20k) kW of heat.
-    for (int i = 0; i < 25; ++i) {
-      fmu_->set_real(static_cast<ValueRef>(i), 400e3 + 20e3 * i);
-    }
-    fmu_->set_by_name("wetbulb_c", 15.0);
-    fmu_->set_by_name("system_power_w", 14.0e6);
-    for (int s = 0; s < 600; ++s) fmu_->do_step(s * 15.0, 15.0);
-  }
-  static void TearDownTestSuite() {
-    delete fmu_;
-    fmu_ = nullptr;
-  }
-  static CoolingFmu* fmu_;
+  static void SetUpTestSuite() { fmu_ = stepped_fmu(); }
+  static void TearDownTestSuite() { fmu_.reset(); }
+  static std::unique_ptr<CoolingFmu> fmu_;
 };
 
-CoolingFmu* FmuCduChannelSweep::fmu_ = nullptr;
+std::unique_ptr<CoolingFmu> FmuCduChannelSweep::fmu_;
 
 TEST_P(FmuCduChannelSweep, NamesRefsAndStructAgree) {
   const int cdu = GetParam();
@@ -81,6 +84,29 @@ TEST_P(FmuCduChannelSweep, HeavierCduRunsWarmer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCdus, FmuCduChannelSweep, ::testing::Range(0, 25));
+
+TEST(FmuPlantChannelSweep, NamesRefsAndStructAgree) {
+  const std::unique_ptr<CoolingFmu> fmu = stepped_fmu();
+  const PlantOutputs& o = fmu->outputs();
+  const auto get = [&](const std::string& field) { return fmu->get_by_name("plant." + field); };
+  EXPECT_DOUBLE_EQ(get("htwp_staged"), o.htwp_staged);
+  EXPECT_DOUBLE_EQ(get("htwp_speed"), o.htwp_speed);
+  EXPECT_DOUBLE_EQ(get("htwp_power_w"), o.htwp_power_w);
+  EXPECT_DOUBLE_EQ(get("ehx_staged"), o.ehx_staged);
+  EXPECT_DOUBLE_EQ(get("pri_supply_t_c"), o.pri_supply_t_c);
+  EXPECT_DOUBLE_EQ(get("pri_return_t_c"), o.pri_return_t_c);
+  EXPECT_DOUBLE_EQ(get("pri_flow_m3s"), o.pri_flow_m3s);
+  EXPECT_DOUBLE_EQ(get("pri_dp_pa"), o.pri_dp_pa);
+  EXPECT_DOUBLE_EQ(get("ct_cells_staged"), o.ct_cells_staged);
+  EXPECT_DOUBLE_EQ(get("ctwp_staged"), o.ctwp_staged);
+  EXPECT_DOUBLE_EQ(get("ctwp_speed"), o.ctwp_speed);
+  EXPECT_DOUBLE_EQ(get("ctwp_power_w"), o.ctwp_power_w);
+  EXPECT_DOUBLE_EQ(get("fan_speed"), o.fan_speed);
+  EXPECT_DOUBLE_EQ(get("fan_power_w"), o.fan_power_w);
+  EXPECT_DOUBLE_EQ(get("ct_supply_t_c"), o.ct_supply_t_c);
+  EXPECT_DOUBLE_EQ(get("ct_return_t_c"), o.ct_return_t_c);
+  EXPECT_DOUBLE_EQ(get("pue"), o.pue);
+}
 
 }  // namespace
 }  // namespace exadigit

@@ -1,10 +1,15 @@
 /// Calibration tests pinning the paper's Table III verification numbers.
 /// These are the twin's ground truth: if a refactor moves them, the
-/// reproduction of the paper's RAPS V&V is broken.
+/// reproduction of the paper's RAPS V&V is broken. Each is evaluated on
+/// the power model the twin runs, RapsPowerModel's incremental path.
 
 #include <gtest/gtest.h>
 
-#include "power/rack_power.hpp"
+#include <cmath>
+
+#include "raps/engine.hpp"
+#include "raps/power_model.hpp"
+#include "raps/workload.hpp"
 
 namespace exadigit {
 namespace {
@@ -12,27 +17,28 @@ namespace {
 class TableIIICalibration : public ::testing::Test {
  protected:
   SystemConfig config_ = frontier_system_config();
-  SystemPowerModel model_{config_};
 
-  /// System power with `hpl_nodes` running the HPL core phase (CPU 33 %,
-  /// GPU 79 %) and the remainder idle, per paper Section IV-2.
-  [[nodiscard]] double hpl_power_w(int hpl_nodes) const {
-    RackPowerModel rack_model(config_.rack, config_.power);
-    const double hpl_node_w = config_.node.power_w(0.33, 0.79);
-    const double idle_node_w = config_.node.idle_power_w();
-    const int full_racks = hpl_nodes / config_.rack.nodes_per_rack;
-    double total = 0.0;
-    for (int r = 0; r < config_.rack_count; ++r) {
-      const double node_w = r < full_racks ? hpl_node_w : idle_node_w;
-      total += rack_model.from_uniform_node_power(node_w, config_.rack.nodes_per_rack).input_w;
-    }
-    return total + model_.cdu_pump_power_w();
+  [[nodiscard]] double uniform_system_power_w(double cpu_util, double gpu_util) const {
+    return uniform_load_power(config_, cpu_util, gpu_util).sample.system_power_w;
+  }
+
+  /// P_system with 9216 nodes running the HPL core phase (CPU 33 %, GPU
+  /// 79 %) and the rest idle, per paper Section IV-2, measured as
+  /// bench_table3_verification measures it: the job starts in a RapsEngine
+  /// run, on the ascending nodes its NodeAllocator hands out.
+  [[nodiscard]] double hpl_core_phase_power_w() const {
+    RapsEngine engine(config_);
+    JobRecord hpl = make_hpl_job(0.0, 600.0, 9216);
+    hpl.fixed_start_time_s = 1.0;
+    engine.submit(hpl);
+    engine.run_until(120.0);
+    return engine.power().system_power_w;
   }
 };
 
 TEST_F(TableIIICalibration, IdlePower) {
   // Paper Table III: telemetry 7.4 MW, RAPS 7.24 MW (2.1 % error).
-  const double idle_mw = model_.uniform_system_power_w(0.0, 0.0) / 1e6;
+  const double idle_mw = uniform_system_power_w(0.0, 0.0) / 1e6;
   EXPECT_NEAR(idle_mw, 7.24, 0.10);
   const double error = std::abs(idle_mw - 7.4) / 7.4;
   EXPECT_LT(error, 0.04);
@@ -41,7 +47,7 @@ TEST_F(TableIIICalibration, IdlePower) {
 TEST_F(TableIIICalibration, HplCorePhasePower) {
   // Paper Table III: telemetry 21.3 MW, RAPS 22.3 MW (4.7 % error) on
   // 9216 nodes.
-  const double hpl_mw = hpl_power_w(9216) / 1e6;
+  const double hpl_mw = hpl_core_phase_power_w() / 1e6;
   EXPECT_NEAR(hpl_mw, 22.3, 0.25);
   const double error = std::abs(hpl_mw - 21.3) / 21.3;
   EXPECT_LT(error, 0.06);
@@ -49,16 +55,16 @@ TEST_F(TableIIICalibration, HplCorePhasePower) {
 
 TEST_F(TableIIICalibration, PeakPower) {
   // Paper Table III: telemetry 27.4 MW, RAPS 28.2 MW (3.1 % error).
-  const double peak_mw = model_.uniform_system_power_w(1.0, 1.0) / 1e6;
+  const double peak_mw = uniform_system_power_w(1.0, 1.0) / 1e6;
   EXPECT_NEAR(peak_mw, 28.2, 0.15);
   const double error = std::abs(peak_mw - 27.4) / 27.4;
   EXPECT_LT(error, 0.05);
 }
 
 TEST_F(TableIIICalibration, OrderingIdleHplPeak) {
-  const double idle = model_.uniform_system_power_w(0.0, 0.0);
-  const double hpl = hpl_power_w(9216);
-  const double peak = model_.uniform_system_power_w(1.0, 1.0);
+  const double idle = uniform_system_power_w(0.0, 0.0);
+  const double hpl = hpl_core_phase_power_w();
+  const double peak = uniform_system_power_w(1.0, 1.0);
   EXPECT_LT(idle, hpl);
   EXPECT_LT(hpl, peak);
 }
@@ -86,9 +92,9 @@ TEST_F(TableIIICalibration, AverageSystemEfficiencyNear933) {
 TEST_F(TableIIICalibration, EnergyConversionLossBand) {
   // Paper Finding 9: losses average 1.1 MW, max 1.8 MW. At the fleet
   // average the loss must land near 1 MW, at peak near 1.9 MW.
-  const PowerBreakdown avg = model_.breakdown(0.38, 0.62);
+  const PowerBreakdown avg = uniform_load_power(config_, 0.38, 0.62).breakdown;
   EXPECT_NEAR((avg.rectifier_loss_w + avg.sivoc_loss_w) / 1e6, 1.0, 0.25);
-  const PowerBreakdown peak = model_.breakdown(1.0, 1.0);
+  const PowerBreakdown peak = uniform_load_power(config_, 1.0, 1.0).breakdown;
   EXPECT_NEAR((peak.rectifier_loss_w + peak.sivoc_loss_w) / 1e6, 1.85, 0.35);
 }
 

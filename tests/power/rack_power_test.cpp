@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "raps/power_model.hpp"
 
 namespace exadigit {
 namespace {
@@ -21,35 +22,22 @@ TEST_F(RackPowerTest, GroupGeometry) {
   EXPECT_EQ(model_.nodes_per_group(), 16);
 }
 
-TEST_F(RackPowerTest, UniformEqualsExplicitGroups) {
-  const double node_w = 1500.0;
-  const RackPowerResult uniform = model_.from_uniform_node_power(node_w, 128);
-  std::vector<double> groups(8, node_w * 16.0);
-  const RackPowerResult explicit_groups = model_.from_group_outputs(groups);
-  EXPECT_NEAR(uniform.input_w, explicit_groups.input_w, 1e-6);
-  EXPECT_NEAR(uniform.rectifier_loss_w, explicit_groups.rectifier_loss_w, 1e-6);
-}
-
-TEST_F(RackPowerTest, PartialGroupHandled) {
-  // 20 active nodes = one full group (16) + 4 in a second group.
-  const RackPowerResult r = model_.from_uniform_node_power(2000.0, 20);
-  EXPECT_NEAR(r.node_output_w, 2000.0 * 20, 1e-9);
-  EXPECT_GT(r.input_w, r.node_output_w);
-}
-
 TEST_F(RackPowerTest, SwitchesIncludedAtRackLevel) {
-  const RackPowerResult r = model_.from_uniform_node_power(626.0, 128);
-  // Eq. (4): 32 switches x 250 W, drawn through the rectifier stage.
-  EXPECT_DOUBLE_EQ(r.switch_output_w, 8000.0);
-  EXPECT_GT(r.input_w, r.node_output_w + r.switch_output_w);
+  // Every node idle at 626 W (Eq. (3) at zero utilization).
+  const UniformLoadPower idle = uniform_load_power(config_, 0.0, 0.0);
+  // Eq. (4): 32 switches x 250 W per rack, drawn through the rectifier stage.
+  EXPECT_DOUBLE_EQ(idle.breakdown.switches_w / config_.rack_count, 8000.0);
+  EXPECT_GT(idle.sample.system_power_w - idle.breakdown.cdu_pumps_w,
+            idle.sample.node_output_w + idle.breakdown.switches_w);
 }
 
 TEST_F(RackPowerTest, InputMonotoneInActiveNodes) {
+  // The first `active` nodes draw 2704 W each, the others nothing.
   double prev = 0.0;
   for (int active = 0; active <= 128; active += 16) {
-    const double input =
-        active == 0 ? model_.from_uniform_node_power(626.0, 0).input_w
-                    : model_.from_uniform_node_power(2704.0, active).input_w;
+    std::vector<double> groups(8, 0.0);
+    for (int g = 0; g < active / 16; ++g) groups[static_cast<std::size_t>(g)] = 2704.0 * 16.0;
+    const double input = model_.from_group_outputs(groups).input_w;
     EXPECT_GE(input, prev);
     prev = input;
   }
@@ -58,35 +46,31 @@ TEST_F(RackPowerTest, InputMonotoneInActiveNodes) {
 TEST_F(RackPowerTest, GroupCountValidation) {
   std::vector<double> wrong(7, 1000.0);
   EXPECT_THROW(model_.from_group_outputs(wrong), ConfigError);
-  EXPECT_THROW(model_.from_uniform_node_power(100.0, 129), ConfigError);
-  EXPECT_THROW(model_.from_uniform_node_power(100.0, -1), ConfigError);
 }
 
 TEST(SystemPowerTest, PeakMatchesPaper28MW) {
-  const SystemPowerModel m(frontier_system_config());
+  const UniformLoadPower peak = uniform_load_power(frontier_system_config(), 1.0, 1.0);
   // Paper Section III-B2: peak utilization consumes 28.2 MW.
-  EXPECT_NEAR(m.uniform_system_power_w(1.0, 1.0) / 1e6, 28.2, 0.15);
+  EXPECT_NEAR(peak.sample.system_power_w / 1e6, 28.2, 0.15);
 }
 
 TEST(SystemPowerTest, CduPumpConstant) {
-  const SystemPowerModel m(frontier_system_config());
+  const UniformLoadPower idle = uniform_load_power(frontier_system_config(), 0.0, 0.0);
   // 25 CDUs x 8.7 kW = 217.5 kW (paper Section III-B2).
-  EXPECT_DOUBLE_EQ(m.cdu_pump_power_w(), 217500.0);
+  EXPECT_DOUBLE_EQ(idle.breakdown.cdu_pumps_w, 217500.0);
 }
 
 TEST(SystemPowerTest, BreakdownSumsToSystemPower) {
-  const SystemPowerModel m(frontier_system_config());
   for (double util : {0.0, 0.4, 1.0}) {
-    const PowerBreakdown b = m.breakdown(util, util);
-    const double system = m.uniform_system_power_w(util, util);
-    EXPECT_NEAR(b.total_w(), system, system * 1e-9) << "util " << util;
+    const UniformLoadPower p = uniform_load_power(frontier_system_config(), util, util);
+    const double system = p.sample.system_power_w;
+    EXPECT_NEAR(p.breakdown.total_w(), system, system * 1e-9) << "util " << util;
   }
 }
 
 TEST(SystemPowerTest, GpusDominateBreakdownAtPeak) {
   // Paper Fig. 4: GPUs are by far the largest consumer at peak.
-  const SystemPowerModel m(frontier_system_config());
-  const PowerBreakdown b = m.breakdown(1.0, 1.0);
+  const PowerBreakdown b = uniform_load_power(frontier_system_config(), 1.0, 1.0).breakdown;
   EXPECT_GT(b.gpus_w, b.cpus_w);
   EXPECT_GT(b.gpus_w, 0.6 * b.total_w());
   EXPECT_GT(b.cpus_w, b.switches_w);
@@ -95,8 +79,7 @@ TEST(SystemPowerTest, GpusDominateBreakdownAtPeak) {
 }
 
 TEST(SystemPowerTest, LossesRoughly6PercentAtTypicalLoad) {
-  const SystemPowerModel m(frontier_system_config());
-  const PowerBreakdown b = m.breakdown(0.38, 0.62);
+  const PowerBreakdown b = uniform_load_power(frontier_system_config(), 0.38, 0.62).breakdown;
   const double loss_frac = (b.rectifier_loss_w + b.sivoc_loss_w) / b.total_w();
   // Paper Table IV: loss between 6.26 % and 8.36 %, avg 6.74 %.
   EXPECT_GT(loss_frac, 0.05);

@@ -138,6 +138,7 @@ TEST(EventEngineTest, BitIdenticalWithFineTraceQuantum) {
 /// `fmod(t, quantum) < dt/2` trigger only fired on even multiples (t=5,
 /// 10, ...), skipping every odd boundary. The integer-boundary arithmetic
 /// fires on the first tick at or past each boundary: 3, 5, 8, 10, 13, 15.
+/// last_quantum_fire_s names the same fire times.
 TEST(EventEngineTest, QuantumBoundariesExactWithNonIntegerRatio) {
   SystemConfig config = small_system();
   config.simulation.cooling_quantum_s = 2.5;
@@ -150,6 +151,11 @@ TEST(EventEngineTest, QuantumBoundariesExactWithNonIntegerRatio) {
   ASSERT_EQ(calls.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_DOUBLE_EQ(calls[i], expected[i]) << "boundary index " << i;
+  }
+  for (double t = 0.0; t <= 15.0; t += 0.5) {
+    double latest = 0.0;  // the run's start: no boundary fires before t = 3
+    for (double c : expected) latest = c <= t ? c : latest;
+    EXPECT_DOUBLE_EQ(engine.last_quantum_fire_s(t), latest) << "t = " << t;
   }
 }
 

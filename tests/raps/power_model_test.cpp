@@ -79,15 +79,6 @@ TEST_F(PowerModelTest, CduPowerMapsToAllocatedRacks) {
   }
 }
 
-TEST_F(PowerModelTest, CduHeatAppliesCoolingEfficiency) {
-  model_.recompute(0.0, {});
-  const auto heat = model_.cdu_heat_w();
-  const auto& wall = model_.cdu_wall_power_w();
-  for (std::size_t i = 0; i < heat.size(); ++i) {
-    EXPECT_NEAR(heat[i], wall[i] * config_.cooling.cooling_efficiency, 1e-9);
-  }
-}
-
 TEST_F(PowerModelTest, SystemPowerSumsRacksPlusPumps) {
   model_.recompute(0.0, {});
   const double rack_sum = std::accumulate(model_.rack_wall_power_w().begin(),

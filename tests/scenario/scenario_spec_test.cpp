@@ -235,6 +235,17 @@ TEST(ScenarioSpecTest, IntParamOutsideIntIsRefused) {
   }
 }
 
+/// A batch's worker count refuses what int cannot hold rather than
+/// wrapping 2^32 + 2 to two workers.
+TEST(ScenarioSpecTest, BatchJobsOutsideIntIsRefused) {
+  try {
+    (void)ScenarioBatch::from_json(Json::parse(R"({"scenarios": [], "jobs": 4294967298})"));
+    ADD_FAILURE() << "jobs = 4294967298 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("jobs = 4294967298"), std::string::npos) << e.what();
+  }
+}
+
 TEST(ScenarioRegistryTest, RequireTypeValidatesWithoutRunning) {
   ScenarioRegistry::instance().require_type("simulate");  // no throw, no work
   EXPECT_THROW(ScenarioRegistry::instance().require_type("warp_drive"), ConfigError);

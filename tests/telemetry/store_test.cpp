@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/stable_hash.hpp"
+#include "json/json.hpp"
 #include "telemetry/chunk.hpp"
 #include "telemetry/frame.hpp"
 
@@ -217,6 +218,21 @@ TEST_F(StoreTest, ExpectedFilesOnDisk) {
   EXPECT_TRUE(fs::exists(dir_ + "/system.csv"));
   EXPECT_TRUE(fs::exists(dir_ + "/cdu.csv"));
   EXPECT_TRUE(fs::exists(dir_ + "/facility.csv"));
+}
+
+/// A job's node count refuses what int cannot hold rather than wrapping
+/// 2^32 + 1 nodes to a one-node job.
+TEST_F(StoreTest, JobNodeCountOutsideIntIsRefused) {
+  fs::create_directories(dir_);
+  Json::parse(R"([{"name": "big", "node_count": 4294967297, "wall_time_s": 60}])")
+      .save_file(dir_ + "/jobs.json");
+  try {
+    (void)read_jobs(dir_);
+    ADD_FAILURE() << "node_count = 4294967297 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("node_count = 4294967297"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(StoreTest, LoadMissingDirectoryThrows) {
