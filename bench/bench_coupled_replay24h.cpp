@@ -176,8 +176,8 @@ struct PlantStageRun {
 
 /// Steps a fresh plant over the captured rows as the twin's plant stage
 /// does: a step covers the time since the last one, a repeat of the same
-/// time is skipped, and each CDU's heat is its wall power times the
-/// cooling efficiency.
+/// time is skipped, and each CDU's heat is SystemConfig::plant_heat_w of
+/// its wall power.
 PlantStageRun time_plant_stage_once(const SystemConfig& config, const PlantInputs& inputs,
                                     double start_s) {
   CoolingPlantModel plant(config);
@@ -191,7 +191,7 @@ PlantStageRun time_plant_stage_once(const SystemConfig& config, const PlantInput
     const double dt = row[0] - synced_s;
     if (dt <= 1e-9) continue;
     for (std::size_t i = 0; i < in.cdu_heat_w.size(); ++i) {
-      in.cdu_heat_w[i] = row[3 + i] * config.cooling.cooling_efficiency;
+      in.cdu_heat_w[i] = config.plant_heat_w(row[3 + i]);
     }
     in.system_power_w = row[1];
     in.wetbulb_c = row[2];

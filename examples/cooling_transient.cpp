@@ -22,8 +22,8 @@ int main() {
   auto make_inputs = [&](double system_mw) {
     CoolingInputs in;
     in.cdu_heat_w.assign(static_cast<std::size_t>(config.cdu_count),
-                         units::watts_from_mw(system_mw) *
-                             config.cooling.cooling_efficiency / config.cdu_count);
+                         config.plant_heat_w(units::watts_from_mw(system_mw)) /
+                             config.cdu_count);
     in.wetbulb_c = 16.0;
     in.system_power_w = units::watts_from_mw(system_mw);
     return in;

@@ -1,7 +1,6 @@
 #include "config/config_json.hpp"
 
 #include <concepts>
-#include <cstdint>
 #include <mutex>
 #include <set>
 #include <string>
@@ -314,16 +313,10 @@ struct Reader {
   void operator()(const char* key, double& v) const {
     read(key, v, [](const Json& j) { return j.as_number(); });
   }
-  /// The descriptor's one integer reader: refuses what int cannot hold
-  /// rather than wrapping it.
+  /// The descriptor's one integer reader: Json::int32_or refuses what int
+  /// cannot hold rather than wrapping it.
   void operator()(const char* key, int& v) const {
-    read(key, v, [&](const Json& j) {
-      const std::int64_t n = j.as_int();
-      if (!std::in_range<int>(n)) {
-        throw ConfigError(where + key + " = " + std::to_string(n) + " is outside the int range");
-      }
-      return static_cast<int>(n);
-    });
+    read(key, v, [&](const Json&) { return in.int32_or(key, v); });
   }
   void operator()(const char* key, std::string& v,
                   void (*check)(const std::string&) = nullptr) const {

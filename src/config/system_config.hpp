@@ -277,6 +277,11 @@ struct SystemConfig {
   [[nodiscard]] double cdu_pump_power_w() const {
     return cooling.cdu.pump_avg_w * static_cast<double>(cdu_count);
   }
+  /// The heat the cooling plant takes from `wall_w` of IT wall power: the
+  /// one hand-off from RAPS power to plant heat.
+  [[nodiscard]] double plant_heat_w(double wall_w) const {
+    return wall_w * cooling.cooling_efficiency;
+  }
 
   /// Number of racks served by CDU `cdu` (the last Frontier CDU serves 2).
   [[nodiscard]] int racks_for_cdu(int cdu) const;

@@ -19,8 +19,7 @@ SetpointCandidate evaluate_offset(const SystemConfig& config, double system_powe
   plant.set_basin_setpoint_offset(offset_k);
   CoolingInputs in;
   in.cdu_heat_w.assign(static_cast<std::size_t>(config.cdu_count),
-                       system_power_w * config.cooling.cooling_efficiency /
-                           config.cdu_count);
+                       config.plant_heat_w(system_power_w) / config.cdu_count);
   in.wetbulb_c = wetbulb_c;
   in.system_power_w = system_power_w;
   const double dt = config.simulation.cooling_quantum_s;

@@ -244,13 +244,13 @@ void DigitalTwin::step_plant(const double* quantum) {
   const double now_s = quantum[kQuantumTime];
   const double dt = now_s - cooling_synced_s_;
   if (dt <= 1e-9) return;
-  // Per-CDU heat = wall power * cooling efficiency, the one place the twin
-  // turns RAPS power into plant heat, written into the plant inputs in
-  // place so the quantum does not allocate. The plant checks its inputs.
+  // Per-CDU heat from its wall power (SystemConfig::plant_heat_w), written
+  // into the plant inputs in place so the quantum does not allocate. The
+  // plant checks its inputs.
   const double* cdu_wall = quantum + kQuantumCduWall;
   std::vector<double>& heat = inputs_.cdu_heat_w;
   for (std::size_t i = 0; i < heat.size(); ++i) {
-    heat[i] = cdu_wall[i] * config_.cooling.cooling_efficiency;
+    heat[i] = config_.plant_heat_w(cdu_wall[i]);
   }
   const double p_system = quantum[kQuantumSystemPower];
   inputs_.wetbulb_c = quantum[kQuantumWetbulb];

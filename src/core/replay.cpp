@@ -189,7 +189,7 @@ CoolingValidationResult validate_cooling(const SystemConfig& config,
     for (int i = 0; i < n_cdus; ++i) {
       const double rack_w =
           dataset.cdus[static_cast<std::size_t>(i)].rack_power_w.at(t, SampleHold::kPrevious);
-      fmu.set_real(static_cast<ValueRef>(i), rack_w * config.cooling.cooling_efficiency);
+      fmu.set_real(static_cast<ValueRef>(i), config.plant_heat_w(rack_w));
     }
     fmu.set_by_name("wetbulb_c", dataset.wetbulb_c.at(t));
     fmu.set_by_name("system_power_w",

@@ -86,7 +86,7 @@ CoolingExtensionResult run_cooling_extension_whatif(const SystemConfig& config,
     plant.reset(wetbulb_c + 4.0);
     CoolingInputs in;
     const double per_cdu =
-        (base_system_power_w * config.cooling.cooling_efficiency + extra_w) /
+        (config.plant_heat_w(base_system_power_w) + extra_w) /
         static_cast<double>(config.cdu_count);
     in.cdu_heat_w.assign(static_cast<std::size_t>(config.cdu_count), per_cdu);
     in.wetbulb_c = wetbulb_c;

@@ -15,6 +15,23 @@ namespace {
 double arrival_time(const JobRecord& job) {
   return job.is_replay() ? job.fixed_start_time_s : job.submit_time_s;
 }
+
+constexpr long long kNoTickLimit = std::numeric_limits<long long>::max();
+
+/// The engine's one tick search: the first k >= lo where `due(k)` holds,
+/// `due` being false and then true as k grows. The walk starts from a float
+/// estimate (when it lies in (lo, 9e18)), settles its rounding against the
+/// exact predicate, and stops climbing at `hi`.
+template <class Due>
+long long first_due_tick(double estimate, long long lo, long long hi, Due&& due) {
+  long long k = lo;
+  if (estimate > static_cast<double>(lo) && estimate < 9.0e18) {
+    k = static_cast<long long>(estimate);
+  }
+  while (k > lo && due(k - 1)) --k;
+  while (k < hi && !due(k)) ++k;
+  return k;
+}
 }  // namespace
 
 RapsEngine::RapsEngine(const SystemConfig& config) : RapsEngine(config, Options{}) {}
@@ -213,101 +230,69 @@ bool RapsEngine::trace_boundary_crossed() const {
   if (trace >= config_.simulation.cooling_quantum_s) return false;
   const double prev_t = power_.sample().time_s;
   for (const auto& r : running_) {
-    const double since_now = std::max(0.0, now_s_ - r.start_time_s);
-    const double since_prev = std::max(0.0, prev_t - r.start_time_s);
-    if (std::floor(since_now / trace + 1e-9) != std::floor(since_prev / trace + 1e-9)) {
+    if (trace_sample_index(now_s_ - r.start_time_s, trace) !=
+        trace_sample_index(prev_t - r.start_time_s, trace)) {
       return true;
     }
   }
   return false;
 }
 
-void RapsEngine::tick_body() {
+bool RapsEngine::membership_step(bool on_quantum) {
   const std::size_t running_before = running_.size();
   const int completed_before = jobs_completed_;
   const std::size_t queue_before = scheduler_.queue_depth();
   process_completions();
   process_arrivals();
-
-  // Integer boundary bookkeeping stays exact when the quantum is not a
-  // float multiple of tick_s — the old `fmod(t, quantum) < dt/2` test
-  // drifted and skipped boundaries in that case (e.g. dt=1, quantum=2.5).
-  const bool on_quantum = quantum_due(tick_count_, next_quantum_);
-  if (on_quantum) {
-    const double rel = static_cast<double>(tick_count_) * config_.simulation.tick_s;
-    const double quantum = config_.simulation.cooling_quantum_s;
-    next_quantum_ = static_cast<long long>(std::floor(rel / quantum + 1e-9)) + 1;
-  }
-
   // A scheduling pass is only useful when nodes were freed or work arrived
   // — except for time-varying policies (price/power aware), which are also
   // consulted at every quantum boundary while jobs are queued, so a
-  // deferral can be reconsidered as prices move and waits grow. Power
-  // needs recomputing only when the running set actually changed.
+  // deferral can be reconsidered as prices move and waits grow.
   const bool freed_or_arrived = jobs_completed_ != completed_before ||
                                 scheduler_.queue_depth() != queue_before ||
                                 running_.size() != running_before;
   const bool periodic_pass_due =
       on_quantum && scheduler_.queue_depth() > 0 && scheduler_.wants_periodic_pass();
   if (freed_or_arrived || periodic_pass_due) schedule_pass();
-  const bool membership_changed =
-      running_.size() != running_before || jobs_completed_ != completed_before;
+  return running_.size() != running_before || jobs_completed_ != completed_before;
+}
+
+void RapsEngine::tick_body() {
+  // Every boundary due by this tick fires in its one sample.
+  bool on_quantum = false;
+  for (; quantum_due(tick_count_, next_quantum_); ++next_quantum_) on_quantum = true;
+  // Power needs recomputing only when the running set actually changed.
+  const bool membership_changed = membership_step(on_quantum);
   if (on_quantum || membership_changed || trace_boundary_crossed()) {
     integrate_and_sample(/*fire_cooling=*/on_quantum);
   }
 }
 
-void RapsEngine::advance_to_tick(long long k) {
-  tick_count_ = k;
-  now_s_ = run_begin_s_ + static_cast<double>(k) * config_.simulation.tick_s;
-  tick_body();
+long long RapsEngine::last_tick_for(double t_end_s) const {
+  // Tick k runs iff its time <= t_end + 1e-9 (the legacy loop's predicate):
+  // the last to run is the one before the first past the end.
+  const double limit = t_end_s + 1e-9;
+  const double estimate = std::floor((limit - run_begin_s_) / config_.simulation.tick_s) + 1.0;
+  const auto past_end = [&](long long k) { return tick_time(k) > limit; };
+  return first_due_tick(estimate, tick_count_ + 1, kNoTickLimit, past_end) - 1;
 }
 
-void RapsEngine::tick() { advance_to_tick(tick_count_ + 1); }
-
-long long RapsEngine::last_tick_for(double t_end_s) const {
-  const double dt = config_.simulation.tick_s;
-  long long k = tick_count_;
-  const double est = std::floor((t_end_s + 1e-9 - run_begin_s_) / dt);
-  if (est > static_cast<double>(k) && est < 9.0e18) k = static_cast<long long>(est);
-  // Settle float rounding against the exact legacy loop predicate:
-  // tick k+1 runs iff run_begin + (k+1)*dt <= t_end + 1e-9.
-  while (k > tick_count_ &&
-         run_begin_s_ + static_cast<double>(k) * dt > t_end_s + 1e-9) {
-    --k;
-  }
-  while (run_begin_s_ + static_cast<double>(k + 1) * dt <= t_end_s + 1e-9) ++k;
-  return k;
+long long RapsEngine::quantum_tick(long long m, long long lo, long long hi) const {
+  const SimulationConfig& sim = config_.simulation;
+  const double estimate = std::ceil(static_cast<double>(m) * sim.cooling_quantum_s / sim.tick_s);
+  return first_due_tick(estimate, lo, hi, [&](long long k) { return quantum_due(k, m); });
 }
 
 long long RapsEngine::next_event_tick(long long k_end) {
-  const double dt = config_.simulation.tick_s;
-  long long best = k_end + 1;
-
-  // Clamp a float estimate to a valid candidate tick, then settle it with
-  // the exact firing predicate `pred(k)` (monotone in k).
-  const auto settle = [&](double estimate, auto&& pred) {
-    long long k = tick_count_ + 1;
-    if (estimate > static_cast<double>(k) && estimate < 9.0e18) {
-      k = static_cast<long long>(estimate);
-    }
-    while (k > tick_count_ + 1 && pred(k - 1)) --k;
-    while (k <= k_end && !pred(k)) ++k;
-    if (k < best) best = k;
-  };
-
-  // Next cooling-quantum boundary (relative to run_begin_s_, like the tick
-  // counter itself).
-  const double quantum = config_.simulation.cooling_quantum_s;
-  settle(std::ceil(static_cast<double>(next_quantum_) * quantum / dt),
-         [&](long long k) { return quantum_due(k, next_quantum_); });
-
+  const long long lo = tick_count_ + 1;
+  const long long hi = k_end + 1;
+  long long best = std::min(hi, quantum_tick(next_quantum_, lo, hi));
   // Earliest completion / arrival / trace boundary are absolute times with
   // the processing predicate `t <= now`.
   const auto settle_abs = [&](double t) {
-    settle(std::ceil((t - run_begin_s_) / dt), [&](long long k) {
-      return t <= run_begin_s_ + static_cast<double>(k) * dt;
-    });
+    const double estimate = std::ceil((t - run_begin_s_) / config_.simulation.tick_s);
+    const auto reached = [&](long long k) { return t <= tick_time(k); };
+    best = std::min(best, first_due_tick(estimate, lo, hi, reached));
   };
 
   double t_completion = std::numeric_limits<double>::infinity();
@@ -318,33 +303,25 @@ long long RapsEngine::next_event_tick(long long k_end) {
   if (!future_jobs_.empty()) settle_abs(arrival_time(future_jobs_.back()));
 
   const double trace = config_.simulation.trace_quantum_s;
-  if (trace < quantum) {
+  if (trace < config_.simulation.cooling_quantum_s) {
     double t_trace = std::numeric_limits<double>::infinity();
     for (const auto& r : running_) {
-      const double since = std::max(0.0, now_s_ - r.start_time_s);
-      const double next_boundary =
-          r.start_time_s + (std::floor(since / trace + 1e-9) + 1.0) * trace;
-      t_trace = std::min(t_trace, next_boundary);
+      const double next_sample = trace_sample_index(now_s_ - r.start_time_s, trace) + 1.0;
+      t_trace = std::min(t_trace, r.start_time_s + next_sample * trace);
     }
     if (std::isfinite(t_trace)) settle_abs(t_trace);
   }
-
   return best;
 }
 
 double RapsEngine::last_quantum_fire_s(double t_s) const {
   if (t_s <= run_begin_s_) return run_begin_s_;
-  const double dt = config_.simulation.tick_s;
-  const double quantum = config_.simulation.cooling_quantum_s;
-  const auto fire_s = [&](long long m) {
-    const double est = std::ceil(static_cast<double>(m) * quantum / dt);
-    long long k = est > 0.0 && est < 9.0e18 ? static_cast<long long>(est) : 0;
-    while (k > 0 && quantum_due(k - 1, m)) --k;
-    while (!quantum_due(k, m)) ++k;
-    return run_begin_s_ + static_cast<double>(k) * dt;
-  };
-  long long m = static_cast<long long>(std::floor((t_s - run_begin_s_) / quantum)) + 1;
-  while (m >= 1 && fire_s(m) > t_s) --m;
+  const auto fire_s = [&](long long m) { return tick_time(quantum_tick(m, 0, kNoTickLimit)); };
+  // The last boundary fired by t_s is the one before the first fired after it.
+  const double estimate =
+      std::floor((t_s - run_begin_s_) / config_.simulation.cooling_quantum_s) + 1.0;
+  const auto fired_after = [&](long long m) { return fire_s(m) > t_s; };
+  const long long m = first_due_tick(estimate, 1, kNoTickLimit, fired_after) - 1;
   return m >= 1 ? fire_s(m) : run_begin_s_;
 }
 
@@ -353,16 +330,7 @@ void RapsEngine::flush_tail(double t_end_s) {
     // The tail lies inside the final (partial) tick: advance the clock off
     // the grid, honoring any completions/arrivals due by t_end.
     now_s_ = t_end_s;
-    const std::size_t running_before = running_.size();
-    const int completed_before = jobs_completed_;
-    const std::size_t queue_before = scheduler_.queue_depth();
-    process_completions();
-    process_arrivals();
-    if (jobs_completed_ != completed_before ||
-        scheduler_.queue_depth() != queue_before ||
-        running_.size() != running_before) {
-      schedule_pass();
-    }
+    membership_step(/*on_quantum=*/false);
   }
   // Close the integrals exactly at t_end. Without this, the span since the
   // last sample was silently dropped whenever t_end was not a quantum or
@@ -373,19 +341,13 @@ void RapsEngine::flush_tail(double t_end_s) {
 void RapsEngine::run_until(double t_end_s) {
   require(t_end_s >= now_s_, "run_until target is in the past");
   const long long k_end = last_tick_for(t_end_s);
-  if (options_.mode == EngineMode::kTickLoop) {
-    while (tick_count_ < k_end) tick();
-  } else {
-    while (tick_count_ < k_end) {
-      const long long k = next_event_tick(k_end);
-      if (k > k_end) {
-        // Nothing can happen before the horizon: land on the final tick.
-        tick_count_ = k_end;
-        now_s_ = run_begin_s_ + static_cast<double>(k_end) * config_.simulation.tick_s;
-        break;
-      }
-      advance_to_tick(k);
-    }
+  while (tick_count_ < k_end) {
+    const long long k =
+        options_.mode == EngineMode::kTickLoop ? tick_count_ + 1 : next_event_tick(k_end);
+    // Past the horizon nothing can happen: land on the final tick.
+    tick_count_ = std::min(k, k_end);
+    now_s_ = tick_time(tick_count_);
+    if (k <= k_end) tick_body();
   }
   flush_tail(t_end_s);
 }

@@ -8,11 +8,17 @@
 /// earliest job arrival, the earliest completion, the next cooling-quantum
 /// boundary, or the next utilization trace-quantum boundary of a running
 /// job (when traces are finer than the cooling quantum). At such a tick:
-/// newly arrived jobs join the pending queue, completed jobs release their
-/// nodes, a scheduling pass places queued work, and power is re-sampled
+/// completed jobs release their nodes, newly arrived jobs join the pending
+/// queue, a scheduling pass places queued work, and power is re-sampled
 /// incrementally (see power_model.hpp). The cooling model callback fires on
 /// every cooling-quantum boundary — exactly the paper's RAPS <-> FMU
-/// coupling. The legacy fixed-step loop is retained behind
+/// coupling. Each clock decision has one rule: tick k sits at tick_time(k);
+/// one search settles every float tick estimate against its exact
+/// predicate; quantum_due alone says when cooling-quantum boundary m fires;
+/// and a job `since` seconds old holds trace sample
+/// trace_sample_index(since, trace_quantum_s) (telemetry/schema.hpp), both
+/// where the power model reads its trace and where the engine samples
+/// power on a trace boundary. The legacy fixed-step loop is retained behind
 /// Options::mode = EngineMode::kTickLoop as the validation reference; both
 /// modes produce bit-identical reports and series. The references are
 /// selected here on the engine only, never through the system descriptor or
@@ -149,10 +155,10 @@ class RapsEngine {
 
   double now_s_;
   long long tick_count_ = 0;
-  /// Index of the next cooling-quantum boundary (boundaries sit at
-  /// next_quantum_ * cooling_quantum_s relative to run_begin_s_). Integer
-  /// bookkeeping makes the quantum trigger exact even when the quantum is
-  /// not a float multiple of tick_s (the old fmod test drifted there).
+  /// Index of the first cooling-quantum boundary not yet fired (boundary m
+  /// sits m * cooling_quantum_s after run_begin_s_). Integer bookkeeping
+  /// makes the quantum trigger exact even when the quantum is not a float
+  /// multiple of tick_s (the old fmod test drifted there).
   long long next_quantum_ = 1;
 
   /// Future arrivals sorted descending by time, ties broken by descending
@@ -195,12 +201,17 @@ class RapsEngine {
   TimeSeries utilization_series_;
   TimeSeries eta_series_;
 
-  void tick();  ///< Algorithm 1 TICK: advance one tick_s step (legacy loop)
-  /// Jumps the clock to tick `k` and runs the tick body there.
-  void advance_to_tick(long long k);
-  /// Arrivals, completions, scheduling, quantum/trace-triggered sampling at
-  /// the current (already-advanced) clock.
+  /// The time of tick `k`: the engine's one tick grid.
+  [[nodiscard]] double tick_time(long long k) const {
+    return run_begin_s_ + static_cast<double>(k) * config_.simulation.tick_s;
+  }
+  /// Algorithm 1 TICK at the current (already-advanced) clock: quantum
+  /// bookkeeping, the membership step and quantum/trace-triggered sampling.
   void tick_body();
+  /// Completions, arrivals, then a scheduling pass if they freed nodes or
+  /// queued work (or on a quantum for time-varying policies). True when the
+  /// running set changed.
+  bool membership_step(bool on_quantum);
   /// True when tick `k` is at or past cooling-quantum boundary `m`, which
   /// sits m * cooling_quantum_s after run_begin_s_: the boundary fires on
   /// the first such tick. The 1e-9 s slack absorbs the rounding of k * tick_s
@@ -209,6 +220,8 @@ class RapsEngine {
     return static_cast<double>(k) * config_.simulation.tick_s >=
            static_cast<double>(m) * config_.simulation.cooling_quantum_s - 1e-9;
   }
+  /// First tick in [lo, hi) where boundary `m` fires (>= hi when none).
+  [[nodiscard]] long long quantum_tick(long long m, long long lo, long long hi) const;
   /// Last tick index the run loop executes for a run_until(t_end_s).
   [[nodiscard]] long long last_tick_for(double t_end_s) const;
   /// Earliest upcoming event tick (arrival, completion, cooling-quantum or

@@ -53,15 +53,15 @@ double param_number(const ScenarioSpec& spec, const std::string& key, double fal
   return spec.params.is_object() ? spec.params.number_or(key, fallback) : fallback;
 }
 
-/// Refuses what int cannot hold rather than wrapping it.
+/// Json::int32_or refuses what int cannot hold rather than wrapping it.
 int param_int(const ScenarioSpec& spec, const std::string& key, int fallback) {
-  if (!spec.params.is_object() || !spec.params.contains(key)) return fallback;
-  const std::int64_t n = spec.params.at(key).as_int();
-  if (!std::in_range<int>(n)) {
+  if (!spec.params.is_object()) return fallback;
+  try {
+    return spec.params.int32_or(key, fallback);
+  } catch (const JsonTypeError& e) {
     throw ConfigError("scenario \"" + spec.name + "\" (" + spec.type + "): params." + key +
-                      " = " + std::to_string(n) + " is outside the int range");
+                      ": " + e.what());
   }
-  return static_cast<int>(n);
 }
 
 /// The workload the legacy CLI paths drew: Rng(seed) over the horizon.

@@ -17,16 +17,33 @@ std::uint64_t derive_scenario_seed(std::uint64_t batch_seed, std::size_t index) 
   return z ^ (z >> 31);
 }
 
+void resolve_scenario_seeds(std::vector<ScenarioSpec>& specs, std::uint64_t batch_seed) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (!specs[i].seed.has_value()) specs[i].seed = derive_scenario_seed(batch_seed, i);
+  }
+}
+
+ScenarioResult run_isolated(const ScenarioSpec& spec, const ScenarioRegistry& registry) {
+  ScenarioResult failed;
+  try {
+    return registry.run(spec);
+  } catch (const std::exception& e) {
+    failed.error = e.what();
+  } catch (...) {
+    failed.error = "unknown non-standard exception";
+  }
+  failed.name = spec.name;
+  failed.type = spec.type;
+  failed.status = ScenarioResult::Status::kFailed;
+  return failed;
+}
+
 std::vector<ScenarioResult> ScenarioRunner::run(const std::vector<ScenarioSpec>& specs,
                                                 const ScenarioRegistry& registry) const {
   // Resolve effective specs up front so seeding is deterministic in batch
   // order, independent of which worker picks up which scenario.
   std::vector<ScenarioSpec> effective = specs;
-  for (std::size_t i = 0; i < effective.size(); ++i) {
-    if (!effective[i].seed.has_value()) {
-      effective[i].seed = derive_scenario_seed(options_.batch_seed, i);
-    }
-  }
+  resolve_scenario_seeds(effective, options_.batch_seed);
 
   std::vector<ScenarioResult> results(effective.size());
   if (effective.empty()) return results;
@@ -47,24 +64,9 @@ std::vector<ScenarioResult> ScenarioRunner::run(const std::vector<ScenarioSpec>&
 
   const auto run_one = [&](std::size_t i) {
     notify(i, ScenarioResult::Status::kRunning);
-    ScenarioResult& result = results[i];
-    try {
-      result = registry.run(effective[i]);
-    } catch (const std::exception& e) {
-      result.name = effective[i].name;
-      result.type = effective[i].type;
-      result.status = ScenarioResult::Status::kFailed;
-      result.error = e.what();
-    } catch (...) {
-      // User-registered factories may throw anything; an escape would stop
-      // its lane and take the whole batch down.
-      result.name = effective[i].name;
-      result.type = effective[i].type;
-      result.status = ScenarioResult::Status::kFailed;
-      result.error = "unknown non-standard exception";
-    }
-    notify(i, result.status);
-    notify_result(i, result);
+    results[i] = run_isolated(effective[i], registry);
+    notify(i, results[i].status);
+    notify_result(i, results[i]);
   };
 
   // Scenarios are heavy and uneven, so hand them out dynamically; every

@@ -27,6 +27,16 @@ namespace exadigit {
 [[nodiscard]] std::uint64_t derive_scenario_seed(std::uint64_t batch_seed,
                                                  std::size_t index);
 
+/// Gives each spec without a seed derive_scenario_seed(batch_seed, i), i its
+/// position, so no seed depends on which worker runs the spec.
+void resolve_scenario_seeds(std::vector<ScenarioSpec>& specs, std::uint64_t batch_seed);
+
+/// Runs one spec. Any throw becomes a kFailed result carrying its message
+/// ("unknown non-standard exception" for one that is not a std::exception),
+/// never an escape from the worker thread running it.
+[[nodiscard]] ScenarioResult run_isolated(const ScenarioSpec& spec,
+                                          const ScenarioRegistry& registry);
+
 /// Executes batches of scenario specs concurrently.
 class ScenarioRunner {
  public:

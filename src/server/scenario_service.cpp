@@ -48,21 +48,6 @@ std::int64_t dataset_mtime_ticks(const std::string& directory) {
   return std::max(file_mtime_ticks(directory), file_mtime_ticks(manifest));
 }
 
-/// Runs one spec with the runner's failure isolation: a throwing factory
-/// becomes a kFailed result carrying the message, never a dead worker.
-ScenarioResult execute_spec(const ScenarioSpec& spec) {
-  try {
-    return ScenarioRegistry::instance().run(spec);
-  } catch (const std::exception& e) {
-    ScenarioResult result;
-    result.name = spec.name;
-    result.type = spec.type;
-    result.status = ScenarioResult::Status::kFailed;
-    result.error = e.what();
-    return result;
-  }
-}
-
 double percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(
@@ -166,12 +151,9 @@ std::vector<Json> ScenarioService::handle_run(std::uint64_t client,
   for (const ScenarioSpec& spec : batch.scenarios) {
     ScenarioRegistry::instance().require_type(spec.type);
   }
-  // Resolve effective seeds exactly as the runner would, so the content
+  // Resolve effective seeds exactly as the runner does, so the content
   // identity of a seedless spec includes the seed it actually runs with.
-  for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
-    batch.scenarios[i].seed = batch.scenarios[i].seed_or(
-        derive_scenario_seed(batch.seed, i));
-  }
+  resolve_scenario_seeds(batch.scenarios, batch.seed);
 
   std::vector<Json> replies;
   Json accepted;
@@ -306,7 +288,7 @@ void ScenarioService::worker_loop() {
     push_completion(job.client, std::move(running));
 
     const Clock::time_point start = Clock::now();
-    ScenarioResult result = execute_spec(job.spec);
+    ScenarioResult result = run_isolated(job.spec, ScenarioRegistry::instance());
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - start).count();
     const bool failed = result.status == ScenarioResult::Status::kFailed;

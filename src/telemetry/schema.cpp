@@ -8,11 +8,10 @@
 namespace exadigit {
 
 namespace {
-/// A trace's value at position `idx` (zero-order hold, clamped to [0, 1])
-/// and whether that is its last sample; an empty trace holds `fallback`
-/// and always is. The position is compared as a double before the cast, so
-/// one far past the end takes the last sample without an out-of-range
-/// conversion.
+/// A trace's sample `idx` (a whole number, clamped to [0, 1]) and whether
+/// that is its last sample; an empty trace holds `fallback` and always is.
+/// The index is compared as a double before the cast, so one far past the
+/// end takes the last sample without an out-of-range conversion.
 struct TraceSample {
   double value;
   bool last;
@@ -26,7 +25,7 @@ TraceSample trace_sample(const std::vector<double>& trace, double fallback, doub
 }  // namespace
 
 JobRecord::Utilization JobRecord::utilization_at(double t_since_start, double quantum_s) const {
-  const double idx = std::max(0.0, t_since_start) / quantum_s;  // fractional sample position
+  const double idx = trace_sample_index(t_since_start, quantum_s);
   const TraceSample cpu = trace_sample(cpu_util_trace, mean_cpu_util, idx);
   const TraceSample gpu = trace_sample(gpu_util_trace, mean_gpu_util, idx);
   return Utilization{cpu.value, gpu.value, cpu.last && gpu.last};

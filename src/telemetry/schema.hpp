@@ -11,6 +11,7 @@
 /// perturbed "physical twin" (see core/physical_twin.hpp) and replays it
 /// through the exact same schema.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -19,6 +20,17 @@
 #include "common/time_series.hpp"
 
 namespace exadigit {
+
+/// The utilization trace sample a job `t_since_start` seconds old holds:
+/// floor(t / quantum_s + 1e-9), sample 0 before its start. The slack reads
+/// a time that rounds a hair below a boundary as the sample starting there
+/// (a job fixed at 15.1 s is 59.999999999999993 s old at 75.1 s: sample 4).
+/// Truncation is that floor below 2^52, where every double is whole, so a
+/// time far past any trace converts nothing.
+[[nodiscard]] inline double trace_sample_index(double t_since_start, double quantum_s) {
+  const double position = std::max(0.0, t_since_start) / quantum_s + 1e-9;
+  return position < 0x1p52 ? static_cast<double>(static_cast<std::int64_t>(position)) : position;
+}
 
 /// One scheduled job (paper Table II "RAPS Inputs").
 struct JobRecord {
@@ -48,12 +60,12 @@ struct JobRecord {
 
   [[nodiscard]] bool is_replay() const { return fixed_start_time_s >= 0.0; }
 
-  /// CPU and GPU utilization at time `t_since_start` (zero-order hold over
-  /// each trace, one sample per `quantum_s`, clamped to [0, 1]; a negative
-  /// time reads the first sample, one past the end the last, and an empty
-  /// trace the clamped mean). `settled` is true once both traces sit on
-  /// their last sample (an empty trace always does): the hold keeps that
-  /// sample for every later time, so neither value changes again.
+  /// CPU and GPU utilization at time `t_since_start`: each trace holds
+  /// sample trace_sample_index(t_since_start, quantum_s), clamped to [0, 1];
+  /// one past the end reads the last, and an empty trace the clamped mean.
+  /// `settled` is true once both traces sit on their last sample (an empty
+  /// trace always does): the hold keeps that sample for every later time,
+  /// so neither value changes again.
   struct Utilization {
     double cpu = 0.0;
     double gpu = 0.0;

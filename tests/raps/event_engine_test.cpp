@@ -26,8 +26,9 @@ SystemConfig small_system() {
 }
 
 /// A mixed workload: generated jobs, a replay job off the quantum grid, and
-/// duplicate-timestamp arrivals.
-std::vector<JobRecord> mixed_jobs(const SystemConfig& config, double horizon_s) {
+/// duplicate-timestamp arrivals, all `start_s` later than drawn.
+std::vector<JobRecord> mixed_jobs(const SystemConfig& config, double horizon_s,
+                                  double start_s = 0.0) {
   WorkloadConfig wl = config.workload;
   wl.mean_arrival_s = 90.0;
   wl.mean_nodes = 50.0;
@@ -44,6 +45,10 @@ std::vector<JobRecord> mixed_jobs(const SystemConfig& config, double horizon_s) 
   b.id = 777002;
   jobs.push_back(a);
   jobs.push_back(b);
+  for (JobRecord& job : jobs) {
+    job.submit_time_s += start_s;
+    if (job.is_replay()) job.fixed_start_time_s += start_s;
+  }
   return jobs;
 }
 
@@ -55,15 +60,17 @@ struct RunResult {
 };
 
 RunResult run_mode(const SystemConfig& config, EngineMode mode, double t_end_s,
-                   RapsEngine::PowerEval eval = RapsEngine::PowerEval::kIncremental) {
+                   RapsEngine::PowerEval eval = RapsEngine::PowerEval::kIncremental,
+                   double start_s = 0.0) {
   RapsEngine::Options options;
+  options.start_time_s = start_s;
   options.power_eval = eval;
   options.mode = mode;
   RapsEngine engine(config, options);
   RunResult r;
   engine.set_cooling_callback(
       [&r](RapsEngine&, double now) { r.cooling_calls.push_back(now); });
-  engine.submit_all(mixed_jobs(config, t_end_s));
+  engine.submit_all(mixed_jobs(config, t_end_s - start_s, start_s));
   engine.run_until(t_end_s);
   r.report = engine.report();
   r.power = engine.power_series_mw();
@@ -132,6 +139,56 @@ TEST(EventEngineTest, BitIdenticalWithFineTraceQuantum) {
   config.simulation.trace_quantum_s = 5.0;  // finer than the cooling quantum
   expect_bit_identical(run_mode(config, EngineMode::kEventDriven, 900.0),
                        run_mode(config, EngineMode::kTickLoop, 900.0));
+}
+
+/// A fractional grid: quarter-second ticks from t = 0.1 s, so tick times,
+/// job ages and trace boundaries all round, with 5 s traces finer than the
+/// quantum. The event-driven loop still stops on every tick the tick loop
+/// samples on.
+TEST(EventEngineTest, BitIdenticalOnFractionalGrid) {
+  SystemConfig config = small_system();
+  config.simulation.tick_s = 0.25;
+  config.simulation.trace_quantum_s = 5.0;
+  const double start = 0.1;
+  const double t_end = start + 1800.0;
+  const RapsEngine::PowerEval eval = RapsEngine::PowerEval::kIncremental;
+  const RunResult event = run_mode(config, EngineMode::kEventDriven, t_end, eval, start);
+  EXPECT_GT(event.report.jobs_completed, 0);
+  expect_bit_identical(event, run_mode(config, EngineMode::kTickLoop, t_end, eval, start));
+}
+
+/// Regression (one-sample lag): on quarter-second ticks from t = 0.1 s, a
+/// job fixed at 15.1 s is 59.999999999999993 s old at the 75.1 s quantum.
+/// The engine counted that as trace sample 4 while the power model read
+/// sample 3, so the job replayed its trace one sample late. Both now ask
+/// trace_sample_index.
+TEST(EventEngineTest, QuantumSampleReadsTheTraceSampleItFallsIn) {
+  SystemConfig config = small_system();
+  config.simulation.tick_s = 0.25;
+  config.simulation.trace_quantum_s = 15.0;
+  config.simulation.cooling_quantum_s = 15.0;
+  RapsEngine::Options options;
+  options.start_time_s = 0.1;
+  RapsEngine engine(config, options);
+  JobRecord job = make_constant_job(0.0, 150.0, 256, 0.0, 0.0);
+  job.fixed_start_time_s = 15.1;
+  job.gpu_util_trace = {0.1, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9};
+  engine.submit(job);
+  engine.run_until(100.1);
+
+  ASSERT_EQ(engine.job_start_log().size(), 1u);
+  const double started = engine.job_start_log()[0].start_time_s;
+  EXPECT_EQ(started, 15.1);
+  const TimeSeries& p = engine.power_series_mw();
+  bool seen = false;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (std::abs(p.time(i) - 75.1) > 1e-9) continue;
+    seen = true;
+    EXPECT_EQ(p.time(i) - started, 59.999999999999993);
+    EXPECT_EQ(trace_sample_index(p.time(i) - started, 15.0), 4.0);
+    EXPECT_NEAR(p.value(i), 0.449774, 1e-6);  // sample 4 (0.1); sample 3 (0.9) reads 0.859305
+  }
+  EXPECT_TRUE(seen);
 }
 
 /// Regression (quantum drift): with dt=1 and quantum=2.5 the old

@@ -183,6 +183,27 @@ TEST(ScenarioServiceTest, FailuresAreIsolatedReportedAndNeverCached) {
   EXPECT_EQ(scenario_run_count(), runs_before + 1);
 }
 
+/// A registered factory may throw anything. The service's one worker turns
+/// a throw that is not a std::exception into a failed result, as the batch
+/// runner does, instead of letting it end the process.
+TEST(ScenarioServiceTest, NonStandardThrowFailsTheScenarioNotTheServer) {
+  const auto throws_int = [](const ScenarioSpec&) -> ScenarioResult { throw 42; };
+  ScenarioRegistry::instance().register_type("test_throws_int", throws_int);
+  ScenarioService::Options options;
+  options.jobs = 1;
+  ScenarioService service(options);
+  const Json request = run_request(R"([{"name": "int", "type": "test_throws_int"}])");
+  (void)service.handle_request(kClient, request);
+  const std::vector<Json> results = of_type(drain_for(service, kClient), "result");
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].at("result").at("status").as_string(), "failed");
+  const std::string error = results[0].at("result").string_or("error", "");
+  EXPECT_NE(error.find("non-standard"), std::string::npos) << error;
+  const std::vector<Json> pong = service.handle_request(kClient, Json::parse(R"({"type":"ping"})"));
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_EQ(pong[0].string_or("type", ""), "pong");
+}
+
 TEST(ScenarioServiceTest, ForgetClientDropsOnlyThatClientsEnvelopes) {
   ScenarioService service(small_options());
   (void)service.handle_request(1, run_request(
